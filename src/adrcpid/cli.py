@@ -145,42 +145,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
+        """Parse the text ``to_text`` writes; unknown sections and keys are errors."""
         cp = configparser.ConfigParser()
-        cp.read_string(text)
+        try:
+            cp.read_string(text)
+        except configparser.Error as exc:
+            raise ValueError(f"malformed config: {exc}") from exc
+        if cp.defaults():
+            raise ValueError(f"unknown config section [{cp.default_section}]")
         kwargs = {}
-        if cp.has_section("tuning"):
-            sec = cp["tuning"]
-            if "order" in sec:
-                kwargs["order"] = sec.getint("order")
-            for key in ("ts", "g", "b0"):
-                if key in sec:
-                    kwargs[key] = sec.getfloat(key)
-        if cp.has_section("plant"):
-            sec = cp["plant"]
-            for key, field in (("k", "plant_k"), ("t", "plant_t"), ("d", "plant_d")):
-                if key in sec:
-                    kwargs[field] = sec.getfloat(key)
-        if cp.has_section("sweep"):
-            sec = cp["sweep"]
-            if "k_values" in sec:
-                kwargs["k_sweep"] = _parse_floats(sec["k_values"])
-            if "t_values" in sec:
-                kwargs["t_sweep"] = _parse_floats(sec["t_values"])
-        if cp.has_section("frequency"):
-            sec = cp["frequency"]
-            if "omega_min" in sec:
-                kwargs["omega_min"] = sec.getfloat("omega_min")
-            if "omega_max" in sec:
-                kwargs["omega_max"] = sec.getfloat("omega_max")
-            if "points" in sec:
-                kwargs["omega_points"] = sec.getint("points")
-        if cp.has_section("output") and "dir" in cp["output"]:
-            kwargs["out_dir"] = cp["output"]["dir"]
-        if cp.has_section("compare") and "pid" in cp["compare"]:
-            values = _parse_floats(cp["compare"]["pid"])
-            if len(values) != 5:
-                raise ValueError("compare pid needs exactly kp,ki,kd,Tf,b")
-            kwargs["compare_pid"] = values
+        for section in cp.sections():
+            fields = _CONFIG_FIELDS.get(section)
+            if fields is None:
+                raise ValueError(f"unknown config section [{section}]")
+            for key, value in cp[section].items():
+                if key not in fields:
+                    raise ValueError(f"unknown config key {key!r} in section [{section}]")
+                field, parse = fields[key]
+                kwargs[field] = parse(value)
+        if "compare_pid" in kwargs and len(kwargs["compare_pid"]) != 5:
+            raise ValueError("compare pid needs exactly kp,ki,kd,Tf,b")
         return cls(**kwargs)
 
 
@@ -191,6 +175,21 @@ def _fmt(v: float) -> str:
 def _parse_floats(text: str) -> tuple[float, ...]:
     items = [part.strip() for part in text.split(",") if part.strip()]
     return tuple(float(part) for part in items)
+
+
+# Config file layout: section -> key -> (ExperimentConfig field, parser).
+_CONFIG_FIELDS = {
+    "tuning": {"order": ("order", int), "ts": ("ts", float), "g": ("g", float), "b0": ("b0", float)},
+    "plant": {"k": ("plant_k", float), "t": ("plant_t", float), "d": ("plant_d", float)},
+    "sweep": {"k_values": ("k_sweep", _parse_floats), "t_values": ("t_sweep", _parse_floats)},
+    "frequency": {
+        "omega_min": ("omega_min", float),
+        "omega_max": ("omega_max", float),
+        "points": ("omega_points", int),
+    },
+    "output": {"dir": ("out_dir", str)},
+    "compare": {"pid": ("compare_pid", _parse_floats)},
+}
 
 
 def _design_for(cfg: ExperimentConfig, order: int):

@@ -10,12 +10,12 @@ ascending powers of s, i.e. ``coeffs[k]`` multiplies ``s**k``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import expm
 
 # Trailing coefficients below TRIM_REL_TOL times the largest magnitude are
 # treated as zero.  Transfer-function comparison uses the REL/ABS pair below
@@ -23,6 +23,12 @@ from scipy.linalg import expm
 TRIM_REL_TOL = 1e-12
 COEFF_REL_TOL = 1e-9
 COEFF_ABS_TOL = 1e-12
+
+# Samples advanced per block in step_response; a power of two, because the
+# per-block tables are built by doubling.
+STEP_BLOCK = 64
+# [6/6] Pade coefficients of exp: c_k = (12-k)! 6! / (12! k! (6-k)!).
+_PADE6 = (1.0, 1.0 / 2, 5.0 / 44, 1.0 / 66, 1.0 / 792, 1.0 / 15840, 1.0 / 665280)
 
 
 class ImproperTransferFunctionError(ValueError):
@@ -472,12 +478,80 @@ def freq_response(a, omega, label: str | None = None) -> FrequencyResponseTable:
     return FrequencyResponseTable(omega, cols)
 
 
+def _balance(M: np.ndarray) -> np.ndarray:
+    """Power-of-two scales d such that diag(d)^-1 M diag(d) is balanced.
+
+    Osborne's iteration as in LAPACK gebal, without the permutation step:
+    each sweep rescales state i so that the off-diagonal 1-norms of its row
+    and column meet, jumping straight to the nearest power of two, and the
+    sweeps stop once no scale changes.  Power-of-two scales are exact, so
+    balancing adds no rounding error.  Plain lists, because for n <= 7 the
+    per-call overhead of numpy reductions would dominate.
+    """
+    n = M.shape[0]
+    A = np.abs(M)
+    np.fill_diagonal(A, 0.0)
+    A = A.tolist()
+    exponents = [0] * n
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            row = A[i]
+            r = sum(row)
+            c = 0.0
+            for other in A:
+                c += other[i]
+            if c == 0.0 or r == 0.0:
+                continue
+            k = round(0.5 * math.log2(r / c))
+            if k:
+                f = 2.0**k
+                if c * f + r / f < 0.95 * (c + r):
+                    for other in A:
+                        other[i] *= f
+                    A[i] = [v / f for v in row]
+                    exponents[i] += k
+                    changed = True
+    return np.ldexp(1.0, exponents)
+
+
+def _expm(M: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a small dense matrix.
+
+    Balanced scaling and squaring with a [6/6] Pade approximant (Moler and
+    Van Loan, "Nineteen dubious ways to compute the exponential of a
+    matrix").  Balancing first keeps the result accurate when the entries
+    span many decades, as ADRC closed loops do when T_s is far from 1.
+    """
+    d = _balance(M)
+    B = M * d[None, :] / d[:, None]
+    norm = float(np.abs(B).sum(axis=0).max())
+    j = max(0, math.frexp(norm)[1] + 1)
+    B = B * 2.0**-j  # now ||B||_1 < 1/2
+    eye = np.eye(M.shape[0])
+    B2 = B @ B
+    B4 = B2 @ B2
+    U = B @ (_PADE6[1] * eye + _PADE6[3] * B2 + _PADE6[5] * B4)
+    V = _PADE6[0] * eye + _PADE6[2] * B2 + _PADE6[4] * B4 + _PADE6[6] * (B4 @ B2)
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(j):
+        E = E @ E
+    return E * d[:, None] / d[None, :]
+
+
 def step_response(m: StateSpaceModel, input: int = 0, t_end: float = 10.0, n_steps: int = 4000) -> StepResponseTable:
     """Unit-step response from zero initial state, exact at sample instants.
 
     The state is extended with the constant input and the augmented matrix is
     exponentiated once at h = t_end / n_steps, so the zero-order-hold
     discretization reproduces the continuous solution exactly on the grid.
+
+    The recurrence x[k+1] = Ad x[k] + bd advances STEP_BLOCK samples at a
+    time: with S_j = sum_{i<j} Ad^i bd, the states of a block that starts in
+    x are Ad^j x + S_j, and the next block starts in Ad^B x + S_B.  Every
+    sample is y = C x + d of its own state; past the first state that
+    overflows, a diverging trace is NaN, as the recurrence itself would be.
     """
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
@@ -490,16 +564,36 @@ def step_response(m: StateSpaceModel, input: int = 0, t_end: float = 10.0, n_ste
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n] = m.A
     aug[:n, n] = m.B[:, input]
-    phi = expm(aug * h)
+    phi = _expm(aug * h)
     Ad = phi[:n, :n]
     bd = phi[:n, n]
-    d_col = m.D[:, input]
-    samples = np.empty((n_steps + 1, m.n_outputs))
-    x = np.zeros(n)
+    n_blocks = -(-(n_steps + 1) // STEP_BLOCK)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps + 1):
-            samples[k] = m.C @ x + d_col
-            x = Ad @ x + bd
+        # powers[j] = Ad^j and sums[j] = S_j for j < STEP_BLOCK, by doubling:
+        # each pass enters with power = Ad^k and s = S_k.
+        powers = np.empty((STEP_BLOCK, n, n))
+        sums = np.empty((STEP_BLOCK, n))
+        powers[0] = np.eye(n)
+        sums[0] = 0.0
+        power, s = Ad, bd
+        k = 1
+        while k < STEP_BLOCK:
+            powers[k : 2 * k] = power @ powers[:k]
+            sums[k : 2 * k] = sums[:k] + powers[:k] @ s
+            s = s + power @ s
+            power = power @ power
+            k *= 2
+        starts = np.empty((n, n_blocks))
+        x = np.zeros(n)
+        for b in range(n_blocks):
+            starts[:, b] = x
+            x = power @ x + s
+        # states[b, j] = Ad^j x_b + S_j is the state at sample b*B + j
+        states = (powers @ starts + sums[:, :, None]).transpose(2, 0, 1).reshape(-1, n)[: n_steps + 1]
+        samples = states @ m.C.T + m.D[:, input]
+    overflowed = ~np.isfinite(states).all(axis=1)
+    if overflowed.any():
+        samples[np.argmax(overflowed) + 1 :] = np.nan
     t = np.linspace(0.0, t_end, n_steps + 1)
     cols = {name: samples[:, i].copy() for i, name in enumerate(m.output_labels)}
     return StepResponseTable(t, cols)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -24,6 +23,15 @@ MARGIN_LEFT = 72
 MARGIN_RIGHT = 180  # legend lives here
 MARGIN_TOP = 44
 MARGIN_BOTTOM = 56
+
+
+def escape(text: str) -> str:
+    """Escape &, < and > for XML character data.
+
+    Local, because xml.sax.saxutils imports urllib.request and with it the
+    http, email and ssl packages, which would slow every command's start.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @dataclass(frozen=True)

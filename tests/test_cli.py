@@ -1,4 +1,9 @@
 import csv
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +201,26 @@ class TestFigureCommand:
         assert main(["figure", "3", "--config", str(missing)]) == EXIT_BAD_ARGS
         assert "--config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, offender",
+        [
+            ("[tuning]\nts = 2\ngg = 5\n", "'gg'"),
+            ("[tuning]\nts = 2\n\n[plnt]\nk = 3\n", "[plnt]"),
+            ("[DEFAULT]\ng = 5\n", "[DEFAULT]"),
+            ("ts = 2\n", "malformed config"),
+            ("[tuning]\nts = 2\nts = 3\n", "malformed config"),
+        ],
+        ids=["misspelled_key", "misspelled_section", "default_section", "no_section_header", "duplicate_key"],
+    )
+    def test_bad_config_text_rejected(self, tmp_path, capsys, text, offender):
+        with pytest.raises(ValueError, match=re.escape(offender)):
+            ExperimentConfig.from_text(text)
+        cfg_file = tmp_path / "typo.cfg"
+        cfg_file.write_text(text)
+        assert main(["figure", "3", "--config", str(cfg_file), "--out", str(tmp_path)]) == EXIT_BAD_ARGS
+        assert offender in capsys.readouterr().err
+        assert not (tmp_path / "fig3.csv").exists()
+
 
 class TestSweepCommand:
     def test_custom_values(self, tmp_path, capsys):
@@ -233,3 +258,12 @@ class TestVerifyCommand:
         assert lines["cy_equivalence_order2"].endswith("FAIL")
         assert lines["asymptote_low_order1"].endswith("PASS")
         assert lines["gang_of_four_identity_order1"].endswith("PASS")
+
+
+def test_cli_import_leaves_out_scipy_and_urllib():
+    """A command's start-up cost is mostly imports; keep the heavy ones out."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    code = "import sys, adrcpid.cli; print(*(m for m in ('scipy', 'urllib.request') if m in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []

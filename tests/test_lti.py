@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from adrcpid import adrc, analysis
 from adrcpid.lti import (
+    STEP_BLOCK,
     FrequencyResponseTable,
     ImproperTransferFunctionError,
     Polynomial,
@@ -20,6 +24,7 @@ from adrcpid.lti import (
     tf_multiply,
     tf_residual,
     tf_to_ss,
+    _expm,
 )
 
 
@@ -270,6 +275,101 @@ class TestStepResponse:
             StepResponseTable(np.array([0.5, 1.0]), {})
         with pytest.raises(ValueError):
             StepResponseTable(np.array([0.0, 1.0, 3.0]), {})
+
+
+def _augmented(m, input=0):
+    n = m.n_states
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = m.A
+    aug[:n, n] = m.B[:, input]
+    return aug
+
+
+def _adrc_loop(order, ts, g, b0):
+    tune = adrc.tune_first_order if order == 1 else adrc.tune_second_order
+    ctrl = adrc.build_adrc(tune(ts, g, b0))
+    plant = analysis.PlantModel(order, 1.0, 1.0, 1.0 if order == 2 else None)
+    return analysis.closed_loop(plant, ctrl)
+
+
+class TestExpm:
+    def test_diagonal(self):
+        d = np.array([-3.0, 0.5, 2.0, -1e-3, 0.0])
+        assert np.allclose(_expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-14, atol=0.0)
+
+    def test_nilpotent_jordan_block_is_a_finite_series(self):
+        # N^5 = 0, so exp(a N) = sum_{k<5} (a N)^k / k! exactly
+        a = 3.0
+        N = np.diag(np.ones(4), k=1)
+        expected = sum(np.linalg.matrix_power(a * N, k) / math.factorial(k) for k in range(5))
+        assert np.allclose(_expm(a * N), expected, rtol=1e-14, atol=0.0)
+
+    def test_rotation(self):
+        theta = 2.5
+        got = _expm(np.array([[0.0, -theta], [theta, 0.0]]))
+        c, s = math.cos(theta), math.sin(theta)
+        assert np.allclose(got, [[c, -s], [s, c]], rtol=0.0, atol=1e-14)
+
+    # the first loop gives ||M||_1 = 2.2e14; unbalanced, [6/6] Pade is 1.8e-2 off
+    @pytest.mark.parametrize(
+        "order, ts, g, b0",
+        [(2, 1.52e-3, 619.0, 7.75), (1, 1e-3, 1e3, 1e-3), (2, 1e3, 1.0, -1e3), (2, 1.0, 10.0, 1.0)],
+    )
+    def test_matches_high_precision_reference_on_ill_scaled_loops(self, order, ts, g, b0):
+        mpmath = pytest.importorskip("mpmath")
+        # the matrix step_response exponentiates for a 300-sample trace over 3 T_s
+        M = _augmented(_adrc_loop(order, ts, g, b0)) * (3.0 * ts / 300)
+        with mpmath.workdps(60):
+            ref = np.array(mpmath.expm(mpmath.matrix(M.tolist())).tolist(), dtype=float)
+        assert np.max(np.abs(_expm(M) - ref)) <= 1e-7 * np.max(np.abs(ref))
+
+
+def _per_sample_step(m, input, t_end, n_steps):
+    """The plain recurrence x[k+1] = Ad x[k] + bd, one sample at a time."""
+    n = m.n_states
+    phi = _expm(_augmented(m, input) * (t_end / n_steps))
+    Ad, bd = phi[:n, :n], phi[:n, n]
+    samples = np.empty((n_steps + 1, m.n_outputs))
+    x = np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps + 1):
+            samples[k] = m.C @ x + m.D[:, input]
+            x = Ad @ x + bd
+    return samples
+
+
+class TestBlockedStepResponse:
+    @pytest.mark.parametrize("n_steps", [2, STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1, 4000])
+    def test_matches_per_sample_recurrence(self, n_steps):
+        loop = _adrc_loop(2, 1.0, 10.0, 1.0)
+        assert loop.output_labels == ("y", "u")
+        out = step_response(loop, 0, t_end=3.0, n_steps=n_steps)
+        ref = _per_sample_step(loop, 0, 3.0, n_steps)
+        for i, name in enumerate(loop.output_labels):
+            y = out.columns[name]
+            assert y.shape == (n_steps + 1,)
+            # rounding in either recurrence scales with the largest value the
+            # trace passes through (u starts at 36 here), not with each sample
+            assert np.max(np.abs(y - ref[:, i])) <= 1e-12 * max(1.0, np.max(np.abs(ref[:, i])))
+
+    def test_diverging_model_returns_and_agrees_while_finite(self):
+        # poles 0.5 +- 3j overflow near t = 1420; x1 swings ten times wider
+        # than x2, so right after x1 first overflows there are samples where
+        # both are finite again.  The first output watches a stable,
+        # decoupled third state.
+        A = [[0.5, 30.0, 0.0], [-0.3, 0.5, 0.0], [0.0, 0.0, -1.0]]
+        m = StateSpaceModel(A, [[0.0], [1.0], [1.0]], [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], [[0.0], [0.0]])
+        out = step_response(m, 0, t_end=2000.0, n_steps=4000)
+        ref = _per_sample_step(m, 0, 2000.0, 4000)
+        for i, name in enumerate(m.output_labels):
+            y, r = out.columns[name], ref[:, i]
+            finite = np.isfinite(r)
+            assert 2800 < finite.sum() < 4001
+            # NaN from the first overflowed state on, as in the recurrence
+            assert np.array_equal(np.isfinite(y), finite)
+            # the trace oscillates through zero, so compare against its envelope
+            envelope = np.maximum.accumulate(np.abs(r[finite]))
+            assert np.all(np.abs(y[finite] - r[finite]) <= 1e-12 * np.maximum(1.0, envelope))
 
 
 class TestPolesStability:
