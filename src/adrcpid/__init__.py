@@ -29,12 +29,9 @@ from .lti import (
     tf_to_ss,
 )
 from .adrc import (
-    AdrcDesign1,
-    AdrcDesign2,
+    AdrcDesign,
     TwoInputController,
     build_adrc,
-    build_first_order,
-    build_second_order,
     extract_cr_cy,
     observer_matrix,
     tune_first_order,
@@ -42,8 +39,7 @@ from .adrc import (
 )
 from .pid_equiv import (
     AsymptoteReport,
-    PidfParams,
-    PifParams,
+    PidParams,
     build_equivalent_controller,
     build_pidf_controller,
     build_pif_controller,
@@ -70,15 +66,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraicLoopError",
-    "AdrcDesign1",
-    "AdrcDesign2",
+    "AdrcDesign",
     "AsymptoteReport",
     "FrequencyResponseTable",
     "GangOfSeven",
     "ImproperTransferFunctionError",
     "LoopMargins",
-    "PidfParams",
-    "PifParams",
+    "PidParams",
     "PlantModel",
     "Polynomial",
     "RationalTransferFunction",
@@ -89,10 +83,8 @@ __all__ = [
     "bode_set",
     "build_adrc",
     "build_equivalent_controller",
-    "build_first_order",
     "build_pidf_controller",
     "build_pif_controller",
-    "build_second_order",
     "closed_loop",
     "equivalent_params",
     "extract_cr_cy",

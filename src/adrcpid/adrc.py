@@ -1,108 +1,97 @@
 """Linear active disturbance-rejection controllers from the bandwidth rule.
 
-A design is fixed by the desired settling time T_s, the observer pole
-multiplier g, and the characteristic plant gain b0.  Controllers are built
-directly in substituted closed form (observer dynamics with the control law
-already eliminated), as 2-input state-space systems with inputs [r, y] and
-output u.
+A design is fixed by the plant order n (1 or 2), the desired settling time
+T_s, the observer pole multiplier g, and the characteristic plant gain b0.
+Controllers are built directly in substituted closed form (observer
+dynamics with the control law already eliminated), as 2-input state-space
+systems with inputs [r, y] and output u.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lti import RationalTransferFunction, StateSpaceModel, ss_to_tf, tf_neg
 
-
-def _validate_tuning(T_s: float, g: float, b0: float) -> None:
-    if T_s <= 0:
-        raise ValueError("T_s must be > 0")
-    if g <= 0:
-        raise ValueError("g must be > 0")
-    if b0 == 0:
-        raise ValueError("b0 must be nonzero")
+# omega_cl * T_s per plant order: the settling constants of the bandwidth rule
+SETTLING_CONSTANTS = {1: 4.0, 2: 6.0}
 
 
 @dataclass(frozen=True)
-class AdrcDesign1:
-    """First-order design: 2-state observer, proportional state feedback.
+class AdrcDesign:
+    """Bandwidth-rule design for a plant of order n = 1 or 2.
 
-    Derived gains: K_P = 4/T_s, observer gains l1 = 2 g K_P and
-    l2 = (g K_P)^2, which place both observer poles at -g*K_P.
+    The state feedback places the n closed-loop poles at -omega_cl, with
+    omega_cl = 4/T_s (n = 1) or 6/T_s (n = 2); the extended observer places
+    its n + 1 poles g times faster, at -g*omega_cl.
     """
 
+    order: int
     T_s: float
     g: float
     b0: float = 1.0
 
     def __post_init__(self):
-        _validate_tuning(self.T_s, self.g, self.b0)
-
-    @property
-    def K_P(self) -> float:
-        return 4.0 / self.T_s
-
-    @property
-    def l1(self) -> float:
-        return 2.0 * self.g * self.K_P
-
-    @property
-    def l2(self) -> float:
-        return (self.g * self.K_P) ** 2
-
-
-@dataclass(frozen=True)
-class AdrcDesign2:
-    """Second-order design: 3-state observer, PD state feedback.
-
-    The closed-loop poles are placed at -omega_cl = -6/T_s (double, via
-    K_P = omega_cl^2 and K_D = 2 omega_cl) and the observer poles g times
-    faster at -g*omega_cl (triple).
-    """
-
-    T_s: float
-    g: float
-    b0: float = 1.0
-
-    def __post_init__(self):
-        _validate_tuning(self.T_s, self.g, self.b0)
+        if self.order not in SETTLING_CONSTANTS:
+            raise ValueError("order must be 1 or 2")
+        if self.T_s <= 0:
+            raise ValueError("T_s must be > 0")
+        if self.g <= 0:
+            raise ValueError("g must be > 0")
+        if self.b0 == 0:
+            raise ValueError("b0 must be nonzero")
 
     @property
     def omega_cl(self) -> float:
-        return 6.0 / self.T_s
+        return SETTLING_CONSTANTS[self.order] / self.T_s
+
+    @property
+    def feedback_gains(self) -> tuple[float, ...]:
+        """k_i = C(n, i) omega_cl^(n-i) for i < n: (K_P,) or (K_P, K_D)."""
+        n, w = self.order, self.omega_cl
+        return tuple(math.comb(n, i) * w ** (n - i) for i in range(n))
+
+    @property
+    def observer_gains(self) -> tuple[float, ...]:
+        """l_i = C(n+1, i) (g omega_cl)^i for i = 1..n+1: (l1, l2[, l3])."""
+        n, w = self.order, self.omega_cl
+        # l1 is rounded as (C(n+1, 1) g) omega_cl, as in the written-out gains
+        # 2 g K_P and 3 g omega_cl; C(n+1, 1) (g omega_cl) can differ in the last bit
+        first = math.comb(n + 1, 1) * self.g * w
+        return (first, *(math.comb(n + 1, i) * (self.g * w) ** i for i in range(2, n + 2)))
 
     @property
     def K_P(self) -> float:
-        return self.omega_cl**2
+        return self.feedback_gains[0]
 
     @property
     def K_D(self) -> float:
-        return 2.0 * self.omega_cl
+        """Derivative feedback gain; second-order designs only."""
+        return self.feedback_gains[1]
 
     @property
     def l1(self) -> float:
-        return 3.0 * self.g * self.omega_cl
+        return self.observer_gains[0]
 
     @property
     def l2(self) -> float:
-        return 3.0 * (self.g * self.omega_cl) ** 2
+        return self.observer_gains[1]
 
     @property
     def l3(self) -> float:
-        return (self.g * self.omega_cl) ** 3
+        """Third observer gain; second-order designs only."""
+        return self.observer_gains[2]
 
 
-AdrcDesign = AdrcDesign1 | AdrcDesign2
+def tune_first_order(T_s: float, g: float, b0: float = 1.0) -> AdrcDesign:
+    return AdrcDesign(1, float(T_s), float(g), float(b0))
 
 
-def tune_first_order(T_s: float, g: float, b0: float = 1.0) -> AdrcDesign1:
-    return AdrcDesign1(T_s=float(T_s), g=float(g), b0=float(b0))
-
-
-def tune_second_order(T_s: float, g: float, b0: float = 1.0) -> AdrcDesign2:
-    return AdrcDesign2(T_s=float(T_s), g=float(g), b0=float(b0))
+def tune_second_order(T_s: float, g: float, b0: float = 1.0) -> AdrcDesign:
+    return AdrcDesign(2, float(T_s), float(g), float(b0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,37 +113,34 @@ class TwoInputController:
         return ss_to_tf(self.ss, input=1, output=0)
 
 
-def build_first_order(design: AdrcDesign1) -> TwoInputController:
-    """2-state controller: observer dynamics with the control law substituted."""
-    K_P, l1, l2, b0 = design.K_P, design.l1, design.l2, design.b0
-    A = np.array([[-(l1 + K_P), 0.0], [-l2, 0.0]])
-    B = np.array([[K_P, l1], [0.0, l2]])
-    C = np.array([[-K_P / b0, -1.0 / b0]])
-    D = np.array([[K_P / b0, 0.0]])
-    return TwoInputController(StateSpaceModel(A, B, C, D, ("r", "y"), ("u",)))
+def observer_matrix(design: AdrcDesign) -> np.ndarray:
+    """Dynamics matrix of the pure observer (before feedback substitution).
 
-
-def build_second_order(design: AdrcDesign2) -> TwoInputController:
-    """3-state controller: extended observer with PD feedback substituted."""
-    K_P, K_D, b0 = design.K_P, design.K_D, design.b0
-    l1, l2, l3 = design.l1, design.l2, design.l3
-    A = np.array(
-        [
-            [-l1, 1.0, 0.0],
-            [-(l2 + K_P), -K_D, 0.0],
-            [-l3, 0.0, 0.0],
-        ]
-    )
-    B = np.array([[0.0, l1], [K_P, l2], [0.0, l3]])
-    C = np.array([[-K_P / b0, -K_D / b0, -1.0 / b0]])
-    D = np.array([[K_P / b0, 0.0]])
-    return TwoInputController(StateSpaceModel(A, B, C, D, ("r", "y"), ("u",)))
+    The observer gains fill the first column and the integrator chain the
+    superdiagonal, so its characteristic polynomial is (s + g omega_cl)^(n+1).
+    """
+    m = np.eye(design.order + 1, k=1)
+    m[:, 0] = np.negative(design.observer_gains)
+    return m
 
 
 def build_adrc(design: AdrcDesign) -> TwoInputController:
-    if isinstance(design, AdrcDesign1):
-        return build_first_order(design)
-    return build_second_order(design)
+    """(n+1)-state controller: extended observer with the control law substituted.
+
+    With u = (K_P r - K_P x1 [- K_D x2] - x_{n+1}) / b0, the term b0 u in the
+    observer equation of x_n subtracts the feedback row [K_P, (K_D,) 1] from
+    row n of the observer matrix and feeds K_P r into that row.
+    """
+    n, b0, K_P = design.order, design.b0, design.K_P
+    feedback = np.array([*design.feedback_gains, 1.0])
+    A = observer_matrix(design)
+    A[n - 1] -= feedback
+    B = np.zeros((n + 1, 2))
+    B[n - 1, 0] = K_P
+    B[:, 1] = design.observer_gains
+    C = (-feedback / b0)[np.newaxis]
+    D = np.array([[K_P / b0, 0.0]])
+    return TwoInputController(StateSpaceModel(A, B, C, D, ("r", "y"), ("u",)))
 
 
 def extract_cr_cy(c: TwoInputController) -> tuple[RationalTransferFunction, RationalTransferFunction]:
@@ -162,16 +148,3 @@ def extract_cr_cy(c: TwoInputController) -> tuple[RationalTransferFunction, Rati
     c_r = c.reference_tf().canonicalized()
     c_y = tf_neg(c.measurement_tf()).canonicalized()
     return c_r, c_y
-
-
-def observer_matrix(design: AdrcDesign) -> np.ndarray:
-    """Dynamics matrix of the pure observer (before feedback substitution)."""
-    if isinstance(design, AdrcDesign1):
-        return np.array([[-design.l1, 1.0], [-design.l2, 0.0]])
-    return np.array(
-        [
-            [-design.l1, 1.0, 0.0],
-            [-design.l2, 0.0, 1.0],
-            [-design.l3, 0.0, 0.0],
-        ]
-    )

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adrc import TwoInputController, build_adrc, extract_cr_cy, tune_first_order, tune_second_order
+from .adrc import AdrcDesign, TwoInputController, build_adrc, extract_cr_cy
 from .analysis import (
     STEP_HORIZON_FACTOR,
     STEP_N_STEPS,
@@ -31,14 +31,7 @@ from .analysis import (
     step_sweep,
 )
 from .lti import log_grid
-from .pid_equiv import (
-    PidfParams,
-    PifParams,
-    build_equivalent_controller,
-    build_pidf_controller,
-    build_pif_controller,
-    equivalent_params,
-)
+from .pid_equiv import PidParams, build_equivalent_controller, equivalent_params
 from .svg import Series, line_chart
 from .verify import run_verification
 
@@ -192,28 +185,14 @@ _CONFIG_FIELDS = {
 }
 
 
-def _design_for(cfg: ExperimentConfig, order: int):
-    tune = tune_first_order if order == 1 else tune_second_order
-    return tune(cfg.ts, cfg.g, cfg.b0)
-
-
-def _comparison_controller(values: tuple[float, ...]) -> TwoInputController:
-    kp, ki, kd, tf_, b = values
-    if kd == 0.0:
-        return build_pif_controller(PifParams(kp=kp, ki=ki, Tf=tf_, b=b))
-    # user supplies no filter damping, so the second-order measurement
-    # filter defaults to critically damped
-    return build_pidf_controller(PidfParams(kp=kp, ki=ki, kd=kd, Tf=tf_, d=1.0, b=b))
-
-
 def _controllers(cfg: ExperimentConfig, order: int) -> dict[str, TwoInputController]:
-    design = _design_for(cfg, order)
+    design = AdrcDesign(order, cfg.ts, cfg.g, cfg.b0)
     ctrls = {
         "adrc": build_adrc(design),
         "equiv": build_equivalent_controller(equivalent_params(design)),
     }
     if cfg.compare_pid is not None:
-        ctrls["pid"] = _comparison_controller(cfg.compare_pid)
+        ctrls["pid"] = build_equivalent_controller(PidParams(*cfg.compare_pid))
     return ctrls
 
 
@@ -256,8 +235,8 @@ def _step_columns(sweep: SweepResult) -> tuple[list[str], list[np.ndarray], list
     return names, columns, series
 
 
-def _figure_step(cfg: ExperimentConfig, order: int, parameter: str):
-    values = (cfg.k_sweep if parameter == "K" else cfg.t_sweep) or DEFAULT_SWEEPS[(order, parameter)]
+def _figure_step(cfg: ExperimentConfig, order: int, parameter: str, values: tuple[float, ...] | None = None):
+    values = values or (cfg.k_sweep if parameter == "K" else cfg.t_sweep) or DEFAULT_SWEEPS[(order, parameter)]
     sweep = step_sweep(
         _plant(cfg, order),
         parameter,
@@ -273,7 +252,12 @@ def _figure_step(cfg: ExperimentConfig, order: int, parameter: str):
         xlabel="t [s]",
         ylabel="y",
     )
-    return names, columns, markup
+    notes = [
+        f"note: unstable case {parameter}={case.value:g} controller={case.controller}"
+        for case in sweep.cases
+        if not case.stable
+    ]
+    return names, columns, markup, notes
 
 
 def _figure_bode(cfg: ExperimentConfig, order: int):
@@ -299,7 +283,7 @@ def _figure_bode(cfg: ExperimentConfig, order: int):
         xlog=True,
         ylog=True,
     )
-    return names, columns, markup
+    return names, columns, markup, []
 
 
 def _figure_gang(cfg: ExperimentConfig, order: int):
@@ -324,11 +308,11 @@ def _figure_gang(cfg: ExperimentConfig, order: int):
         xlog=True,
         ylog=True,
     )
-    return names, columns, markup
+    return names, columns, markup, []
 
 
 def compute_figure(fig_id: int, cfg: ExperimentConfig):
-    """Columns and SVG markup for one experiment figure."""
+    """Columns, SVG markup and unstable-case notes for one experiment figure."""
     kind, parameter, order = FIGURES[fig_id]
     if kind == "step":
         return _figure_step(cfg, order, parameter)
@@ -337,18 +321,26 @@ def compute_figure(fig_id: int, cfg: ExperimentConfig):
     return _figure_gang(cfg, order)
 
 
-def write_figure(fig_id: int, cfg: ExperimentConfig) -> list[Path]:
-    """Write fig<id>.csv, fig<id>.svg, and the resolved config echo."""
-    names, columns, markup = compute_figure(fig_id, cfg)
+def _write_outputs(
+    cfg: ExperimentConfig, stem: str, names: list[str], columns: list[np.ndarray], markup: str
+) -> list[Path]:
+    """Write <stem>.csv, <stem>.svg, and the resolved config echo."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"fig{fig_id}.csv"
-    svg_path = out / f"fig{fig_id}.svg"
+    csv_path = out / f"{stem}.csv"
+    svg_path = out / f"{stem}.svg"
     _write_csv(csv_path, names, columns)
     svg_path.write_text(markup, newline="\n")
     cfg_path = out / "config_used.cfg"
     cfg_path.write_text(cfg.to_text(), newline="\n")
     return [csv_path, svg_path, cfg_path]
+
+
+def write_figure(fig_id: int, cfg: ExperimentConfig) -> tuple[list[Path], list[str]]:
+    """Write fig<id>.csv, fig<id>.svg and the config echo; return the paths
+    and one note per unstable case of a step figure."""
+    names, columns, markup, notes = compute_figure(fig_id, cfg)
+    return _write_outputs(cfg, f"fig{fig_id}", names, columns, markup), notes
 
 
 def _print_matrix(name: str, m: np.ndarray) -> None:
@@ -360,38 +352,24 @@ def _print_matrix(name: str, m: np.ndarray) -> None:
     print(f"  {name} = {body}")
 
 
+# plant order -> (design name, design keys, PI(D) form, parameter keys) of the tune report
+TUNE_REPORT = {
+    1: ("first-order", ("K_P", "l1", "l2"), "PI+F", ("kp", "ki", "Tf", "b")),
+    2: ("second-order", ("omega_cl", "K_P", "K_D", "l1", "l2", "l3"), "PID+F", ("kp", "ki", "kd", "Tf", "d", "b")),
+}
+
+
 def cmd_tune(order: int, ts: float, g: float, b0: float) -> int:
-    if order == 1:
-        design = tune_first_order(ts, g, b0)
-        params = equivalent_params(design)
-        print(f"first-order ADRC design (T_s={_sig(ts)}, g={_sig(g)}, b0={_sig(b0)})")
-        print(f"  K_P = {_sig(design.K_P)}")
-        print(f"  l1  = {_sig(design.l1)}")
-        print(f"  l2  = {_sig(design.l2)}")
-        print("equivalent PI+F parameters (filtered measurement, set-point weight b)")
-        print(f"  kp = {_sig(params.kp)}")
-        print(f"  ki = {_sig(params.ki)}")
-        print(f"  Tf = {_sig(params.Tf)}")
-        print(f"  b  = {_sig(params.b)}")
-        ctrl = build_pif_controller(params)
-    else:
-        design = tune_second_order(ts, g, b0)
-        params = equivalent_params(design)
-        print(f"second-order ADRC design (T_s={_sig(ts)}, g={_sig(g)}, b0={_sig(b0)})")
-        print(f"  omega_cl = {_sig(design.omega_cl)}")
-        print(f"  K_P = {_sig(design.K_P)}")
-        print(f"  K_D = {_sig(design.K_D)}")
-        print(f"  l1  = {_sig(design.l1)}")
-        print(f"  l2  = {_sig(design.l2)}")
-        print(f"  l3  = {_sig(design.l3)}")
-        print("equivalent PID+F parameters (filtered measurement, set-point weight b)")
-        print(f"  kp = {_sig(params.kp)}")
-        print(f"  ki = {_sig(params.ki)}")
-        print(f"  kd = {_sig(params.kd)}")
-        print(f"  Tf = {_sig(params.Tf)}")
-        print(f"  d  = {_sig(params.d)}")
-        print(f"  b  = {_sig(params.b)}")
-        ctrl = build_pidf_controller(params)
+    design = AdrcDesign(order, ts, g, b0)
+    params = equivalent_params(design)
+    title, design_keys, form, param_keys = TUNE_REPORT[order]
+    print(f"{title} ADRC design (T_s={_sig(ts)}, g={_sig(g)}, b0={_sig(b0)})")
+    for key in design_keys:
+        print(f"  {key:<3} = {_sig(getattr(design, key))}")
+    print(f"equivalent {form} parameters (filtered measurement, set-point weight b)")
+    for key in param_keys:
+        print(f"  {key:<2} = {_sig(getattr(params, key))}")
+    ctrl = build_equivalent_controller(params)
     print("state-space realization (inputs [r, y], output u)")
     _print_matrix("A", ctrl.ss.A)
     _print_matrix("B", ctrl.ss.B)
@@ -406,46 +384,24 @@ def _sig(v: float) -> str:
 
 def cmd_figure(fig_id: int, cfg: ExperimentConfig) -> int:
     try:
-        paths = write_figure(fig_id, cfg)
+        paths, notes = write_figure(fig_id, cfg)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
-    for path in paths:
-        print(f"wrote {path}")
+    for line in notes + [f"wrote {path}" for path in paths]:
+        print(line)
     return EXIT_OK
 
 
 def cmd_sweep(cfg: ExperimentConfig, parameter: str, values: tuple[float, ...] | None) -> int:
-    order = cfg.order
-    resolved = values or (cfg.k_sweep if parameter == "K" else cfg.t_sweep) or DEFAULT_SWEEPS[(order, parameter)]
-    sweep = step_sweep(
-        _plant(cfg, order),
-        parameter,
-        resolved,
-        _controllers(cfg, order),
-        t_end=STEP_HORIZON_FACTOR * cfg.ts,
-        n_steps=STEP_N_STEPS,
-    )
-    names, columns, series = _step_columns(sweep)
-    markup = line_chart(
-        series,
-        title=f"Closed-loop step response, {parameter} sweep (order {order})",
-        xlabel="t [s]",
-        ylabel="y",
-    )
+    names, columns, markup, notes = _figure_step(cfg, cfg.order, parameter, values)
     try:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / f"sweep_{parameter}.csv", names, columns)
-        (out / f"sweep_{parameter}.svg").write_text(markup, newline="\n")
-        (out / "config_used.cfg").write_text(cfg.to_text(), newline="\n")
+        csv_path, _, _ = _write_outputs(cfg, f"sweep_{parameter}", names, columns, markup)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
-    for case in sweep.cases:
-        if not case.stable:
-            print(f"note: unstable case {parameter}={case.value:g} controller={case.controller}")
-    print(f"wrote {Path(cfg.out_dir) / f'sweep_{parameter}.csv'}")
+    for line in notes + [f"wrote {csv_path}"]:
+        print(line)
     return EXIT_OK
 
 

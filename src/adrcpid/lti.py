@@ -181,10 +181,6 @@ def tf_neg(a: RationalTransferFunction) -> RationalTransferFunction:
     return RationalTransferFunction(a.num.scaled(-1.0), a.den).canonicalized()
 
 
-def tf_scale(a: RationalTransferFunction, factor: float) -> RationalTransferFunction:
-    return RationalTransferFunction(a.num.scaled(factor), a.den).canonicalized()
-
-
 def tf_inverse(a: RationalTransferFunction) -> RationalTransferFunction:
     if a.num.is_zero:
         raise ZeroDivisionError("cannot invert a zero transfer function")
@@ -438,7 +434,7 @@ class StepResponseTable:
         if t[0] != 0.0:
             raise ValueError("t must start at 0")
         h = t[1] - t[0]
-        if h <= 0 or not np.allclose(np.diff(t), h, rtol=1e-9, atol=0.0):
+        if h <= 0 or not np.abs(np.diff(t) - h).max() <= 1e-9 * h:
             raise ValueError("t must be uniformly spaced with positive step")
         t.setflags(write=False)
         cols = {}

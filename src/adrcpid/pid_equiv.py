@@ -15,23 +15,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adrc import AdrcDesign, AdrcDesign1, AdrcDesign2, TwoInputController, build_adrc, extract_cr_cy
+from .adrc import AdrcDesign, TwoInputController, build_adrc, extract_cr_cy
 from .lti import FrequencyResponseTable, RationalTransferFunction, StateSpaceModel
 
 
 @dataclass(frozen=True)
-class PifParams:
-    """PI with first-order measurement filter and set-point weight b."""
+class PidParams:
+    """Filtered PI(D) with set-point weight b; kd = 0 selects the PI+F form.
+
+    PI+F filters the measurement with 1/(Tf s + 1).  PID+F filters it with
+    1/(Tf^2 s^2 + 2 d Tf s + 1), damping d, and its derivative term acts on
+    the filtered measurement only; the reference never enters it.  The
+    field order matches ``--compare-pid kp,ki,kd,Tf,b``; without a given
+    damping the second-order filter is critically damped.
+    """
 
     kp: float
     ki: float
+    kd: float
     Tf: float
     b: float
+    d: float = 1.0
 
     def feedback_tf(self) -> RationalTransferFunction:
-        """(kp + ki/s) / (Tf s + 1), the measurement channel without sign."""
+        """(kp + ki/s [+ kd s]) / filter, the measurement channel without sign."""
+        if self.kd == 0.0:
+            return RationalTransferFunction.from_coeffs((self.ki, self.kp), (0.0, 1.0, self.Tf)).canonicalized()
         return RationalTransferFunction.from_coeffs(
-            (self.ki, self.kp), (0.0, 1.0, self.Tf)
+            (self.ki, self.kp, self.kd),
+            (0.0, 1.0, 2.0 * self.d * self.Tf, self.Tf**2),
         ).canonicalized()
 
     def reference_tf(self) -> RationalTransferFunction:
@@ -39,46 +51,17 @@ class PifParams:
         return RationalTransferFunction.from_coeffs((self.ki, self.b * self.kp), (0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class PidfParams:
-    """PID with second-order measurement filter (damping d), set-point weight b.
-
-    The derivative term acts on the filtered measurement only; the reference
-    never enters it.
-    """
-
-    kp: float
-    ki: float
-    kd: float
-    Tf: float
-    d: float
-    b: float
-
-    def feedback_tf(self) -> RationalTransferFunction:
-        """(kp + ki/s + kd s) / (Tf^2 s^2 + 2 d Tf s + 1)."""
-        return RationalTransferFunction.from_coeffs(
-            (self.ki, self.kp, self.kd),
-            (0.0, 1.0, 2.0 * self.d * self.Tf, self.Tf**2),
-        ).canonicalized()
-
-    def reference_tf(self) -> RationalTransferFunction:
-        return RationalTransferFunction.from_coeffs((self.ki, self.b * self.kp), (0.0, 1.0))
-
-
-PidParams = PifParams | PidfParams
-
-
-def pif_from_adrc(design: AdrcDesign1) -> PifParams:
+def pif_from_adrc(design: AdrcDesign) -> PidParams:
     """Exact PI+F match of the first-order design's measurement channel."""
     T_s, g, b0 = design.T_s, design.g, design.b0
     kp = (4.0 * g**2 + 8.0 * g) / (b0 * T_s * (2.0 * g + 1.0))
     ki = 16.0 * g**2 / (b0 * T_s**2 * (2.0 * g + 1.0))
     Tf = T_s / (8.0 * g + 4.0)
     b = design.K_P / (b0 * kp)
-    return PifParams(kp=kp, ki=ki, Tf=Tf, b=b)
+    return PidParams(kp=kp, ki=ki, kd=0.0, Tf=Tf, b=b)
 
 
-def pidf_from_adrc(design: AdrcDesign2) -> PidfParams:
+def pidf_from_adrc(design: AdrcDesign) -> PidParams:
     """Exact PID+F match of the second-order design's measurement channel."""
     T_s, g, b0 = design.T_s, design.g, design.b0
     q = 3.0 * g**2 + 6.0 * g + 1.0
@@ -88,16 +71,15 @@ def pidf_from_adrc(design: AdrcDesign2) -> PidfParams:
     Tf = T_s / (6.0 * math.sqrt(q))
     d = (3.0 * g + 2.0) / (2.0 * math.sqrt(q))
     b = 36.0 / (b0 * T_s**2 * kp)
-    return PidfParams(kp=kp, ki=ki, kd=kd, Tf=Tf, d=d, b=b)
+    return PidParams(kp=kp, ki=ki, kd=kd, Tf=Tf, b=b, d=d)
 
 
 def equivalent_params(design: AdrcDesign) -> PidParams:
-    if isinstance(design, AdrcDesign1):
-        return pif_from_adrc(design)
-    return pidf_from_adrc(design)
+    """PI+F parameters of a first-order design, PID+F of a second-order one."""
+    return pif_from_adrc(design) if design.order == 1 else pidf_from_adrc(design)
 
 
-def build_pif_controller(p: PifParams) -> TwoInputController:
+def build_pif_controller(p: PidParams) -> TwoInputController:
     """2-state realization; x2 carries the filter, x1 the integral.
 
     Channels: y -> u equals -(kp + ki/s)/(Tf s + 1) and r -> u equals
@@ -112,7 +94,7 @@ def build_pif_controller(p: PifParams) -> TwoInputController:
     return TwoInputController(StateSpaceModel(A, B, C, D, ("r", "y"), ("u",)))
 
 
-def build_pidf_controller(p: PidfParams) -> TwoInputController:
+def build_pidf_controller(p: PidParams) -> TwoInputController:
     """3-state realization with state [-y_f, integral of (r - y_f), -dy_f/dt].
 
     Channels: y -> u equals -(kp + ki/s + kd s)/(Tf^2 s^2 + 2 d Tf s + 1)
@@ -136,9 +118,8 @@ def build_pidf_controller(p: PidfParams) -> TwoInputController:
 
 
 def build_equivalent_controller(p: PidParams) -> TwoInputController:
-    if isinstance(p, PifParams):
-        return build_pif_controller(p)
-    return build_pidf_controller(p)
+    """PI+F realization when kd = 0, PID+F realization otherwise."""
+    return build_pif_controller(p) if p.kd == 0.0 else build_pidf_controller(p)
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adrc import (
-    AdrcDesign1,
-    build_adrc,
-    extract_cr_cy,
-    tune_first_order,
-    tune_second_order,
-)
+from .adrc import AdrcDesign, build_adrc, extract_cr_cy, tune_first_order, tune_second_order
 from .analysis import PlantModel, closed_loop, gang_of_seven, s_plus_t_residual
 from .lti import (
     RationalTransferFunction,
@@ -61,23 +55,19 @@ class VerificationCheck:
         return self.residual < self.tol
 
 
-def _design(order: int, ts: float, g: float, b0: float):
-    return tune_first_order(ts, g, b0) if order == 1 else tune_second_order(ts, g, b0)
-
-
 def _cy_equivalence(order: int, perturb_b0: float) -> float:
     worst = 0.0
     for ts in EQUIVALENCE_GRID_TS:
         for g in EQUIVALENCE_GRID_G:
             for b0 in EQUIVALENCE_GRID_B0:
-                design = _design(order, ts, g, b0)
-                params = equivalent_params(_design(order, ts, g, b0 * perturb_b0))
+                design = AdrcDesign(order, ts, g, b0)
+                params = equivalent_params(AdrcDesign(order, ts, g, b0 * perturb_b0))
                 _, c_y = extract_cr_cy(build_adrc(design))
                 worst = max(worst, tf_residual(c_y, params.feedback_tf()))
     return worst
 
 
-def _cr_closed_form(design: AdrcDesign1) -> RationalTransferFunction:
+def _cr_closed_form(design: AdrcDesign) -> RationalTransferFunction:
     K_P, l1, l2, b0 = design.K_P, design.l1, design.l2, design.b0
     return RationalTransferFunction.from_coeffs(
         (K_P * l2 / b0, K_P * l1 / b0, K_P / b0), (0.0, l1 + K_P, 1.0)
@@ -85,7 +75,7 @@ def _cr_closed_form(design: AdrcDesign1) -> RationalTransferFunction:
 
 
 def _gang_of_four_identity(order: int, ts: float, g: float, b0: float, plant: PlantModel) -> float:
-    design = _design(order, ts, g, b0)
+    design = AdrcDesign(order, ts, g, b0)
     g7_adrc = gang_of_seven(plant, build_adrc(design))
     g7_equiv = gang_of_seven(plant, build_equivalent_controller(equivalent_params(design)))
     omega = log_grid(GANG_OMEGA_LO, GANG_OMEGA_HI, GANG_OMEGA_POINTS)
@@ -98,7 +88,7 @@ def _gang_of_four_identity(order: int, ts: float, g: float, b0: float, plant: Pl
 
 
 def _realization_fidelity(order: int, ts: float, g: float, b0: float) -> float:
-    design = _design(order, ts, g, b0)
+    design = AdrcDesign(order, ts, g, b0)
     params = equivalent_params(design)
     ctrl = build_equivalent_controller(params)
     y_channel = tf_minreal(ss_to_tf(ctrl.ss, 1, 0), FIDELITY_MINREAL_TOL)
@@ -114,7 +104,7 @@ def _setpoint_weight_consistency(order: int) -> float:
     for ts in EQUIVALENCE_GRID_TS:
         for g in EQUIVALENCE_GRID_G:
             for b0 in EQUIVALENCE_GRID_B0:
-                design = _design(order, ts, g, b0)
+                design = AdrcDesign(order, ts, g, b0)
                 params = equivalent_params(design)
                 expected = 4.0 / ts if order == 1 else 36.0 / ts**2
                 got = params.b * params.kp * b0
@@ -168,7 +158,7 @@ def run_verification(
     add(VerificationCheck("cr_closed_form_order1", tf_residual(c_r, _cr_closed_form(design1)), 1e-9))
 
     for order in (1, 2):
-        design = _design(order, ts, g, b0)
+        design = AdrcDesign(order, ts, g, b0)
         report = verify_asymptotes(design, equivalent_params(design))
         for check in report.checks:
             tag = "low" if "low" in check.name else "high"

@@ -12,7 +12,6 @@ import pytest
 
 from adrcpid.adrc import (
     build_adrc,
-    build_first_order,
     extract_cr_cy,
     tune_first_order,
     tune_second_order,
@@ -101,7 +100,7 @@ def test_criterion_1_exact_y_channel_equivalence():
 
 @criterion("2 reference_channel_coefficients")
 def test_criterion_2_reference_channel_coefficients():
-    c_r, _ = extract_cr_cy(build_first_order(tune_first_order(1, 10, 1)))
+    c_r, _ = extract_cr_cy(build_adrc(tune_first_order(1, 10, 1)))
     printed = RationalTransferFunction.from_coeffs((6400, 320, 4), (0, 84, 1))
     assert tf_residual(c_r, printed) < 1e-9
 
@@ -194,7 +193,7 @@ def test_criterion_6_robustness_sweeps():
 
 @criterion("7 nominal_settling_time")
 def test_criterion_7_nominal_settling_time():
-    loop = closed_loop(nominal_plant(1), build_first_order(tune_first_order(1, 10, 1)))
+    loop = closed_loop(nominal_plant(1), build_adrc(tune_first_order(1, 10, 1)))
     table = step_response(loop, input=0, t_end=2.0, n_steps=8000)
     y = table.columns["y"]
     inside = np.abs(y - 1.0) <= 0.02

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adrcpid.adrc import (
-    AdrcDesign1,
-    AdrcDesign2,
-    build_first_order,
-    build_second_order,
+    AdrcDesign,
+    build_adrc,
     extract_cr_cy,
     observer_matrix,
     tune_first_order,
@@ -47,7 +49,7 @@ class TestTuneFirstOrder:
         full = dict(T_s=1.0, g=10.0, b0=1.0)
         full.update(kwargs)
         with pytest.raises(ValueError):
-            AdrcDesign1(**full)
+            AdrcDesign(1, **full)
 
 
 class TestTuneSecondOrder:
@@ -70,31 +72,31 @@ class TestTuneSecondOrder:
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            AdrcDesign2(T_s=1.0, g=-1.0, b0=1.0)
+            AdrcDesign(2, T_s=1.0, g=-1.0, b0=1.0)
 
 
 class TestFirstOrderController:
     def test_reference_channel_printed_coefficients(self):
-        c = build_first_order(tune_first_order(1, 10, 1))
+        c = build_adrc(tune_first_order(1, 10, 1))
         c_r, _ = extract_cr_cy(c)
         expected = RationalTransferFunction.from_coeffs((6400, 320, 4), (0, 84, 1))
         assert tf_residual(c_r, expected) < 1e-9
 
     def test_measurement_channel_is_filtered_pi(self):
-        c = build_first_order(tune_first_order(1, 10, 1))
+        c = build_adrc(tune_first_order(1, 10, 1))
         _, c_y = extract_cr_cy(c)
         kp, ki, tf_ = 480 / 21, 1600 / 21, 1 / 84
         expected = RationalTransferFunction.from_coeffs((ki, kp), (0, 1, tf_))
         assert tf_residual(c_y, expected) < 1e-9
 
     def test_reference_channel_integral_gain(self):
-        c = build_first_order(tune_first_order(1, 10, 1))
+        c = build_adrc(tune_first_order(1, 10, 1))
         c_r, _ = extract_cr_cy(c)
         s = 1e-8j
         assert abs(s * c_r(s)) == pytest.approx(1600 / 21, rel=1e-6)
 
     def test_measurement_channel_integral_gain(self):
-        c = build_first_order(tune_first_order(1, 10, 1))
+        c = build_adrc(tune_first_order(1, 10, 1))
         _, c_y = extract_cr_cy(c)
         omega = 1e-8
         table = freq_response(c_y, [omega])
@@ -105,7 +107,7 @@ class TestFirstOrderController:
             for g in G_GRID:
                 for b0 in B0_GRID:
                     d = tune_first_order(ts, g, b0)
-                    c_r, _ = extract_cr_cy(build_first_order(d))
+                    c_r, _ = extract_cr_cy(build_adrc(d))
                     expected = RationalTransferFunction.from_coeffs(
                         (d.K_P * d.l2 / b0, d.K_P * d.l1 / b0, d.K_P / b0),
                         (0.0, d.l1 + d.K_P, 1.0),
@@ -113,9 +115,9 @@ class TestFirstOrderController:
                     assert tf_residual(c_r, expected) < 1e-9
 
     def test_b0_scaling(self):
-        base_r, base_y = extract_cr_cy(build_first_order(tune_first_order(1, 10, 1)))
+        base_r, base_y = extract_cr_cy(build_adrc(tune_first_order(1, 10, 1)))
         for c in (0.5, 3.0):
-            scaled_r, scaled_y = extract_cr_cy(build_first_order(tune_first_order(1, 10, c)))
+            scaled_r, scaled_y = extract_cr_cy(build_adrc(tune_first_order(1, 10, c)))
             s = 1j * 2.7
             assert scaled_r(s) == pytest.approx(base_r(s) / c, rel=1e-12)
             assert scaled_y(s) == pytest.approx(base_y(s) / c, rel=1e-12)
@@ -124,7 +126,7 @@ class TestFirstOrderController:
 class TestSecondOrderController:
     def test_measurement_channel_structure(self):
         d = tune_second_order(1, 10, 1)
-        c = build_second_order(d)
+        c = build_adrc(d)
         _, c_y = extract_cr_cy(c)
         n2 = d.K_P * d.l1 + d.K_D * d.l2 + d.l3
         n1 = d.K_P * d.l2 + d.K_D * d.l3
@@ -137,7 +139,7 @@ class TestSecondOrderController:
         assert q0 == pytest.approx(12996.0)
 
     def test_measurement_denominator_roots(self):
-        c = build_second_order(tune_second_order(1, 10, 1))
+        c = build_adrc(tune_second_order(1, 10, 1))
         _, c_y = extract_cr_cy(c)
         roots = np.sort_complex(c_y.poles())
         quad = np.roots([1.0, 192.0, 12996.0])
@@ -151,7 +153,7 @@ class TestSecondOrderController:
         assert q1 / (2 * np.sqrt(q0)) == pytest.approx(16 / 19, rel=1e-12)
 
     def test_high_frequency_reference_gain(self):
-        c = build_second_order(tune_second_order(1, 10, 1))
+        c = build_adrc(tune_second_order(1, 10, 1))
         c_r, _ = extract_cr_cy(c)
         assert abs(c_r(1e8j)) == pytest.approx(36.0, rel=1e-6)
 
@@ -182,8 +184,8 @@ class TestSecondOrderController:
         assert sp.simplify(r_channel - expected_r) == 0
 
     def test_b0_scaling(self):
-        base_r, base_y = extract_cr_cy(build_second_order(tune_second_order(1, 10, 1)))
-        scaled_r, scaled_y = extract_cr_cy(build_second_order(tune_second_order(1, 10, 3)))
+        base_r, base_y = extract_cr_cy(build_adrc(tune_second_order(1, 10, 1)))
+        scaled_r, scaled_y = extract_cr_cy(build_adrc(tune_second_order(1, 10, 3)))
         s = 1j * 5.0
         assert scaled_r(s) == pytest.approx(base_r(s) / 3, rel=1e-12)
         assert scaled_y(s) == pytest.approx(base_y(s) / 3, rel=1e-12)
@@ -226,3 +228,61 @@ class TestTwoInputController:
 
         with pytest.raises(ValueError):
             TwoInputController(StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], [[0.0]]))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# the aim-3 tuning range: log-uniform T_s, g and |b0|, either sign of b0
+TUNINGS = st.tuples(
+    st.sampled_from((1, 2)),
+    _log_uniform(1e-3, 1e3),
+    _log_uniform(1.0, 1e3),
+    st.builds(lambda sign, mag: sign * mag, st.sampled_from((-1.0, 1.0)), _log_uniform(1e-3, 1e3)),
+)
+
+
+def _reference_matrices(order, T_s, g, b0):
+    """The per-order controllers as written out by hand before the generic builder."""
+    if order == 1:
+        K_P = 4.0 / T_s
+        l1, l2 = 2.0 * g * K_P, (g * K_P) ** 2
+        A = np.array([[-(l1 + K_P), 0.0], [-l2, 0.0]])
+        B = np.array([[K_P, l1], [0.0, l2]])
+        C = np.array([[-K_P / b0, -1.0 / b0]])
+        return A, B, C, np.array([[K_P / b0, 0.0]])
+    w = 6.0 / T_s
+    K_P, K_D = w**2, 2.0 * w
+    l1, l2, l3 = 3.0 * g * w, 3.0 * (g * w) ** 2, (g * w) ** 3
+    A = np.array([[-l1, 1.0, 0.0], [-(l2 + K_P), -K_D, 0.0], [-l3, 0.0, 0.0]])
+    B = np.array([[0.0, l1], [K_P, l2], [0.0, l3]])
+    C = np.array([[-K_P / b0, -K_D / b0, -1.0 / b0]])
+    return A, B, C, np.array([[K_P / b0, 0.0]])
+
+
+class TestGenericDesign:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(TUNINGS)
+    def test_builder_matches_per_order_matrices_bit_for_bit(self, tuning):
+        order, T_s, g, b0 = tuning
+        ss = build_adrc(AdrcDesign(order, T_s, g, b0)).ss
+        for got, want in zip((ss.A, ss.B, ss.C, ss.D), _reference_matrices(order, T_s, g, b0)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(TUNINGS)
+    def test_observer_pole_at_g_omega_cl(self, tuning):
+        order, T_s, g, b0 = tuning
+        d = AdrcDesign(order, T_s, g, b0)
+        m = observer_matrix(d)
+        pole = g * d.omega_cl
+        char = np.poly(m)
+        binomial = [math.comb(order + 1, i) * pole**i for i in range(order + 2)]
+        assert np.allclose(char, binomial, rtol=1e-9, atol=0.0)
+        assert np.mean(np.linalg.eigvals(m)).real == pytest.approx(-pole, rel=1e-9)
+
+    def test_order_outside_one_and_two_rejected(self):
+        with pytest.raises(ValueError):
+            AdrcDesign(3, 1.0, 10.0)

@@ -3,8 +3,7 @@ import pytest
 
 from adrcpid.adrc import (
     TwoInputController,
-    build_first_order,
-    build_second_order,
+    build_adrc,
     extract_cr_cy,
     tune_first_order,
     tune_second_order,
@@ -44,7 +43,7 @@ def first_order():
     return {
         "design": d,
         "plant": PlantModel(order=1, K=1, T=1),
-        "adrc": build_first_order(d),
+        "adrc": build_adrc(d),
         "equiv": build_pif_controller(pif_from_adrc(d)),
     }
 
@@ -55,7 +54,7 @@ def second_order():
     return {
         "design": d,
         "plant": PlantModel(order=2, K=1, T=1, D=1),
-        "adrc": build_second_order(d),
+        "adrc": build_adrc(d),
         "equiv": build_pidf_controller(pidf_from_adrc(d)),
     }
 

@@ -111,6 +111,22 @@ class TestTuneCommand:
     def test_missing_required_flag(self, capsys):
         assert main(["tune", "--ts", "1", "--g", "10"]) == EXIT_BAD_ARGS
 
+    @pytest.mark.parametrize(
+        "order, design, form, design_keys, param_keys",
+        [
+            (1, "first-order", "PI+F", ["K_P", "l1", "l2"], ["kp", "ki", "Tf", "b"]),
+            (2, "second-order", "PID+F", ["omega_cl", "K_P", "K_D", "l1", "l2", "l3"], ["kp", "ki", "kd", "Tf", "d", "b"]),
+        ],
+    )
+    def test_report_layout(self, capsys, order, design, form, design_keys, param_keys):
+        assert main(["tune", "--order", str(order), "--ts", "0.3", "--g", "25", "--b0", "-4"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        report = out[: out.index("state-space realization (inputs [r, y], output u)")]
+        assert report[0] == f"{design} ADRC design (T_s=0.3, g=25, b0=-4)"
+        split = report.index(f"equivalent {form} parameters (filtered measurement, set-point weight b)")
+        for lines, keys in ((report[1:split], design_keys), (report[split + 1 :], param_keys)):
+            assert [line.split("=")[0].rstrip() for line in lines] == [f"  {key}" for key in keys]
+
 
 class TestFigureCommand:
     def test_writes_csv_svg_and_config_echo(self, tmp_path, capsys):
@@ -131,7 +147,7 @@ class TestFigureCommand:
 
     def test_csv_parses_back_to_exact_floats(self, tmp_path):
         assert main(["figure", "7", "--out", str(tmp_path)]) == EXIT_OK
-        names, columns, _ = compute_figure(7, ExperimentConfig(order=2, out_dir=str(tmp_path)))
+        names, columns, _, _ = compute_figure(7, ExperimentConfig(order=2, out_dir=str(tmp_path)))
         with open(tmp_path / "fig7.csv", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
@@ -170,6 +186,15 @@ class TestFigureCommand:
             next(reader)
             peak = max(abs(float(x)) for row in reader for x in row[1:])
         assert peak <= 1e6
+
+    def test_reports_unstable_cases_like_sweep(self, tmp_path, capsys):
+        assert main(["figure", "6", "--out", str(tmp_path / "fig")]) == EXIT_OK
+        figure_out = capsys.readouterr().out.splitlines()
+        notes = [f"note: unstable case T={v} controller={c}" for v in ("0.1", "0.2", "5") for c in ("adrc", "equiv")]
+        assert figure_out[: len(notes)] == notes
+        assert all(line.startswith("wrote ") for line in figure_out[len(notes) :])
+        assert main(["sweep", "--param", "T", "--order", "2", "--out", str(tmp_path / "sweep")]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[:-1] == notes
 
     def test_comparison_controller_included(self, tmp_path):
         args = ["figure", "3", "--out", str(tmp_path), "--compare-pid", "20,70,0,0.012,0.2"]

@@ -4,17 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from adrcpid.adrc import (
-    build_first_order,
-    build_second_order,
-    extract_cr_cy,
-    tune_first_order,
-    tune_second_order,
-)
+from adrcpid.adrc import build_adrc, extract_cr_cy, tune_first_order, tune_second_order
 from adrcpid.lti import log_grid, ss_to_tf, tf_minreal, tf_neg, tf_residual
 from adrcpid.pid_equiv import (
-    PidfParams,
-    PifParams,
+    PidParams,
     build_pidf_controller,
     build_pif_controller,
     pidf_from_adrc,
@@ -103,7 +96,7 @@ class TestExactFeedbackEquivalence:
     @pytest.mark.parametrize("b0", B0_GRID)
     def test_first_order(self, ts, g, b0):
         d = tune_first_order(ts, g, b0)
-        _, c_y = extract_cr_cy(build_first_order(d))
+        _, c_y = extract_cr_cy(build_adrc(d))
         assert tf_residual(c_y, pif_from_adrc(d).feedback_tf()) < 1e-9
 
     @pytest.mark.parametrize("ts", TS_GRID)
@@ -111,14 +104,14 @@ class TestExactFeedbackEquivalence:
     @pytest.mark.parametrize("b0", B0_GRID)
     def test_second_order(self, ts, g, b0):
         d = tune_second_order(ts, g, b0)
-        _, c_y = extract_cr_cy(build_second_order(d))
+        _, c_y = extract_cr_cy(build_adrc(d))
         assert tf_residual(c_y, pidf_from_adrc(d).feedback_tf()) < 1e-9
 
 
 class TestPifRealization:
     def test_measurement_channel_matches_adrc(self):
         d = tune_first_order(1, 10, 1)
-        adrc_y = extract_cr_cy(build_first_order(d))[1]
+        adrc_y = extract_cr_cy(build_adrc(d))[1]
         ctrl = build_pif_controller(pif_from_adrc(d))
         built_y = tf_neg(ctrl.measurement_tf())
         assert tf_residual(tf_minreal(built_y, 1e-6), adrc_y) < 1e-9
@@ -144,13 +137,13 @@ class TestPifRealization:
 
     def test_filter_time_constant_required_positive(self):
         with pytest.raises(ValueError):
-            build_pif_controller(PifParams(kp=1.0, ki=1.0, Tf=0.0, b=0.5))
+            build_pif_controller(PidParams(kp=1.0, ki=1.0, kd=0.0, Tf=0.0, b=0.5))
 
 
 class TestPidfRealization:
     def test_measurement_channel_matches_adrc(self):
         d = tune_second_order(1, 10, 1)
-        adrc_y = extract_cr_cy(build_second_order(d))[1]
+        adrc_y = extract_cr_cy(build_adrc(d))[1]
         ctrl = build_pidf_controller(pidf_from_adrc(d))
         built_y = tf_neg(ctrl.measurement_tf())
         assert tf_residual(tf_minreal(built_y, 1e-6), adrc_y) < 1e-9
@@ -178,9 +171,9 @@ class TestPidfRealization:
 
     def test_filter_params_required_positive(self):
         with pytest.raises(ValueError):
-            build_pidf_controller(PidfParams(kp=1, ki=1, kd=1, Tf=-0.1, d=1.0, b=0.5))
+            build_pidf_controller(PidParams(kp=1, ki=1, kd=1, Tf=-0.1, b=0.5, d=1.0))
         with pytest.raises(ValueError):
-            build_pidf_controller(PidfParams(kp=1, ki=1, kd=1, Tf=0.1, d=0.0, b=0.5))
+            build_pidf_controller(PidParams(kp=1, ki=1, kd=1, Tf=0.1, b=0.5, d=0.0))
 
 
 class TestAsymptotes:
