@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,10 @@ class TwoInputController:
         """Transfer function from y to u; equals -C_y by convention."""
         return ss_to_tf(self.ss, input=1, output=0)
 
+    @cached_property
+    def _cr_cy(self) -> tuple[RationalTransferFunction, RationalTransferFunction]:
+        return self.reference_tf().canonicalized(), tf_neg(self.measurement_tf()).canonicalized()
+
 
 def observer_matrix(design: AdrcDesign) -> np.ndarray:
     """Dynamics matrix of the pure observer (before feedback substitution).
@@ -144,7 +149,8 @@ def build_adrc(design: AdrcDesign) -> TwoInputController:
 
 
 def extract_cr_cy(c: TwoInputController) -> tuple[RationalTransferFunction, RationalTransferFunction]:
-    """Split a 2-input controller into (C_r, C_y) with u = C_r r - C_y y."""
-    c_r = c.reference_tf().canonicalized()
-    c_y = tf_neg(c.measurement_tf()).canonicalized()
-    return c_r, c_y
+    """Split a 2-input controller into (C_r, C_y) with u = C_r r - C_y y.
+
+    The split is made once per controller; later calls return the same pair.
+    """
+    return c._cr_cy

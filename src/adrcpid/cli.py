@@ -206,8 +206,17 @@ def _plant(cfg: ExperimentConfig, order: int) -> PlantModel:
 
 
 def _capped(values: np.ndarray) -> np.ndarray:
-    v = np.nan_to_num(values, nan=CSV_CAP, posinf=CSV_CAP, neginf=-CSV_CAP)
-    return np.clip(v, -CSV_CAP, CSV_CAP)
+    """Clamp a trace to +-CSV_CAP; a NaN sample takes the sign of the last non-NaN one.
+
+    A trace that overflows turns NaN from then on, so its tail keeps the
+    direction in which it diverged.  A NaN with nothing before it is +CSV_CAP.
+    """
+    v = np.clip(values, -CSV_CAP, CSV_CAP)
+    nan = np.isnan(v)
+    if nan.any():
+        last = np.maximum.accumulate(np.where(nan, 0, np.arange(v.size)))
+        v[nan] = np.where(v[last[nan]] < 0, -CSV_CAP, CSV_CAP)
+    return v
 
 
 def _write_csv(path: Path, names: list[str], columns: list[np.ndarray]) -> None:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 # Trailing coefficients below TRIM_REL_TOL times the largest magnitude are
 # treated as zero.  Transfer-function comparison uses the REL/ABS pair below
@@ -40,10 +40,10 @@ class AlgebraicLoopError(ValueError):
 
 
 def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
-    c = [float(x) for x in coeffs]
+    c = list(map(float, coeffs))
     if not c:
         raise ValueError("polynomial needs at least one coefficient")
-    tol = TRIM_REL_TOL * max(abs(x) for x in c)
+    tol = TRIM_REL_TOL * max(map(abs, c))
     while len(c) > 1 and abs(c[-1]) <= tol:
         c.pop()
     if len(c) == 1 and abs(c[0]) <= tol:
@@ -73,31 +73,74 @@ class Polynomial:
         return self.coeffs[-1]
 
     def __call__(self, s):
-        return npoly.polyval(s, self.coeffs)
+        """Horner evaluation, the same arithmetic as numpy's polyval."""
+        c = np.array(self.coeffs)
+        if isinstance(s, (tuple, list)):
+            s = np.asarray(s)
+        value = c[-1] + s * 0
+        for k in range(2, len(c) + 1):
+            value = c[-k] + value * s
+        return value
 
+    # +, - and * give the bits of numpy's polyadd, polysub and polymul without
+    # their series conversion: the longer operand is copied and the shorter
+    # one added into its prefix, and products are plain convolutions.
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(tuple(npoly.polyadd(self.coeffs, other.coeffs)))
+        a, b = self.coeffs, other.coeffs
+        if len(a) <= len(b):
+            a, b = b, a
+        out = np.array(a)
+        out[: len(b)] += b
+        return Polynomial(tuple(out))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(tuple(npoly.polysub(self.coeffs, other.coeffs)))
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            out = np.array(a)
+            out[: len(b)] -= b
+        else:
+            out = -np.array(b)
+            out[: len(a)] += a
+        return Polynomial(tuple(out))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(tuple(npoly.polymul(self.coeffs, other.coeffs)))
+        return Polynomial(tuple(np.convolve(self.coeffs, other.coeffs)))
 
     def scaled(self, factor: float) -> "Polynomial":
         return Polynomial(tuple(factor * c for c in self.coeffs))
 
     def roots(self) -> np.ndarray:
-        """Roots via the companion-matrix eigenvalue solver."""
+        """Roots via the companion-matrix eigenvalue solver, found once.
+
+        The same arithmetic as numpy's polyroots; the array is shared by every
+        call and read-only.
+        """
         if self.is_zero:
             raise ValueError("zero polynomial has no well-defined root set")
-        if self.degree == 0:
-            return np.array([], dtype=complex)
-        return np.atleast_1d(npoly.polyroots(self.coeffs))
+        return self._roots
+
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        c = np.array(self.coeffs)
+        if len(c) == 1:
+            r = np.array([], dtype=complex)
+        elif len(c) == 2:
+            r = np.array([-c[0] / c[1]])
+        else:
+            n = len(c) - 1
+            companion = np.zeros((n, n))
+            companion.reshape(-1)[n :: n + 1] = 1.0
+            companion[:, -1] -= c[:-1] / c[-1]
+            r = np.linalg.eigvals(companion)
+            r.sort()
+        r.setflags(write=False)
+        return r
 
     @staticmethod
     def from_roots(roots: Sequence[complex], leading: float = 1.0) -> "Polynomial":
-        base = npoly.polyfromroots(np.asarray(roots, dtype=complex))
+        from numpy.polynomial.polynomial import polyfromroots
+
+        base = polyfromroots(np.asarray(roots, dtype=complex))
         return Polynomial(tuple(np.real(base) * leading))
 
 
@@ -191,9 +234,26 @@ def _divide_out(p: Polynomial, roots: list[complex]) -> Polynomial:
     """Quotient of p by the monic polynomial with the given roots."""
     if not roots:
         return p
-    factor = np.real(npoly.polyfromroots(np.asarray(roots, dtype=complex)))
-    quotient, _ = npoly.polydiv(p.coeffs, factor)
+    from numpy.polynomial.polynomial import polydiv, polyfromroots
+
+    factor = np.real(polyfromroots(np.asarray(roots, dtype=complex)))
+    quotient, _ = polydiv(p.coeffs, factor)
     return Polynomial(tuple(quotient))
+
+
+def has_close_pair(zeros: np.ndarray, poles: np.ndarray, tol: float, rel: float = 0.0) -> bool:
+    """True unless every zero lies farther than tol + rel*max(|z|, |p|) from every pole.
+
+    A NaN distance counts as close, so that tf_minreal's greedy pairing, not
+    this test, decides what a non-finite root set cancels.
+    """
+    if not zeros.size or not poles.size:
+        return False
+    z = zeros[:, None]
+    dist = np.abs(z - poles)
+    if rel:
+        dist -= rel * np.maximum(np.abs(z), np.abs(poles))
+    return not (dist > tol).all()
 
 
 def tf_minreal(a: RationalTransferFunction, tol: float) -> RationalTransferFunction:
@@ -210,6 +270,8 @@ def tf_minreal(a: RationalTransferFunction, tol: float) -> RationalTransferFunct
         return a
     zeros = a.num.roots()
     poles = a.den.roots()
+    if not has_close_pair(zeros, poles, tol):
+        return a
     pairs = sorted(
         (abs(z - p), i, j)
         for i, z in enumerate(zeros)

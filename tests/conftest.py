@@ -1,4 +1,26 @@
+import math
+
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+
+# Property tests replay the same examples on every run and keep no example
+# database, so a failure reproduces and a pass does not depend on past runs.
+settings.register_profile("adrcpid", derandomize=True, deadline=None, database=None)
+settings.load_profile("adrcpid")
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# the aim-3 tuning range: log-uniform T_s, g and |b0|, either sign of b0
+TUNINGS = st.tuples(
+    st.sampled_from((1, 2)),
+    log_uniform(1e-3, 1e3),
+    log_uniform(1.0, 1e3),
+    st.builds(lambda sign, mag: sign * mag, st.sampled_from((-1.0, 1.0)), log_uniform(1e-3, 1e3)),
+)
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from conftest import TUNINGS
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from adrcpid.adrc import (
     AdrcDesign,
@@ -18,6 +18,8 @@ from adrcpid.lti import (
     RationalTransferFunction,
     freq_response,
     poly_residual,
+    ss_to_tf,
+    tf_neg,
     tf_residual,
 )
 
@@ -229,18 +231,17 @@ class TestTwoInputController:
         with pytest.raises(ValueError):
             TwoInputController(StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], [[0.0]]))
 
-
-def _log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
-
-
-# the aim-3 tuning range: log-uniform T_s, g and |b0|, either sign of b0
-TUNINGS = st.tuples(
-    st.sampled_from((1, 2)),
-    _log_uniform(1e-3, 1e3),
-    _log_uniform(1.0, 1e3),
-    st.builds(lambda sign, mag: sign * mag, st.sampled_from((-1.0, 1.0)), _log_uniform(1e-3, 1e3)),
-)
+    @pytest.mark.parametrize("design", [tune_first_order(1, 10, 1), tune_second_order(0.3, 25, -4)])
+    def test_channel_split_made_once_and_equal_to_direct_split(self, design):
+        c = build_adrc(design)
+        c_r, c_y = extract_cr_cy(c)
+        again = extract_cr_cy(c)
+        assert again[0] is c_r and again[1] is c_y
+        direct_r = ss_to_tf(c.ss, input=0, output=0).canonicalized()
+        direct_y = tf_neg(ss_to_tf(c.ss, input=1, output=0)).canonicalized()
+        for got, want in ((c_r, direct_r), (c_y, direct_y)):
+            for a, b in ((got.num, want.num), (got.den, want.den)):
+                assert np.array(a.coeffs).tobytes() == np.array(b.coeffs).tobytes()
 
 
 def _reference_matrices(order, T_s, g, b0):
@@ -262,7 +263,7 @@ def _reference_matrices(order, T_s, g, b0):
 
 
 class TestGenericDesign:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(TUNINGS)
     def test_builder_matches_per_order_matrices_bit_for_bit(self, tuning):
         order, T_s, g, b0 = tuning
@@ -271,7 +272,7 @@ class TestGenericDesign:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(TUNINGS)
     def test_observer_pole_at_g_omega_cl(self, tuning):
         order, T_s, g, b0 = tuning

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from conftest import TUNINGS, log_uniform
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adrcpid.adrc import (
+    AdrcDesign,
     TwoInputController,
     build_adrc,
     extract_cr_cy,
@@ -9,6 +13,7 @@ from adrcpid.adrc import (
     tune_second_order,
 )
 from adrcpid.analysis import (
+    GANG_MINREAL_TOL,
     PlantModel,
     bode_set,
     closed_loop,
@@ -25,11 +30,14 @@ from adrcpid.lti import (
     is_stable,
     log_grid,
     step_response,
+    tf_minreal,
     tf_residual,
 )
 from adrcpid.pid_equiv import (
+    build_equivalent_controller,
     build_pidf_controller,
     build_pif_controller,
+    equivalent_params,
     pidf_from_adrc,
     pif_from_adrc,
 )
@@ -163,6 +171,75 @@ class TestGangOfSeven:
         ta = np.abs(np.asarray(ga.TF_r(1j * omega)))
         te = np.abs(np.asarray(ge.TF_r(1j * omega)))
         assert np.max(np.abs(ta - te) / np.maximum(ta, te)) > 1e-3
+
+
+def _reference_gang(plant, c):
+    """The gang as seven tf_minreal calls on the expanded products."""
+    P = plant.tf.canonicalized()
+    c_r, c_y = extract_cr_cy(c)
+    np_, dp = P.num, P.den
+    nr, nc, dc = c_r.num, c_y.num, c_y.den
+    chi = dp * dc + np_ * nc
+
+    def mr(num, den):
+        return tf_minreal(RationalTransferFunction(num, den), GANG_MINREAL_TOL)
+
+    return {
+        "S": mr(dp * dc, chi),
+        "PS": mr(np_ * dc, chi),
+        "CS": mr(nc * dp, chi),
+        "T": mr(np_ * nc, chi),
+        "SF_r": mr(dp * dc * nr, nc * chi),
+        "PSF_r": mr(np_ * dc * nr, nc * chi),
+        "TF_r": mr(np_ * nr, chi),
+    }
+
+
+def _assert_gang_matches_reference(plant, c):
+    want = _reference_gang(plant, c)
+    for name, tf in gang_of_seven(plant, c).named().items():
+        for got, ref in ((tf.num, want[name].num), (tf.den, want[name].den)):
+            assert np.array(got.coeffs).tobytes() == np.array(ref.coeffs).tobytes(), name
+
+
+# plant gain of either sign up to a decade off nominal, lag up to two decades off, damping 0.5-2
+PLANTS = st.tuples(
+    st.builds(lambda sign, mag: sign * mag, st.sampled_from((-1.0, 1.0)), log_uniform(0.1, 10.0)),
+    log_uniform(1e-2, 1e2),
+    log_uniform(0.5, 2.0),
+)
+
+
+class TestGangFactorRoots:
+    """The factor-root cancellation test gives the bits of minreal on the products."""
+
+    @settings(max_examples=100)
+    @given(TUNINGS, PLANTS)
+    # slow plants whose factor roots keep a zero-pole pair of SF_r or PSF_r
+    # just outside GANG_MINREAL_TOL, while the product's roots fall inside it
+    @example(
+        (2, 277.04016793641597, 8.72197406907735, 10.44564370789131),
+        (0.8570169159768742, 574.6848372750209, 1.0641134210440266),
+    )
+    @example(
+        (2, 525.9936700474275, 7.856861902127318, -8.36559317458831),
+        (-0.5951691781089218, 500.6969422962409, 0.8897818157730942),
+    )
+    def test_bitwise_equal_to_minreal_on_products(self, tuning, plant):
+        design = AdrcDesign(*tuning)
+        K, T, D = plant
+        plant = PlantModel(design.order, K, T, D if design.order == 2 else None)
+        for c in (build_adrc(design), build_equivalent_controller(equivalent_params(design))):
+            _assert_gang_matches_reference(plant, c)
+
+    def test_plant_pole_on_a_zero_of_c_y_cancels_like_the_reference(self, first_order):
+        c = first_order["adrc"]
+        (zero,) = extract_cr_cy(c)[1].num.roots()
+        plant = PlantModel(order=1, K=1, T=-1.0 / zero.real)
+        # the closed-loop polynomial shares the plant pole, so S = dp dc / chi loses it
+        g = gang_of_seven(plant, c)
+        assert g.S.den.degree == 2
+        _assert_gang_matches_reference(plant, c)
 
 
 class TestLoopMeasures:

@@ -187,6 +187,23 @@ class TestFigureCommand:
             peak = max(abs(float(x)) for row in reader for x in row[1:])
         assert peak <= 1e6
 
+    @pytest.mark.parametrize(
+        "args, column, tail",
+        [
+            # grows with alternating sign; its last finite sample, 3.2e305, is positive
+            (["figure", "6"], "y_adrc_T=0.1", 1e6),
+            # runs off to -inf and overflows near sample 1775 of 4000
+            (["sweep", "--param", "K", "--values", "-20"], "y_adrc_K=-20", -1e6),
+        ],
+    )
+    def test_overflowed_tail_keeps_the_sign_of_the_last_finite_sample(self, tmp_path, args, column, tail):
+        assert main([*args, "--out", str(tmp_path)]) == EXIT_OK
+        (path,) = tmp_path.glob("*.csv")
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        trace = np.array([float(row[column]) for row in rows])
+        assert np.all(trace[-1000:] == tail)
+
     def test_reports_unstable_cases_like_sweep(self, tmp_path, capsys):
         assert main(["figure", "6", "--out", str(tmp_path / "fig")]) == EXIT_OK
         figure_out = capsys.readouterr().out.splitlines()
@@ -289,6 +306,7 @@ def test_cli_import_leaves_out_scipy_and_urllib():
     """A command's start-up cost is mostly imports; keep the heavy ones out."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
-    code = "import sys, adrcpid.cli; print(*(m for m in ('scipy', 'urllib.request') if m in sys.modules))"
+    heavy = ("scipy", "urllib.request", "numpy.polynomial")
+    code = f"import sys, adrcpid.cli; print(*(m for m in {heavy!r} if m in sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.split() == []

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from adrcpid import adrc, analysis
 from adrcpid.lti import (
@@ -62,6 +65,47 @@ class TestPolynomial:
     def test_empty_coeffs_rejected(self):
         with pytest.raises(ValueError):
             Polynomial(())
+
+    def test_roots_found_once_and_read_only(self):
+        p = Polynomial((6.0, 5.0, 1.0))
+        r = p.roots()
+        assert p.roots() is r
+        with pytest.raises(ValueError):
+            r[0] = 0.0
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# coefficients of either sign over many decades, with exact and signed zeros
+COEFFS = st.lists(
+    st.one_of(
+        st.floats(-1e3, 1e3),
+        st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from((-1.0, 1.0)), st.floats(-6.0, 6.0)),
+        st.sampled_from((0.0, -0.0)),
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+class TestPolynomialMatchesNumpy:
+    """+, -, *, evaluation and roots give the bits of numpy.polynomial."""
+
+    @settings(max_examples=100)
+    @given(COEFFS, COEFFS, st.complex_numbers(max_magnitude=1e3))
+    def test_bitwise_equal_to_numpy_polynomial(self, a, b, s):
+        p, q = Polynomial(tuple(a)), Polynomial(tuple(b))
+        for got, want in ((p + q, npoly.polyadd), (p - q, npoly.polysub), (p * q, npoly.polymul)):
+            assert _same_bits(got.coeffs, Polynomial(tuple(want(p.coeffs, q.coeffs))).coeffs)
+        grid = np.array([s, 0.5 * s, 1j * abs(s)])
+        for x in (s, grid, grid.real, [s, -s]):
+            got, want = p(x), npoly.polyval(x, p.coeffs)
+            assert type(got) is type(want) and _same_bits(got, want)
+        if p.degree > 0:
+            assert _same_bits(p.roots(), np.atleast_1d(npoly.polyroots(p.coeffs)))
 
 
 class TestTfArithmetic:
