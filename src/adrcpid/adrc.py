@@ -27,7 +27,8 @@ class AdrcDesign:
 
     The state feedback places the n closed-loop poles at -omega_cl, with
     omega_cl = 4/T_s (n = 1) or 6/T_s (n = 2); the extended observer places
-    its n + 1 poles g times faster, at -g*omega_cl.
+    its n + 1 poles g times faster, at -g*omega_cl.  T_s and g must be
+    finite and positive, b0 finite and nonzero, of either sign.
     """
 
     order: int
@@ -37,13 +38,12 @@ class AdrcDesign:
 
     def __post_init__(self):
         if self.order not in SETTLING_CONSTANTS:
-            raise ValueError("order must be 1 or 2")
-        if self.T_s <= 0:
-            raise ValueError("T_s must be > 0")
-        if self.g <= 0:
-            raise ValueError("g must be > 0")
-        if self.b0 == 0:
-            raise ValueError("b0 must be nonzero")
+            raise ValueError(f"order must be 1 or 2, got {self.order!r}")
+        for name, value in (("T_s", self.T_s), ("g", self.g)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not 0 < abs(self.b0) < math.inf:
+            raise ValueError(f"b0 must be finite and nonzero, got {self.b0!r}")
 
     @property
     def omega_cl(self) -> float:

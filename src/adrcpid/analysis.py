@@ -9,6 +9,7 @@ controllers are deliberately not retuned.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -46,7 +47,11 @@ STEP_N_STEPS = 4000
 
 @dataclass(frozen=True)
 class PlantModel:
-    """First- or second-order lag: K/(T s + 1) or K/(T^2 s^2 + 2 D T s + 1)."""
+    """First- or second-order lag: K/(T s + 1) or K/(T^2 s^2 + 2 D T s + 1).
+
+    K must be finite, T finite and positive; a second-order plant needs a
+    finite, positive damping D.
+    """
 
     order: int
     K: float
@@ -55,12 +60,12 @@ class PlantModel:
 
     def __post_init__(self):
         if self.order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
-        if self.T <= 0:
-            raise ValueError("T must be > 0")
-        if self.order == 2:
-            if self.D is None or self.D <= 0:
-                raise ValueError("second-order plant needs damping D > 0")
+            raise ValueError(f"plant order must be 1 or 2, got {self.order!r}")
+        if not math.isfinite(self.K):
+            raise ValueError(f"plant K must be finite, got {self.K!r}")
+        for name, value in (("T", self.T), ("D", self.D))[: self.order]:
+            if value is None or not 0 < value < math.inf:
+                raise ValueError(f"plant {name} must be finite and > 0, got {value!r}")
 
     @property
     def tf(self) -> RationalTransferFunction:
@@ -231,6 +236,16 @@ class SweepResult:
         raise KeyError(f"no sweep case for {self.parameter}={value}, {controller!r}")
 
 
+def sweep_plants(plant: PlantModel, parameter: str, values) -> tuple[PlantModel, ...]:
+    """One copy of ``plant`` per value of the swept parameter, "K" or "T"."""
+    if parameter not in ("K", "T"):
+        raise ValueError("parameter must be 'K' or 'T'")
+    plants = tuple(dataclasses.replace(plant, **{parameter: float(v)}) for v in values)
+    if not plants:
+        raise ValueError(f"{parameter} sweep needs at least one value")
+    return plants
+
+
 def step_sweep(
     plant: PlantModel,
     parameter: str,
@@ -244,16 +259,12 @@ def step_sweep(
     Controllers are not retuned per case; unstable combinations are
     simulated anyway and flagged instead of raising.
     """
-    values = tuple(float(v) for v in values)
-    if not values:
-        raise ValueError("values must be nonempty")
-    if parameter not in ("K", "T"):
-        raise ValueError("parameter must be 'K' or 'T'")
+    plants = sweep_plants(plant, parameter, values)
     if not controllers:
         raise ValueError("need at least one controller")
+    values = tuple(getattr(swept, parameter) for swept in plants)
     cases = []
-    for v in values:
-        swept = dataclasses.replace(plant, **{parameter: v})
+    for v, swept in zip(values, plants):
         for name, ctrl in controllers.items():
             loop = closed_loop(swept, ctrl)
             table = step_response(loop, input=0, t_end=t_end, n_steps=n_steps)

@@ -29,6 +29,7 @@ from .analysis import (
     SweepResult,
     gang_of_seven,
     step_sweep,
+    sweep_plants,
 )
 from .lti import log_grid
 from .pid_equiv import PidParams, build_equivalent_controller, equivalent_params
@@ -82,56 +83,27 @@ class ExperimentConfig:
     compare_pid: tuple[float, float, float, float, float] | None = None
 
     def validate(self) -> None:
-        if self.order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
-        for flag, value in (("ts", self.ts), ("g", self.g), ("b0", self.b0)):
-            if value <= 0:
-                raise ValueError(f"--{flag} must be > 0")
-        if self.plant_t <= 0:
-            raise ValueError("--plant-t must be > 0")
-        if self.plant_d <= 0:
-            raise ValueError("--plant-d must be > 0")
-        for name, sweep in (("k_sweep", self.k_sweep), ("t_sweep", self.t_sweep)):
-            if sweep is not None and len(sweep) == 0:
-                raise ValueError(f"{name} must be nonempty")
-        if not 0 < self.omega_min < self.omega_max:
-            raise ValueError("need 0 < omega_min < omega_max")
-        if self.omega_points < 2:
-            raise ValueError("omega_points must be >= 2")
+        """Build every object the config describes, so that bad input fails
+        here, before any work, with the message of the type that owns the rule."""
+        AdrcDesign(self.order, self.ts, self.g, self.b0)
+        plant = PlantModel(2, self.plant_k, self.plant_t, self.plant_d)
+        for parameter, field in SWEEP_FIELDS.items():
+            if getattr(self, field) is not None:
+                sweep_plants(plant, parameter, getattr(self, field))
+        log_grid(self.omega_min, self.omega_max, self.omega_points)
         if self.compare_pid is not None:
-            if len(self.compare_pid) != 5:
-                raise ValueError("--compare-pid needs kp,ki,kd,Tf,b")
-            if self.compare_pid[3] <= 0:
-                raise ValueError("--compare-pid Tf must be > 0")
+            PidParams(*self.compare_pid)
 
     def to_text(self) -> str:
         cp = configparser.ConfigParser()
-        cp["tuning"] = {
-            "order": str(self.order),
-            "ts": _fmt(self.ts),
-            "g": _fmt(self.g),
-            "b0": _fmt(self.b0),
-        }
-        cp["plant"] = {
-            "k": _fmt(self.plant_k),
-            "t": _fmt(self.plant_t),
-            "d": _fmt(self.plant_d),
-        }
-        sweep = {}
-        if self.k_sweep is not None:
-            sweep["k_values"] = ",".join(_fmt(v) for v in self.k_sweep)
-        if self.t_sweep is not None:
-            sweep["t_values"] = ",".join(_fmt(v) for v in self.t_sweep)
-        if sweep:
-            cp["sweep"] = sweep
-        cp["frequency"] = {
-            "omega_min": _fmt(self.omega_min),
-            "omega_max": _fmt(self.omega_max),
-            "points": str(self.omega_points),
-        }
-        cp["output"] = {"dir": self.out_dir}
-        if self.compare_pid is not None:
-            cp["compare"] = {"pid": ",".join(_fmt(v) for v in self.compare_pid)}
+        for section, keys in _CONFIG_FIELDS.items():
+            values = {
+                key: fmt(getattr(self, field))
+                for key, (field, _, fmt) in keys.items()
+                if getattr(self, field) is not None
+            }
+            if values:
+                cp[section] = values
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -154,10 +126,8 @@ class ExperimentConfig:
             for key, value in cp[section].items():
                 if key not in fields:
                     raise ValueError(f"unknown config key {key!r} in section [{section}]")
-                field, parse = fields[key]
+                field, parse, _ = fields[key]
                 kwargs[field] = parse(value)
-        if "compare_pid" in kwargs and len(kwargs["compare_pid"]) != 5:
-            raise ValueError("compare pid needs exactly kp,ki,kd,Tf,b")
         return cls(**kwargs)
 
 
@@ -170,19 +140,44 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in items)
 
 
-# Config file layout: section -> key -> (ExperimentConfig field, parser).
+def _parse_pid(text: str) -> tuple[float, ...]:
+    values = _parse_floats(text)
+    if len(values) != 5:
+        raise ValueError(f"compare pid needs exactly 5 values kp,ki,kd,Tf,b, got {len(values)}")
+    return values
+
+
+def _fmt_floats(values: tuple[float, ...]) -> str:
+    return ",".join(_fmt(v) for v in values)
+
+
+# The one statement of the config layout: section -> key -> (ExperimentConfig
+# field, parser, formatter).  ``to_text`` writes it in this order and leaves
+# out a field that is None, ``from_text`` reads it, and a command-line flag
+# sets the field of the same name through the same parser.
 _CONFIG_FIELDS = {
-    "tuning": {"order": ("order", int), "ts": ("ts", float), "g": ("g", float), "b0": ("b0", float)},
-    "plant": {"k": ("plant_k", float), "t": ("plant_t", float), "d": ("plant_d", float)},
-    "sweep": {"k_values": ("k_sweep", _parse_floats), "t_values": ("t_sweep", _parse_floats)},
-    "frequency": {
-        "omega_min": ("omega_min", float),
-        "omega_max": ("omega_max", float),
-        "points": ("omega_points", int),
+    "tuning": {
+        "order": ("order", int, str),
+        "ts": ("ts", float, _fmt),
+        "g": ("g", float, _fmt),
+        "b0": ("b0", float, _fmt),
     },
-    "output": {"dir": ("out_dir", str)},
-    "compare": {"pid": ("compare_pid", _parse_floats)},
+    "plant": {"k": ("plant_k", float, _fmt), "t": ("plant_t", float, _fmt), "d": ("plant_d", float, _fmt)},
+    "sweep": {
+        "k_values": ("k_sweep", _parse_floats, _fmt_floats),
+        "t_values": ("t_sweep", _parse_floats, _fmt_floats),
+    },
+    "frequency": {
+        "omega_min": ("omega_min", float, _fmt),
+        "omega_max": ("omega_max", float, _fmt),
+        "points": ("omega_points", int, str),
+    },
+    "output": {"dir": ("out_dir", str, str)},
+    "compare": {"pid": ("compare_pid", _parse_pid, _fmt_floats)},
 }
+
+# swept plant parameter -> the ExperimentConfig field holding its values
+SWEEP_FIELDS = {"K": "k_sweep", "T": "t_sweep"}
 
 
 def _controllers(cfg: ExperimentConfig, order: int) -> dict[str, TwoInputController]:
@@ -223,7 +218,7 @@ def _write_csv(path: Path, names: list[str], columns: list[np.ndarray]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
         for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(_fmt_floats(row) + "\n")
 
 
 def _step_columns(sweep: SweepResult) -> tuple[list[str], list[np.ndarray], list[Series]]:
@@ -244,8 +239,10 @@ def _step_columns(sweep: SweepResult) -> tuple[list[str], list[np.ndarray], list
     return names, columns, series
 
 
-def _figure_step(cfg: ExperimentConfig, order: int, parameter: str, values: tuple[float, ...] | None = None):
-    values = values or (cfg.k_sweep if parameter == "K" else cfg.t_sweep) or DEFAULT_SWEEPS[(order, parameter)]
+def _figure_step(cfg: ExperimentConfig, order: int, parameter: str):
+    values = getattr(cfg, SWEEP_FIELDS[parameter])
+    if values is None:
+        values = DEFAULT_SWEEPS[(order, parameter)]
     sweep = step_sweep(
         _plant(cfg, order),
         parameter,
@@ -402,8 +399,8 @@ def cmd_figure(fig_id: int, cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: ExperimentConfig, parameter: str, values: tuple[float, ...] | None) -> int:
-    names, columns, markup, notes = _figure_step(cfg, cfg.order, parameter, values)
+def cmd_sweep(cfg: ExperimentConfig, parameter: str) -> int:
+    names, columns, markup, notes = _figure_step(cfg, cfg.order, parameter)
     try:
         csv_path, _, _ = _write_outputs(cfg, f"sweep_{parameter}", names, columns, markup)
     except OSError as exc:
@@ -435,7 +432,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--plant-k", type=float, default=None)
     parser.add_argument("--plant-t", type=float, default=None)
     parser.add_argument("--plant-d", type=float, default=None)
-    parser.add_argument("--out", type=str, default=None, help="output directory")
+    parser.add_argument("--out", dest="out_dir", type=str, default=None, help="output directory")
     parser.add_argument(
         "--compare-pid",
         type=str,
@@ -455,25 +452,15 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg = ExperimentConfig.from_text(text)
     else:
         cfg = ExperimentConfig()
-    overrides = {}
-    for flag, field in (
-        ("order", "order"),
-        ("ts", "ts"),
-        ("g", "g"),
-        ("b0", "b0"),
-        ("plant_k", "plant_k"),
-        ("plant_t", "plant_t"),
-        ("plant_d", "plant_d"),
-        ("out", "out_dir"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    if getattr(args, "compare_pid", None) is not None:
-        values = _parse_floats(args.compare_pid)
-        if len(values) != 5:
-            raise ValueError("--compare-pid needs exactly kp,ki,kd,Tf,b")
-        overrides["compare_pid"] = values
+    flags = dict(vars(args))
+    if flags.get("values") is not None:  # sweep --values lists the swept parameter's values
+        flags[SWEEP_FIELDS[args.param]] = flags["values"]
+    overrides = {
+        field: parse(flags[field])
+        for keys in _CONFIG_FIELDS.values()
+        for field, parse, _ in keys.values()
+        if flags.get(field) is not None
+    }
     cfg = dataclasses.replace(cfg, **overrides)
     cfg.validate()
     return cfg
@@ -522,15 +509,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "tune":
-            if args.ts <= 0:
-                print("error: --ts must be > 0", file=sys.stderr)
-                return EXIT_BAD_ARGS
-            if args.g <= 0:
-                print("error: --g must be > 0", file=sys.stderr)
-                return EXIT_BAD_ARGS
-            if args.b0 == 0:
-                print("error: --b0 must be nonzero", file=sys.stderr)
-                return EXIT_BAD_ARGS
             return cmd_tune(args.order, args.ts, args.g, args.b0)
         cfg = _resolve_config(args)
         if args.command == "figure":
@@ -538,11 +516,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = dataclasses.replace(cfg, order=order)
             return cmd_figure(args.id, cfg)
         if args.command == "sweep":
-            values = _parse_floats(args.values) if args.values else None
-            if values is not None and not values:
-                print("error: --values must be nonempty", file=sys.stderr)
-                return EXIT_BAD_ARGS
-            return cmd_sweep(cfg, args.param, values)
+            return cmd_sweep(cfg, args.param)
         if args.command == "verify":
             return cmd_verify(cfg, args.perturb_b0)
     except ValueError as exc:

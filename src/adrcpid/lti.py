@@ -680,7 +680,10 @@ def is_stable(a) -> bool:
 
 
 def log_grid(lo: float = 1e-2, hi: float = 1e4, n: int = 600) -> np.ndarray:
-    """Logarithmic frequency grid, never containing 0."""
-    if lo <= 0 or hi <= lo or n < 2:
-        raise ValueError("need 0 < lo < hi and n >= 2")
+    """Logarithmic frequency grid of n >= 2 points from lo to hi, finite and
+    never containing 0."""
+    if not (0 < lo < hi < math.inf and n >= 2):
+        raise ValueError(
+            f"frequency grid needs finite 0 < lo < hi and n >= 2, got lo={lo!r}, hi={hi!r}, n={n!r}"
+        )
     return np.logspace(np.log10(lo), np.log10(hi), n)

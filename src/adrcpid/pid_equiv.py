@@ -27,7 +27,8 @@ class PidParams:
     1/(Tf^2 s^2 + 2 d Tf s + 1), damping d, and its derivative term acts on
     the filtered measurement only; the reference never enters it.  The
     field order matches ``--compare-pid kp,ki,kd,Tf,b``; without a given
-    damping the second-order filter is critically damped.
+    damping the second-order filter is critically damped.  All values must
+    be finite, and Tf and d positive.
     """
 
     kp: float
@@ -36,6 +37,14 @@ class PidParams:
     Tf: float
     b: float
     d: float = 1.0
+
+    def __post_init__(self):
+        for name, value in (("kp", self.kp), ("ki", self.ki), ("kd", self.kd), ("b", self.b)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name, value in (("Tf", self.Tf), ("d", self.d)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     def feedback_tf(self) -> RationalTransferFunction:
         """(kp + ki/s [+ kd s]) / filter, the measurement channel without sign."""
@@ -85,8 +94,6 @@ def build_pif_controller(p: PidParams) -> TwoInputController:
     Channels: y -> u equals -(kp + ki/s)/(Tf s + 1) and r -> u equals
     b*kp + ki/s.
     """
-    if p.Tf <= 0:
-        raise ValueError("Tf must be > 0")
     A = np.array([[0.0, -p.ki / p.Tf], [0.0, -1.0 / p.Tf]])
     B = np.array([[p.ki, 0.0], [0.0, 1.0]])
     C = np.array([[1.0, -p.kp / p.Tf]])
@@ -100,10 +107,6 @@ def build_pidf_controller(p: PidParams) -> TwoInputController:
     Channels: y -> u equals -(kp + ki/s + kd s)/(Tf^2 s^2 + 2 d Tf s + 1)
     and r -> u equals b*kp + ki/s.
     """
-    if p.Tf <= 0:
-        raise ValueError("Tf must be > 0")
-    if p.d <= 0:
-        raise ValueError("d must be > 0")
     A = np.array(
         [
             [0.0, 0.0, 1.0],

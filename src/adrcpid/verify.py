@@ -121,9 +121,8 @@ def _filter_damping_range() -> float:
     return max(violation, min_offset)
 
 
-def _settling_time(ts: float, g: float, b0: float, band: float = 0.02) -> float:
+def _settling_time(ts: float, g: float, b0: float, plant: PlantModel, band: float = 0.02) -> float:
     design = tune_first_order(ts, g, b0)
-    plant = PlantModel(order=1, K=1.0, T=1.0)
     loop = closed_loop(plant, build_adrc(design))
     table = step_response(loop, input=0, t_end=3.0 * ts, n_steps=6000)
     y = table.columns["y"]
@@ -164,8 +163,10 @@ def run_verification(
             tag = "low" if "low" in check.name else "high"
             add(VerificationCheck(f"asymptote_{tag}_order{order}", check.rel_mismatch, check.tol))
 
-    plant1 = PlantModel(order=1, K=1.0, T=1.0)
-    plant2 = PlantModel(order=2, K=1.0, T=1.0, D=1.0)
+    # nominal plants with the sign of b0, so that a negative b0 still gives negative feedback
+    K = math.copysign(1.0, b0)
+    plant1 = PlantModel(order=1, K=K, T=1.0)
+    plant2 = PlantModel(order=2, K=K, T=1.0, D=1.0)
     add(VerificationCheck("gang_of_four_identity_order1", _gang_of_four_identity(1, ts, g, b0, plant1), 1e-8))
     add(VerificationCheck("gang_of_four_identity_order2", _gang_of_four_identity(2, ts, g, b0, plant2), 1e-8))
 
@@ -181,6 +182,6 @@ def run_verification(
     add(VerificationCheck("setpoint_weight_consistency_order2", _setpoint_weight_consistency(2), 1e-12))
 
     add(VerificationCheck("filter_damping_range", _filter_damping_range(), 1e-3))
-    add(VerificationCheck("settling_time_nominal_order1", _settling_time(ts, g, b0), 1.3 * ts))
+    add(VerificationCheck("settling_time_nominal_order1", _settling_time(ts, g, b0, plant1), 1.3 * ts))
 
     return checks

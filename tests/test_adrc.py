@@ -45,7 +45,12 @@ class TestTuneFirstOrder:
         assert (a.K_P, a.l1, a.l2) == (b.K_P, b.l1, b.l2)
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(T_s=0), dict(T_s=-1), dict(g=0), dict(g=-2), dict(b0=0)]
+        "kwargs",
+        [
+            dict(T_s=0), dict(T_s=-1), dict(g=0), dict(g=-2), dict(b0=0),
+            dict(T_s=math.nan), dict(T_s=math.inf), dict(g=math.nan), dict(g=math.inf),
+            dict(b0=math.nan), dict(b0=math.inf), dict(b0=-math.inf),
+        ],
     )
     def test_invalid_inputs_rejected(self, kwargs):
         full = dict(T_s=1.0, g=10.0, b0=1.0)
@@ -73,8 +78,9 @@ class TestTuneSecondOrder:
         assert (d.l1, d.l2, d.l3) == pytest.approx((18.0, 108.0, 216.0))
 
     def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            AdrcDesign(2, T_s=1.0, g=-1.0, b0=1.0)
+        for kwargs in (dict(g=-1.0), dict(T_s=math.nan), dict(T_s=math.inf), dict(g=math.nan), dict(b0=math.inf)):
+            with pytest.raises(ValueError):
+                AdrcDesign(2, **{"T_s": 1.0, "g": 10.0, "b0": 1.0, **kwargs})
 
 
 class TestFirstOrderController:

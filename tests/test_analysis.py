@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import TUNINGS, log_uniform
@@ -90,6 +92,12 @@ class TestPlantModel:
             PlantModel(order=1, K=1, T=0)
         with pytest.raises(ValueError):
             PlantModel(order=2, K=1, T=1)  # missing damping
+        for order, K, T, D in (
+            (1, math.nan, 1, None), (1, math.inf, 1, None), (1, 1, math.nan, None), (1, 1, math.inf, None),
+            (2, 1, 1, 0), (2, 1, 1, math.nan), (2, 1, 1, math.inf),
+        ):
+            with pytest.raises(ValueError):
+                PlantModel(order=order, K=K, T=T, D=D)
 
 
 class TestClosedLoop:

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import re
 import subprocess
@@ -7,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import TUNINGS
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adrcpid.cli import (
     EXIT_BAD_ARGS,
@@ -102,11 +106,11 @@ class TestTuneCommand:
 
     def test_zero_settling_time_rejected(self, capsys):
         assert main(["tune", "--order", "1", "--ts", "0", "--g", "10"]) == EXIT_BAD_ARGS
-        assert "--ts must be > 0" in capsys.readouterr().err
+        assert "T_s must be finite and > 0" in capsys.readouterr().err
 
     def test_negative_multiplier_rejected(self, capsys):
         assert main(["tune", "--order", "1", "--ts", "1", "--g", "-5"]) == EXIT_BAD_ARGS
-        assert "--g" in capsys.readouterr().err
+        assert "g must be finite and > 0" in capsys.readouterr().err
 
     def test_missing_required_flag(self, capsys):
         assert main(["tune", "--ts", "1", "--g", "10"]) == EXIT_BAD_ARGS
@@ -281,6 +285,14 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "unstable" in out
 
+    def test_config_echo_reproduces_sweep(self, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["sweep", "--param", "K", "--values", "0.5,3", "--out", str(first)]) == EXIT_OK
+        echo = first / "config_used.cfg"
+        assert "[sweep]\nk_values = 0.5,3\n" in echo.read_text()
+        assert main(["sweep", "--param", "K", "--config", str(echo), "--out", str(again)]) == EXIT_OK
+        assert (again / "sweep_K.csv").read_bytes() == (first / "sweep_K.csv").read_bytes()
+
 
 class TestVerifyCommand:
     def test_nominal_passes(self, capsys):
@@ -300,6 +312,74 @@ class TestVerifyCommand:
         assert lines["cy_equivalence_order2"].endswith("FAIL")
         assert lines["asymptote_low_order1"].endswith("PASS")
         assert lines["gang_of_four_identity_order1"].endswith("PASS")
+
+    def test_negative_b0_mirrors_positive(self, capsys):
+        # negating b0 and the plant gain K together only flips the controller states
+        codes, outs = [], []
+        for b0 in ("4", "-4"):
+            codes.append(main(["verify", "--ts", "0.3", "--g", "25", f"--b0={b0}"]))
+            outs.append(capsys.readouterr().out)
+        assert codes[0] == codes[1]
+        assert outs[0] == outs[1]
+
+
+COMMANDS = {
+    "tune": ["tune", "--order", "1", "--ts", "1", "--g", "10"],
+    "figure3": ["figure", "3"],
+    "sweepK": ["sweep", "--param", "K"],
+    "verify": ["verify"],
+}
+# (flag, rejected value, what the message names); every command takes the tuning flags
+TUNING_REJECTS = [
+    ("--order", "3", "--order"),
+    *((flag, value, name) for flag, name in (("--ts", "T_s"), ("--g", "g")) for value in ("0", "-1", "nan", "inf")),
+    *(("--b0", value, "b0") for value in ("0", "nan", "inf", "-inf")),
+]
+OTHER_REJECTS = [
+    *(("--plant-k", value, "plant K") for value in ("nan", "inf", "-inf")),
+    *((flag, value, name) for flag, name in (("--plant-t", "plant T"), ("--plant-d", "plant D")) for value in ("0", "-1", "nan", "inf")),
+    ("--compare-pid", "1,2,3", "compare pid"),
+    ("--compare-pid", "", "compare pid"),
+    ("--compare-pid", "1,2,0,0,1", "Tf"),
+    ("--compare-pid", "1,2,0,inf,1", "Tf"),
+    ("--compare-pid", "nan,2,0,0.1,1", "kp"),
+]
+REJECTED = [
+    (command, *case)
+    for command in COMMANDS
+    for case in TUNING_REJECTS + (OTHER_REJECTS if command != "tune" else [])
+]
+
+
+class TestCommandsAgree:
+    @pytest.mark.parametrize("command, flag, value, name", REJECTED)
+    def test_bad_input_rejected_by_every_command(self, tmp_path, capsys, command, flag, value, name):
+        out = tmp_path / "out"
+        args = [*COMMANDS[command], f"{flag}={value}"] + (["--out", str(out)] if command != "tune" else [])
+        assert main(args) == EXIT_BAD_ARGS
+        err = capsys.readouterr().err
+        assert "error:" in err and name in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_negative_b0_accepted_by_every_command(self, tmp_path, command):
+        out = ["--out", str(tmp_path)] if command != "tune" else []
+        assert main([*COMMANDS[command], "--b0=-4", *out]) == EXIT_OK
+
+    @given(
+        tuning=TUNINGS,
+        swaps=st.tuples(*[st.sampled_from((None, 0.0, -1.0, math.nan, math.inf))] * 3),
+    )
+    def test_tune_and_figure_agree(self, tmp_path_factory, tuning, swaps):
+        order, *values = tuning
+        flags = [
+            f"--{flag}={value if swap is None else swap!r}"
+            for flag, value, swap in zip(("ts", "g", "b0"), values, swaps)
+        ]
+        out = str(tmp_path_factory.getbasetemp() / "agree")
+        tune = main(["tune", f"--order={order}", *flags])
+        figure = main(["figure", "3", *flags, "--out", out])
+        assert tune == figure
 
 
 def test_cli_import_leaves_out_scipy_and_urllib():

@@ -136,8 +136,9 @@ class TestPifRealization:
         assert abs(s * p.reference_tf()(s)) == pytest.approx(p.ki, rel=1e-9)
 
     def test_filter_time_constant_required_positive(self):
-        with pytest.raises(ValueError):
-            build_pif_controller(PidParams(kp=1.0, ki=1.0, kd=0.0, Tf=0.0, b=0.5))
+        for Tf in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                build_pif_controller(PidParams(kp=1.0, ki=1.0, kd=0.0, Tf=Tf, b=0.5))
 
 
 class TestPidfRealization:
@@ -174,6 +175,9 @@ class TestPidfRealization:
             build_pidf_controller(PidParams(kp=1, ki=1, kd=1, Tf=-0.1, b=0.5, d=1.0))
         with pytest.raises(ValueError):
             build_pidf_controller(PidParams(kp=1, ki=1, kd=1, Tf=0.1, b=0.5, d=0.0))
+        for bad in (dict(Tf=math.nan), dict(d=math.inf), dict(kp=math.nan), dict(ki=math.inf), dict(kd=-math.inf), dict(b=math.nan)):
+            with pytest.raises(ValueError):
+                build_pidf_controller(PidParams(**{"kp": 1, "ki": 1, "kd": 1, "Tf": 0.1, "b": 0.5, **bad}))
 
 
 class TestAsymptotes:
