@@ -28,7 +28,9 @@ class AdrcDesign:
     The state feedback places the n closed-loop poles at -omega_cl, with
     omega_cl = 4/T_s (n = 1) or 6/T_s (n = 2); the extended observer places
     its n + 1 poles g times faster, at -g*omega_cl.  T_s and g must be
-    finite and positive, b0 finite and nonzero, of either sign.
+    finite and positive, b0 finite and nonzero, of either sign, and together
+    they must give gains and equivalent PI(D) parameters that are finite and
+    nonzero in floating point.
     """
 
     order: int
@@ -44,6 +46,18 @@ class AdrcDesign:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if not 0 < abs(self.b0) < math.inf:
             raise ValueError(f"b0 must be finite and nonzero, got {self.b0!r}")
+        if not _representable(self):
+            # name g if the tuning fails even at T_s = b0 = 1, else T_s if it fails at b0 = 1
+            probes = (
+                ("g", _Unchecked(self.order, 1.0, self.g, 1.0)),
+                ("T_s", _Unchecked(self.order, self.T_s, self.g, 1.0)),
+                ("b0", self),
+            )
+            name = next(name for name, probe in probes if not _representable(probe))
+            raise ValueError(
+                f"{name}={getattr(self, name)!r} is out of range: the gains or equivalent PI(D) parameters "
+                f"of T_s={self.T_s!r}, g={self.g!r}, b0={self.b0!r} are not finite and nonzero"
+            )
 
     @property
     def omega_cl(self) -> float:
@@ -85,6 +99,29 @@ class AdrcDesign:
     def l3(self) -> float:
         """Third observer gain; second-order designs only."""
         return self.observer_gains[2]
+
+
+class _Unchecked(AdrcDesign):
+    """A design whose tuning is not checked, to find which input breaks one."""
+
+    def __post_init__(self):
+        pass
+
+
+def _representable(design: AdrcDesign) -> bool:
+    """True if every gain and equivalent PI(D) parameter is finite and nonzero."""
+    # the closed forms themselves: checking a design is not a call of the
+    # equivalent_params layer, and a traced run should not count it as one
+    from .pid_equiv import pidf_from_adrc, pif_from_adrc  # pid_equiv builds on this module
+
+    try:
+        p = (pif_from_adrc if design.order == 1 else pidf_from_adrc)(design)
+        values = (*design.feedback_gains, *design.observer_gains, p.kp, p.ki, p.Tf, p.b)
+        if design.order == 2:
+            values += (p.kd, p.d)
+    except (ArithmeticError, ValueError):  # a float power overflowed, or PidParams refused a value
+        return False
+    return all(map(math.isfinite, values)) and all(values)  # finite, and none is zero
 
 
 def tune_first_order(T_s: float, g: float, b0: float = 1.0) -> AdrcDesign:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -23,7 +24,6 @@ from .lti import (
     RationalTransferFunction,
     StateSpaceModel,
     StepResponseTable,
-    has_close_pair,
     is_stable,
     poly_residual,
     step_response,
@@ -39,6 +39,7 @@ GANG_MINREAL_TOL = 1e-8
 # pair of its factors lies within GANG_MINREAL_TOL plus this share of the
 # larger root, not only within GANG_MINREAL_TOL.
 GANG_ROOT_MARGIN = 1e-3
+_NO_ROOTS = np.empty(0)
 # Step experiments: long enough for integral action to flatten the tail,
 # fine enough (h = 0.0025 T_s) to resolve the measurement-filter dynamics.
 STEP_HORIZON_FACTOR = 10.0
@@ -67,7 +68,7 @@ class PlantModel:
             if value is None or not 0 < value < math.inf:
                 raise ValueError(f"plant {name} must be finite and > 0, got {value!r}")
 
-    @property
+    @cached_property
     def tf(self) -> RationalTransferFunction:
         if self.order == 1:
             return RationalTransferFunction.from_coeffs((self.K,), (1.0, self.T))
@@ -92,28 +93,22 @@ def closed_loop(plant: PlantModel, c: TwoInputController) -> StateSpaceModel:
     cs = c.ss
     Ap, Bp, Cp = p.A, p.B, p.C
     Ac, Bc, Cc, Dc = cs.A, cs.B, cs.C, cs.D
-    n_p, n_c = p.n_states, cs.n_states
-    Bc_r, Bc_y = Bc[:, :1], Bc[:, 1:]
+    n_p = p.n_states
+    n = n_p + cs.n_states
     Dc_r, Dc_y = float(Dc[0, 0]), float(Dc[0, 1])
 
-    A = np.block(
-        [
-            [Ap + Dc_y * (Bp @ Cp), Bp @ Cc],
-            [Bc_y @ Cp, Ac],
-        ]
-    )
-    B = np.block(
-        [
-            [Dc_r * Bp, Bp, Dc_y * Bp],
-            [Bc_r, np.zeros((n_c, 1)), Bc_y],
-        ]
-    )
-    C = np.block(
-        [
-            [Cp, np.zeros((1, n_c))],
-            [Dc_y * Cp, Cc],
-        ]
-    )
+    # states [x_p, x_c], inputs [r, d_u, n], outputs [y, u]
+    A = np.empty((n, n))
+    A[:n_p, :n_p] = Ap + Dc_y * (Bp @ Cp)
+    A[:n_p, n_p:] = Bp @ Cc
+    A[n_p:, :n_p] = Bc[:, 1:] @ Cp
+    A[n_p:, n_p:] = Ac
+    B = np.zeros((n, 3))
+    B[:n_p] = Bp * (Dc_r, 1.0, Dc_y)
+    B[n_p:, ::2] = Bc
+    C = np.zeros((2, n))
+    C[:, :n_p] = Cp * ((1.0,), (Dc_y,))
+    C[1:, n_p:] = Cc
     D = np.array([[0.0, 0.0, 0.0], [Dc_r, 0.0, Dc_y]])
     return StateSpaceModel(A, B, C, D, ("r", "d_u", "n"), ("y", "u"))
 
@@ -146,53 +141,90 @@ def gang_of_seven(plant: PlantModel, c: TwoInputController) -> GangOfSeven:
     """Sensitivity set for the loop P*C_y, reference variants from C_r.
 
     All functions are assembled by explicit polynomial algebra over the
-    shared closed-loop characteristic polynomial.  Both controller channels
-    carry the same denominator (the controller characteristic polynomial),
-    which removes every common factor symbolically instead of relying on
-    numeric pole-zero cancellation; the reference-weighted set is formed
-    from C_r directly rather than through an explicit prefilter ratio.
+    shared closed-loop characteristic polynomial chi.  Both controller
+    channels carry the same denominator (the controller characteristic
+    polynomial), which removes every common factor symbolically instead of
+    relying on numeric pole-zero cancellation; the reference-weighted set is
+    formed from C_r directly rather than through an explicit prefilter ratio.
 
-    Each member is minreal(num/den) at GANG_MINREAL_TOL.  The roots of a
-    product are those of its factors, so the cancellation test runs on the
-    roots of dp, dc, nc, nr and chi, each found once.  Only a member with a
-    zero-pole pair within the tolerance plus GANG_ROOT_MARGIN, or whose
-    product lost degree to trimming, goes through tf_minreal on the expanded
-    product; every other member has nothing to cancel.
+    Each member is minreal(num/den) at GANG_MINREAL_TOL, with num and den
+    products of the factors np, dp, dc, nc, nr and chi.  The shared work is
+    done once per gang: every product (nc*chi serves SF_r and PSF_r), one
+    cancellation table between the roots of the zero and the pole factors,
+    and the monic forms of chi and nc*chi.  Only a member with a zero-pole
+    pair within the tolerance plus GANG_ROOT_MARGIN, or whose product lost
+    degree to trimming, goes through tf_minreal on its raw product; every
+    other member has nothing to cancel and is its product over the shared
+    monic denominator, the bits tf_minreal would return.
     """
     P = plant.tf.canonicalized()
     c_r, c_y = extract_cr_cy(c)
     np_, dp = P.num, P.den
     nr, nc, dc = c_r.num, c_y.num, c_y.den
-    if poly_residual(c_r.den, dc) > 1e-12:
+    # the two channels of a state-space controller share one resolvent, so
+    # their denominators are equal and the residual is not needed
+    if c_r.den != dc and poly_residual(c_r.den, dc) > 1e-12:
         raise ValueError("controller channels do not share a denominator")
     dp_dc, np_dc, np_nc = dp * dc, np_ * dc, np_ * nc
     chi = dp_dc + np_nc  # closed-loop characteristic polynomial
+    nc_chi = nc * chi
+    near = _near_factor_pairs((np_, dp, dc, nc, nr), (chi, nc))
+    over = {id(chi): _over(chi), id(nc_chi): _over(nc_chi)}
 
-    def mr(num: Polynomial, den: Polynomial, zero_factors, pole_factors) -> RationalTransferFunction:
-        tf = RationalTransferFunction(num, den)
+    def member(num: Polynomial, den: Polynomial, zeros, poles) -> RationalTransferFunction:
         if (
             num.is_zero
-            or num.degree != sum(f.degree for f in zero_factors)
-            or den.degree != sum(f.degree for f in pole_factors)
-            or has_close_pair(
-                np.concatenate([f.roots() for f in zero_factors]),
-                np.concatenate([f.roots() for f in pole_factors]),
-                GANG_MINREAL_TOL,
-                GANG_ROOT_MARGIN,
-            )
+            or num.degree != sum(f.degree for f in zeros)
+            or den.degree != sum(f.degree for f in poles)
+            or any((id(z), id(p)) in near for z in zeros for p in poles)
         ):
-            return tf_minreal(tf, GANG_MINREAL_TOL)
-        return tf.canonicalized()
+            return tf_minreal(RationalTransferFunction(num, den), GANG_MINREAL_TOL)
+        return over[id(den)](num)
 
+    # each member is num/den, with the factors of num and of den
     return GangOfSeven(
-        S=mr(dp_dc, chi, (dp, dc), (chi,)),
-        PS=mr(np_dc, chi, (np_, dc), (chi,)),
-        CS=mr(nc * dp, chi, (nc, dp), (chi,)),
-        T_cl=mr(np_nc, chi, (np_, nc), (chi,)),
-        SF_r=mr(dp_dc * nr, nc * chi, (dp, dc, nr), (nc, chi)),
-        PSF_r=mr(np_dc * nr, nc * chi, (np_, dc, nr), (nc, chi)),
-        TF_r=mr(np_ * nr, chi, (np_, nr), (chi,)),
+        S=member(dp_dc, chi, (dp, dc), (chi,)),
+        PS=member(np_dc, chi, (np_, dc), (chi,)),
+        CS=member(nc * dp, chi, (nc, dp), (chi,)),
+        T_cl=member(np_nc, chi, (np_, nc), (chi,)),
+        SF_r=member(dp_dc * nr, nc_chi, (dp, dc, nr), (nc, chi)),
+        PSF_r=member(np_dc * nr, nc_chi, (np_, dc, nr), (nc, chi)),
+        TF_r=member(np_ * nr, chi, (np_, nr), (chi,)),
     )
+
+
+def _near_factor_pairs(zeros: tuple[Polynomial, ...], poles: tuple[Polynomial, ...]) -> set[tuple[int, int]]:
+    """(id(z), id(p)) for each zero factor z with a root near a root of pole factor p.
+
+    One distance matrix over all roots: a pair is near unless |z - p| minus
+    GANG_ROOT_MARGIN*max(|z|, |p|) exceeds GANG_MINREAL_TOL, so a NaN
+    distance is near, as in lti.has_close_pair.
+    A zero factor has no roots here: a member with it in its numerator has a
+    zero numerator, and one with it in its denominator is rejected by the
+    RationalTransferFunction constructor, so neither reads the table.
+    """
+    z_roots = [_NO_ROOTS if f.is_zero else f.roots() for f in zeros]
+    p_roots = [_NO_ROOTS if f.is_zero else f.roots() for f in poles]
+    z = np.concatenate(z_roots)[:, None]
+    p = np.concatenate(p_roots)
+    dist = np.abs(z - p)
+    dist -= GANG_ROOT_MARGIN * np.maximum(np.abs(z), np.abs(p))
+    rows, cols = np.nonzero(~(dist > GANG_MINREAL_TOL))
+    z_of = [id(f) for f, r in zip(zeros, z_roots) for _ in r]
+    p_of = [id(f) for f, r in zip(poles, p_roots) for _ in r]
+    return {(z_of[i], p_of[j]) for i, j in zip(rows.tolist(), cols.tolist())}
+
+
+def _over(den: Polynomial):
+    """num -> RationalTransferFunction(num, den).canonicalized(), den made monic once.
+
+    The raw numerator goes in: canonicalizing twice is not a no-op.
+    """
+    if den.is_zero or den.leading == 1.0:  # a zero den is left to the constructor to reject
+        return lambda num: RationalTransferFunction(num, den)
+    inv = 1.0 / den.leading
+    monic = den.scaled(inv)
+    return lambda num: RationalTransferFunction(num.scaled(inv), monic)
 
 
 def s_plus_t_residual(g: GangOfSeven) -> float:

@@ -91,7 +91,7 @@ class Polynomial:
             a, b = b, a
         out = np.array(a)
         out[: len(b)] += b
-        return Polynomial(tuple(out))
+        return Polynomial(out.tolist())
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
@@ -101,13 +101,13 @@ class Polynomial:
         else:
             out = -np.array(b)
             out[: len(a)] += a
-        return Polynomial(tuple(out))
+        return Polynomial(out.tolist())
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(tuple(np.convolve(self.coeffs, other.coeffs)))
+        return Polynomial(np.convolve(self.coeffs, other.coeffs).tolist())
 
     def scaled(self, factor: float) -> "Polynomial":
-        return Polynomial(tuple(factor * c for c in self.coeffs))
+        return Polynomial([factor * c for c in self.coeffs])
 
     def roots(self) -> np.ndarray:
         """Roots via the companion-matrix eigenvalue solver, found once.
@@ -167,7 +167,12 @@ class RationalTransferFunction:
         return self.num(s) / self.den(s)
 
     def canonicalized(self) -> "RationalTransferFunction":
-        """Scale num and den so the denominator is monic."""
+        """Scale num and den by 1/lead so the denominator is monic.
+
+        The new leading coefficient is lead*(1/lead), which is not always 1:
+        for lead = 49 it is 1 - 2**-53.  So canonicalizing a result again is
+        not a no-op; it can change the last bits of every coefficient.
+        """
         lead = self.den.leading
         if lead == 1.0:
             return self
@@ -241,19 +246,15 @@ def _divide_out(p: Polynomial, roots: list[complex]) -> Polynomial:
     return Polynomial(tuple(quotient))
 
 
-def has_close_pair(zeros: np.ndarray, poles: np.ndarray, tol: float, rel: float = 0.0) -> bool:
-    """True unless every zero lies farther than tol + rel*max(|z|, |p|) from every pole.
+def has_close_pair(zeros: np.ndarray, poles: np.ndarray, tol: float) -> bool:
+    """True unless every zero lies farther than tol from every pole.
 
     A NaN distance counts as close, so that tf_minreal's greedy pairing, not
     this test, decides what a non-finite root set cancels.
     """
     if not zeros.size or not poles.size:
         return False
-    z = zeros[:, None]
-    dist = np.abs(z - poles)
-    if rel:
-        dist -= rel * np.maximum(np.abs(z), np.abs(poles))
-    return not (dist > tol).all()
+    return not (np.abs(zeros[:, None] - poles) > tol).all()
 
 
 def tf_minreal(a: RationalTransferFunction, tol: float) -> RationalTransferFunction:
@@ -388,6 +389,14 @@ class StateSpaceModel:
     def n_outputs(self) -> int:
         return self.C.shape[0]
 
+    @cached_property
+    def resolvent(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """(char, (N_0, ..., N_{n-1})) of _resolvent(A), computed once and read-only."""
+        char, mats = _resolvent(self.A)
+        for m in (char, *mats):
+            m.setflags(write=False)
+        return char, tuple(mats)
+
 
 def _resolvent(A: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Faddeev-LeVerrier recursion.
@@ -409,13 +418,16 @@ def _resolvent(A: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def ss_to_tf(m: StateSpaceModel, input: int = 0, output: int = 0) -> RationalTransferFunction:
-    """Transfer function C (sI - A)^-1 B + D of one scalar channel."""
+    """Transfer function C (sI - A)^-1 B + D of one scalar channel.
+
+    The resolvent of A is found once per model and shared by its channels.
+    """
     if not 0 <= input < m.n_inputs:
         raise IndexError("input index out of range")
     if not 0 <= output < m.n_outputs:
         raise IndexError("output index out of range")
     n = m.n_states
-    char, mats = _resolvent(m.A)
+    char, mats = m.resolvent
     b = m.B[:, input]
     c = m.C[output, :]
     d = float(m.D[output, input])

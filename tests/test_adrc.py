@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -50,6 +51,7 @@ class TestTuneFirstOrder:
             dict(T_s=0), dict(T_s=-1), dict(g=0), dict(g=-2), dict(b0=0),
             dict(T_s=math.nan), dict(T_s=math.inf), dict(g=math.nan), dict(g=math.inf),
             dict(b0=math.nan), dict(b0=math.inf), dict(b0=-math.inf),
+            dict(T_s=1e-300), dict(T_s=1e300), dict(g=1e300), dict(g=1e-300), dict(b0=1e-320),
         ],
     )
     def test_invalid_inputs_rejected(self, kwargs):
@@ -78,7 +80,10 @@ class TestTuneSecondOrder:
         assert (d.l1, d.l2, d.l3) == pytest.approx((18.0, 108.0, 216.0))
 
     def test_invalid_inputs_rejected(self):
-        for kwargs in (dict(g=-1.0), dict(T_s=math.nan), dict(T_s=math.inf), dict(g=math.nan), dict(b0=math.inf)):
+        for kwargs in (
+            dict(g=-1.0), dict(T_s=math.nan), dict(T_s=math.inf), dict(g=math.nan), dict(b0=math.inf),
+            dict(T_s=1e-300), dict(T_s=1e300), dict(g=1e300), dict(b0=1e-320),
+        ):
             with pytest.raises(ValueError):
                 AdrcDesign(2, **{"T_s": 1.0, "g": 10.0, "b0": 1.0, **kwargs})
 
@@ -243,8 +248,11 @@ class TestTwoInputController:
         c_r, c_y = extract_cr_cy(c)
         again = extract_cr_cy(c)
         assert again[0] is c_r and again[1] is c_y
-        direct_r = ss_to_tf(c.ss, input=0, output=0).canonicalized()
-        direct_y = tf_neg(ss_to_tf(c.ss, input=1, output=0)).canonicalized()
+        # a fresh copy of the model, so the split and the direct transfer
+        # functions do not both read the resolvent cached on c.ss
+        fresh = dataclasses.replace(c.ss)
+        direct_r = ss_to_tf(fresh, input=0, output=0).canonicalized()
+        direct_y = tf_neg(ss_to_tf(fresh, input=1, output=0)).canonicalized()
         for got, want in ((c_r, direct_r), (c_y, direct_y)):
             for a, b in ((got.num, want.num), (got.den, want.den)):
                 assert np.array(a.coeffs).tobytes() == np.array(b.coeffs).tobytes()

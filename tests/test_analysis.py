@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from conftest import TUNINGS, log_uniform
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adrcpid import analysis, lti
 from adrcpid.adrc import (
     AdrcDesign,
     TwoInputController,
@@ -36,6 +38,7 @@ from adrcpid.lti import (
     tf_residual,
 )
 from adrcpid.pid_equiv import (
+    PidParams,
     build_equivalent_controller,
     build_pidf_controller,
     build_pif_controller,
@@ -67,6 +70,14 @@ def second_order():
         "adrc": build_adrc(d),
         "equiv": build_pidf_controller(pidf_from_adrc(d)),
     }
+
+
+# plant gain of either sign up to a decade off nominal, lag up to two decades off, damping 0.5-2
+PLANTS = st.tuples(
+    st.builds(lambda sign, mag: sign * mag, st.sampled_from((-1.0, 1.0)), log_uniform(0.1, 10.0)),
+    log_uniform(1e-2, 1e2),
+    log_uniform(0.5, 2.0),
+)
 
 
 def dc_gains(loop):
@@ -140,6 +151,33 @@ class TestClosedLoop:
         assert np.all(inside[entry:])
         assert table.t[entry] <= 1.3
 
+    @settings(max_examples=100)
+    @given(TUNINGS, PLANTS)
+    def test_blocks_bitwise_equal_to_np_block(self, tuning, plant):
+        design = AdrcDesign(*tuning)
+        K, T, D = plant
+        plant = PlantModel(design.order, K, T, D if design.order == 2 else None)
+        for c in (build_adrc(design), build_equivalent_controller(equivalent_params(design))):
+            loop = closed_loop(plant, c)
+            for name, want in zip("ABCD", _np_block_loop(plant, c)):
+                got = getattr(loop, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def _np_block_loop(plant, c):
+    """The closed loop [r, d_u, n] -> [y, u] assembled with np.block."""
+    p, cs = plant.to_ss(), c.ss
+    Ap, Bp, Cp = p.A, p.B, p.C
+    Ac, Bc, Cc, Dc = cs.A, cs.B, cs.C, cs.D
+    n_c = cs.n_states
+    Bc_r, Bc_y = Bc[:, :1], Bc[:, 1:]
+    Dc_r, Dc_y = float(Dc[0, 0]), float(Dc[0, 1])
+    A = np.block([[Ap + Dc_y * (Bp @ Cp), Bp @ Cc], [Bc_y @ Cp, Ac]])
+    B = np.block([[Dc_r * Bp, Bp, Dc_y * Bp], [Bc_r, np.zeros((n_c, 1)), Bc_y]])
+    C = np.block([[Cp, np.zeros((1, n_c))], [Dc_y * Cp, Cc]])
+    D = np.array([[0.0, 0.0, 0.0], [Dc_r, 0.0, Dc_y]])
+    return A, B, C, D
+
 
 class TestGangOfSeven:
     def test_unit_feedback_sensitivity(self):
@@ -170,6 +208,12 @@ class TestGangOfSeven:
             ma = np.abs(np.asarray(ga.named()[name](1j * omega)))
             me = np.abs(np.asarray(ge.named()[name](1j * omega)))
             assert np.max(np.abs(ma - me) / np.maximum(ma, me)) < 1e-8
+
+    def test_zero_measurement_channel_rejected(self, first_order):
+        # C_y = 0 makes the denominator nc*chi of SF_r and PSF_r zero
+        c = build_pif_controller(PidParams(0.0, 0.0, 0.0, 0.1, 1.0))
+        with pytest.raises(ValueError, match="denominator must not be the zero polynomial"):
+            gang_of_seven(first_order["plant"], c)
 
     def test_reference_weighted_functions_differ_between_controllers(self, first_order):
         # the r-channel approximation is the one place the controllers differ
@@ -210,14 +254,6 @@ def _assert_gang_matches_reference(plant, c):
             assert np.array(got.coeffs).tobytes() == np.array(ref.coeffs).tobytes(), name
 
 
-# plant gain of either sign up to a decade off nominal, lag up to two decades off, damping 0.5-2
-PLANTS = st.tuples(
-    st.builds(lambda sign, mag: sign * mag, st.sampled_from((-1.0, 1.0)), log_uniform(0.1, 10.0)),
-    log_uniform(1e-2, 1e2),
-    log_uniform(0.5, 2.0),
-)
-
-
 class TestGangFactorRoots:
     """The factor-root cancellation test gives the bits of minreal on the products."""
 
@@ -248,6 +284,64 @@ class TestGangFactorRoots:
         g = gang_of_seven(plant, c)
         assert g.S.den.degree == 2
         _assert_gang_matches_reference(plant, c)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_zero_plant_gain_gives_zero_members_like_the_reference(self, order, first_order, second_order):
+        case = first_order if order == 1 else second_order
+        plant = dataclasses.replace(case["plant"], K=0.0)
+        for ctrl in ("adrc", "equiv"):
+            g = gang_of_seven(plant, case[ctrl])
+            for name in ("PS", "T", "PSF_r", "TF_r"):
+                assert g.named()[name].num.is_zero, name
+            _assert_gang_matches_reference(plant, case[ctrl])
+
+
+class TestSharedWorkCounts:
+    """Call counts on the default order-2 design; per-member work coming back fails here."""
+
+    @pytest.fixture
+    def default_order2(self):
+        design = tune_second_order(1.0, 10.0, 1.0)
+        return design, PlantModel(order=2, K=1.0, T=1.0, D=1.0)
+
+    def test_split_runs_the_resolvent_once(self, monkeypatch, default_order2):
+        design, _ = default_order2
+        calls = []
+        resolvent = lti._resolvent
+        monkeypatch.setattr(lti, "_resolvent", lambda A: calls.append(A) or resolvent(A))
+        for c in (build_adrc(design), build_equivalent_controller(equivalent_params(design))):
+            calls.clear()
+            extract_cr_cy(c)
+            assert len(calls) == 1
+
+    def test_gang_tests_root_pairs_only_inside_minreal(self, monkeypatch, default_order2):
+        design, nominal = default_order2
+        inside, outside, minreal_calls = [], [], []
+        has_close_pair, minreal = lti.has_close_pair, analysis.tf_minreal
+
+        def counted_pair_test(*args, **kwargs):
+            (inside if minreal_calls and minreal_calls[-1] else outside).append(args)
+            return has_close_pair(*args, **kwargs)
+
+        def counted_minreal(*args, **kwargs):
+            minreal_calls.append(True)
+            try:
+                return minreal(*args, **kwargs)
+            finally:
+                minreal_calls[-1] = False
+
+        monkeypatch.setattr(lti, "has_close_pair", counted_pair_test)
+        monkeypatch.setattr(analysis, "has_close_pair", counted_pair_test, raising=False)
+        monkeypatch.setattr(analysis, "tf_minreal", counted_minreal)
+        c = build_adrc(design)
+        zero = extract_cr_cy(c)[1].num.roots()[0]
+        # the nominal loop cancels nothing; plant poles on the complex zeros of C_y do
+        on_zeros = PlantModel(order=2, K=1.0, T=1.0 / abs(zero), D=-zero.real / abs(zero))
+        for plant in (nominal, on_zeros):
+            for ctrl in (c, build_equivalent_controller(equivalent_params(design))):
+                gang_of_seven(plant, ctrl)
+        assert outside == []
+        assert 0 < len(inside) <= len(minreal_calls)
 
 
 class TestLoopMeasures:

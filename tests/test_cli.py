@@ -325,6 +325,7 @@ class TestVerifyCommand:
 
 COMMANDS = {
     "tune": ["tune", "--order", "1", "--ts", "1", "--g", "10"],
+    "tune2": ["tune", "--order", "2", "--ts", "1", "--g", "10"],
     "figure3": ["figure", "3"],
     "sweepK": ["sweep", "--param", "K"],
     "verify": ["verify"],
@@ -334,6 +335,11 @@ TUNING_REJECTS = [
     ("--order", "3", "--order"),
     *((flag, value, name) for flag, name in (("--ts", "T_s"), ("--g", "g")) for value in ("0", "-1", "nan", "inf")),
     *(("--b0", value, "b0") for value in ("0", "nan", "inf", "-inf")),
+    # finite, but the gains or the equivalent PI(D) parameters overflow or underflow
+    ("--ts", "1e-300", "T_s=1e-300 is out of range"),
+    ("--ts", "1e300", "T_s=1e+300 is out of range"),
+    ("--g", "1e300", "g=1e+300 is out of range"),
+    ("--b0", "1e-320", "b0=1e-320 is out of range"),
 ]
 OTHER_REJECTS = [
     *(("--plant-k", value, "plant K") for value in ("nan", "inf", "-inf")),
@@ -347,7 +353,7 @@ OTHER_REJECTS = [
 REJECTED = [
     (command, *case)
     for command in COMMANDS
-    for case in TUNING_REJECTS + (OTHER_REJECTS if command != "tune" else [])
+    for case in TUNING_REJECTS + (OTHER_REJECTS if COMMANDS[command][0] != "tune" else [])
 ]
 
 
@@ -355,7 +361,7 @@ class TestCommandsAgree:
     @pytest.mark.parametrize("command, flag, value, name", REJECTED)
     def test_bad_input_rejected_by_every_command(self, tmp_path, capsys, command, flag, value, name):
         out = tmp_path / "out"
-        args = [*COMMANDS[command], f"{flag}={value}"] + (["--out", str(out)] if command != "tune" else [])
+        args = [*COMMANDS[command], f"{flag}={value}"] + (["--out", str(out)] if COMMANDS[command][0] != "tune" else [])
         assert main(args) == EXIT_BAD_ARGS
         err = capsys.readouterr().err
         assert "error:" in err and name in err and "Traceback" not in err
@@ -363,7 +369,7 @@ class TestCommandsAgree:
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_negative_b0_accepted_by_every_command(self, tmp_path, command):
-        out = ["--out", str(tmp_path)] if command != "tune" else []
+        out = ["--out", str(tmp_path)] if COMMANDS[command][0] != "tune" else []
         assert main([*COMMANDS[command], "--b0=-4", *out]) == EXIT_OK
 
     @given(

@@ -146,6 +146,14 @@ class TestTfArithmetic:
         reduced = tf_minreal(raw, 1e-9)
         assert tf_is_close(reduced, tf((2,), (1, 1)))
 
+    def test_canonicalizing_twice_is_not_a_no_op(self):
+        # the new lead is 49 * (1/49) = 1 - 2**-53, so a second pass rescales again
+        once = tf((1.0,), (1.0, 49.0)).canonicalized()
+        assert once.den.leading == 1.0 - 2.0**-53
+        twice = once.canonicalized()
+        assert twice.den.leading == 1.0
+        assert twice.num.coeffs != once.num.coeffs
+
     def test_canonical_scaling_invariance(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
