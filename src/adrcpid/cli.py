@@ -215,10 +215,12 @@ def _capped(values: np.ndarray) -> np.ndarray:
 
 
 def _write_csv(path: Path, names: list[str], columns: list[np.ndarray]) -> None:
+    # one %-format for the whole body; "%.17g" prints the bytes of _fmt
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        for row in zip(*columns):
-            fh.write(_fmt_floats(row) + "\n")
+        fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
 
 
 def _step_columns(sweep: SweepResult) -> tuple[list[str], list[np.ndarray], list[Series]]:

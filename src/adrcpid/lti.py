@@ -574,7 +574,10 @@ def _balance(M: np.ndarray) -> np.ndarray:
                 c += other[i]
             if c == 0.0 or r == 0.0:
                 continue
-            k = round(0.5 * math.log2(r / c))
+            try:
+                k = round(0.5 * math.log2(r / c))
+            except (OverflowError, ValueError):  # r / c over- or underflowed
+                k = round(0.5 * (math.log2(r) - math.log2(c)))
             if k:
                 f = 2.0**k
                 if c * f + r / f < 0.95 * (c + r):
@@ -634,6 +637,13 @@ def step_response(m: StateSpaceModel, input: int = 0, t_end: float = 10.0, n_ste
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n] = m.A
     aug[:n, n] = m.B[:, input]
+    # a finite bound on every row and column sum of aug * h, so that _expm
+    # balances and scales finite numbers
+    if not math.isfinite(float(np.abs(aug).max()) * h * (n + 1)):
+        raise ValueError(
+            "the step response at this tuning is not representable: "
+            "the model's entries times the sample time overflow or are not finite"
+        )
     phi = _expm(aug * h)
     Ad = phi[:n, :n]
     bd = phi[:n, n]

@@ -12,6 +12,7 @@ from conftest import TUNINGS
 from hypothesis import given
 from hypothesis import strategies as st
 
+from adrcpid import cli
 from adrcpid.cli import (
     EXIT_BAD_ARGS,
     EXIT_IO,
@@ -20,6 +21,7 @@ from adrcpid.cli import (
     ExperimentConfig,
     compute_figure,
     main,
+    write_figure,
 )
 
 
@@ -223,6 +225,24 @@ class TestFigureCommand:
         header = (tmp_path / "fig3.csv").read_text().splitlines()[0].split(",")
         assert "mag_pid_Cy" in header
 
+    @pytest.mark.parametrize("fig", ["1", "2"])
+    def test_unrepresentable_step_response_exits_2(self, tmp_path, capsys, fig):
+        # the equivalent controller's realization overflows at this tuning
+        out = tmp_path / "out"
+        assert main(["figure", fig, "--ts", "1e-110", "--out", str(out)]) == EXIT_BAD_ARGS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the step response at this tuning is not representable: "
+            "the model's entries times the sample time overflow or are not finite\n"
+        )
+        assert not out.exists()
+
+    def test_entries_spanning_past_the_float_range_still_simulate(self, tmp_path):
+        # the closed loop's entries span 1e-103..1e201 here, so balancing sees r / c overflow
+        assert main(["figure", "1", "--ts", "1e-100", "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "fig1.csv").exists()
+
     def test_unknown_figure_id(self, capsys):
         assert main(["figure", "9"]) == EXIT_BAD_ARGS
 
@@ -396,3 +416,52 @@ def test_cli_import_leaves_out_scipy_and_urllib():
     code = f"import sys, adrcpid.cli; print(*(m for m in {heavy!r} if m in sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.split() == []
+
+
+def _per_value_csv(path, names, columns):
+    """The writer _write_csv replaced: one _fmt call per value."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(names) + "\n")
+        for row in zip(*columns):
+            fh.write(cli._fmt_floats(row) + "\n")
+
+
+def _assert_csv_matches_per_value_writer(tmp_path, columns):
+    names = [f"c{j}" for j in range(len(columns))]
+    cli._write_csv(tmp_path / "bulk.csv", names, columns)
+    _per_value_csv(tmp_path / "ref.csv", names, columns)
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+               1e-310, 1e6, -1e6, 0.1, 1 / 3, 2.0**53 + 2, -1.7976931348623157e308, 123456789.0]
+
+
+class TestBulkCsv:
+    def test_edge_values(self, tmp_path):
+        values = np.array(EDGE_FLOATS)
+        _assert_csv_matches_per_value_writer(tmp_path, [values, values[::-1], np.roll(values, 3)])
+
+    def test_one_row(self, tmp_path):
+        _assert_csv_matches_per_value_writer(tmp_path, [np.array([v]) for v in EDGE_FLOATS])
+
+    def test_one_column(self, tmp_path):
+        _assert_csv_matches_per_value_writer(tmp_path, [np.array(EDGE_FLOATS)])
+
+    @given(
+        bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
+        n_columns=st.integers(1, 4),
+    )
+    def test_random_bit_patterns(self, tmp_path_factory, bits, n_columns):
+        # every float64, NaN payloads and subnormals included
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        columns = [np.roll(values, j) for j in range(n_columns)]
+        _assert_csv_matches_per_value_writer(tmp_path_factory.mktemp("csv"), columns)
+
+    def test_figure_formats_no_value_one_at_a_time(self, tmp_path, monkeypatch):
+        """Only the config echo may format through _fmt; a per-value CSV writer fails here."""
+        calls = []
+        fmt = cli._fmt
+        monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or fmt(v))
+        write_figure(4, ExperimentConfig(out_dir=str(tmp_path)))
+        assert len(calls) <= sum(len(keys) for keys in cli._CONFIG_FIELDS.values())

@@ -375,6 +375,26 @@ class TestExpm:
             ref = np.array(mpmath.expm(mpmath.matrix(M.tolist())).tolist(), dtype=float)
         assert np.max(np.abs(_expm(M) - ref)) <= 1e-7 * np.max(np.abs(ref))
 
+    def test_off_diagonal_ratio_past_the_float_range(self):
+        # r / c = 1e400 overflows; exp([[0, a], [b, 0]]) with a*b = 1 is closed form
+        got = _expm(np.array([[0.0, 1e200], [1e-200, 0.0]]))
+        expected = [[math.cosh(1.0), 1e200 * math.sinh(1.0)], [1e-200 * math.sinh(1.0), math.cosh(1.0)]]
+        assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
+
+
+class TestUnrepresentableStep:
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan, 1e308])
+    def test_refused_before_discretizing(self, entry):
+        # 1e308 is finite, but the entries' sum overflows (the sample time is 1)
+        m = StateSpaceModel([[-1.0, entry], [0.0, -entry]], [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        with pytest.raises(ValueError, match="step response at this tuning is not representable"):
+            step_response(m, 0, t_end=10.0, n_steps=10)
+
+    def test_sample_time_overflow_refused(self):
+        m = StateSpaceModel([[-1e300]], [[1.0]], [[1.0]], [[0.0]])
+        with pytest.raises(ValueError, match="not representable"):
+            step_response(m, 0, t_end=1e300, n_steps=10)
+
 
 def _per_sample_step(m, input, t_end, n_steps):
     """The plain recurrence x[k+1] = Ad x[k] + bd, one sample at a time."""
