@@ -3,112 +3,84 @@
 The package builds linear active disturbance-rejection controllers for
 first- and second-order plants from (T_s, g, b0), converts them to exact
 measurement-channel-equivalent PI+F / PID+F parameters, and provides the
-LTI machinery (transfer functions, state space, frequency and step
-responses) plus an experiment suite to verify the equivalence numerically.
+LTI machinery (transfer functions, state space, step responses) plus an
+experiment suite to verify the equivalence numerically.
+
+Importing the package loads none of its modules: each public name is
+imported from its defining module the first time it is asked for, so that
+``python -m adrcpid.cli`` loads only the modules its command runs.
 """
 
-from .lti import (
-    AlgebraicLoopError,
-    FrequencyResponseTable,
-    ImproperTransferFunctionError,
-    Polynomial,
-    RationalTransferFunction,
-    StateSpaceModel,
-    StepResponseTable,
-    freq_response,
-    is_stable,
-    log_grid,
-    poles,
-    ss_to_tf,
-    step_response,
-    tf_add,
-    tf_is_close,
-    tf_minreal,
-    tf_multiply,
-    tf_residual,
-    tf_to_ss,
-)
-from .adrc import (
-    AdrcDesign,
-    TwoInputController,
-    build_adrc,
-    extract_cr_cy,
-    observer_matrix,
-    tune_first_order,
-    tune_second_order,
-)
-from .pid_equiv import (
-    AsymptoteReport,
-    PidParams,
-    build_equivalent_controller,
-    build_pidf_controller,
-    build_pif_controller,
-    equivalent_params,
-    pidf_from_adrc,
-    pif_from_adrc,
-    reference_channel_gap,
-    verify_asymptotes,
-)
-from .analysis import (
-    GangOfSeven,
-    LoopMargins,
-    PlantModel,
-    SweepResult,
-    bode_set,
-    closed_loop,
-    gang_of_seven,
-    loop_margins,
-    max_magnitude,
-    step_sweep,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraicLoopError",
-    "AdrcDesign",
-    "AsymptoteReport",
-    "FrequencyResponseTable",
-    "GangOfSeven",
-    "ImproperTransferFunctionError",
-    "LoopMargins",
-    "PidParams",
-    "PlantModel",
-    "Polynomial",
-    "RationalTransferFunction",
-    "StateSpaceModel",
-    "StepResponseTable",
-    "SweepResult",
-    "TwoInputController",
-    "bode_set",
-    "build_adrc",
-    "build_equivalent_controller",
-    "build_pidf_controller",
-    "build_pif_controller",
-    "closed_loop",
-    "equivalent_params",
-    "extract_cr_cy",
-    "freq_response",
-    "gang_of_seven",
-    "is_stable",
-    "log_grid",
-    "loop_margins",
-    "max_magnitude",
-    "observer_matrix",
-    "pidf_from_adrc",
-    "pif_from_adrc",
-    "poles",
-    "reference_channel_gap",
-    "ss_to_tf",
-    "step_response",
-    "step_sweep",
-    "tf_add",
-    "tf_is_close",
-    "tf_minreal",
-    "tf_multiply",
-    "tf_residual",
-    "tf_to_ss",
-    "tune_first_order",
-    "tune_second_order",
-    "verify_asymptotes",
-]
+# defining module -> the public names it exports; the one listing of the API,
+# behind __all__, __getattr__ and __dir__
+_EXPORTS = {
+    "lti": (
+        "AlgebraicLoopError",
+        "ImproperTransferFunctionError",
+        "Polynomial",
+        "RationalTransferFunction",
+        "StateSpaceModel",
+        "StepResponseTable",
+        "is_stable",
+        "log_grid",
+        "poles",
+        "ss_to_tf",
+        "step_response",
+        "tf_add",
+        "tf_minreal",
+        "tf_multiply",
+        "tf_residual",
+        "tf_to_ss",
+    ),
+    "adrc": (
+        "AdrcDesign",
+        "TwoInputController",
+        "build_adrc",
+        "extract_cr_cy",
+        "observer_matrix",
+        "tune_first_order",
+        "tune_second_order",
+    ),
+    "pid_equiv": (
+        "AsymptoteReport",
+        "PidParams",
+        "build_equivalent_controller",
+        "build_pidf_controller",
+        "build_pif_controller",
+        "equivalent_params",
+        "pidf_from_adrc",
+        "pif_from_adrc",
+        "reference_channel_gap",
+        "verify_asymptotes",
+    ),
+    "analysis": (
+        "GangOfSeven",
+        "LoopMargins",
+        "PlantModel",
+        "SweepResult",
+        "closed_loop",
+        "gang_of_seven",
+        "loop_margins",
+        "step_sweep",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

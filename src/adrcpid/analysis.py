@@ -2,7 +2,7 @@
 
 Builds the standard feedback interconnection (reference, plant-input
 disturbance, measurement noise), the gang-of-four/seven sensitivity set,
-controller Bode data, and plant-parameter step-response sweeps in which the
+loop margins, and plant-parameter step-response sweeps in which the
 controllers are deliberately not retuned.
 """
 
@@ -19,7 +19,6 @@ import numpy as np
 from .adrc import TwoInputController, extract_cr_cy
 from .lti import (
     AlgebraicLoopError,
-    FrequencyResponseTable,
     Polynomial,
     RationalTransferFunction,
     StateSpaceModel,
@@ -309,13 +308,6 @@ def step_sweep(
     )
 
 
-def bode_set(tfs: Mapping[str, RationalTransferFunction], omega) -> FrequencyResponseTable:
-    """Joint frequency-response table of named transfer functions."""
-    omega = np.asarray(omega, dtype=float)
-    cols = {name: np.asarray(tf(1j * omega), dtype=complex) for name, tf in tfs.items()}
-    return FrequencyResponseTable(omega, cols)
-
-
 @dataclass(frozen=True)
 class LoopMargins:
     """Classical stability margins of a loop transfer function."""
@@ -378,9 +370,3 @@ def loop_margins(L: RationalTransferFunction, omega=None) -> LoopMargins:
         gain_crossover=gain_crossover,
         phase_crossover=phase_crossover,
     )
-
-
-def max_magnitude(tf: RationalTransferFunction, omega) -> float:
-    """Peak |tf(j omega)| over a grid, e.g. the sensitivity peak Ms."""
-    omega = np.asarray(omega, dtype=float)
-    return float(np.max(np.abs(np.asarray(tf(1j * omega)))))

@@ -12,29 +12,26 @@ Exit codes: 0 ok, 1 verification failure, 2 bad arguments, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import io
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .adrc import AdrcDesign, TwoInputController, build_adrc, extract_cr_cy
-from .analysis import (
-    STEP_HORIZON_FACTOR,
-    STEP_N_STEPS,
-    PlantModel,
-    SweepResult,
-    gang_of_seven,
-    step_sweep,
-    sweep_plants,
-)
 from .lti import log_grid
 from .pid_equiv import PidParams, build_equivalent_controller, equivalent_params
-from .svg import Series, line_chart
-from .verify import run_verification
+
+# Every command imports the above.  The layers only some commands run
+# (analysis, svg, verify, configparser) are imported by the functions that
+# use them, so that a fresh process loads only what its command needs:
+# `tune` none of them, `figure` all but verify, `verify` all but svg.
+if TYPE_CHECKING:
+    from .analysis import PlantModel, SweepResult
+    from .svg import Series
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -85,6 +82,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Build every object the config describes, so that bad input fails
         here, before any work, with the message of the type that owns the rule."""
+        from .analysis import PlantModel, sweep_plants
+
         AdrcDesign(self.order, self.ts, self.g, self.b0)
         plant = PlantModel(2, self.plant_k, self.plant_t, self.plant_d)
         for parameter, field in SWEEP_FIELDS.items():
@@ -95,6 +94,8 @@ class ExperimentConfig:
             PidParams(*self.compare_pid)
 
     def to_text(self) -> str:
+        import configparser
+
         cp = configparser.ConfigParser()
         for section, keys in _CONFIG_FIELDS.items():
             values = {
@@ -111,6 +112,8 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         """Parse the text ``to_text`` writes; unknown sections and keys are errors."""
+        import configparser
+
         cp = configparser.ConfigParser()
         try:
             cp.read_string(text)
@@ -192,6 +195,8 @@ def _controllers(cfg: ExperimentConfig, order: int) -> dict[str, TwoInputControl
 
 
 def _plant(cfg: ExperimentConfig, order: int) -> PlantModel:
+    from .analysis import PlantModel
+
     return PlantModel(
         order=order,
         K=cfg.plant_k,
@@ -224,6 +229,8 @@ def _write_csv(path: Path, names: list[str], columns: list[np.ndarray]) -> None:
 
 
 def _step_columns(sweep: SweepResult) -> tuple[list[str], list[np.ndarray], list[Series]]:
+    from .svg import Series
+
     t = sweep.cases[0].table.t
     # CSV keeps every sample; the SVG gets a decimated copy to stay small
     stride = max(1, t.size // 1000)
@@ -242,6 +249,9 @@ def _step_columns(sweep: SweepResult) -> tuple[list[str], list[np.ndarray], list
 
 
 def _figure_step(cfg: ExperimentConfig, order: int, parameter: str):
+    from .analysis import STEP_HORIZON_FACTOR, STEP_N_STEPS, step_sweep
+    from .svg import line_chart
+
     values = getattr(cfg, SWEEP_FIELDS[parameter])
     if values is None:
         values = DEFAULT_SWEEPS[(order, parameter)]
@@ -269,6 +279,8 @@ def _figure_step(cfg: ExperimentConfig, order: int, parameter: str):
 
 
 def _figure_bode(cfg: ExperimentConfig, order: int):
+    from .svg import Series, line_chart
+
     omega = log_grid(cfg.omega_min, cfg.omega_max, cfg.omega_points)
     names = ["omega"]
     columns = [omega]
@@ -295,6 +307,9 @@ def _figure_bode(cfg: ExperimentConfig, order: int):
 
 
 def _figure_gang(cfg: ExperimentConfig, order: int):
+    from .analysis import gang_of_seven
+    from .svg import Series, line_chart
+
     omega = log_grid(cfg.omega_min, cfg.omega_max, cfg.omega_points)
     plant = _plant(cfg, order)
     names = ["omega"]
@@ -414,6 +429,8 @@ def cmd_sweep(cfg: ExperimentConfig, parameter: str) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, perturb_b0: float) -> int:
+    from .verify import run_verification
+
     checks = run_verification(ts=cfg.ts, g=cfg.g, b0=cfg.b0, perturb_b0=perturb_b0)
     failed = 0
     for check in checks:

@@ -1,8 +1,8 @@
 """Scalar continuous-time LTI primitives.
 
 Polynomial and rational transfer-function arithmetic, state-space models,
-conversions between the two, frequency responses, and exact step-response
-simulation via zero-order-hold discretization.
+conversions between the two, and exact step-response simulation via
+zero-order-hold discretization.
 
 Coefficient convention used everywhere in this package: polynomials store
 ascending powers of s, i.e. ``coeffs[k]`` multiplies ``s**k``.
@@ -306,22 +306,6 @@ def _padded_pair(a: Polynomial, b: Polynomial) -> tuple[np.ndarray, np.ndarray]:
     return pa, pb
 
 
-def tf_is_close(
-    a: RationalTransferFunction,
-    b: RationalTransferFunction,
-    rtol: float = COEFF_REL_TOL,
-    atol: float = COEFF_ABS_TOL,
-) -> bool:
-    """Coefficient-wise comparison after monic normalization of both."""
-    a = a.canonicalized()
-    b = b.canonicalized()
-    for pa, pb in (_padded_pair(a.num, b.num), _padded_pair(a.den, b.den)):
-        scale = np.maximum(np.abs(pa), np.abs(pb))
-        if np.any(np.abs(pa - pb) > atol + rtol * scale):
-            return False
-    return True
-
-
 def poly_residual(a: Polynomial, b: Polynomial) -> float:
     """Largest per-coefficient relative deviation between two polynomials.
 
@@ -463,38 +447,6 @@ def tf_to_ss(a: RationalTransferFunction) -> StateSpaceModel:
 
 
 @dataclass(frozen=True, eq=False)
-class FrequencyResponseTable:
-    """Complex responses on a shared ascending positive frequency grid."""
-
-    omega: np.ndarray
-    columns: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        if omega.ndim != 1 or omega.size == 0:
-            raise ValueError("omega must be a nonempty 1-d array")
-        if np.any(omega <= 0) or np.any(np.diff(omega) <= 0):
-            raise ValueError("omega must be strictly increasing and positive")
-        omega.setflags(write=False)
-        cols = {}
-        for name, values in self.columns.items():
-            v = np.asarray(values, dtype=complex)
-            if v.shape != omega.shape:
-                raise ValueError(f"column {name!r} length does not match omega")
-            v.setflags(write=False)
-            cols[name] = v
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "columns", cols)
-
-    def magnitude(self, name: str) -> np.ndarray:
-        return np.abs(self.columns[name])
-
-    def phase_deg(self, name: str) -> np.ndarray:
-        """Unwrapped phase in degrees."""
-        return np.degrees(np.unwrap(np.angle(self.columns[name])))
-
-
-@dataclass(frozen=True, eq=False)
 class StepResponseTable:
     """Named signal traces on a shared uniform time grid starting at 0."""
 
@@ -520,32 +472,6 @@ class StepResponseTable:
             cols[name] = v
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "columns", cols)
-
-
-def freq_response(a, omega, label: str | None = None) -> FrequencyResponseTable:
-    """Evaluate a transfer function or state-space model at s = j*omega.
-
-    State-space evaluation solves (j*omega*I - A) x = B directly at every
-    grid point; it does not go through a transfer function.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if isinstance(a, RationalTransferFunction):
-        values = np.asarray(a(1j * omega), dtype=complex)
-        return FrequencyResponseTable(omega, {label or "H": values})
-    n = a.n_states
-    response = np.empty((omega.size, a.n_outputs, a.n_inputs), dtype=complex)
-    eye = np.eye(n)
-    for k, w in enumerate(omega):
-        if n:
-            x = np.linalg.solve(1j * w * eye - a.A, a.B)
-        else:
-            x = np.zeros((0, a.n_inputs))
-        response[k] = a.C @ x + a.D
-    cols = {}
-    for i, out in enumerate(a.output_labels):
-        for j, inp in enumerate(a.input_labels):
-            cols[f"{out}<-{inp}"] = response[:, i, j].copy()
-    return FrequencyResponseTable(omega, cols)
 
 
 def _balance(M: np.ndarray) -> np.ndarray:
@@ -608,9 +534,12 @@ def _expm(M: np.ndarray) -> np.ndarray:
     U = B @ (_PADE6[1] * eye + _PADE6[3] * B2 + _PADE6[5] * B4)
     V = _PADE6[0] * eye + _PADE6[2] * B2 + _PADE6[4] * B4 + _PADE6[6] * (B4 @ B2)
     E = np.linalg.solve(V - U, V + U)
-    for _ in range(j):
-        E = E @ E
-    return E * d[:, None] / d[None, :]
+    # an exponential past the float range squares to inf or NaN, which the
+    # caller refuses; it is no cause for a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(j):
+            E = E @ E
+        return E * d[:, None] / d[None, :]
 
 
 def step_response(m: StateSpaceModel, input: int = 0, t_end: float = 10.0, n_steps: int = 4000) -> StepResponseTable:
@@ -637,14 +566,14 @@ def step_response(m: StateSpaceModel, input: int = 0, t_end: float = 10.0, n_ste
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n] = m.A
     aug[:n, n] = m.B[:, input]
+    unrepresentable = "the step response at this tuning is not representable: "
     # a finite bound on every row and column sum of aug * h, so that _expm
     # balances and scales finite numbers
     if not math.isfinite(float(np.abs(aug).max()) * h * (n + 1)):
-        raise ValueError(
-            "the step response at this tuning is not representable: "
-            "the model's entries times the sample time overflow or are not finite"
-        )
+        raise ValueError(unrepresentable + "the model's entries times the sample time overflow or are not finite")
     phi = _expm(aug * h)
+    if not np.isfinite(phi).all():
+        raise ValueError(unrepresentable + "the model's exponential over one sample time overflows")
     Ad = phi[:n, :n]
     bd = phi[:n, n]
     n_blocks = -(-(n_steps + 1) // STEP_BLOCK)

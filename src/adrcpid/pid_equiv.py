@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adrc import AdrcDesign, TwoInputController, build_adrc, extract_cr_cy
-from .lti import FrequencyResponseTable, RationalTransferFunction, StateSpaceModel
+from .lti import RationalTransferFunction, StateSpaceModel
 
 
 @dataclass(frozen=True)
@@ -179,8 +179,8 @@ def reference_channel_gap(
     design: AdrcDesign,
     params: PidParams,
     omega: np.ndarray,
-) -> tuple[float, FrequencyResponseTable]:
-    """Relative gap |C_r - K_ry| / |C_r| over a grid, plus its supremum.
+) -> tuple[float, np.ndarray]:
+    """Supremum of the relative gap |C_r - K_ry| / |C_r| over a grid, and the gap.
 
     This is the only place the equivalent controller deviates from ADRC; it
     vanishes at both ends of the axis and peaks near crossover.
@@ -191,8 +191,4 @@ def reference_channel_gap(
     cr_vals = np.asarray(c_r(1j * omega), dtype=complex)
     kry_vals = np.asarray(k_ry(1j * omega), dtype=complex)
     gap = np.abs(cr_vals - kry_vals) / np.abs(cr_vals)
-    table = FrequencyResponseTable(
-        omega,
-        {"C_r": cr_vals, "K_ry": kry_vals, "rel_gap": gap.astype(complex)},
-    )
-    return float(gap.max()), table
+    return float(gap.max()), gap

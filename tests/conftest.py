@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -21,6 +25,13 @@ TUNINGS = st.tuples(
     log_uniform(1.0, 1e3),
     st.builds(lambda sign, mag: sign * mag, st.sampled_from((-1.0, 1.0)), log_uniform(1e-3, 1e3)),
 )
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter with warnings as errors and this checkout's src first on its path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-W", "error", *args], env=env, capture_output=True, text=True)
 
 
 @pytest.hookimpl(hookwrapper=True)

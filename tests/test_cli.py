@@ -1,14 +1,10 @@
 import csv
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import TUNINGS
+from conftest import TUNINGS, fresh_python
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -408,14 +404,64 @@ class TestCommandsAgree:
         assert tune == figure
 
 
+HEAVY_MODULES = ("scipy", "urllib.request", "numpy.polynomial")
+# the modules that only some commands run
+LAYER_MODULES = ("adrcpid.analysis", "adrcpid.svg", "adrcpid.verify", "configparser")
+
+
 def test_cli_import_leaves_out_scipy_and_urllib():
     """A command's start-up cost is mostly imports; keep the heavy ones out."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
-    heavy = ("scipy", "urllib.request", "numpy.polynomial")
-    code = f"import sys, adrcpid.cli; print(*(m for m in {heavy!r} if m in sys.modules))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    modules = HEAVY_MODULES + LAYER_MODULES
+    done = fresh_python("-c", f"import sys, adrcpid.cli; print(*(m for m in {modules!r} if m in sys.modules))")
+    assert done.returncode == 0 and done.stderr == ""
     assert done.stdout.split() == []
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["tune", "--order", "2", "--ts", "1", "--g", "10"], ()),
+        (["figure", "3"], ("adrcpid.analysis", "adrcpid.svg", "configparser")),
+        (["verify"], ("adrcpid.analysis", "adrcpid.verify")),
+    ],
+    ids=["tune", "figure", "verify"],
+)
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
+    if argv[0] == "figure":
+        argv = [*argv, "--out", str(tmp_path)]
+    # numpy.polynomial is left out: verify divides out cancelled roots with it
+    modules = ("scipy", "urllib.request") + LAYER_MODULES
+    code = (
+        "import sys\nfrom adrcpid.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"print('loaded:', code, *(m for m in {modules!r} if m in sys.modules))"
+    )
+    done = fresh_python("-c", code)
+    assert done.stderr == ""
+    assert done.stdout.splitlines()[-1].split() == ["loaded:", "0", *loaded]
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["tune", "--order", "1", "--ts", "1", "--g", "10"], EXIT_OK, ""),
+        # the exponential of this loop overflows while squaring; no warning, one refusal
+        (
+            ["figure", "1", "--ts", "1e-80", "--g", "1e50"],
+            EXIT_BAD_ARGS,
+            "error: the step response at this tuning is not representable: "
+            "the model's exponential over one sample time overflows\n",
+        ),
+    ],
+    ids=["tune", "figure-exponential-overflow"],
+)
+def test_command_runs_clean_with_warnings_as_errors(tmp_path, argv, code, err):
+    if argv[0] == "figure":
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    done = fresh_python("-m", "adrcpid.cli", *argv)
+    assert (done.returncode, done.stderr) == (code, err)
+    if code != EXIT_OK:
+        assert done.stdout == "" and not (tmp_path / "out").exists()
 
 
 def _per_value_csv(path, names, columns):
