@@ -36,24 +36,26 @@ _EXPORTS = {
         "tf_residual",
         "tf_to_ss",
     ),
-    "adrc": (
+    "design": (
         "AdrcDesign",
+        "PidParams",
+        "equivalent_params",
+        "pidf_from_adrc",
+        "pif_from_adrc",
+        "tune_first_order",
+        "tune_second_order",
+    ),
+    "adrc": (
         "TwoInputController",
         "build_adrc",
         "extract_cr_cy",
         "observer_matrix",
-        "tune_first_order",
-        "tune_second_order",
     ),
     "pid_equiv": (
         "AsymptoteReport",
-        "PidParams",
         "build_equivalent_controller",
         "build_pidf_controller",
         "build_pif_controller",
-        "equivalent_params",
-        "pidf_from_adrc",
-        "pif_from_adrc",
         "reference_channel_gap",
         "verify_asymptotes",
     ),

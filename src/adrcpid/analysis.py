@@ -75,6 +75,15 @@ class PlantModel:
             (self.K,), (1.0, 2.0 * self.D * self.T, self.T**2)
         )
 
+    @cached_property
+    def canonical_tf(self) -> RationalTransferFunction:
+        """tf with a monic denominator, made once per plant, so that the gangs
+        of one plant share its polynomials and the roots found on them.
+
+        Made from the raw tf: canonicalizing twice is not a no-op.
+        """
+        return self.tf.canonicalized()
+
     def to_ss(self) -> StateSpaceModel:
         return tf_to_ss(self.tf)
 
@@ -156,7 +165,7 @@ def gang_of_seven(plant: PlantModel, c: TwoInputController) -> GangOfSeven:
     other member has nothing to cancel and is its product over the shared
     monic denominator, the bits tf_minreal would return.
     """
-    P = plant.tf.canonicalized()
+    P = plant.canonical_tf
     c_r, c_y = extract_cr_cy(c)
     np_, dp = P.num, P.den
     nr, nc, dc = c_r.num, c_y.num, c_y.den

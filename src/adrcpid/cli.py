@@ -19,17 +19,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
+from .design import AdrcDesign, PidParams, equivalent_params, equivalent_realization
 
-from .adrc import AdrcDesign, TwoInputController, build_adrc, extract_cr_cy
-from .lti import log_grid
-from .pid_equiv import PidParams, build_equivalent_controller, equivalent_params
-
-# Every command imports the above.  The layers only some commands run
-# (analysis, svg, verify, configparser) are imported by the functions that
+# Every command imports the above: the scalar design layer, which needs no
+# numpy.  numpy and the layers only some commands run (lti, adrc, pid_equiv,
+# analysis, svg, verify, configparser) are imported by the functions that
 # use them, so that a fresh process loads only what its command needs:
 # `tune` none of them, `figure` all but verify, `verify` all but svg.
 if TYPE_CHECKING:
+    import numpy as np
+
+    from .adrc import TwoInputController
     from .analysis import PlantModel, SweepResult
     from .svg import Series
 
@@ -83,6 +83,7 @@ class ExperimentConfig:
         """Build every object the config describes, so that bad input fails
         here, before any work, with the message of the type that owns the rule."""
         from .analysis import PlantModel, sweep_plants
+        from .lti import log_grid
 
         AdrcDesign(self.order, self.ts, self.g, self.b0)
         plant = PlantModel(2, self.plant_k, self.plant_t, self.plant_d)
@@ -184,6 +185,9 @@ SWEEP_FIELDS = {"K": "k_sweep", "T": "t_sweep"}
 
 
 def _controllers(cfg: ExperimentConfig, order: int) -> dict[str, TwoInputController]:
+    from .adrc import build_adrc
+    from .pid_equiv import build_equivalent_controller
+
     design = AdrcDesign(order, cfg.ts, cfg.g, cfg.b0)
     ctrls = {
         "adrc": build_adrc(design),
@@ -211,6 +215,8 @@ def _capped(values: np.ndarray) -> np.ndarray:
     A trace that overflows turns NaN from then on, so its tail keeps the
     direction in which it diverged.  A NaN with nothing before it is +CSV_CAP.
     """
+    import numpy as np
+
     v = np.clip(values, -CSV_CAP, CSV_CAP)
     nan = np.isnan(v)
     if nan.any():
@@ -220,6 +226,8 @@ def _capped(values: np.ndarray) -> np.ndarray:
 
 
 def _write_csv(path: Path, names: list[str], columns: list[np.ndarray]) -> None:
+    import numpy as np
+
     # one %-format for the whole body; "%.17g" prints the bytes of _fmt
     table = np.column_stack(columns)
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
@@ -279,6 +287,10 @@ def _figure_step(cfg: ExperimentConfig, order: int, parameter: str):
 
 
 def _figure_bode(cfg: ExperimentConfig, order: int):
+    import numpy as np
+
+    from .adrc import extract_cr_cy
+    from .lti import log_grid
     from .svg import Series, line_chart
 
     omega = log_grid(cfg.omega_min, cfg.omega_max, cfg.omega_points)
@@ -307,7 +319,10 @@ def _figure_bode(cfg: ExperimentConfig, order: int):
 
 
 def _figure_gang(cfg: ExperimentConfig, order: int):
+    import numpy as np
+
     from .analysis import gang_of_seven
+    from .lti import log_grid
     from .svg import Series, line_chart
 
     omega = log_grid(cfg.omega_min, cfg.omega_max, cfg.omega_points)
@@ -366,13 +381,11 @@ def write_figure(fig_id: int, cfg: ExperimentConfig) -> tuple[list[Path], list[s
     return _write_outputs(cfg, f"fig{fig_id}", names, columns, markup), notes
 
 
-def _print_matrix(name: str, m: np.ndarray) -> None:
-    body = np.array2string(
-        np.atleast_2d(m),
-        formatter={"float_kind": lambda v: format(v, ".10g")},
-        separator=", ",
-    )
-    print(f"  {name} = {body}")
+def _print_matrix(name: str, rows: tuple[tuple[float, ...], ...]) -> None:
+    # the layout of np.array2string with separator ", ": a realization row is
+    # far shorter than its 75-character wrap
+    body = ",\n ".join("[" + ", ".join(map(_sig, row)) + "]" for row in rows)
+    print(f"  {name} = [{body}]")
 
 
 # plant order -> (design name, design keys, PI(D) form, parameter keys) of the tune report
@@ -392,12 +405,9 @@ def cmd_tune(order: int, ts: float, g: float, b0: float) -> int:
     print(f"equivalent {form} parameters (filtered measurement, set-point weight b)")
     for key in param_keys:
         print(f"  {key:<2} = {_sig(getattr(params, key))}")
-    ctrl = build_equivalent_controller(params)
     print("state-space realization (inputs [r, y], output u)")
-    _print_matrix("A", ctrl.ss.A)
-    _print_matrix("B", ctrl.ss.B)
-    _print_matrix("C", ctrl.ss.C)
-    _print_matrix("D", ctrl.ss.D)
+    for name, rows in zip("ABCD", equivalent_realization(params)):
+        _print_matrix(name, rows)
     return EXIT_OK
 
 

@@ -1,0 +1,240 @@
+"""The tuning layer: ADRC designs, their equivalent PI(D)F parameters and
+the entries of the PI(D)F realizations, in scalar arithmetic.
+
+A design is fixed by the plant order n (1 or 2), the desired settling time
+T_s, the observer pole multiplier g, and the characteristic plant gain b0.
+Its gains and the paper's closed forms for the equivalent PI+F / PID+F
+parameters are plain floats, so this module needs neither numpy nor the LTI
+layer: ``adrcpid tune`` runs on it alone.  ``adrc`` and ``pid_equiv`` build
+controllers and transfer functions on top of it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .lti import RationalTransferFunction
+
+# omega_cl * T_s per plant order: the settling constants of the bandwidth rule
+SETTLING_CONSTANTS = {1: 4.0, 2: 6.0}
+
+# the rows of one matrix of a realization
+Rows = tuple[tuple[float, ...], ...]
+
+
+@dataclass(frozen=True)
+class AdrcDesign:
+    """Bandwidth-rule design for a plant of order n = 1 or 2.
+
+    The state feedback places the n closed-loop poles at -omega_cl, with
+    omega_cl = 4/T_s (n = 1) or 6/T_s (n = 2); the extended observer places
+    its n + 1 poles g times faster, at -g*omega_cl.  T_s and g must be
+    finite and positive, b0 finite and nonzero, of either sign, and together
+    they must give gains and equivalent PI(D) parameters that are finite and
+    nonzero in floating point.
+    """
+
+    order: int
+    T_s: float
+    g: float
+    b0: float = 1.0
+
+    def __post_init__(self):
+        if self.order not in SETTLING_CONSTANTS:
+            raise ValueError(f"order must be 1 or 2, got {self.order!r}")
+        for name, value in (("T_s", self.T_s), ("g", self.g)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not 0 < abs(self.b0) < math.inf:
+            raise ValueError(f"b0 must be finite and nonzero, got {self.b0!r}")
+        if not _representable(self):
+            # name g if the tuning fails even at T_s = b0 = 1, else T_s if it fails at b0 = 1
+            probes = (
+                ("g", _Unchecked(self.order, 1.0, self.g, 1.0)),
+                ("T_s", _Unchecked(self.order, self.T_s, self.g, 1.0)),
+                ("b0", self),
+            )
+            name = next(name for name, probe in probes if not _representable(probe))
+            raise ValueError(
+                f"{name}={getattr(self, name)!r} is out of range: the gains or equivalent PI(D) parameters "
+                f"of T_s={self.T_s!r}, g={self.g!r}, b0={self.b0!r} are not finite and nonzero"
+            )
+
+    @property
+    def omega_cl(self) -> float:
+        return SETTLING_CONSTANTS[self.order] / self.T_s
+
+    @property
+    def feedback_gains(self) -> tuple[float, ...]:
+        """k_i = C(n, i) omega_cl^(n-i) for i < n: (K_P,) or (K_P, K_D)."""
+        n, w = self.order, self.omega_cl
+        return tuple(math.comb(n, i) * w ** (n - i) for i in range(n))
+
+    @property
+    def observer_gains(self) -> tuple[float, ...]:
+        """l_i = C(n+1, i) (g omega_cl)^i for i = 1..n+1: (l1, l2[, l3])."""
+        n, w = self.order, self.omega_cl
+        # l1 is rounded as (C(n+1, 1) g) omega_cl, as in the written-out gains
+        # 2 g K_P and 3 g omega_cl; C(n+1, 1) (g omega_cl) can differ in the last bit
+        first = math.comb(n + 1, 1) * self.g * w
+        return (first, *(math.comb(n + 1, i) * (self.g * w) ** i for i in range(2, n + 2)))
+
+    @property
+    def K_P(self) -> float:
+        return self.feedback_gains[0]
+
+    @property
+    def K_D(self) -> float:
+        """Derivative feedback gain; second-order designs only."""
+        return self.feedback_gains[1]
+
+    @property
+    def l1(self) -> float:
+        return self.observer_gains[0]
+
+    @property
+    def l2(self) -> float:
+        return self.observer_gains[1]
+
+    @property
+    def l3(self) -> float:
+        """Third observer gain; second-order designs only."""
+        return self.observer_gains[2]
+
+
+class _Unchecked(AdrcDesign):
+    """A design whose tuning is not checked, to find which input breaks one."""
+
+    def __post_init__(self):
+        pass
+
+
+def _representable(design: AdrcDesign) -> bool:
+    """True if every gain and equivalent PI(D) parameter is finite and nonzero."""
+    # the closed forms themselves, not equivalent_params: checking a design is
+    # not a call of that layer, and a traced run should not count it as one
+    try:
+        p = (pif_from_adrc if design.order == 1 else pidf_from_adrc)(design)
+        values = (*design.feedback_gains, *design.observer_gains, p.kp, p.ki, p.Tf, p.b)
+        if design.order == 2:
+            values += (p.kd, p.d)
+    except (ArithmeticError, ValueError):  # a float power overflowed, or PidParams refused a value
+        return False
+    return all(map(math.isfinite, values)) and all(values)  # finite, and none is zero
+
+
+def tune_first_order(T_s: float, g: float, b0: float = 1.0) -> AdrcDesign:
+    return AdrcDesign(1, float(T_s), float(g), float(b0))
+
+
+def tune_second_order(T_s: float, g: float, b0: float = 1.0) -> AdrcDesign:
+    return AdrcDesign(2, float(T_s), float(g), float(b0))
+
+
+@dataclass(frozen=True)
+class PidParams:
+    """Filtered PI(D) with set-point weight b; kd = 0 selects the PI+F form.
+
+    PI+F filters the measurement with 1/(Tf s + 1).  PID+F filters it with
+    1/(Tf^2 s^2 + 2 d Tf s + 1), damping d, and its derivative term acts on
+    the filtered measurement only; the reference never enters it.  The
+    field order matches ``--compare-pid kp,ki,kd,Tf,b``; without a given
+    damping the second-order filter is critically damped.  All values must
+    be finite, and Tf and d positive.
+    """
+
+    kp: float
+    ki: float
+    kd: float
+    Tf: float
+    b: float
+    d: float = 1.0
+
+    def __post_init__(self):
+        for name, value in (("kp", self.kp), ("ki", self.ki), ("kd", self.kd), ("b", self.b)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name, value in (("Tf", self.Tf), ("d", self.d)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+    def feedback_tf(self) -> RationalTransferFunction:
+        """(kp + ki/s [+ kd s]) / filter, the measurement channel without sign."""
+        from .lti import RationalTransferFunction
+
+        if self.kd == 0.0:
+            return RationalTransferFunction.from_coeffs((self.ki, self.kp), (0.0, 1.0, self.Tf)).canonicalized()
+        return RationalTransferFunction.from_coeffs(
+            (self.ki, self.kp, self.kd),
+            (0.0, 1.0, 2.0 * self.d * self.Tf, self.Tf**2),
+        ).canonicalized()
+
+    def reference_tf(self) -> RationalTransferFunction:
+        """b*kp + ki/s, the set-point-weighted unfiltered reference channel."""
+        from .lti import RationalTransferFunction
+
+        return RationalTransferFunction.from_coeffs((self.ki, self.b * self.kp), (0.0, 1.0))
+
+
+def pif_from_adrc(design: AdrcDesign) -> PidParams:
+    """Exact PI+F match of the first-order design's measurement channel."""
+    T_s, g, b0 = design.T_s, design.g, design.b0
+    kp = (4.0 * g**2 + 8.0 * g) / (b0 * T_s * (2.0 * g + 1.0))
+    ki = 16.0 * g**2 / (b0 * T_s**2 * (2.0 * g + 1.0))
+    Tf = T_s / (8.0 * g + 4.0)
+    b = design.K_P / (b0 * kp)
+    return PidParams(kp=kp, ki=ki, kd=0.0, Tf=Tf, b=b)
+
+
+def pidf_from_adrc(design: AdrcDesign) -> PidParams:
+    """Exact PID+F match of the second-order design's measurement channel."""
+    T_s, g, b0 = design.T_s, design.g, design.b0
+    q = 3.0 * g**2 + 6.0 * g + 1.0
+    kp = (72.0 * g**3 + 108.0 * g**2) / (b0 * T_s**2 * q)
+    ki = 216.0 * g**3 / (b0 * T_s**3 * q)
+    kd = (6.0 * g**3 + 36.0 * g**2 + 18.0 * g) / (b0 * T_s * q)
+    Tf = T_s / (6.0 * math.sqrt(q))
+    d = (3.0 * g + 2.0) / (2.0 * math.sqrt(q))
+    b = 36.0 / (b0 * T_s**2 * kp)
+    return PidParams(kp=kp, ki=ki, kd=kd, Tf=Tf, b=b, d=d)
+
+
+def equivalent_params(design: AdrcDesign) -> PidParams:
+    """PI+F parameters of a first-order design, PID+F of a second-order one."""
+    return pif_from_adrc(design) if design.order == 1 else pidf_from_adrc(design)
+
+
+def pif_realization(p: PidParams) -> tuple[Rows, Rows, Rows, Rows]:
+    """(A, B, C, D) of the 2-state PI+F controller; x2 carries the filter, x1 the integral.
+
+    Inputs [r, y], output u.  Channels: y -> u equals -(kp + ki/s)/(Tf s + 1)
+    and r -> u equals b*kp + ki/s.
+    """
+    return (
+        ((0.0, -p.ki / p.Tf), (0.0, -1.0 / p.Tf)),
+        ((p.ki, 0.0), (0.0, 1.0)),
+        ((1.0, -p.kp / p.Tf),),
+        ((p.b * p.kp, 0.0),),
+    )
+
+
+def pidf_realization(p: PidParams) -> tuple[Rows, Rows, Rows, Rows]:
+    """(A, B, C, D) of the 3-state PID+F controller, state [-y_f, integral of (r - y_f), -dy_f/dt].
+
+    Inputs [r, y], output u.  Channels: y -> u equals
+    -(kp + ki/s + kd s)/(Tf^2 s^2 + 2 d Tf s + 1) and r -> u equals b*kp + ki/s.
+    """
+    return (
+        ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (-1.0 / p.Tf**2, 0.0, -2.0 * p.d / p.Tf)),
+        ((0.0, 0.0), (1.0, 0.0), (0.0, -1.0 / p.Tf**2)),
+        ((p.kp, p.ki, p.kd),),
+        ((p.b * p.kp, 0.0),),
+    )
+
+
+def equivalent_realization(p: PidParams) -> tuple[Rows, Rows, Rows, Rows]:
+    """PI+F realization when kd = 0, PID+F realization otherwise."""
+    return pif_realization(p) if p.kd == 0.0 else pidf_realization(p)

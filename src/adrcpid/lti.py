@@ -374,24 +374,29 @@ class StateSpaceModel:
         return self.C.shape[0]
 
     @cached_property
-    def resolvent(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """(char, (N_0, ..., N_{n-1})) of _resolvent(A), computed once and read-only."""
-        char, mats = _resolvent(self.A)
-        for m in (char, *mats):
-            m.setflags(write=False)
-        return char, tuple(mats)
+    def resolvent(self) -> tuple[np.ndarray, np.ndarray]:
+        """(char, N) of _resolvent(A), computed once and read-only.
+
+        A recursion past the float range gives inf or NaN without a warning;
+        ss_to_tf refuses the channels it reaches.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            char, mats = _resolvent(self.A)
+        char.setflags(write=False)
+        mats.setflags(write=False)
+        return char, mats
 
 
-def _resolvent(A: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def _resolvent(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Faddeev-LeVerrier recursion.
 
     Returns the characteristic polynomial of A (ascending, monic) and the
-    matrix coefficients N_k of adj(sI - A) = sum_k s**k N_k for k < n.
+    matrix coefficients N[k] of adj(sI - A) = sum_k s**k N[k] for k < n.
     """
     n = A.shape[0]
     char = np.zeros(n + 1)
     char[n] = 1.0
-    mats: list[np.ndarray] = [np.zeros((n, n))] * n
+    mats = np.zeros((n, n, n))
     M = np.eye(n)
     for k in range(1, n + 1):
         if k > 1:
@@ -405,6 +410,8 @@ def ss_to_tf(m: StateSpaceModel, input: int = 0, output: int = 0) -> RationalTra
     """Transfer function C (sI - A)^-1 B + D of one scalar channel.
 
     The resolvent of A is found once per model and shared by its channels.
+    A channel whose coefficients overflow is refused with a ValueError,
+    without a warning.
     """
     if not 0 <= input < m.n_inputs:
         raise IndexError("input index out of range")
@@ -415,9 +422,17 @@ def ss_to_tf(m: StateSpaceModel, input: int = 0, output: int = 0) -> RationalTra
     b = m.B[:, input]
     c = m.C[output, :]
     d = float(m.D[output, input])
-    num = d * char
-    for k in range(n):
-        num[k] += float(c @ mats[k] @ b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = d * char
+        for k in range(n):
+            num[k] += float(c @ mats[k] @ b)
+    num = num.tolist()
+    # this also refuses a non-finite char: char[k], k < n, enters num[k] = d*char[k] + c N[k] b,
+    # and d*inf is never finite
+    if not all(map(math.isfinite, num)):
+        raise ValueError(
+            "the controller transfer function at this tuning is not representable: its coefficients overflow"
+        )
     return RationalTransferFunction(Polynomial(tuple(num)), Polynomial(tuple(char))).canonicalized()
 
 

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adrc import AdrcDesign, build_adrc, extract_cr_cy, tune_first_order, tune_second_order
+from .adrc import build_adrc, extract_cr_cy
 from .analysis import PlantModel, closed_loop, gang_of_seven, s_plus_t_residual
+from .design import AdrcDesign, equivalent_params, pidf_from_adrc, tune_second_order
 from .lti import (
     RationalTransferFunction,
     log_grid,
@@ -22,12 +23,7 @@ from .lti import (
     tf_neg,
     tf_residual,
 )
-from .pid_equiv import (
-    build_equivalent_controller,
-    equivalent_params,
-    pidf_from_adrc,
-    verify_asymptotes,
-)
+from .pid_equiv import build_equivalent_controller, verify_asymptotes
 
 EQUIVALENCE_GRID_TS = (0.5, 1.0, 2.0)
 EQUIVALENCE_GRID_G = (2.0, 5.0, 10.0, 20.0)
@@ -74,8 +70,7 @@ def _cr_closed_form(design: AdrcDesign) -> RationalTransferFunction:
     )
 
 
-def _gang_of_four_identity(order: int, ts: float, g: float, b0: float, plant: PlantModel) -> float:
-    design = AdrcDesign(order, ts, g, b0)
+def _gang_of_four_identity(design: AdrcDesign, plant: PlantModel) -> float:
     g7_adrc = gang_of_seven(plant, build_adrc(design))
     g7_equiv = gang_of_seven(plant, build_equivalent_controller(equivalent_params(design)))
     omega = log_grid(GANG_OMEGA_LO, GANG_OMEGA_HI, GANG_OMEGA_POINTS)
@@ -87,8 +82,7 @@ def _gang_of_four_identity(order: int, ts: float, g: float, b0: float, plant: Pl
     return worst
 
 
-def _realization_fidelity(order: int, ts: float, g: float, b0: float) -> float:
-    design = AdrcDesign(order, ts, g, b0)
+def _realization_fidelity(design: AdrcDesign) -> float:
     params = equivalent_params(design)
     ctrl = build_equivalent_controller(params)
     y_channel = tf_minreal(ss_to_tf(ctrl.ss, 1, 0), FIDELITY_MINREAL_TOL)
@@ -121,10 +115,9 @@ def _filter_damping_range() -> float:
     return max(violation, min_offset)
 
 
-def _settling_time(ts: float, g: float, b0: float, plant: PlantModel, band: float = 0.02) -> float:
-    design = tune_first_order(ts, g, b0)
+def _settling_time(design: AdrcDesign, plant: PlantModel, band: float = 0.02) -> float:
     loop = closed_loop(plant, build_adrc(design))
-    table = step_response(loop, input=0, t_end=3.0 * ts, n_steps=6000)
+    table = step_response(loop, input=0, t_end=3.0 * design.T_s, n_steps=6000)
     y = table.columns["y"]
     outside = np.nonzero(np.abs(y - 1.0) > band)[0]
     if outside.size == 0:
@@ -146,18 +139,19 @@ def run_verification(
     only; any value other than 1 must make those checks fail, which is the
     self-test that the suite actually detects mismatches.
     """
+    # both designs first, so that a tuning out of range at either order is
+    # refused before any work
+    design1, design2 = (AdrcDesign(order, ts, g, b0) for order in (1, 2))
     checks: list[VerificationCheck] = []
     add = checks.append
 
     add(VerificationCheck("cy_equivalence_order1", _cy_equivalence(1, perturb_b0), 1e-9))
     add(VerificationCheck("cy_equivalence_order2", _cy_equivalence(2, perturb_b0), 1e-9))
 
-    design1 = tune_first_order(ts, g, b0)
     c_r, _ = extract_cr_cy(build_adrc(design1))
     add(VerificationCheck("cr_closed_form_order1", tf_residual(c_r, _cr_closed_form(design1)), 1e-9))
 
-    for order in (1, 2):
-        design = AdrcDesign(order, ts, g, b0)
+    for order, design in ((1, design1), (2, design2)):
         report = verify_asymptotes(design, equivalent_params(design))
         for check in report.checks:
             tag = "low" if "low" in check.name else "high"
@@ -167,21 +161,21 @@ def run_verification(
     K = math.copysign(1.0, b0)
     plant1 = PlantModel(order=1, K=K, T=1.0)
     plant2 = PlantModel(order=2, K=K, T=1.0, D=1.0)
-    add(VerificationCheck("gang_of_four_identity_order1", _gang_of_four_identity(1, ts, g, b0, plant1), 1e-8))
-    add(VerificationCheck("gang_of_four_identity_order2", _gang_of_four_identity(2, ts, g, b0, plant2), 1e-8))
+    add(VerificationCheck("gang_of_four_identity_order1", _gang_of_four_identity(design1, plant1), 1e-8))
+    add(VerificationCheck("gang_of_four_identity_order2", _gang_of_four_identity(design2, plant2), 1e-8))
 
-    g7_1 = gang_of_seven(plant1, build_adrc(tune_first_order(ts, g, b0)))
-    g7_2 = gang_of_seven(plant2, build_adrc(tune_second_order(ts, g, b0)))
+    g7_1 = gang_of_seven(plant1, build_adrc(design1))
+    g7_2 = gang_of_seven(plant2, build_adrc(design2))
     add(VerificationCheck("s_plus_t_identity_order1", s_plus_t_residual(g7_1), 1e-9))
     add(VerificationCheck("s_plus_t_identity_order2", s_plus_t_residual(g7_2), 1e-9))
 
-    add(VerificationCheck("realization_fidelity_pif", _realization_fidelity(1, ts, g, b0), 1e-9))
-    add(VerificationCheck("realization_fidelity_pidf", _realization_fidelity(2, ts, g, b0), 1e-9))
+    add(VerificationCheck("realization_fidelity_pif", _realization_fidelity(design1), 1e-9))
+    add(VerificationCheck("realization_fidelity_pidf", _realization_fidelity(design2), 1e-9))
 
     add(VerificationCheck("setpoint_weight_consistency_order1", _setpoint_weight_consistency(1), 1e-12))
     add(VerificationCheck("setpoint_weight_consistency_order2", _setpoint_weight_consistency(2), 1e-12))
 
     add(VerificationCheck("filter_damping_range", _filter_damping_range(), 1e-3))
-    add(VerificationCheck("settling_time_nominal_order1", _settling_time(ts, g, b0, plant1), 1.3 * ts))
+    add(VerificationCheck("settling_time_nominal_order1", _settling_time(design1, plant1), 1.3 * ts))
 
     return checks

@@ -341,6 +341,19 @@ class TestSharedWorkCounts:
         assert outside == []
         assert 0 < len(inside) <= len(minreal_calls)
 
+    def test_two_gangs_of_one_plant_find_its_roots_once(self, monkeypatch, default_order2):
+        design, _ = default_order2
+        # T != 1, so that each canonicalization of the plant makes a new denominator
+        plant = PlantModel(order=2, K=1.0, T=2.0, D=0.7)
+        dp = plant.tf.canonicalized().den
+        dp_column = -np.array(dp.coeffs[:-1]) / dp.coeffs[-1]  # last column of its companion matrix
+        companions = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: companions.append(m.copy()) or eigvals(m))
+        for ctrl in (build_adrc(design), build_equivalent_controller(equivalent_params(design))):
+            gang_of_seven(plant, ctrl)
+        assert sum(m.shape == (2, 2) and np.array_equal(m[:, -1], dp_column) for m in companions) == 1
+
 
 class TestLoopMeasures:
     def test_margins_against_analytic_oracle(self):

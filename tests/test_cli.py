@@ -1,10 +1,12 @@
 import csv
+import io
 import math
 import re
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
-from conftest import TUNINGS, fresh_python
+from conftest import TUNINGS, fresh_python, log_uniform
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,6 +21,8 @@ from adrcpid.cli import (
     main,
     write_figure,
 )
+from adrcpid.design import AdrcDesign, equivalent_params, equivalent_realization
+from adrcpid.pid_equiv import build_equivalent_controller
 
 
 def parse_report(stdout: str) -> dict[str, float]:
@@ -76,6 +80,25 @@ class TestConfig:
             ExperimentConfig(compare_pid=(1.0, 2.0, 0.0, -1.0, 0.5)).validate()
 
 
+# tunings far outside the aim-3 range; many of them are refused with exit 2
+EXTREME_TUNINGS = st.tuples(
+    st.sampled_from((1, 2)),
+    log_uniform(1e-160, 1e160),
+    log_uniform(1e-3, 1e60),
+    st.builds(lambda sign, mag: sign * mag, st.sampled_from((-1.0, 1.0)), log_uniform(1e-160, 1e160)),
+)
+
+
+def _array2string_matrix(name: str, m: np.ndarray) -> str:
+    """The printer cmd_tune replaced: one np.array2string per realization matrix."""
+    body = np.array2string(
+        np.atleast_2d(m),
+        formatter={"float_kind": lambda v: format(v, ".10g")},
+        separator=", ",
+    )
+    return f"  {name} = {body}\n"
+
+
 class TestTuneCommand:
     def test_first_order_values(self, capsys):
         assert main(["tune", "--order", "1", "--ts", "1", "--g", "10", "--b0", "1"]) == EXIT_OK
@@ -128,6 +151,25 @@ class TestTuneCommand:
         split = report.index(f"equivalent {form} parameters (filtered measurement, set-point weight b)")
         for lines, keys in ((report[1:split], design_keys), (report[split + 1 :], param_keys)):
             assert [line.split("=")[0].rstrip() for line in lines] == [f"  {key}" for key in keys]
+
+    @given(tuning=st.one_of(TUNINGS, EXTREME_TUNINGS))
+    def test_realization_prints_as_array2string_of_the_controller(self, tuning):
+        order, ts, g, b0 = tuning
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["tune", f"--order={order}", f"--ts={ts!r}", f"--g={g!r}", f"--b0={b0!r}"])
+        try:
+            params = equivalent_params(AdrcDesign(order, ts, g, b0))
+        except ValueError:
+            assert (code, out.getvalue()) == (EXIT_BAD_ARGS, "")
+            return
+        assert code == EXIT_OK
+        ss = build_equivalent_controller(params).ss
+        # the printed entries are the controller's, bit for bit
+        for rows, m in zip(equivalent_realization(params), (ss.A, ss.B, ss.C, ss.D)):
+            assert np.array(rows).tobytes() == m.tobytes()
+        realization = out.getvalue().split("state-space realization (inputs [r, y], output u)\n")[1]
+        assert realization == "".join(_array2string_matrix(name, getattr(ss, name)) for name in "ABCD")
 
 
 class TestFigureCommand:
@@ -405,8 +447,10 @@ class TestCommandsAgree:
 
 
 HEAVY_MODULES = ("scipy", "urllib.request", "numpy.polynomial")
+# the modules that `figure`, `sweep` and `verify` run and `tune` does not
+NUMERIC_MODULES = ("numpy", "adrcpid.lti", "adrcpid.adrc", "adrcpid.pid_equiv")
 # the modules that only some commands run
-LAYER_MODULES = ("adrcpid.analysis", "adrcpid.svg", "adrcpid.verify", "configparser")
+LAYER_MODULES = (*NUMERIC_MODULES, "adrcpid.analysis", "adrcpid.svg", "adrcpid.verify", "configparser")
 
 
 def test_cli_import_leaves_out_scipy_and_urllib():
@@ -421,8 +465,8 @@ def test_cli_import_leaves_out_scipy_and_urllib():
     "argv, loaded",
     [
         (["tune", "--order", "2", "--ts", "1", "--g", "10"], ()),
-        (["figure", "3"], ("adrcpid.analysis", "adrcpid.svg", "configparser")),
-        (["verify"], ("adrcpid.analysis", "adrcpid.verify")),
+        (["figure", "3"], (*NUMERIC_MODULES, "adrcpid.analysis", "adrcpid.svg", "configparser")),
+        (["verify"], (*NUMERIC_MODULES, "adrcpid.analysis", "adrcpid.verify")),
     ],
     ids=["tune", "figure", "verify"],
 )
@@ -452,8 +496,29 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
             "error: the step response at this tuning is not representable: "
             "the model's exponential over one sample time overflows\n",
         ),
+        # the controller's characteristic polynomial overflows; no warning, one refusal
+        (
+            ["figure", "3", "--ts", "1e-110"],
+            EXIT_BAD_ARGS,
+            "error: the controller transfer function at this tuning is not representable: "
+            "its coefficients overflow\n",
+        ),
+        (
+            ["verify", "--ts", "1e-100", "--g", "1", "--b0", "1"],
+            EXIT_BAD_ARGS,
+            "error: the controller transfer function at this tuning is not representable: "
+            "its coefficients overflow\n",
+        ),
+        # order 1 accepts this tuning, order 2 does not: refused before any order-1 work
+        (
+            ["verify", "--ts", "1e-150", "--g", "1", "--b0", "1"],
+            EXIT_BAD_ARGS,
+            "error: T_s=1e-150 is out of range: the gains or equivalent PI(D) parameters "
+            "of T_s=1e-150, g=1.0, b0=1.0 are not finite and nonzero\n",
+        ),
     ],
-    ids=["tune", "figure-exponential-overflow"],
+    ids=["tune", "figure-exponential-overflow", "figure-controller-overflow", "verify-controller-overflow",
+         "verify-order2-out-of-range"],
 )
 def test_command_runs_clean_with_warnings_as_errors(tmp_path, argv, code, err):
     if argv[0] == "figure":

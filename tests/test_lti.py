@@ -225,6 +225,23 @@ class TestSsToTf:
         with pytest.raises(IndexError):
             ss_to_tf(m, input=1)
 
+    @pytest.mark.parametrize(
+        "A, B, C, D",
+        [
+            # trace(A @ N_0) = 2e400: the characteristic polynomial overflows, and with d = 0
+            ([[1e200, 0.0], [0.0, 1e200]], [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]]),
+            ([[math.inf]], [[1.0]], [[1.0]], [[0.0]]),
+            # a finite resolvent, but c N_0 b = 1e600
+            ([[-1.0]], [[1e300]], [[1e300]], [[0.0]]),
+            ([[-1.0]], [[1.0]], [[1.0]], [[math.nan]]),
+        ],
+    )
+    def test_overflow_refused_without_a_warning(self, A, B, C, D):
+        # the suite turns warnings into errors, so a warning fails here too
+        m = StateSpaceModel(A, B, C, D)
+        with pytest.raises(ValueError, match="transfer function at this tuning is not representable: its coefficients"):
+            ss_to_tf(m)
+
 
 class TestTfToSs:
     def test_first_order_lag(self):

@@ -1,3 +1,4 @@
+import importlib
 import re
 import sys
 from contextlib import redirect_stdout
@@ -43,6 +44,27 @@ def test_import_loads_no_submodule():
     code = "import sys, adrcpid; print(*sorted(m for m in sys.modules if m.startswith('adrcpid.')))"
     done = fresh_python("-c", code)
     assert (done.returncode, done.stderr, done.stdout.split()) == (0, "", [])
+
+
+def test_design_layer_loads_no_numpy_and_no_other_module():
+    code = "import sys, adrcpid.design; print(*sorted(m for m in sys.modules if m == 'numpy' or m.startswith('adrcpid.')))"
+    done = fresh_python("-c", code)
+    assert (done.returncode, done.stderr, done.stdout.split()) == (0, "", ["adrcpid.design"])
+
+
+@pytest.mark.parametrize(
+    "module, names",
+    [
+        ("adrc", ("AdrcDesign", "tune_first_order", "tune_second_order")),
+        ("pid_equiv", ("PidParams", "equivalent_params", "pif_from_adrc", "pidf_from_adrc")),
+    ],
+)
+def test_design_names_are_still_importable_from_their_old_modules(module, names):
+    from adrcpid import design
+
+    old = importlib.import_module(f"adrcpid.{module}")
+    for name in names:
+        assert getattr(old, name) is getattr(design, name)
 
 
 def test_readme_quick_start_runs_as_written():
