@@ -27,12 +27,9 @@ _EXPORTS = {
         "StepResponseTable",
         "is_stable",
         "log_grid",
-        "poles",
         "ss_to_tf",
         "step_response",
-        "tf_add",
         "tf_minreal",
-        "tf_multiply",
         "tf_residual",
         "tf_to_ss",
     ),
@@ -52,10 +49,7 @@ _EXPORTS = {
         "observer_matrix",
     ),
     "pid_equiv": (
-        "AsymptoteReport",
         "build_equivalent_controller",
-        "build_pidf_controller",
-        "build_pif_controller",
         "reference_channel_gap",
         "verify_asymptotes",
     ),

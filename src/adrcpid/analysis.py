@@ -50,7 +50,9 @@ class PlantModel:
     """First- or second-order lag: K/(T s + 1) or K/(T^2 s^2 + 2 D T s + 1).
 
     K must be finite, T finite and positive; a second-order plant needs a
-    finite, positive damping D.
+    finite, positive damping D.  Together they must give coefficients that
+    are finite, as written and over a monic denominator, and denominator
+    coefficients that are nonzero.
     """
 
     order: int
@@ -66,14 +68,19 @@ class PlantModel:
         for name, value in (("T", self.T), ("D", self.D))[: self.order]:
             if value is None or not 0 < value < math.inf:
                 raise ValueError(f"plant {name} must be finite and > 0, got {value!r}")
+        if not _plant_representable(self.order, self.K, self.T, self.D):
+            # name T if the plant fails even at K = D = 1, else D if it fails at K = 1
+            probes = (("T", 1.0, 1.0), ("D", 1.0, self.D), ("K", self.K, self.D))
+            name = next(name for name, K, D in probes if not _plant_representable(self.order, K, self.T, D))
+            inputs = ", ".join(f"{key}={getattr(self, key)!r}" for key in ("K", "T", "D")[: self.order + 1])
+            raise ValueError(
+                f"plant {name}={getattr(self, name)!r} is out of range: the transfer function of {inputs} "
+                "has a coefficient that is not finite or a denominator coefficient that is zero"
+            )
 
     @cached_property
     def tf(self) -> RationalTransferFunction:
-        if self.order == 1:
-            return RationalTransferFunction.from_coeffs((self.K,), (1.0, self.T))
-        return RationalTransferFunction.from_coeffs(
-            (self.K,), (1.0, 2.0 * self.D * self.T, self.T**2)
-        )
+        return RationalTransferFunction.from_coeffs(*_plant_coeffs(self.order, self.K, self.T, self.D))
 
     @cached_property
     def canonical_tf(self) -> RationalTransferFunction:
@@ -86,6 +93,25 @@ class PlantModel:
 
     def to_ss(self) -> StateSpaceModel:
         return tf_to_ss(self.tf)
+
+
+def _plant_coeffs(order: int, K: float, T: float, D: float | None) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(num, den) of the plant as written, before the polynomials trim them."""
+    if order == 1:
+        return (K,), (1.0, T)
+    return (K,), (1.0, 2.0 * D * T, T**2)
+
+
+def _plant_representable(order: int, K: float, T: float, D: float | None) -> bool:
+    """True if the plant's coefficients, as written and over a monic denominator,
+    are finite, and its denominator coefficients nonzero."""
+    try:
+        num, den = _plant_coeffs(order, K, T, D)
+        inv = 1.0 / den[-1]
+    except ArithmeticError:  # T**2 overflowed, or underflowed to zero
+        return False
+    monic = tuple(c * inv for c in den)
+    return all(map(math.isfinite, (*num, *den, *monic, *(c * inv for c in num)))) and all(den + monic)
 
 
 def closed_loop(plant: PlantModel, c: TwoInputController) -> StateSpaceModel:

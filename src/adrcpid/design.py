@@ -207,34 +207,25 @@ def equivalent_params(design: AdrcDesign) -> PidParams:
     return pif_from_adrc(design) if design.order == 1 else pidf_from_adrc(design)
 
 
-def pif_realization(p: PidParams) -> tuple[Rows, Rows, Rows, Rows]:
-    """(A, B, C, D) of the 2-state PI+F controller; x2 carries the filter, x1 the integral.
+def equivalent_realization(p: PidParams) -> tuple[Rows, Rows, Rows, Rows]:
+    """(A, B, C, D) of the PI+F controller when kd = 0, of the PID+F controller otherwise.
 
-    Inputs [r, y], output u.  Channels: y -> u equals -(kp + ki/s)/(Tf s + 1)
-    and r -> u equals b*kp + ki/s.
+    Inputs [r, y], output u; the r -> u channel equals b*kp + ki/s.  PI+F has
+    2 states, x2 the filter and x1 the integral; its y -> u channel equals
+    -(kp + ki/s)/(Tf s + 1).  PID+F has 3 states [-y_f, integral of
+    (r - y_f), -dy_f/dt]; its y -> u channel equals
+    -(kp + ki/s + kd s)/(Tf^2 s^2 + 2 d Tf s + 1).
     """
-    return (
-        ((0.0, -p.ki / p.Tf), (0.0, -1.0 / p.Tf)),
-        ((p.ki, 0.0), (0.0, 1.0)),
-        ((1.0, -p.kp / p.Tf),),
-        ((p.b * p.kp, 0.0),),
-    )
-
-
-def pidf_realization(p: PidParams) -> tuple[Rows, Rows, Rows, Rows]:
-    """(A, B, C, D) of the 3-state PID+F controller, state [-y_f, integral of (r - y_f), -dy_f/dt].
-
-    Inputs [r, y], output u.  Channels: y -> u equals
-    -(kp + ki/s + kd s)/(Tf^2 s^2 + 2 d Tf s + 1) and r -> u equals b*kp + ki/s.
-    """
+    if p.kd == 0.0:
+        return (
+            ((0.0, -p.ki / p.Tf), (0.0, -1.0 / p.Tf)),
+            ((p.ki, 0.0), (0.0, 1.0)),
+            ((1.0, -p.kp / p.Tf),),
+            ((p.b * p.kp, 0.0),),
+        )
     return (
         ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (-1.0 / p.Tf**2, 0.0, -2.0 * p.d / p.Tf)),
         ((0.0, 0.0), (1.0, 0.0), (0.0, -1.0 / p.Tf**2)),
         ((p.kp, p.ki, p.kd),),
         ((p.b * p.kp, 0.0),),
     )
-
-
-def equivalent_realization(p: PidParams) -> tuple[Rows, Rows, Rows, Rows]:
-    """PI+F realization when kd = 0, PID+F realization otherwise."""
-    return pif_realization(p) if p.kd == 0.0 else pidf_realization(p)

@@ -1,8 +1,8 @@
 """Scalar continuous-time LTI primitives.
 
-Polynomial and rational transfer-function arithmetic, state-space models,
-conversions between the two, and exact step-response simulation via
-zero-order-hold discretization.
+Polynomial sums and products, rational transfer functions (evaluation,
+negation, monic normalization, cancellation), state-space models,
+conversions between the two, and exact step responses via zero-order hold.
 
 Coefficient convention used everywhere in this package: polynomials store
 ascending powers of s, i.e. ``coeffs[k]`` multiplies ``s**k``.
@@ -82,25 +82,15 @@ class Polynomial:
             value = c[-k] + value * s
         return value
 
-    # +, - and * give the bits of numpy's polyadd, polysub and polymul without
-    # their series conversion: the longer operand is copied and the shorter
-    # one added into its prefix, and products are plain convolutions.
+    # + and * give the bits of numpy's polyadd and polymul without their
+    # series conversion: the longer operand is copied and the shorter one
+    # added into its prefix, and products are plain convolutions.
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) <= len(b):
             a, b = b, a
         out = np.array(a)
         out[: len(b)] += b
-        return Polynomial(out.tolist())
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            out = np.array(a)
-            out[: len(b)] -= b
-        else:
-            out = -np.array(b)
-            out[: len(a)] += a
         return Polynomial(out.tolist())
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
@@ -136,13 +126,6 @@ class Polynomial:
         r.setflags(write=False)
         return r
 
-    @staticmethod
-    def from_roots(roots: Sequence[complex], leading: float = 1.0) -> "Polynomial":
-        from numpy.polynomial.polynomial import polyfromroots
-
-        base = polyfromroots(np.asarray(roots, dtype=complex))
-        return Polynomial(tuple(np.real(base) * leading))
-
 
 @dataclass(frozen=True)
 class RationalTransferFunction:
@@ -158,10 +141,6 @@ class RationalTransferFunction:
     @classmethod
     def from_coeffs(cls, num: Sequence[float], den: Sequence[float]) -> "RationalTransferFunction":
         return cls(Polynomial(tuple(num)), Polynomial(tuple(den)))
-
-    @classmethod
-    def constant(cls, value: float) -> "RationalTransferFunction":
-        return cls.from_coeffs((float(value),), (1.0,))
 
     def __call__(self, s):
         return self.num(s) / self.den(s)
@@ -186,53 +165,9 @@ class RationalTransferFunction:
     def poles(self) -> np.ndarray:
         return self.den.roots()
 
-    def zeros(self) -> np.ndarray:
-        return self.num.roots() if not self.num.is_zero else np.array([], dtype=complex)
-
-    def __mul__(self, other):
-        return tf_multiply(self, _as_tf(other))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return tf_add(self, _as_tf(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return tf_add(self, tf_neg(_as_tf(other)))
-
-    def __neg__(self):
-        return tf_neg(self)
-
-    def __truediv__(self, other):
-        return tf_multiply(self, tf_inverse(_as_tf(other)))
-
-
-def _as_tf(value) -> RationalTransferFunction:
-    if isinstance(value, RationalTransferFunction):
-        return value
-    return RationalTransferFunction.constant(value)
-
-
-def tf_multiply(a: RationalTransferFunction, b: RationalTransferFunction) -> RationalTransferFunction:
-    """Product of two transfer functions; no implicit pole-zero cancellation."""
-    return RationalTransferFunction(a.num * b.num, a.den * b.den).canonicalized()
-
-
-def tf_add(a: RationalTransferFunction, b: RationalTransferFunction) -> RationalTransferFunction:
-    """Cross-multiplied sum; no implicit cancellation."""
-    return RationalTransferFunction(a.num * b.den + b.num * a.den, a.den * b.den).canonicalized()
-
 
 def tf_neg(a: RationalTransferFunction) -> RationalTransferFunction:
     return RationalTransferFunction(a.num.scaled(-1.0), a.den).canonicalized()
-
-
-def tf_inverse(a: RationalTransferFunction) -> RationalTransferFunction:
-    if a.num.is_zero:
-        raise ZeroDivisionError("cannot invert a zero transfer function")
-    return RationalTransferFunction(a.den, a.num).canonicalized()
 
 
 def _divide_out(p: Polynomial, roots: list[complex]) -> Polynomial:
@@ -623,26 +558,9 @@ def step_response(m: StateSpaceModel, input: int = 0, t_end: float = 10.0, n_ste
     return StepResponseTable(t, cols)
 
 
-def poles(a) -> np.ndarray:
-    """Poles of a transfer function (denominator roots) or model (eig(A))."""
-    if isinstance(a, StateSpaceModel):
-        if a.n_states == 0:
-            return np.array([], dtype=complex)
-        return np.linalg.eigvals(a.A)
-    if a.den.degree < 1:
-        raise ValueError("zero-degree denominator has no poles")
-    return a.poles()
-
-
-def is_stable(a) -> bool:
-    """True iff every pole has strictly negative real part."""
-    if isinstance(a, StateSpaceModel):
-        p = poles(a)
-    elif a.den.degree < 1:
-        return True
-    else:
-        p = a.poles()
-    return bool(np.all(p.real < 0)) if p.size else True
+def is_stable(m: StateSpaceModel) -> bool:
+    """True iff every eigenvalue of A has strictly negative real part."""
+    return m.n_states == 0 or bool(np.all(np.linalg.eigvals(m.A).real < 0))
 
 
 def log_grid(lo: float = 1e-2, hi: float = 1e4, n: int = 600) -> np.ndarray:

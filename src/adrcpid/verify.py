@@ -6,6 +6,7 @@ tolerance, so the command can print one machine-readable line per check.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .adrc import build_adrc, extract_cr_cy
 from .analysis import PlantModel, closed_loop, gang_of_seven, s_plus_t_residual
-from .design import AdrcDesign, equivalent_params, pidf_from_adrc, tune_second_order
+from .design import AdrcDesign, PidParams, equivalent_params, pidf_from_adrc, tune_second_order
 from .lti import (
     RationalTransferFunction,
     log_grid,
@@ -28,6 +29,7 @@ from .pid_equiv import build_equivalent_controller, verify_asymptotes
 EQUIVALENCE_GRID_TS = (0.5, 1.0, 2.0)
 EQUIVALENCE_GRID_G = (2.0, 5.0, 10.0, 20.0)
 EQUIVALENCE_GRID_B0 = (0.5, 1.0, 3.0)
+EQUIVALENCE_GRID = tuple(itertools.product(EQUIVALENCE_GRID_TS, EQUIVALENCE_GRID_G, EQUIVALENCE_GRID_B0))
 
 GANG_OMEGA_LO = 1e-2
 GANG_OMEGA_HI = 1e3
@@ -51,15 +53,27 @@ class VerificationCheck:
         return self.residual < self.tol
 
 
-def _cy_equivalence(order: int, perturb_b0: float) -> float:
+def _perturbed_params(order: int, perturb_b0: float) -> list[PidParams]:
+    """equivalent_params over EQUIVALENCE_GRID with b0 scaled by perturb_b0.
+
+    A perturb_b0 that takes any b0 of the grid out of range is refused whole.
+    """
+    if not 0 < abs(perturb_b0) < math.inf:
+        raise ValueError(f"perturb_b0 must be finite and nonzero, got {perturb_b0!r}")
+    try:
+        return [equivalent_params(AdrcDesign(order, ts, g, b0 * perturb_b0)) for ts, g, b0 in EQUIVALENCE_GRID]
+    except ValueError:
+        raise ValueError(
+            f"perturb_b0={perturb_b0!r} is out of range: scaled by it, the b0 of the equivalence grid "
+            "give gains or equivalent PI(D) parameters that are not finite and nonzero"
+        ) from None
+
+
+def _cy_equivalence(order: int, perturbed: list[PidParams]) -> float:
     worst = 0.0
-    for ts in EQUIVALENCE_GRID_TS:
-        for g in EQUIVALENCE_GRID_G:
-            for b0 in EQUIVALENCE_GRID_B0:
-                design = AdrcDesign(order, ts, g, b0)
-                params = equivalent_params(AdrcDesign(order, ts, g, b0 * perturb_b0))
-                _, c_y = extract_cr_cy(build_adrc(design))
-                worst = max(worst, tf_residual(c_y, params.feedback_tf()))
+    for (ts, g, b0), params in zip(EQUIVALENCE_GRID, perturbed):
+        _, c_y = extract_cr_cy(build_adrc(AdrcDesign(order, ts, g, b0)))
+        worst = max(worst, tf_residual(c_y, params.feedback_tf()))
     return worst
 
 
@@ -95,14 +109,11 @@ def _realization_fidelity(design: AdrcDesign) -> float:
 
 def _setpoint_weight_consistency(order: int) -> float:
     worst = 0.0
-    for ts in EQUIVALENCE_GRID_TS:
-        for g in EQUIVALENCE_GRID_G:
-            for b0 in EQUIVALENCE_GRID_B0:
-                design = AdrcDesign(order, ts, g, b0)
-                params = equivalent_params(design)
-                expected = 4.0 / ts if order == 1 else 36.0 / ts**2
-                got = params.b * params.kp * b0
-                worst = max(worst, abs(got - expected) / expected)
+    for ts, g, b0 in EQUIVALENCE_GRID:
+        params = equivalent_params(AdrcDesign(order, ts, g, b0))
+        expected = 4.0 / ts if order == 1 else 36.0 / ts**2
+        got = params.b * params.kp * b0
+        worst = max(worst, abs(got - expected) / expected)
     return worst
 
 
@@ -139,23 +150,23 @@ def run_verification(
     only; any value other than 1 must make those checks fail, which is the
     self-test that the suite actually detects mismatches.
     """
-    # both designs first, so that a tuning out of range at either order is
-    # refused before any work
+    # both designs and the perturbed grid first, so that a tuning or a
+    # perturb_b0 out of range is refused before any work
     design1, design2 = (AdrcDesign(order, ts, g, b0) for order in (1, 2))
+    perturbed1, perturbed2 = (_perturbed_params(order, perturb_b0) for order in (1, 2))
     checks: list[VerificationCheck] = []
     add = checks.append
 
-    add(VerificationCheck("cy_equivalence_order1", _cy_equivalence(1, perturb_b0), 1e-9))
-    add(VerificationCheck("cy_equivalence_order2", _cy_equivalence(2, perturb_b0), 1e-9))
+    add(VerificationCheck("cy_equivalence_order1", _cy_equivalence(1, perturbed1), 1e-9))
+    add(VerificationCheck("cy_equivalence_order2", _cy_equivalence(2, perturbed2), 1e-9))
 
     c_r, _ = extract_cr_cy(build_adrc(design1))
     add(VerificationCheck("cr_closed_form_order1", tf_residual(c_r, _cr_closed_form(design1)), 1e-9))
 
     for order, design in ((1, design1), (2, design2)):
-        report = verify_asymptotes(design, equivalent_params(design))
-        for check in report.checks:
-            tag = "low" if "low" in check.name else "high"
-            add(VerificationCheck(f"asymptote_{tag}_order{order}", check.rel_mismatch, check.tol))
+        low, high = verify_asymptotes(design, equivalent_params(design))
+        add(VerificationCheck(f"asymptote_low_order{order}", low, 1e-4))
+        add(VerificationCheck(f"asymptote_high_order{order}", high, 1e-4))
 
     # nominal plants with the sign of b0, so that a negative b0 still gives negative feedback
     K = math.copysign(1.0, b0)

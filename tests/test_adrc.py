@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import TUNINGS
 from hypothesis import given, settings
+from numpy.polynomial.polynomial import polyfromroots
 
 from adrcpid.adrc import (
     AdrcDesign,
@@ -210,7 +211,7 @@ class TestObserverPoles:
         m = observer_matrix(d)
         pole = g * d.K_P
         char = np.poly(m)[::-1]  # ascending
-        expected = Polynomial.from_roots([-pole, -pole])
+        expected = Polynomial(tuple(polyfromroots([-pole, -pole])))
         assert poly_residual(Polynomial(tuple(char)), expected) < 1e-9
         eigs = np.linalg.eigvals(m)
         assert np.allclose(eigs.real, -pole, rtol=1e-6)
@@ -223,7 +224,7 @@ class TestObserverPoles:
         m = observer_matrix(d)
         pole = g * d.omega_cl
         char = np.poly(m)[::-1]
-        expected = Polynomial.from_roots([-pole, -pole, -pole])
+        expected = Polynomial(tuple(polyfromroots([-pole, -pole, -pole])))
         assert poly_residual(Polynomial(tuple(char)), expected) < 1e-9
         # a defective triple eigenvalue carries an O(eps^(1/3)) perturbation
         # under QR iteration, so the per-eigenvalue tolerance is looser

@@ -38,8 +38,6 @@ from adrcpid.lti import (
 from adrcpid.pid_equiv import (
     PidParams,
     build_equivalent_controller,
-    build_pidf_controller,
-    build_pif_controller,
     equivalent_params,
     pidf_from_adrc,
     pif_from_adrc,
@@ -55,7 +53,7 @@ def first_order():
         "design": d,
         "plant": PlantModel(order=1, K=1, T=1),
         "adrc": build_adrc(d),
-        "equiv": build_pif_controller(pif_from_adrc(d)),
+        "equiv": build_equivalent_controller(pif_from_adrc(d)),
     }
 
 
@@ -66,7 +64,7 @@ def second_order():
         "design": d,
         "plant": PlantModel(order=2, K=1, T=1, D=1),
         "adrc": build_adrc(d),
-        "equiv": build_pidf_controller(pidf_from_adrc(d)),
+        "equiv": build_equivalent_controller(pidf_from_adrc(d)),
     }
 
 
@@ -209,7 +207,7 @@ class TestGangOfSeven:
 
     def test_zero_measurement_channel_rejected(self, first_order):
         # C_y = 0 makes the denominator nc*chi of SF_r and PSF_r zero
-        c = build_pif_controller(PidParams(0.0, 0.0, 0.0, 0.1, 1.0))
+        c = build_equivalent_controller(PidParams(0.0, 0.0, 0.0, 0.1, 1.0))
         with pytest.raises(ValueError, match="denominator must not be the zero polynomial"):
             gang_of_seven(first_order["plant"], c)
 
@@ -355,6 +353,11 @@ class TestSharedWorkCounts:
         assert sum(m.shape == (2, 2) and np.array_equal(m[:, -1], dp_column) for m in companions) == 1
 
 
+def loop_tf(P, c_y):
+    """The loop transfer function P*C_y, its polynomials multiplied out."""
+    return RationalTransferFunction(P.num * c_y.num, P.den * c_y.den)
+
+
 class TestLoopMeasures:
     def test_margins_against_analytic_oracle(self):
         # L = 1/(s(s+1)(s+2)): phase hits -180 deg at omega = sqrt(2), where
@@ -368,7 +371,7 @@ class TestLoopMeasures:
     def test_first_order_loop_has_infinite_gain_margin(self, first_order):
         P = first_order["plant"].tf
         _, c_y = extract_cr_cy(first_order["adrc"])
-        m = loop_margins(P * c_y)
+        m = loop_margins(loop_tf(P, c_y))
         assert m.gain_margin == np.inf
         assert m.phase_margin_deg > 45
 
@@ -376,8 +379,8 @@ class TestLoopMeasures:
     def test_equal_margins_between_controllers(self, order, first_order, second_order):
         case = first_order if order == 1 else second_order
         P = case["plant"].tf
-        la = P * extract_cr_cy(case["adrc"])[1]
-        le = P * extract_cr_cy(case["equiv"])[1]
+        la = loop_tf(P, extract_cr_cy(case["adrc"])[1])
+        le = loop_tf(P, extract_cr_cy(case["equiv"])[1])
         ma, me = loop_margins(la), loop_margins(le)
         assert ma.phase_margin_deg == pytest.approx(me.phase_margin_deg, rel=1e-6)
         if np.isinf(ma.gain_margin):

@@ -371,6 +371,13 @@ class TestVerifyCommand:
         assert lines["asymptote_low_order1"].endswith("PASS")
         assert lines["gang_of_four_identity_order1"].endswith("PASS")
 
+    @pytest.mark.parametrize("value", ["0", "-0", "nan", "inf", "-inf", "1e-320", "1e320", "1e308"])
+    def test_bad_perturb_b0_rejected_before_any_check(self, capsys, value):
+        assert main(["verify", f"--perturb-b0={value}"]) == EXIT_BAD_ARGS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: perturb_b0") and captured.err.count("\n") == 1
+
     def test_negative_b0_mirrors_positive(self, capsys):
         # negating b0 and the plant gain K together only flips the controller states
         codes, outs = [], []
@@ -407,6 +414,10 @@ OTHER_REJECTS = [
     ("--compare-pid", "1,2,0,0,1", "Tf"),
     ("--compare-pid", "1,2,0,inf,1", "Tf"),
     ("--compare-pid", "nan,2,0,0.1,1", "kp"),
+    # finite, but the plant's coefficients overflow or underflow
+    ("--plant-t", "1e160", "plant T=1e+160 is out of range"),
+    ("--plant-t", "1e-320", "plant T=1e-320 is out of range"),
+    ("--plant-d", "1e308", "plant D=1e+308 is out of range"),
 ]
 REJECTED = [
     (command, *case)
@@ -516,12 +527,46 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
             "error: T_s=1e-150 is out of range: the gains or equivalent PI(D) parameters "
             "of T_s=1e-150, g=1.0, b0=1.0 are not finite and nonzero\n",
         ),
+        # a plant whose coefficients leave the float range: refused whole, naming the input
+        (
+            ["figure", "5", "--plant-t", "1e160"],
+            EXIT_BAD_ARGS,
+            "error: plant T=1e+160 is out of range: the transfer function of K=1.0, T=1e+160, D=1.0 "
+            "has a coefficient that is not finite or a denominator coefficient that is zero\n",
+        ),
+        (
+            ["figure", "8", "--plant-d", "1e308", "--plant-t", "10"],
+            EXIT_BAD_ARGS,
+            "error: plant D=1e+308 is out of range: the transfer function of K=1.0, T=10.0, D=1e+308 "
+            "has a coefficient that is not finite or a denominator coefficient that is zero\n",
+        ),
+        (
+            ["figure", "1", "--plant-t", "1e-320"],
+            EXIT_BAD_ARGS,
+            "error: plant T=1e-320 is out of range: the transfer function of K=1.0, T=1e-320, D=1.0 "
+            "has a coefficient that is not finite or a denominator coefficient that is zero\n",
+        ),
+        (
+            ["sweep", "--param", "T", "--values", "1e200", "--order", "2"],
+            EXIT_BAD_ARGS,
+            "error: plant T=1e+200 is out of range: the transfer function of K=1.0, T=1e+200, D=1.0 "
+            "has a coefficient that is not finite or a denominator coefficient that is zero\n",
+        ),
+        (["verify", "--perturb-b0", "0"], EXIT_BAD_ARGS, "error: perturb_b0 must be finite and nonzero, got 0.0\n"),
+        (
+            ["verify", "--perturb-b0", "1e-320"],
+            EXIT_BAD_ARGS,
+            "error: perturb_b0=1e-320 is out of range: scaled by it, the b0 of the equivalence grid "
+            "give gains or equivalent PI(D) parameters that are not finite and nonzero\n",
+        ),
     ],
     ids=["tune", "figure-exponential-overflow", "figure-controller-overflow", "verify-controller-overflow",
-         "verify-order2-out-of-range"],
+         "verify-order2-out-of-range", "figure-plant-t-overflow", "figure-plant-d-overflow",
+         "figure-plant-t-underflow", "sweep-plant-t-overflow", "verify-perturb-b0-zero",
+         "verify-perturb-b0-out-of-range"],
 )
 def test_command_runs_clean_with_warnings_as_errors(tmp_path, argv, code, err):
-    if argv[0] == "figure":
+    if argv[0] != "tune":
         argv = [*argv, "--out", str(tmp_path / "out")]
     done = fresh_python("-m", "adrcpid.cli", *argv)
     assert (done.returncode, done.stderr) == (code, err)

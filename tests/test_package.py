@@ -26,10 +26,37 @@ def test_dir_lists_every_public_name_before_any_is_loaded():
     assert (done.returncode, done.stderr, done.stdout.split()) == (0, "", ["True", str(len(adrcpid.__all__))])
 
 
+# names the package once exported, removed with the second paths they served
+REMOVED_NAMES = ("tf_add", "tf_multiply", "poles", "build_pif_controller", "build_pidf_controller", "AsymptoteReport")
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'freq_response'"):
         adrcpid.freq_response
     assert not hasattr(adrcpid, "no_such_name")
+    for name in REMOVED_NAMES:
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(adrcpid, name)
+    assert len(adrcpid.__all__) == 35
+
+
+# module -> the names that the benchmark under perfbench/ reaches on it
+BENCHMARK_NAMES = {
+    "adrc": ("tune_first_order", "tune_second_order", "build_adrc", "extract_cr_cy"),
+    "pid_equiv": ("equivalent_params", "build_equivalent_controller"),
+    "analysis": ("PlantModel", "gang_of_seven", "closed_loop", "step_response"),
+    "lti": ("step_response", "ss_to_tf", "tf_minreal"),
+    "verify": ("step_response", "run_verification"),
+    "svg": ("line_chart",),
+    "cli": ("main", "ExperimentConfig", "FIGURES", "write_figure", "_write_csv"),
+}
+
+
+@pytest.mark.parametrize("module", BENCHMARK_NAMES)
+def test_names_the_benchmark_reaches_resolve(module):
+    mod = importlib.import_module(f"adrcpid.{module}")
+    for name in BENCHMARK_NAMES[module]:
+        assert hasattr(mod, name), name
 
 
 def test_star_import_binds_every_public_name():

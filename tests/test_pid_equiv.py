@@ -8,8 +8,7 @@ from adrcpid.adrc import build_adrc, extract_cr_cy, tune_first_order, tune_secon
 from adrcpid.lti import log_grid, ss_to_tf, tf_minreal, tf_neg, tf_residual
 from adrcpid.pid_equiv import (
     PidParams,
-    build_pidf_controller,
-    build_pif_controller,
+    build_equivalent_controller,
     pidf_from_adrc,
     pif_from_adrc,
     reference_channel_gap,
@@ -112,13 +111,14 @@ class TestPifRealization:
     def test_measurement_channel_matches_adrc(self):
         d = tune_first_order(1, 10, 1)
         adrc_y = extract_cr_cy(build_adrc(d))[1]
-        ctrl = build_pif_controller(pif_from_adrc(d))
+        ctrl = build_equivalent_controller(pif_from_adrc(d))
         built_y = tf_neg(ctrl.measurement_tf())
         assert tf_residual(tf_minreal(built_y, 1e-6), adrc_y) < 1e-9
 
     def test_channels_match_closed_forms(self):
         p = pif_from_adrc(tune_first_order(1, 10, 1))
-        ctrl = build_pif_controller(p)
+        ctrl = build_equivalent_controller(p)
+        assert ctrl.ss.n_states == 2  # kd = 0 selects the PI+F realization
         y_chan = tf_minreal(ss_to_tf(ctrl.ss, 1, 0), 1e-6)
         r_chan = tf_minreal(ss_to_tf(ctrl.ss, 0, 0), 1e-6)
         assert tf_residual(y_chan, tf_neg(p.feedback_tf())) < 1e-9
@@ -126,7 +126,7 @@ class TestPifRealization:
 
     def test_high_frequency_reference_gain_is_kp_weighted(self):
         p = pif_from_adrc(tune_first_order(1, 10, 1))
-        ctrl = build_pif_controller(p)
+        ctrl = build_equivalent_controller(p)
         assert abs(ctrl.reference_tf()(1e9j)) == pytest.approx(p.b * p.kp, rel=1e-8)
         assert p.b * p.kp == pytest.approx(4.0, rel=1e-12)
 
@@ -138,20 +138,21 @@ class TestPifRealization:
     def test_filter_time_constant_required_positive(self):
         for Tf in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                build_pif_controller(PidParams(kp=1.0, ki=1.0, kd=0.0, Tf=Tf, b=0.5))
+                build_equivalent_controller(PidParams(kp=1.0, ki=1.0, kd=0.0, Tf=Tf, b=0.5))
 
 
 class TestPidfRealization:
     def test_measurement_channel_matches_adrc(self):
         d = tune_second_order(1, 10, 1)
         adrc_y = extract_cr_cy(build_adrc(d))[1]
-        ctrl = build_pidf_controller(pidf_from_adrc(d))
+        ctrl = build_equivalent_controller(pidf_from_adrc(d))
         built_y = tf_neg(ctrl.measurement_tf())
         assert tf_residual(tf_minreal(built_y, 1e-6), adrc_y) < 1e-9
 
     def test_channels_match_closed_forms(self):
         p = pidf_from_adrc(tune_second_order(1, 10, 1))
-        ctrl = build_pidf_controller(p)
+        ctrl = build_equivalent_controller(p)
+        assert ctrl.ss.n_states == 3
         y_chan = tf_minreal(ss_to_tf(ctrl.ss, 1, 0), 1e-6)
         r_chan = tf_minreal(ss_to_tf(ctrl.ss, 0, 0), 1e-6)
         assert tf_residual(y_chan, tf_neg(p.feedback_tf())) < 1e-9
@@ -160,7 +161,7 @@ class TestPidfRealization:
     def test_high_frequency_reference_gain(self):
         p = pidf_from_adrc(tune_second_order(1, 10, 1))
         assert p.b * p.kp == pytest.approx(36.0, rel=1e-12)
-        ctrl = build_pidf_controller(p)
+        ctrl = build_equivalent_controller(p)
         assert abs(ctrl.reference_tf()(1e9j)) == pytest.approx(36.0, rel=1e-8)
 
     def test_filter_unity_dc_gives_integral_gain(self):
@@ -172,41 +173,52 @@ class TestPidfRealization:
 
     def test_filter_params_required_positive(self):
         with pytest.raises(ValueError):
-            build_pidf_controller(PidParams(kp=1, ki=1, kd=1, Tf=-0.1, b=0.5, d=1.0))
+            build_equivalent_controller(PidParams(kp=1, ki=1, kd=1, Tf=-0.1, b=0.5, d=1.0))
         with pytest.raises(ValueError):
-            build_pidf_controller(PidParams(kp=1, ki=1, kd=1, Tf=0.1, b=0.5, d=0.0))
+            build_equivalent_controller(PidParams(kp=1, ki=1, kd=1, Tf=0.1, b=0.5, d=0.0))
         for bad in (dict(Tf=math.nan), dict(d=math.inf), dict(kp=math.nan), dict(ki=math.inf), dict(kd=-math.inf), dict(b=math.nan)):
             with pytest.raises(ValueError):
-                build_pidf_controller(PidParams(**{"kp": 1, "ki": 1, "kd": 1, "Tf": 0.1, "b": 0.5, **bad}))
+                build_equivalent_controller(PidParams(**{"kp": 1, "ki": 1, "kd": 1, "Tf": 0.1, "b": 0.5, **bad}))
+
+
+def reference_extremes(d, params, low_omega=1e-6, high_omega=1e6):
+    """(s*C_r, s*K_ry) at s = j*low_omega and (C_r, K_ry) at s = j*high_omega."""
+    c_r, _ = extract_cr_cy(build_adrc(d))
+    k_ry = params.reference_tf()
+    s_lo, s_hi = 1j * low_omega, 1j * high_omega
+    return (s_lo * c_r(s_lo), s_lo * k_ry(s_lo)), (c_r(s_hi), k_ry(s_hi))
 
 
 class TestAsymptotes:
     def test_first_order_pairs(self):
         d = tune_first_order(1, 10, 1)
-        report = verify_asymptotes(d, pif_from_adrc(d))
-        assert report.passed
-        low, high = report.checks
-        assert abs(low.adrc_value) == pytest.approx(1600 / 21, rel=1e-4)
-        assert abs(low.equivalent_value) == pytest.approx(1600 / 21, rel=1e-4)
-        assert abs(high.adrc_value) == pytest.approx(4.0, rel=1e-4)
-        assert abs(high.equivalent_value) == pytest.approx(4.0, rel=1e-4)
-        assert low.rel_mismatch < 1e-4
-        assert high.rel_mismatch < 1e-4
+        p = pif_from_adrc(d)
+        (low_adrc, low_equiv), (high_adrc, high_equiv) = reference_extremes(d, p)
+        assert abs(low_adrc) == pytest.approx(1600 / 21, rel=1e-4)
+        assert abs(low_equiv) == pytest.approx(1600 / 21, rel=1e-4)
+        assert abs(high_adrc) == pytest.approx(4.0, rel=1e-4)
+        assert abs(high_equiv) == pytest.approx(4.0, rel=1e-4)
+        low, high = verify_asymptotes(d, p)
+        assert low < 1e-4
+        assert high < 1e-4
+        assert low == pytest.approx(abs(low_adrc - low_equiv) / max(abs(low_adrc), abs(low_equiv)), rel=1e-12)
+        assert high == pytest.approx(abs(high_adrc - high_equiv) / max(abs(high_adrc), abs(high_equiv)), rel=1e-12)
 
     def test_second_order_pairs(self):
         d = tune_second_order(1, 10, 1)
-        report = verify_asymptotes(d, pidf_from_adrc(d))
-        assert report.passed
-        low, high = report.checks
-        assert abs(low.adrc_value) == pytest.approx(216000 / 361, rel=1e-4)
-        assert abs(high.adrc_value) == pytest.approx(36.0, rel=1e-4)
-        assert abs(high.equivalent_value) == pytest.approx(36.0, rel=1e-4)
+        p = pidf_from_adrc(d)
+        (low_adrc, _), (high_adrc, high_equiv) = reference_extremes(d, p)
+        assert abs(low_adrc) == pytest.approx(216000 / 361, rel=1e-4)
+        assert abs(high_adrc) == pytest.approx(36.0, rel=1e-4)
+        assert abs(high_equiv) == pytest.approx(36.0, rel=1e-4)
+        low, high = verify_asymptotes(d, p)
+        assert low < 1e-4 and high < 1e-4
 
     def test_detects_mismatched_parameters(self):
         d = tune_first_order(1, 10, 1)
         wrong = pif_from_adrc(tune_first_order(1, 10, 1.05))
-        report = verify_asymptotes(d, wrong)
-        assert not report.passed
+        low, high = verify_asymptotes(d, wrong)
+        assert not (low < 1e-4 and high < 1e-4)
 
 
 class TestReferenceChannelGap:
