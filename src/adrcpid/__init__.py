@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 # behind __all__, __getattr__ and __dir__
 _EXPORTS = {
     "lti": (
-        "AlgebraicLoopError",
         "ImproperTransferFunctionError",
         "Polynomial",
         "RationalTransferFunction",

@@ -18,7 +18,6 @@ import numpy as np
 
 from .adrc import TwoInputController, extract_cr_cy
 from .lti import (
-    AlgebraicLoopError,
     Polynomial,
     RationalTransferFunction,
     StateSpaceModel,
@@ -96,7 +95,7 @@ class PlantModel:
 
 
 def _plant_coeffs(order: int, K: float, T: float, D: float | None) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(num, den) of the plant as written, before the polynomials trim them."""
+    """(num, den) of the plant as written."""
     if order == 1:
         return (K,), (1.0, T)
     return (K,), (1.0, 2.0 * D * T, T**2)
@@ -118,12 +117,10 @@ def closed_loop(plant: PlantModel, c: TwoInputController) -> StateSpaceModel:
     """Feedback interconnection with inputs [r, d_u, n] and outputs [y, u].
 
     The plant input is u + d_u and the controller measurement is y + n.
-    Well-posed because the plant has no direct feedthrough; a plant with
-    D != 0 is rejected rather than solved as an implicit loop.
+    Well-posed because the plant is strictly proper: its numerator is a
+    constant and its denominator keeps its degree, so to_ss() has D = 0.
     """
     p = plant.to_ss()
-    if np.any(p.D != 0.0):
-        raise AlgebraicLoopError("plant with direct feedthrough closes an algebraic loop")
     cs = c.ss
     Ap, Bp, Cp = p.A, p.B, p.C
     Ac, Bc, Cc, Dc = cs.A, cs.B, cs.C, cs.D
@@ -131,18 +128,19 @@ def closed_loop(plant: PlantModel, c: TwoInputController) -> StateSpaceModel:
     n = n_p + cs.n_states
     Dc_r, Dc_y = float(Dc[0, 0]), float(Dc[0, 1])
 
-    # states [x_p, x_c], inputs [r, d_u, n], outputs [y, u]
-    A = np.empty((n, n))
-    A[:n_p, :n_p] = Ap + Dc_y * (Bp @ Cp)
-    A[:n_p, n_p:] = Bp @ Cc
-    A[n_p:, :n_p] = Bc[:, 1:] @ Cp
-    A[n_p:, n_p:] = Ac
-    B = np.zeros((n, 3))
-    B[:n_p] = Bp * (Dc_r, 1.0, Dc_y)
-    B[n_p:, ::2] = Bc
-    C = np.zeros((2, n))
-    C[:, :n_p] = Cp * ((1.0,), (Dc_y,))
-    C[1:, n_p:] = Cc
+    # states [x_p, x_c], inputs [r, d_u, n], outputs [y, u]; step_response refuses an entry past the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = np.empty((n, n))
+        A[:n_p, :n_p] = Ap + Dc_y * (Bp @ Cp)
+        A[:n_p, n_p:] = Bp @ Cc
+        A[n_p:, :n_p] = Bc[:, 1:] @ Cp
+        A[n_p:, n_p:] = Ac
+        B = np.zeros((n, 3))
+        B[:n_p] = Bp * (Dc_r, 1.0, Dc_y)
+        B[n_p:, ::2] = Bc
+        C = np.zeros((2, n))
+        C[:, :n_p] = Cp * ((1.0,), (Dc_y,))
+        C[1:, n_p:] = Cc
     D = np.array([[0.0, 0.0, 0.0], [Dc_r, 0.0, Dc_y]])
     return StateSpaceModel(A, B, C, D, ("r", "d_u", "n"), ("y", "u"))
 
@@ -186,10 +184,10 @@ def gang_of_seven(plant: PlantModel, c: TwoInputController) -> GangOfSeven:
     done once per gang: every product (nc*chi serves SF_r and PSF_r), one
     cancellation table between the roots of the zero and the pole factors,
     and the monic forms of chi and nc*chi.  Only a member with a zero-pole
-    pair within the tolerance plus GANG_ROOT_MARGIN, or whose product lost
-    degree to trimming, goes through tf_minreal on its raw product; every
-    other member has nothing to cancel and is its product over the shared
-    monic denominator, the bits tf_minreal would return.
+    pair within the tolerance plus GANG_ROOT_MARGIN goes through tf_minreal
+    on its raw product; every other member has nothing to cancel and is its
+    product over the shared monic denominator, the bits tf_minreal would
+    return.
     """
     P = plant.canonical_tf
     c_r, c_y = extract_cr_cy(c)
@@ -202,16 +200,13 @@ def gang_of_seven(plant: PlantModel, c: TwoInputController) -> GangOfSeven:
     dp_dc, np_dc, np_nc = dp * dc, np_ * dc, np_ * nc
     chi = dp_dc + np_nc  # closed-loop characteristic polynomial
     nc_chi = nc * chi
+    if not all(map(math.isfinite, chi.coeffs + nc_chi.coeffs)):
+        raise ValueError("the gang of seven at this plant is not representable: its closed-loop polynomial overflows")
     near = _near_factor_pairs((np_, dp, dc, nc, nr), (chi, nc))
     over = {id(chi): _over(chi), id(nc_chi): _over(nc_chi)}
 
     def member(num: Polynomial, den: Polynomial, zeros, poles) -> RationalTransferFunction:
-        if (
-            num.is_zero
-            or num.degree != sum(f.degree for f in zeros)
-            or den.degree != sum(f.degree for f in poles)
-            or any((id(z), id(p)) in near for z in zeros for p in poles)
-        ):
+        if num.is_zero or any((id(z), id(p)) in near for z in zeros for p in poles):
             return tf_minreal(RationalTransferFunction(num, den), GANG_MINREAL_TOL)
         return over[id(den)](num)
 

@@ -333,7 +333,10 @@ def _figure_gang(cfg: ExperimentConfig, order: int):
     for ctrl_name, ctrl in _controllers(cfg, order).items():
         g7 = gang_of_seven(plant, ctrl)
         for fn_name, tf in g7.named().items():
-            mag = np.abs(np.asarray(tf(1j * omega), dtype=complex))
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                mag = np.abs(np.asarray(tf(1j * omega), dtype=complex))
+            if not np.isfinite(mag).all():
+                raise ValueError("the gang of seven at this plant is not representable: its magnitudes overflow")
             label = f"{fn_name}_{ctrl_name}"
             names.append(label)
             columns.append(mag)

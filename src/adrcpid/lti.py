@@ -17,10 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-# Trailing coefficients below TRIM_REL_TOL times the largest magnitude are
-# treated as zero.  Transfer-function comparison uses the REL/ABS pair below
-# after monic normalization of the denominator.
-TRIM_REL_TOL = 1e-12
+# Transfer-function comparison uses the REL/ABS pair below after monic
+# normalization of the denominator.
 COEFF_REL_TOL = 1e-9
 COEFF_ABS_TOL = 1e-12
 
@@ -35,18 +33,14 @@ class ImproperTransferFunctionError(ValueError):
     """A proper transfer function was required but deg(num) > deg(den)."""
 
 
-class AlgebraicLoopError(ValueError):
-    """A feedback interconnection has a direct feedthrough loop."""
-
-
 def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
+    """The coefficients without trailing exact zeros; every nonzero one is kept, however small."""
     c = list(map(float, coeffs))
     if not c:
         raise ValueError("polynomial needs at least one coefficient")
-    tol = TRIM_REL_TOL * max(map(abs, c))
-    while len(c) > 1 and abs(c[-1]) <= tol:
+    while len(c) > 1 and c[-1] == 0.0:
         c.pop()
-    if len(c) == 1 and abs(c[0]) <= tol:
+    if len(c) == 1 and c[0] == 0.0:
         return (0.0,)
     return tuple(c)
 
@@ -171,13 +165,16 @@ def tf_neg(a: RationalTransferFunction) -> RationalTransferFunction:
 
 
 def _divide_out(p: Polynomial, roots: list[complex]) -> Polynomial:
-    """Quotient of p by the monic polynomial with the given roots."""
+    """Quotient of p by the monic polynomial with the given roots; refused past the float range."""
     if not roots:
         return p
     from numpy.polynomial.polynomial import polydiv, polyfromroots
 
-    factor = np.real(polyfromroots(np.asarray(roots, dtype=complex)))
-    quotient, _ = polydiv(p.coeffs, factor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = np.real(polyfromroots(np.asarray(roots, dtype=complex)))
+        quotient, _ = polydiv(p.coeffs, factor)
+    if not np.isfinite(quotient).all():
+        raise ValueError("the transfer function is not representable: dividing out its cancelled roots overflows")
     return Polynomial(tuple(quotient))
 
 
@@ -327,6 +324,11 @@ def _resolvent(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the characteristic polynomial of A (ascending, monic) and the
     matrix coefficients N[k] of adj(sI - A) = sum_k s**k N[k] for k < n.
+
+    The constant term is (-1)**n det(A) by LU, not the recursion's rounded
+    trace.  The LU determinant is exact only where the structure gives an
+    exact zero row, column or pivot, as the integrator of every ADRC and
+    PI(D)F realization does: both controller channels keep their s = 0 pole.
     """
     n = A.shape[0]
     char = np.zeros(n + 1)
@@ -338,6 +340,7 @@ def _resolvent(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             M = A @ M + char[n - k + 1] * np.eye(n)
         mats[n - k] = M
         char[n - k] = -np.trace(A @ M) / k
+    char[0] = (-1) ** n * np.linalg.det(A)
     return char, mats
 
 

@@ -26,29 +26,24 @@ def build_equivalent_controller(p: PidParams) -> TwoInputController:
     return TwoInputController(StateSpaceModel(A, B, C, D, ("r", "y"), ("u",)))
 
 
-def _rel_mismatch(a: complex, b: complex) -> float:
+def _rel_mismatch(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale else 0.0
 
 
-def verify_asymptotes(
-    design: AdrcDesign,
-    params: PidParams,
-    low_omega: float = 1e-6,
-    high_omega: float = 1e6,
-) -> tuple[float, float]:
+def verify_asymptotes(design: AdrcDesign, params: PidParams) -> tuple[float, float]:
     """Relative mismatches (low, high) of the reference channels of ADRC and
-    the equivalent controller at both frequency extremes: s*C_r vs s*K_ry near
-    DC (the integral gain), C_r vs K_ry at high frequency (b*kp).
+    the equivalent controller at both ends of the frequency axis, read from
+    the monic coefficients of C_r: lim s*C_r as s -> 0 is num[0]/den[1]
+    against ki, and lim C_r as s -> oo is num[-1]/den[-1] against b*kp.
+
+    A C_r without its pole at s = 0 (den[0] != 0) has no integral gain, so
+    its low mismatch is 1.
     """
     c_r, _ = extract_cr_cy(build_adrc(design))
-    k_ry = params.reference_tf()
-    s_lo = 1j * low_omega
-    s_hi = 1j * high_omega
-    return (
-        _rel_mismatch(s_lo * c_r(s_lo), s_lo * k_ry(s_lo)),
-        _rel_mismatch(c_r(s_hi), k_ry(s_hi)),
-    )
+    num, den = c_r.num.coeffs, c_r.den.coeffs
+    low = _rel_mismatch(num[0] / den[1], params.ki) if den[0] == 0.0 else 1.0
+    return low, _rel_mismatch(num[-1] / den[-1], params.b * params.kp)
 
 
 def reference_channel_gap(

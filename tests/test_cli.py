@@ -21,6 +21,7 @@ from adrcpid.cli import (
     main,
     write_figure,
 )
+from adrcpid.adrc import build_adrc
 from adrcpid.design import AdrcDesign, equivalent_params, equivalent_realization
 from adrcpid.pid_equiv import build_equivalent_controller
 
@@ -275,6 +276,31 @@ class TestFigureCommand:
             "the model's entries times the sample time overflow or are not finite\n"
         )
         assert not out.exists()
+
+    def test_gang_columns_match_direct_frequency_evaluation(self, tmp_path):
+        # a fast design whose gang products have coefficients far below 1e-12 of their largest
+        assert main(["figure", "8", "--ts", "0.01", "--g", "100", "--out", str(tmp_path)]) == EXIT_OK
+        with open(tmp_path / "fig8.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        s = 1j * np.array([float(row["omega"]) for row in rows])
+        P = 1.0 / (s + 1.0) ** 2  # the default plant K = T = D = 1
+        design = AdrcDesign(2, 0.01, 100.0, 1.0)
+        for name, ctrl in (("adrc", build_adrc(design)), ("equiv", build_equivalent_controller(equivalent_params(design)))):
+            ss = ctrl.ss
+            # [C_r, -C_y] = C (sI - A)^-1 B + D at every frequency
+            u = ss.C @ np.linalg.solve(s[:, None, None] * np.eye(ss.n_states) - ss.A, ss.B) + ss.D
+            c_r, c_y = u[:, 0, 0], -u[:, 0, 1]
+            S = 1.0 / (1.0 + P * c_y)
+            direct = {"S": S, "PS": P * S, "CS": c_y * S, "T": P * c_y * S,
+                      "SF_r": S * c_r / c_y, "PSF_r": P * S * c_r / c_y, "TF_r": P * c_r * S}
+            for fn, value in direct.items():
+                got = np.array([float(row[f"{fn}_{name}"]) for row in rows])
+                assert np.max(np.abs(got - np.abs(value)) / np.abs(value)) < 1e-9, (fn, name)
+
+    def test_plant_far_faster_than_the_design_simulates(self, tmp_path):
+        # the plant 1/(1e-13 s + 1) keeps its pole: its denominator is not trimmed to a constant
+        assert main(["figure", "1", "--plant-t", "1e-13", "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "fig1.csv").exists()
 
     def test_entries_spanning_past_the_float_range_still_simulate(self, tmp_path):
         # the closed loop's entries span 1e-103..1e201 here, so balancing sees r / c overflow
@@ -552,6 +578,28 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
             "error: plant T=1e+200 is out of range: the transfer function of K=1.0, T=1e+200, D=1.0 "
             "has a coefficient that is not finite or a denominator coefficient that is zero\n",
         ),
+        # second-order plants kept whole, whose gang or loop leaves the float range
+        (
+            ["figure", "8", "--plant-d", "1e88"],
+            EXIT_BAD_ARGS,
+            "error: the transfer function is not representable: dividing out its cancelled roots overflows\n",
+        ),
+        (
+            ["figure", "8", "--plant-d", "1e296"],
+            EXIT_BAD_ARGS,
+            "error: the gang of seven at this plant is not representable: its magnitudes overflow\n",
+        ),
+        (
+            ["figure", "8", "--plant-t", "1e-152"],
+            EXIT_BAD_ARGS,
+            "error: the gang of seven at this plant is not representable: its closed-loop polynomial overflows\n",
+        ),
+        (
+            ["figure", "5", "--plant-t", "1e-152"],
+            EXIT_BAD_ARGS,
+            "error: the step response at this tuning is not representable: "
+            "the model's entries times the sample time overflow or are not finite\n",
+        ),
         (["verify", "--perturb-b0", "0"], EXIT_BAD_ARGS, "error: perturb_b0 must be finite and nonzero, got 0.0\n"),
         (
             ["verify", "--perturb-b0", "1e-320"],
@@ -562,7 +610,8 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
     ],
     ids=["tune", "figure-exponential-overflow", "figure-controller-overflow", "verify-controller-overflow",
          "verify-order2-out-of-range", "figure-plant-t-overflow", "figure-plant-d-overflow",
-         "figure-plant-t-underflow", "sweep-plant-t-overflow", "verify-perturb-b0-zero",
+         "figure-plant-t-underflow", "sweep-plant-t-overflow", "gang-cancellation-overflow",
+         "gang-magnitude-overflow", "gang-polynomial-overflow", "closed-loop-overflow", "verify-perturb-b0-zero",
          "verify-perturb-b0-out-of-range"],
 )
 def test_command_runs_clean_with_warnings_as_errors(tmp_path, argv, code, err):

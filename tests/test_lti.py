@@ -33,16 +33,18 @@ def tf(num, den):
 
 class TestPolynomial:
     def test_trims_trailing_noise(self):
+        # only exact zeros are trimmed: a tiny nonzero coefficient keeps its degree
         p = Polynomial((1.0, 2.0, 1e-15))
-        assert p.coeffs == (1.0, 2.0)
-        assert p.degree == 1
+        assert p.coeffs == (1.0, 2.0, 1e-15)
+        assert p.degree == 2
+        assert Polynomial((1.0, 2.0, 0.0)).coeffs == (1.0, 2.0)
+        assert Polynomial((1.0, 2.0, -0.0, 0.0)).coeffs == (1.0, 2.0)
 
     def test_zero_polynomial(self):
         assert Polynomial((0.0, 0.0)).coeffs == (0.0,)
         assert Polynomial((0.0,)).is_zero
 
     def test_keeps_small_leading_relative_to_max(self):
-        # 1e-6 is far above the 1e-12 relative trim threshold
         p = Polynomial((1.0, 1e-6))
         assert p.degree == 1
 

@@ -201,8 +201,17 @@ class TestAsymptotes:
         low, high = verify_asymptotes(d, p)
         assert low < 1e-4
         assert high < 1e-4
-        assert low == pytest.approx(abs(low_adrc - low_equiv) / max(abs(low_adrc), abs(low_equiv)), rel=1e-12)
-        assert high == pytest.approx(abs(high_adrc - high_equiv) / max(abs(high_adrc), abs(high_equiv)), rel=1e-12)
+        # the mismatches are those of the exact limits, read from the coefficients of C_r
+        c_r, _ = extract_cr_cy(build_adrc(d))
+        num, den = c_r.num.coeffs, c_r.den.coeffs
+        assert den[0] == 0.0
+        for adrc_limit, equiv_limit, exact, mismatch in (
+            (num[0] / den[1], p.ki, 1600 / 21, low),
+            (num[-1] / den[-1], p.b * p.kp, 4.0, high),
+        ):
+            assert adrc_limit == pytest.approx(exact, rel=1e-12)
+            assert equiv_limit == pytest.approx(exact, rel=1e-12)
+            assert mismatch == abs(adrc_limit - equiv_limit) / max(abs(adrc_limit), abs(equiv_limit))
 
     def test_second_order_pairs(self):
         d = tune_second_order(1, 10, 1)
