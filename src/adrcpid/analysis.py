@@ -25,19 +25,9 @@ from .lti import (
     is_stable,
     poly_residual,
     step_response,
-    tf_minreal,
     tf_to_ss,
 )
 
-GANG_MINREAL_TOL = 1e-8
-# The roots of a product, computed from its expanded coefficients, sit off
-# those of its factors by up to 2.3e-4 of their size where a factor has a
-# root cluster (largest seen over 13,000 points of the aim-3 range).  So a
-# gang member goes through tf_minreal on its product whenever a zero-pole
-# pair of its factors lies within GANG_MINREAL_TOL plus this share of the
-# larger root, not only within GANG_MINREAL_TOL.
-GANG_ROOT_MARGIN = 1e-3
-_NO_ROOTS = np.empty(0)
 # Step experiments: long enough for integral action to flatten the tail,
 # fine enough (h = 0.0025 T_s) to resolve the measurement-filter dynamics.
 STEP_HORIZON_FACTOR = 10.0
@@ -83,8 +73,8 @@ class PlantModel:
 
     @cached_property
     def canonical_tf(self) -> RationalTransferFunction:
-        """tf with a monic denominator, made once per plant, so that the gangs
-        of one plant share its polynomials and the roots found on them.
+        """tf with a monic denominator, made once per plant and shared by the
+        gangs of that plant.
 
         Made from the raw tf: canonicalizing twice is not a no-op.
         """
@@ -173,21 +163,17 @@ def gang_of_seven(plant: PlantModel, c: TwoInputController) -> GangOfSeven:
     """Sensitivity set for the loop P*C_y, reference variants from C_r.
 
     All functions are assembled by explicit polynomial algebra over the
-    shared closed-loop characteristic polynomial chi.  Both controller
-    channels carry the same denominator (the controller characteristic
-    polynomial), which removes every common factor symbolically instead of
-    relying on numeric pole-zero cancellation; the reference-weighted set is
-    formed from C_r directly rather than through an explicit prefilter ratio.
+    shared closed-loop characteristic polynomial chi = dp*dc + np*nc.  Both
+    controller channels carry the same denominator dc (the controller
+    characteristic polynomial), so it drops out of the prefilter
+    C_r/C_y = nr/nc symbolically, and the reference-weighted set is formed
+    from nr directly rather than through an explicit prefilter ratio.
 
-    Each member is minreal(num/den) at GANG_MINREAL_TOL, with num and den
-    products of the factors np, dp, dc, nc, nr and chi.  The shared work is
-    done once per gang: every product (nc*chi serves SF_r and PSF_r), one
-    cancellation table between the roots of the zero and the pole factors,
-    and the monic forms of chi and nc*chi.  Only a member with a zero-pole
-    pair within the tolerance plus GANG_ROOT_MARGIN goes through tf_minreal
-    on its raw product; every other member has nothing to cancel and is its
-    product over the shared monic denominator, the bits tf_minreal would
-    return.
+    Each member is its product of the factors np, dp, dc, nc and nr over the
+    monic form of chi, or of nc*chi for SF_r and PSF_r.  No root is found and
+    nothing is cancelled numerically: a common root of a numerator and chi,
+    such as a plant pole on a zero of C_y, stays in both.  The products and
+    the two monic denominators are made once per gang.
     """
     P = plant.canonical_tf
     c_r, c_y = extract_cr_cy(c)
@@ -202,46 +188,16 @@ def gang_of_seven(plant: PlantModel, c: TwoInputController) -> GangOfSeven:
     nc_chi = nc * chi
     if not all(map(math.isfinite, chi.coeffs + nc_chi.coeffs)):
         raise ValueError("the gang of seven at this plant is not representable: its closed-loop polynomial overflows")
-    near = _near_factor_pairs((np_, dp, dc, nc, nr), (chi, nc))
-    over = {id(chi): _over(chi), id(nc_chi): _over(nc_chi)}
-
-    def member(num: Polynomial, den: Polynomial, zeros, poles) -> RationalTransferFunction:
-        if num.is_zero or any((id(z), id(p)) in near for z in zeros for p in poles):
-            return tf_minreal(RationalTransferFunction(num, den), GANG_MINREAL_TOL)
-        return over[id(den)](num)
-
-    # each member is num/den, with the factors of num and of den
+    over_chi, over_nc_chi = _over(chi), _over(nc_chi)
     return GangOfSeven(
-        S=member(dp_dc, chi, (dp, dc), (chi,)),
-        PS=member(np_dc, chi, (np_, dc), (chi,)),
-        CS=member(nc * dp, chi, (nc, dp), (chi,)),
-        T_cl=member(np_nc, chi, (np_, nc), (chi,)),
-        SF_r=member(dp_dc * nr, nc_chi, (dp, dc, nr), (nc, chi)),
-        PSF_r=member(np_dc * nr, nc_chi, (np_, dc, nr), (nc, chi)),
-        TF_r=member(np_ * nr, chi, (np_, nr), (chi,)),
+        S=over_chi(dp_dc),
+        PS=over_chi(np_dc),
+        CS=over_chi(nc * dp),
+        T_cl=over_chi(np_nc),
+        SF_r=over_nc_chi(dp_dc * nr),
+        PSF_r=over_nc_chi(np_dc * nr),
+        TF_r=over_chi(np_ * nr),
     )
-
-
-def _near_factor_pairs(zeros: tuple[Polynomial, ...], poles: tuple[Polynomial, ...]) -> set[tuple[int, int]]:
-    """(id(z), id(p)) for each zero factor z with a root near a root of pole factor p.
-
-    One distance matrix over all roots: a pair is near unless |z - p| minus
-    GANG_ROOT_MARGIN*max(|z|, |p|) exceeds GANG_MINREAL_TOL, so a NaN
-    distance is near, as in lti.has_close_pair.
-    A zero factor has no roots here: a member with it in its numerator has a
-    zero numerator, and one with it in its denominator is rejected by the
-    RationalTransferFunction constructor, so neither reads the table.
-    """
-    z_roots = [_NO_ROOTS if f.is_zero else f.roots() for f in zeros]
-    p_roots = [_NO_ROOTS if f.is_zero else f.roots() for f in poles]
-    z = np.concatenate(z_roots)[:, None]
-    p = np.concatenate(p_roots)
-    dist = np.abs(z - p)
-    dist -= GANG_ROOT_MARGIN * np.maximum(np.abs(z), np.abs(p))
-    rows, cols = np.nonzero(~(dist > GANG_MINREAL_TOL))
-    z_of = [id(f) for f, r in zip(zeros, z_roots) for _ in r]
-    p_of = [id(f) for f, r in zip(poles, p_roots) for _ in r]
-    return {(z_of[i], p_of[j]) for i, j in zip(rows.tolist(), cols.tolist())}
 
 
 def _over(den: Polynomial):
@@ -259,11 +215,9 @@ def _over(den: Polynomial):
 def s_plus_t_residual(g: GangOfSeven) -> float:
     """Coefficient residual of the identity S + T = 1.
 
-    S and T share the closed-loop characteristic polynomial, so the identity
-    is checked after common-denominator reduction: the denominators must
-    match and the numerators must sum to the denominator.  (Cross-multiplied
-    addition would square the common roots and defeat root-based
-    cancellation.)
+    S and T are formed over the same characteristic polynomial, so the
+    identity is checked on their polynomials directly: the denominators must
+    match and the numerators must sum to the denominator.
     """
     S = g.S.canonicalized()
     T = g.T_cl.canonicalized()

@@ -178,17 +178,6 @@ def _divide_out(p: Polynomial, roots: list[complex]) -> Polynomial:
     return Polynomial(tuple(quotient))
 
 
-def has_close_pair(zeros: np.ndarray, poles: np.ndarray, tol: float) -> bool:
-    """True unless every zero lies farther than tol from every pole.
-
-    A NaN distance counts as close, so that tf_minreal's greedy pairing, not
-    this test, decides what a non-finite root set cancels.
-    """
-    if not zeros.size or not poles.size:
-        return False
-    return not (np.abs(zeros[:, None] - poles) > tol).all()
-
-
 def tf_minreal(a: RationalTransferFunction, tol: float) -> RationalTransferFunction:
     """Cancel num/den root pairs closer than tol, greedy nearest pair first.
 
@@ -203,7 +192,9 @@ def tf_minreal(a: RationalTransferFunction, tol: float) -> RationalTransferFunct
         return a
     zeros = a.num.roots()
     poles = a.den.roots()
-    if not has_close_pair(zeros, poles, tol):
+    # a NaN distance counts as close, so that the greedy pairing, not this
+    # test, decides what a non-finite root set cancels
+    if (np.abs(zeros[:, None] - poles) > tol).all():
         return a
     pairs = sorted(
         (abs(z - p), i, j)
@@ -334,12 +325,13 @@ def _resolvent(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     char = np.zeros(n + 1)
     char[n] = 1.0
     mats = np.zeros((n, n, n))
-    M = np.eye(n)
+    M = eye = np.eye(n)
     for k in range(1, n + 1):
-        if k > 1:
-            M = A @ M + char[n - k + 1] * np.eye(n)
         mats[n - k] = M
-        char[n - k] = -np.trace(A @ M) / k
+        if k < n:  # the last trace would give char[0], which det(A) replaces
+            AM = A @ M
+            char[n - k] = -np.trace(AM) / k
+            M = AM + char[n - k] * eye
     char[0] = (-1) ** n * np.linalg.det(A)
     return char, mats
 

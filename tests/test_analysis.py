@@ -8,7 +8,7 @@ from conftest import TUNINGS, log_uniform
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adrcpid import analysis, lti
+from adrcpid import lti
 from adrcpid.adrc import (
     AdrcDesign,
     TwoInputController,
@@ -18,7 +18,6 @@ from adrcpid.adrc import (
     tune_second_order,
 )
 from adrcpid.analysis import (
-    GANG_MINREAL_TOL,
     PlantModel,
     closed_loop,
     gang_of_seven,
@@ -32,7 +31,6 @@ from adrcpid.lti import (
     is_stable,
     log_grid,
     step_response,
-    tf_minreal,
     tf_residual,
 )
 from adrcpid.pid_equiv import (
@@ -272,42 +270,37 @@ class TestExactStructure:
     def test_sensitivity_keeps_its_degree(self, tuning):
         design = AdrcDesign(*tuning)
         n = design.order
-        # a lag at the design's own time scale, high-frequency gain b0/s**n: the closed-loop
-        # roots then scale with 1/T_s, and none comes near the absolute GANG_MINREAL_TOL
+        # a lag at the design's own time scale, high-frequency gain b0/s**n
         plant = PlantModel(n, design.b0 * design.T_s**n, design.T_s, 1.0 if n == 2 else None)
         for c in _controllers(design):
             S = gang_of_seven(plant, c).S
             assert (S.num.degree, S.den.degree) == (2 * n + 1, 2 * n + 1)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="GANG_MINREAL_TOL is absolute: it cancels the genuine closed-loop pole at -1.6e-9 "
-        "against the integrator of C_y",
-    )
     def test_sensitivity_keeps_its_degree_at_the_nominal_plant_of_a_slow_design(self):
+        # chi has a genuine root at -1.6e-9, next to the integrator of C_y
         design = AdrcDesign(2, 570.8795424291889, 2.2780339764783215, 285.61184840643404)
         assert gang_of_seven(PlantModel(2, 1.0, 1.0, 1.0), build_adrc(design)).S.den.degree == 5
 
 
 def _reference_gang(plant, c):
-    """The gang as seven tf_minreal calls on the expanded products."""
+    """The gang as seven products over the monic chi or nc*chi, nothing cancelled."""
     P = plant.tf.canonicalized()
     c_r, c_y = extract_cr_cy(c)
     np_, dp = P.num, P.den
     nr, nc, dc = c_r.num, c_y.num, c_y.den
     chi = dp * dc + np_ * nc
 
-    def mr(num, den):
-        return tf_minreal(RationalTransferFunction(num, den), GANG_MINREAL_TOL)
+    def over(num, den):
+        return RationalTransferFunction(num, den).canonicalized()
 
     return {
-        "S": mr(dp * dc, chi),
-        "PS": mr(np_ * dc, chi),
-        "CS": mr(nc * dp, chi),
-        "T": mr(np_ * nc, chi),
-        "SF_r": mr(dp * dc * nr, nc * chi),
-        "PSF_r": mr(np_ * dc * nr, nc * chi),
-        "TF_r": mr(np_ * nr, chi),
+        "S": over(dp * dc, chi),
+        "PS": over(np_ * dc, chi),
+        "CS": over(nc * dp, chi),
+        "T": over(np_ * nc, chi),
+        "SF_r": over(dp * dc * nr, nc * chi),
+        "PSF_r": over(np_ * dc * nr, nc * chi),
+        "TF_r": over(np_ * nr, chi),
     }
 
 
@@ -318,13 +311,13 @@ def _assert_gang_matches_reference(plant, c):
             assert np.array(got.coeffs).tobytes() == np.array(ref.coeffs).tobytes(), name
 
 
-class TestGangFactorRoots:
-    """The factor-root cancellation test gives the bits of minreal on the products."""
+class TestGangProducts:
+    """Each member is its uncancelled product over the monic chi or nc*chi."""
 
     @settings(max_examples=100)
     @given(TUNINGS, PLANTS)
-    # slow plants whose factor roots keep a zero-pole pair of SF_r or PSF_r
-    # just outside GANG_MINREAL_TOL, while the product's roots fall inside it
+    # slow plants with a zero-pole pair of SF_r or PSF_r about 1e-8 apart,
+    # which a gang that cancels near roots would remove
     @example(
         (2, 277.04016793641597, 8.72197406907735, 10.44564370789131),
         (0.8570169159768742, 574.6848372750209, 1.0641134210440266),
@@ -333,20 +326,20 @@ class TestGangFactorRoots:
         (2, 525.9936700474275, 7.856861902127318, -8.36559317458831),
         (-0.5951691781089218, 500.6969422962409, 0.8897818157730942),
     )
-    def test_bitwise_equal_to_minreal_on_products(self, tuning, plant):
+    def test_bitwise_equal_to_uncancelled_products(self, tuning, plant):
         design = AdrcDesign(*tuning)
         K, T, D = plant
         plant = PlantModel(design.order, K, T, D if design.order == 2 else None)
         for c in (build_adrc(design), build_equivalent_controller(equivalent_params(design))):
             _assert_gang_matches_reference(plant, c)
 
-    def test_plant_pole_on_a_zero_of_c_y_cancels_like_the_reference(self, first_order):
+    def test_plant_pole_on_a_zero_of_c_y_stays_in_the_sensitivity(self, first_order):
         c = first_order["adrc"]
         (zero,) = extract_cr_cy(c)[1].num.roots()
         plant = PlantModel(order=1, K=1, T=-1.0 / zero.real)
-        # the closed-loop polynomial shares the plant pole, so S = dp dc / chi loses it
+        # the closed-loop polynomial shares the plant pole, and S = dp dc / chi keeps it
         g = gang_of_seven(plant, c)
-        assert g.S.den.degree == 2
+        assert (g.S.num.degree, g.S.den.degree) == (3, 3)
         _assert_gang_matches_reference(plant, c)
 
     @pytest.mark.parametrize("order", [1, 2])
@@ -358,6 +351,49 @@ class TestGangFactorRoots:
             for name in ("PS", "T", "PSF_r", "TF_r"):
                 assert g.named()[name].num.is_zero, name
             _assert_gang_matches_reference(plant, case[ctrl])
+
+
+def _channels(m, w):
+    """C (jwI - A)^-1 B + D of each input of the first output, in 40-digit arithmetic."""
+    n = m.n_states
+    with mpmath.workdps(40):
+        M = mpmath.mpc(0, w) * mpmath.eye(n) - mpmath.matrix(m.A.tolist())
+        return [
+            mpmath.fdot(m.C[0].tolist(), mpmath.lu_solve(M, mpmath.matrix(m.B[:, j].tolist()))) + m.D[0, j]
+            for j in range(m.n_inputs)
+        ]
+
+
+def _state_space_gang(plant, c, w):
+    """|member(jw)| of each gang member, from P, C_r and C_y evaluated on their realizations."""
+    (P,) = _channels(plant.to_ss(), w)
+    Cr, minus_Cy = _channels(c.ss, w)
+    with mpmath.workdps(40):
+        S = 1 / (1 - P * minus_Cy)
+        Cy, Fr = -minus_Cy, Cr / -minus_Cy
+        members = {"S": S, "PS": P * S, "CS": Cy * S, "T": P * Cy * S,
+                   "SF_r": S * Fr, "PSF_r": P * S * Fr, "TF_r": P * Cr * S}
+        return {name: float(abs(v)) for name, v in members.items()}
+
+
+class TestGangAccuracy:
+    """Gang magnitudes at extreme plants against the realizations, at the default tuning."""
+
+    @pytest.mark.parametrize(
+        "order, K, T, D",
+        [(2, 1.0, 1.0, 1e7), (2, 1.0, 1.0, 1e12), (2, 1.0, 1.0, 1e16),
+         (1, 1e60, 1.0, None), (1, 1.0, 1e-40, None), (2, 1.0, 1e10, 1.0)],
+        ids=["plant-d-1e7", "plant-d-1e12", "plant-d-1e16", "plant-k-1e60", "plant-t-1e-40", "plant-t-1e10"],
+    )
+    def test_magnitudes_match_the_state_space(self, order, K, T, D):
+        design = AdrcDesign(order, 1.0, 10.0, 1.0)
+        plant = PlantModel(order, K, T, D)
+        for c in _controllers(design):
+            gang = gang_of_seven(plant, c).named()
+            for w in log_grid(1e-2, 1e4, 31).tolist():
+                want = _state_space_gang(plant, c, w)
+                for name, tf in gang.items():
+                    assert abs(abs(tf(1j * w)) - want[name]) <= 1e-8 * want[name], (name, w)
 
 
 class TestSharedWorkCounts:
@@ -378,47 +414,21 @@ class TestSharedWorkCounts:
             extract_cr_cy(c)
             assert len(calls) == 1
 
-    def test_gang_tests_root_pairs_only_inside_minreal(self, monkeypatch, default_order2):
+    def test_gang_finds_no_roots(self, monkeypatch, default_order2):
         design, nominal = default_order2
-        inside, outside, minreal_calls = [], [], []
-        has_close_pair, minreal = lti.has_close_pair, analysis.tf_minreal
-
-        def counted_pair_test(*args, **kwargs):
-            (inside if minreal_calls and minreal_calls[-1] else outside).append(args)
-            return has_close_pair(*args, **kwargs)
-
-        def counted_minreal(*args, **kwargs):
-            minreal_calls.append(True)
-            try:
-                return minreal(*args, **kwargs)
-            finally:
-                minreal_calls[-1] = False
-
-        monkeypatch.setattr(lti, "has_close_pair", counted_pair_test)
-        monkeypatch.setattr(analysis, "has_close_pair", counted_pair_test, raising=False)
-        monkeypatch.setattr(analysis, "tf_minreal", counted_minreal)
         c = build_adrc(design)
         zero = extract_cr_cy(c)[1].num.roots()[0]
-        # the nominal loop cancels nothing; plant poles on the complex zeros of C_y do
+        # plant poles on the complex zeros of C_y, which a cancelling gang would remove
         on_zeros = PlantModel(order=2, K=1.0, T=1.0 / abs(zero), D=-zero.real / abs(zero))
+
+        def refuse(*args):
+            raise AssertionError("gang_of_seven found roots")
+
+        monkeypatch.setattr(lti.Polynomial, "roots", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
         for plant in (nominal, on_zeros):
             for ctrl in (c, build_equivalent_controller(equivalent_params(design))):
                 gang_of_seven(plant, ctrl)
-        assert outside == []
-        assert 0 < len(inside) <= len(minreal_calls)
-
-    def test_two_gangs_of_one_plant_find_its_roots_once(self, monkeypatch, default_order2):
-        design, _ = default_order2
-        # T != 1, so that each canonicalization of the plant makes a new denominator
-        plant = PlantModel(order=2, K=1.0, T=2.0, D=0.7)
-        dp = plant.tf.canonicalized().den
-        dp_column = -np.array(dp.coeffs[:-1]) / dp.coeffs[-1]  # last column of its companion matrix
-        companions = []
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda m: companions.append(m.copy()) or eigvals(m))
-        for ctrl in (build_adrc(design), build_equivalent_controller(equivalent_params(design))):
-            gang_of_seven(plant, ctrl)
-        assert sum(m.shape == (2, 2) and np.array_equal(m[:, -1], dp_column) for m in companions) == 1
 
 
 def loop_tf(P, c_y):

@@ -2,7 +2,8 @@ import csv
 import io
 import math
 import re
-from contextlib import redirect_stdout
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -578,12 +579,9 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
             "error: plant T=1e+200 is out of range: the transfer function of K=1.0, T=1e+200, D=1.0 "
             "has a coefficient that is not finite or a denominator coefficient that is zero\n",
         ),
+        # a second-order plant kept whole, whose gang has nothing to divide out and stays in range
+        (["figure", "8", "--plant-d", "1e88"], EXIT_OK, ""),
         # second-order plants kept whole, whose gang or loop leaves the float range
-        (
-            ["figure", "8", "--plant-d", "1e88"],
-            EXIT_BAD_ARGS,
-            "error: the transfer function is not representable: dividing out its cancelled roots overflows\n",
-        ),
         (
             ["figure", "8", "--plant-d", "1e296"],
             EXIT_BAD_ARGS,
@@ -621,6 +619,36 @@ def test_command_runs_clean_with_warnings_as_errors(tmp_path, argv, code, err):
     assert (done.returncode, done.stderr) == (code, err)
     if code != EXIT_OK:
         assert done.stdout == "" and not (tmp_path / "out").exists()
+    elif argv[0] == "figure":
+        written = sorted(path.name for path in (tmp_path / "out").iterdir())
+        assert written == ["config_used.cfg", f"fig{argv[1]}.csv", f"fig{argv[1]}.svg"]
+
+
+# every 60th decade across the float range, K of both signs
+PLANT_DECADES = [f"1e{e}" for e in range(-300, 301, 60)]
+PLANT_GRID = {
+    "--plant-k": PLANT_DECADES + [f"-{v}" for v in PLANT_DECADES],
+    "--plant-t": PLANT_DECADES,
+    "--plant-d": PLANT_DECADES,
+}
+
+
+@pytest.mark.parametrize("flag", sorted(PLANT_GRID))
+@pytest.mark.parametrize("fig", ["4", "8"])
+def test_gang_figure_exits_0_or_2_across_the_plant_range(tmp_path, fig, flag):
+    """Whole-range gate: no traceback and no warning; a refusal is one error line and writes nothing."""
+    for value in PLANT_GRID[flag]:
+        out_dir = tmp_path / value
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["figure", fig, f"{flag}={value}", "--out", str(out_dir)])
+        assert [str(w.message) for w in caught] == [], value
+        assert code in (EXIT_OK, EXIT_BAD_ARGS), value
+        if code == EXIT_BAD_ARGS:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (value, lines)
+            assert stdout.getvalue() == "" and not out_dir.exists(), value
 
 
 def _per_value_csv(path, names, columns):
