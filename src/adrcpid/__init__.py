@@ -54,12 +54,10 @@ _EXPORTS = {
     ),
     "analysis": (
         "GangOfSeven",
-        "LoopMargins",
         "PlantModel",
         "SweepResult",
         "closed_loop",
         "gang_of_seven",
-        "loop_margins",
         "step_sweep",
     ),
 }

@@ -40,7 +40,7 @@ class TwoInputController:
 
     @cached_property
     def _cr_cy(self) -> tuple[RationalTransferFunction, RationalTransferFunction]:
-        return self.reference_tf().canonicalized(), tf_neg(self.measurement_tf()).canonicalized()
+        return self.reference_tf(), tf_neg(self.measurement_tf())
 
 
 def observer_matrix(design: AdrcDesign) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Builds the standard feedback interconnection (reference, plant-input
 disturbance, measurement noise), the gang-of-four/seven sensitivity set,
-loop margins, and plant-parameter step-response sweeps in which the
-controllers are deliberately not retuned.
+and plant-parameter step-response sweeps in which the controllers are
+deliberately not retuned.
 """
 
 from __future__ import annotations
@@ -289,68 +289,4 @@ def step_sweep(
         values=values,
         controllers=tuple(controllers),
         cases=tuple(cases),
-    )
-
-
-@dataclass(frozen=True)
-class LoopMargins:
-    """Classical stability margins of a loop transfer function."""
-
-    gain_margin: float
-    phase_margin_deg: float
-    gain_crossover: float | None
-    phase_crossover: float | None
-
-
-def _bisect(f, lo: float, hi: float, iters: int = 80) -> float:
-    flo = f(lo)
-    for _ in range(iters):
-        mid = np.sqrt(lo * hi)
-        fm = f(mid)
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return np.sqrt(lo * hi)
-
-
-def loop_margins(L: RationalTransferFunction, omega=None) -> LoopMargins:
-    """Gain/phase margins located on a log grid and refined by bisection."""
-    if omega is None:
-        omega = np.logspace(-3, 5, 4000)
-    omega = np.asarray(omega, dtype=float)
-    H = np.asarray(L(1j * omega), dtype=complex)
-    mag = np.abs(H)
-    phase = np.degrees(np.unwrap(np.angle(H)))
-
-    def phase_at(w: float, near: float) -> float:
-        raw = np.degrees(np.angle(L(1j * w)))
-        return raw + 360.0 * round((near - raw) / 360.0)
-
-    gain_crossover = None
-    phase_margin = np.inf
-    sign = np.sign(mag - 1.0)
-    idx = np.nonzero(np.diff(sign) != 0)[0]
-    if idx.size:
-        i = int(idx[-1])  # final crossing governs the margin for rolloff loops
-        wc = _bisect(lambda w: abs(L(1j * w)) - 1.0, omega[i], omega[i + 1])
-        gain_crossover = wc
-        phase_margin = 180.0 + phase_at(wc, phase[i])
-
-    phase_crossover = None
-    gain_margin = np.inf
-    sign = np.sign(phase + 180.0)
-    idx = np.nonzero(np.diff(sign) != 0)[0]
-    if idx.size:
-        i = int(idx[0])
-        target = phase[i]
-        wp = _bisect(lambda w: phase_at(w, target) + 180.0, omega[i], omega[i + 1])
-        phase_crossover = wp
-        gain_margin = 1.0 / abs(L(1j * wp))
-
-    return LoopMargins(
-        gain_margin=float(gain_margin),
-        phase_margin_deg=float(phase_margin),
-        gain_crossover=gain_crossover,
-        phase_crossover=phase_crossover,
     )

@@ -457,7 +457,6 @@ def cmd_verify(cfg: ExperimentConfig, perturb_b0: float) -> int:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=str, default=None, help="config file (flat key-value with sections)")
-    parser.add_argument("--order", type=int, choices=(1, 2), default=None)
     parser.add_argument("--ts", type=float, default=None, help="desired settling time T_s")
     parser.add_argument("--g", type=float, default=None, help="observer pole multiplier")
     parser.add_argument("--b0", type=float, default=None, help="characteristic plant gain")
@@ -517,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="custom plant-parameter step sweep")
     p_sweep.add_argument("--param", choices=("K", "T"), required=True)
+    p_sweep.add_argument("--order", type=int, choices=(1, 2), default=None)
     p_sweep.add_argument("--values", type=str, default=None, help="comma-separated plant values")
     _add_common_flags(p_sweep)
 

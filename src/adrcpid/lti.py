@@ -45,6 +45,17 @@ def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
     return tuple(c)
 
 
+def _horner(coeffs: Sequence[float], s):
+    """Horner evaluation of ascending coefficients, the same arithmetic as numpy's polyval."""
+    c = np.array(coeffs)
+    if isinstance(s, (tuple, list)):
+        s = np.asarray(s)
+    value = c[-1] + s * 0
+    for k in range(2, len(c) + 1):
+        value = c[-k] + value * s
+    return value
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Real polynomial in s; ``coeffs[k]`` multiplies ``s**k``."""
@@ -67,14 +78,7 @@ class Polynomial:
         return self.coeffs[-1]
 
     def __call__(self, s):
-        """Horner evaluation, the same arithmetic as numpy's polyval."""
-        c = np.array(self.coeffs)
-        if isinstance(s, (tuple, list)):
-            s = np.asarray(s)
-        value = c[-1] + s * 0
-        for k in range(2, len(c) + 1):
-            value = c[-k] + value * s
-        return value
+        return _horner(self.coeffs, s)
 
     # + and * give the bits of numpy's polyadd and polymul without their
     # series conversion: the longer operand is copied and the shorter one
@@ -137,7 +141,24 @@ class RationalTransferFunction:
         return cls(Polynomial(tuple(num)), Polynomial(tuple(den)))
 
     def __call__(self, s):
-        return self.num(s) / self.den(s)
+        """num(s)/den(s), both by Horner in s.
+
+        Where num(s) or den(s) leaves the float range at |s| > 1, the point is
+        evaluated in z = 1/s instead, as z**(deg den - deg num) times the ratio
+        of the reversed coefficients at z, so that the powers of s that cancel
+        in the ratio are never formed.  Elsewhere the bits are those of the
+        plain ratio.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            num, den = self.num(s), self.den(s)
+            redo = ~(np.isfinite(num) & np.isfinite(den)) & (np.abs(s) > 1)
+        if not redo.any():
+            return num / den
+        z = 1.0 / np.asarray(s)[redo]
+        num, den = np.array(num), np.array(den)
+        num[redo] = z ** (self.den.degree - self.num.degree) * _horner(self.num.coeffs[::-1], z)
+        den[redo] = _horner(self.den.coeffs[::-1], z)
+        return (num / den)[()]
 
     def canonicalized(self) -> "RationalTransferFunction":
         """Scale num and den by 1/lead so the denominator is monic.

@@ -16,11 +16,11 @@ from .adrc import build_adrc, extract_cr_cy
 from .analysis import PlantModel, closed_loop, gang_of_seven, s_plus_t_residual
 from .design import AdrcDesign, PidParams, equivalent_params, pidf_from_adrc, tune_second_order
 from .lti import (
+    Polynomial,
     RationalTransferFunction,
     log_grid,
     ss_to_tf,
     step_response,
-    tf_minreal,
     tf_neg,
     tf_residual,
 )
@@ -34,10 +34,6 @@ EQUIVALENCE_GRID = tuple(itertools.product(EQUIVALENCE_GRID_TS, EQUIVALENCE_GRID
 GANG_OMEGA_LO = 1e-2
 GANG_OMEGA_HI = 1e3
 GANG_OMEGA_POINTS = 300
-
-# Uncontrollable filter modes in the printed realizations cancel exactly;
-# this absolute root distance is generous for poles of magnitude < 1e3.
-FIDELITY_MINREAL_TOL = 1e-6
 
 D_MIN_EXACT = 5.0 / (2.0 * math.sqrt(10.0))
 
@@ -97,13 +93,20 @@ def _gang_of_four_identity(design: AdrcDesign, plant: PlantModel) -> float:
 
 
 def _realization_fidelity(design: AdrcDesign) -> float:
+    """Worst coefficient residual of the printed realization's two channels
+    against their closed forms, over the realization's own denominator s*filter.
+
+    The r channel b*kp + ki/s is written as (ki + b*kp*s)*filter / (s*filter),
+    so no root is found and nothing is cancelled.
+    """
     params = equivalent_params(design)
     ctrl = build_equivalent_controller(params)
-    y_channel = tf_minreal(ss_to_tf(ctrl.ss, 1, 0), FIDELITY_MINREAL_TOL)
-    r_channel = tf_minreal(ss_to_tf(ctrl.ss, 0, 0), FIDELITY_MINREAL_TOL)
+    feedback = params.feedback_tf()
+    filter_ = Polynomial(feedback.den.coeffs[1:])  # s*filter without its exact-zero constant term
+    reference = RationalTransferFunction(Polynomial((params.ki, params.b * params.kp)) * filter_, feedback.den)
     return max(
-        tf_residual(y_channel, tf_neg(params.feedback_tf())),
-        tf_residual(r_channel, params.reference_tf()),
+        tf_residual(ss_to_tf(ctrl.ss, 1, 0), tf_neg(feedback)),
+        tf_residual(ss_to_tf(ctrl.ss, 0, 0), reference),
     )
 
 

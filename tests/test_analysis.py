@@ -21,7 +21,6 @@ from adrcpid.analysis import (
     PlantModel,
     closed_loop,
     gang_of_seven,
-    loop_margins,
     s_plus_t_residual,
     step_sweep,
 )
@@ -382,8 +381,11 @@ class TestGangAccuracy:
     @pytest.mark.parametrize(
         "order, K, T, D",
         [(2, 1.0, 1.0, 1e7), (2, 1.0, 1.0, 1e12), (2, 1.0, 1.0, 1e16),
-         (1, 1e60, 1.0, None), (1, 1.0, 1e-40, None), (2, 1.0, 1e10, 1.0)],
-        ids=["plant-d-1e7", "plant-d-1e12", "plant-d-1e16", "plant-k-1e60", "plant-t-1e-40", "plant-t-1e10"],
+         (1, 1e60, 1.0, None), (1, 1.0, 1e-40, None), (2, 1.0, 1e10, 1.0),
+         # a numerator or nc*chi leaves the float range at high w under Horner in s
+         (2, 1e288, 1.0, 1.0), (1, 1e296, 1.0, None)],
+        ids=["plant-d-1e7", "plant-d-1e12", "plant-d-1e16", "plant-k-1e60", "plant-t-1e-40", "plant-t-1e10",
+             "plant-k-1e288", "plant-k-1e296"],
     )
     def test_magnitudes_match_the_state_space(self, order, K, T, D):
         design = AdrcDesign(order, 1.0, 10.0, 1.0)
@@ -431,41 +433,7 @@ class TestSharedWorkCounts:
                 gang_of_seven(plant, ctrl)
 
 
-def loop_tf(P, c_y):
-    """The loop transfer function P*C_y, its polynomials multiplied out."""
-    return RationalTransferFunction(P.num * c_y.num, P.den * c_y.den)
-
-
 class TestLoopMeasures:
-    def test_margins_against_analytic_oracle(self):
-        # L = 1/(s(s+1)(s+2)): phase hits -180 deg at omega = sqrt(2), where
-        # |L| = 1/6, so the gain margin is exactly 6
-        L = RationalTransferFunction.from_coeffs((1,), (0, 2, 3, 1))
-        m = loop_margins(L)
-        assert m.gain_margin == pytest.approx(6.0, rel=1e-6)
-        assert m.phase_crossover == pytest.approx(np.sqrt(2.0), rel=1e-6)
-        assert 0 < m.phase_margin_deg < 90
-
-    def test_first_order_loop_has_infinite_gain_margin(self, first_order):
-        P = first_order["plant"].tf
-        _, c_y = extract_cr_cy(first_order["adrc"])
-        m = loop_margins(loop_tf(P, c_y))
-        assert m.gain_margin == np.inf
-        assert m.phase_margin_deg > 45
-
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_equal_margins_between_controllers(self, order, first_order, second_order):
-        case = first_order if order == 1 else second_order
-        P = case["plant"].tf
-        la = loop_tf(P, extract_cr_cy(case["adrc"])[1])
-        le = loop_tf(P, extract_cr_cy(case["equiv"])[1])
-        ma, me = loop_margins(la), loop_margins(le)
-        assert ma.phase_margin_deg == pytest.approx(me.phase_margin_deg, rel=1e-6)
-        if np.isinf(ma.gain_margin):
-            assert np.isinf(me.gain_margin)
-        else:
-            assert ma.gain_margin == pytest.approx(me.gain_margin, rel=1e-6)
-
     @pytest.mark.parametrize("order", [1, 2])
     def test_equal_sensitivity_peaks(self, order, first_order, second_order):
         case = first_order if order == 1 else second_order

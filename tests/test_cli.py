@@ -423,6 +423,8 @@ COMMANDS = {
     "verify": ["verify"],
 }
 # (flag, rejected value, what the message names); every command takes the tuning flags
+# but --order, which tune and sweep refuse as an invalid choice and figure and verify
+# as an unrecognized argument
 TUNING_REJECTS = [
     ("--order", "3", "--order"),
     *((flag, value, name) for flag, name in (("--ts", "T_s"), ("--g", "g")) for value in ("0", "-1", "nan", "inf")),
@@ -462,6 +464,13 @@ class TestCommandsAgree:
         err = capsys.readouterr().err
         assert "error:" in err and name in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["figure", "4", "--order", "2"], ["verify", "--order", "1"]])
+    def test_order_is_a_flag_of_tune_and_sweep_only(self, tmp_path, capsys, argv):
+        # a figure has its own order, and verify runs both
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_BAD_ARGS
+        assert "unrecognized arguments: --order" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_negative_b0_accepted_by_every_command(self, tmp_path, command):
@@ -511,8 +520,7 @@ def test_cli_import_leaves_out_scipy_and_urllib():
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
     if argv[0] == "figure":
         argv = [*argv, "--out", str(tmp_path)]
-    # numpy.polynomial is left out: verify divides out cancelled roots with it
-    modules = ("scipy", "urllib.request") + LAYER_MODULES
+    modules = HEAVY_MODULES + LAYER_MODULES
     code = (
         "import sys\nfrom adrcpid.cli import main\n"
         f"code = main({argv!r})\n"
@@ -633,22 +641,74 @@ PLANT_GRID = {
 }
 
 
+def _run_clean(argv, out_dir, codes=(EXIT_OK, EXIT_BAD_ARGS)):
+    """Run main in-process: no exception, no warning and an exit code in codes;
+    a refusal (exit 2) is one error line, prints nothing to stdout and writes
+    nothing.  Return the refusal line, or None."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == [], argv
+    assert code in codes, argv
+    if code != EXIT_BAD_ARGS:
+        return None
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    assert stdout.getvalue() == "" and not out_dir.exists(), argv
+    return lines[0]
+
+
 @pytest.mark.parametrize("flag", sorted(PLANT_GRID))
 @pytest.mark.parametrize("fig", ["4", "8"])
 def test_gang_figure_exits_0_or_2_across_the_plant_range(tmp_path, fig, flag):
     """Whole-range gate: no traceback and no warning; a refusal is one error line and writes nothing."""
     for value in PLANT_GRID[flag]:
         out_dir = tmp_path / value
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with redirect_stdout(stdout), redirect_stderr(stderr), warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["figure", fig, f"{flag}={value}", "--out", str(out_dir)])
-        assert [str(w.message) for w in caught] == [], value
-        assert code in (EXIT_OK, EXIT_BAD_ARGS), value
-        if code == EXIT_BAD_ARGS:
-            lines = stderr.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: "), (value, lines)
-            assert stdout.getvalue() == "" and not out_dir.exists(), value
+        _run_clean(["figure", fig, f"{flag}={value}", "--out", str(out_dir)], out_dir)
+
+
+# every 100th decade of T_s and every 150th of |b0| across the float range, b0 of both signs
+TS_DECADES = [f"1e{e}" for e in range(-300, 301, 100)]
+B0_DECADES = [f"{sign}1e{e}" for sign in ("", "-") for e in range(-300, 301, 150)]
+TUNING_COMMANDS = {
+    "tune1": ["tune", "--order", "1"],
+    "tune2": ["tune", "--order", "2"],
+    "verify": ["verify"],
+    "figure3": ["figure", "3"],
+    "figure7": ["figure", "7"],
+}
+# refusals raised past the design check, which name no input; how many runs of
+# each command on the grid end in one is pinned, so that none comes or goes unseen
+UNNAMED_REFUSALS = (
+    "error: the controller transfer function at this tuning is not representable: ",
+    "error: the step response at this tuning is not representable: ",
+    "error: the gang of seven at this plant is not representable: ",
+)
+UNNAMED_REFUSAL_COUNTS = {"tune1": 0, "tune2": 0, "verify": 20, "figure3": 4, "figure7": 8}
+
+
+@pytest.mark.parametrize("command", TUNING_COMMANDS)
+def test_commands_exit_0_1_or_2_across_the_tuning_range(tmp_path, command):
+    """Whole-range gate: no exception and no warning; a refusal is one error line
+    that names T_s, g or b0 (or is a pinned unnamed refusal) and writes nothing."""
+    codes = (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_BAD_ARGS) if command == "verify" else (EXIT_OK, EXIT_BAD_ARGS)
+    unnamed = 0
+    for g in ("1", "1e3"):
+        for ts in TS_DECADES:
+            for b0 in B0_DECADES:
+                argv = [*TUNING_COMMANDS[command], f"--ts={ts}", f"--g={g}", f"--b0={b0}"]
+                out_dir = tmp_path / f"{ts}_{g}_{b0}"
+                if argv[0] == "figure":
+                    argv += ["--out", str(out_dir)]
+                refusal = _run_clean(argv, out_dir, codes)
+                if refusal is None:
+                    continue
+                if refusal.startswith(UNNAMED_REFUSALS):
+                    unnamed += 1
+                else:
+                    assert re.match(r"error: (T_s|g|b0)=\S+ is out of range: ", refusal), (argv, refusal)
+    assert unnamed == UNNAMED_REFUSAL_COUNTS[command]
 
 
 def _per_value_csv(path, names, columns):

@@ -304,6 +304,21 @@ class TestFreqResponse:
             assert np.all(np.abs(via_ss - via_tf) <= 1e-8 * np.abs(via_ss))
 
 
+    def test_value_in_range_where_horner_in_s_overflows(self):
+        # num(s) and den(s) leave the float range at |s| = 1e10; their ratio does not
+        h = tf((1e300, 3e300), (1e-10, 1e-5, 1.0))
+        s = np.array([1j, 1e10j, 1e12j])
+        want = [1e300 * ((1 + 3 * x) / (1e-10 + 1e-5 * x + x * x)) for x in s.tolist()]
+        got = h(s)
+        assert got[0] == h.num(1j) / h.den(1j)  # in range: the plain ratio, bit for bit
+        assert got.tolist() == pytest.approx(want, rel=1e-14)
+        assert h(1e10j) == got[1]
+
+    def test_value_past_the_float_range_is_not_finite(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(tf((1e300, 1e300, 1e300), (1.0, 1.0))(1e10j))
+
+
 class TestStepResponse:
     def test_first_order_lag_matches_analytic(self):
         m = tf_to_ss(tf((1,), (1, 1)))

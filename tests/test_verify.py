@@ -1,0 +1,25 @@
+import numpy as np
+from conftest import TUNINGS
+from hypothesis import example, given, settings
+
+from adrcpid import lti, verify
+from adrcpid.design import AdrcDesign
+
+
+class TestRealizationFidelity:
+    """The printed PI(D)F realizations against their closed forms, over their own denominator."""
+
+    @settings(max_examples=200)
+    @given(TUNINGS)
+    @example((2, 1e-3, 10.0, 1.0))  # 2.9e-8 when the check cancelled roots 1e-6 apart
+    def test_both_channels_match_the_closed_forms(self, tuning):
+        assert verify._realization_fidelity(AdrcDesign(*tuning)) < 1e-9
+
+    def test_finds_no_roots(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fidelity check found roots")
+
+        monkeypatch.setattr(lti.Polynomial, "roots", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for order in (1, 2):
+            assert verify._realization_fidelity(AdrcDesign(order, 1.0, 10.0, 1.0)) < 1e-9
