@@ -40,6 +40,8 @@ class TwoInputController:
 
     @cached_property
     def _cr_cy(self) -> tuple[RationalTransferFunction, RationalTransferFunction]:
+        # both channels read the model's one transfer table, and negation
+        # keeps the monic denominator, so C_r and C_y share one den object
         return self.reference_tf(), tf_neg(self.measurement_tf())
 
 

@@ -103,6 +103,23 @@ def _plant_representable(order: int, K: float, T: float, D: float | None) -> boo
     return all(map(math.isfinite, (*num, *den, *monic, *(c * inv for c in num)))) and all(den + monic)
 
 
+def _plant_block(plant: PlantModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, C) of plant.to_ss(), made straight from the monic coefficients.
+
+    The bits of tf_to_ss: a companion A, B = e_n and C = [k, 0, ...], since
+    the numerator k is a constant and the direct term is 0.
+    """
+    P = plant.canonical_tf
+    n = plant.order
+    A = np.eye(n, k=1)
+    A[-1] = np.negative(P.den.coeffs[:n])
+    B = np.zeros((n, 1))
+    B[-1, 0] = 1.0
+    C = np.zeros((1, n))
+    C[0, 0] = P.num.coeffs[0]
+    return A, B, C
+
+
 def closed_loop(plant: PlantModel, c: TwoInputController) -> StateSpaceModel:
     """Feedback interconnection with inputs [r, d_u, n] and outputs [y, u].
 
@@ -110,11 +127,10 @@ def closed_loop(plant: PlantModel, c: TwoInputController) -> StateSpaceModel:
     Well-posed because the plant is strictly proper: its numerator is a
     constant and its denominator keeps its degree, so to_ss() has D = 0.
     """
-    p = plant.to_ss()
+    Ap, Bp, Cp = _plant_block(plant)
     cs = c.ss
-    Ap, Bp, Cp = p.A, p.B, p.C
     Ac, Bc, Cc, Dc = cs.A, cs.B, cs.C, cs.D
-    n_p = p.n_states
+    n_p = plant.order
     n = n_p + cs.n_states
     Dc_r, Dc_y = float(Dc[0, 0]), float(Dc[0, 1])
 
@@ -177,13 +193,9 @@ def gang_of_seven(plant: PlantModel, c: TwoInputController) -> GangOfSeven:
     """
     P = plant.canonical_tf
     c_r, c_y = extract_cr_cy(c)
-    np_, dp = P.num, P.den
-    nr, nc, dc = c_r.num, c_y.num, c_y.den
-    # the two channels of a state-space controller share one resolvent, so
-    # their denominators are equal and the residual is not needed
-    if c_r.den != dc and poly_residual(c_r.den, dc) > 1e-12:
-        raise ValueError("controller channels do not share a denominator")
-    dp_dc, np_dc, np_nc = dp * dc, np_ * dc, np_ * nc
+    (k,), dp = P.num.coeffs, P.den  # np = k, a constant
+    nr, nc, dc = c_r.num, c_y.num, c_y.den  # c_r.den is dc, the same object
+    dp_dc, np_dc, np_nc = dp * dc, _times(k, dc), _times(k, nc)
     chi = dp_dc + np_nc  # closed-loop characteristic polynomial
     nc_chi = nc * chi
     if not all(map(math.isfinite, chi.coeffs + nc_chi.coeffs)):
@@ -196,8 +208,17 @@ def gang_of_seven(plant: PlantModel, c: TwoInputController) -> GangOfSeven:
         T_cl=over_chi(np_nc),
         SF_r=over_nc_chi(dp_dc * nr),
         PSF_r=over_nc_chi(np_dc * nr),
-        TF_r=over_chi(np_ * nr),
+        TF_r=over_chi(_times(k, nr)),
     )
+
+
+def _times(k: float, p: Polynomial) -> Polynomial:
+    """k * p with the bits of the product Polynomial((k,)) * p.
+
+    The convolution sums each coefficient from 0.0, so for k < 0 a zero
+    coefficient of p gives +0.0, where k * 0.0 alone would give -0.0.
+    """
+    return Polynomial([0.0 + k * c for c in p.coeffs])
 
 
 def _over(den: Polynomial):

@@ -11,6 +11,7 @@ ascending powers of s, i.e. ``coeffs[k]`` multiplies ``s**k``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -35,7 +36,11 @@ class ImproperTransferFunctionError(ValueError):
 
 def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
     """The coefficients without trailing exact zeros; every nonzero one is kept, however small."""
+    # a list first: a tuple built straight from the map iterator is sized by
+    # a guess and shrunk, which fills the interpreter's tuple free lists
     c = list(map(float, coeffs))
+    if c and c[-1] != 0.0:  # the common case: nothing to trim
+        return tuple(c)
     if not c:
         raise ValueError("polynomial needs at least one coefficient")
     while len(c) > 1 and c[-1] == 0.0:
@@ -143,22 +148,23 @@ class RationalTransferFunction:
     def __call__(self, s):
         """num(s)/den(s), both by Horner in s.
 
-        Where num(s) or den(s) leaves the float range at |s| > 1, the point is
-        evaluated in z = 1/s instead, as z**(deg den - deg num) times the ratio
-        of the reversed coefficients at z, so that the powers of s that cancel
-        in the ratio are never formed.  Elsewhere the bits are those of the
-        plain ratio.
+        Where num(s), den(s) or their quotient leaves the float range at
+        |s| > 1, the point is evaluated in z = 1/s instead, as
+        z**(deg den - deg num) times the ratio of the reversed coefficients
+        at z, so that the powers of s that cancel in the ratio are never
+        formed.  Elsewhere the bits are those of the plain ratio.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             num, den = self.num(s), self.den(s)
-            redo = ~(np.isfinite(num) & np.isfinite(den)) & (np.abs(s) > 1)
+            ratio = num / den
+            redo = ~(np.isfinite(num) & np.isfinite(den) & np.isfinite(ratio)) & (np.abs(s) > 1)
         if not redo.any():
-            return num / den
+            return ratio
         z = 1.0 / np.asarray(s)[redo]
-        num, den = np.array(num), np.array(den)
-        num[redo] = z ** (self.den.degree - self.num.degree) * _horner(self.num.coeffs[::-1], z)
-        den[redo] = _horner(self.den.coeffs[::-1], z)
-        return (num / den)[()]
+        rnum, rden = _horner(self.num.coeffs[::-1], z), _horner(self.den.coeffs[::-1], z)
+        ratio = np.array(ratio)
+        ratio[redo] = z ** (self.den.degree - self.num.degree) * rnum / rden
+        return ratio[()]
 
     def canonicalized(self) -> "RationalTransferFunction":
         """Scale num and den by 1/lead so the denominator is monic.
@@ -330,6 +336,22 @@ class StateSpaceModel:
         mats.setflags(write=False)
         return char, mats
 
+    @cached_property
+    def _transfer_table(self) -> tuple[np.ndarray, Polynomial]:
+        """(nums, den) of every channel, found once and shared by ss_to_tf.
+
+        nums[output, input] holds the numerator coefficients of that channel,
+        D[output, input] * char + C[output] N B[:, input], from one stacked
+        product over the Faddeev-LeVerrier matrices N; den is the monic char
+        as one Polynomial, the same object for every channel.  Entries past
+        the float range are inf or NaN, without a warning.
+        """
+        char, mats = self.resolvent
+        with np.errstate(over="ignore", invalid="ignore"):
+            nums = _numerators(char, mats, self.B, self.C, self.D)
+        nums.setflags(write=False)
+        return nums, Polynomial(char.tolist())
+
 
 def _resolvent(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Faddeev-LeVerrier recursion.
@@ -357,34 +379,44 @@ def _resolvent(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return char, mats
 
 
-def ss_to_tf(m: StateSpaceModel, input: int = 0, output: int = 0) -> RationalTransferFunction:
-    """Transfer function C (sI - A)^-1 B + D of one scalar channel.
+def _numerators(char: np.ndarray, mats: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """nums[o, i, k] = D[o, i] * char[k] + C[o] N[k] B[:, i], N[k] = mats[k] (zero for k = n).
 
-    The resolvent of A is found once per model and shared by its channels.
-    A channel whose coefficients overflow is refused with a ValueError,
-    without a warning.
+    One stacked product with the bits of the per-channel formula
+    d * char[k] + float(c @ N[k] @ b): each row C[o] N[k] is one
+    vector-matrix product and each entry one dot product with a column of B,
+    as the formula makes them.  A matrix product of all rows at once would
+    sum in another order and could change the last bits.
+    """
+    n = mats.shape[0]
+    rows = np.matmul(C[:, None, None, :], mats)  # (p, n, 1, n): C[o] N[k]
+    dots = np.matmul(rows[:, :, None], B.T[:, :, None])  # (p, n, m, 1, 1): C[o] N[k] B[:, i]
+    nums = D[:, :, None] * char
+    nums[:, :, :n] += dots[..., 0, 0].transpose(0, 2, 1)
+    return nums
+
+
+def ss_to_tf(m: StateSpaceModel, input: int = 0, output: int = 0) -> RationalTransferFunction:
+    """Transfer function C (sI - A)^-1 B + D of one scalar channel, over a monic denominator.
+
+    The numerators of every channel are found once per model (see
+    StateSpaceModel._transfer_table), and its channels share one denominator
+    object.  A channel whose coefficients overflow is refused with a
+    ValueError, without a warning.
     """
     if not 0 <= input < m.n_inputs:
         raise IndexError("input index out of range")
     if not 0 <= output < m.n_outputs:
         raise IndexError("output index out of range")
-    n = m.n_states
-    char, mats = m.resolvent
-    b = m.B[:, input]
-    c = m.C[output, :]
-    d = float(m.D[output, input])
-    with np.errstate(over="ignore", invalid="ignore"):
-        num = d * char
-        for k in range(n):
-            num[k] += float(c @ mats[k] @ b)
-    num = num.tolist()
+    nums, den = m._transfer_table
+    num = nums[output, input].tolist()
     # this also refuses a non-finite char: char[k], k < n, enters num[k] = d*char[k] + c N[k] b,
     # and d*inf is never finite
     if not all(map(math.isfinite, num)):
         raise ValueError(
             "the controller transfer function at this tuning is not representable: its coefficients overflow"
         )
-    return RationalTransferFunction(Polynomial(tuple(num)), Polynomial(tuple(char))).canonicalized()
+    return RationalTransferFunction(Polynomial(num), den)
 
 
 def tf_to_ss(a: RationalTransferFunction) -> StateSpaceModel:
@@ -438,6 +470,17 @@ class StepResponseTable:
             cols[name] = v
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "columns", cols)
+
+    @classmethod
+    def _trusted(cls, t: np.ndarray, columns: dict[str, np.ndarray]) -> "StepResponseTable":
+        """A table of float arrays already known to pass __post_init__, made
+        without running it again; the arrays are made read-only."""
+        table = object.__new__(cls)
+        for v in (t, *columns.values()):
+            v.setflags(write=False)
+        object.__setattr__(table, "t", t)
+        object.__setattr__(table, "columns", columns)
+        return table
 
 
 def _balance(M: np.ndarray) -> np.ndarray:
@@ -571,7 +614,11 @@ def step_response(m: StateSpaceModel, input: int = 0, t_end: float = 10.0, n_ste
         samples[np.argmax(overflowed) + 1 :] = np.nan
     t = np.linspace(0.0, t_end, n_steps + 1)
     cols = {name: samples[:, i].copy() for i, name in enumerate(m.output_labels)}
-    return StepResponseTable(t, cols)
+    if h < sys.float_info.min:
+        # a subnormal step is rounded to multiples of the smallest float, so
+        # the grid may not be uniform: the table checks it
+        return StepResponseTable(t, cols)
+    return StepResponseTable._trusted(t, cols)
 
 
 def is_stable(m: StateSpaceModel) -> bool:

@@ -19,6 +19,7 @@ from adrcpid.adrc import (
 )
 from adrcpid.analysis import (
     PlantModel,
+    _plant_block,
     closed_loop,
     gang_of_seven,
     s_plus_t_residual,
@@ -431,6 +432,75 @@ class TestSharedWorkCounts:
         for plant in (nominal, on_zeros):
             for ctrl in (c, build_equivalent_controller(equivalent_params(design))):
                 gang_of_seven(plant, ctrl)
+
+    def test_every_channel_costs_one_resolvent_and_one_stacked_product(self, monkeypatch, default_order2):
+        design, plant = default_order2
+        calls = []
+
+        def counted(name):
+            original = getattr(lti, name)
+            return lambda *args: calls.append(name) or original(*args)
+
+        for name in ("_resolvent", "_numerators"):
+            monkeypatch.setattr(lti, name, counted(name))
+        for c in _controllers(design):
+            for m in (c.ss, closed_loop(plant, c)):
+                calls.clear()
+                tfs = [lti.ss_to_tf(m, i, o) for o in range(m.n_outputs) for i in range(m.n_inputs)]
+                assert sorted(calls) == ["_numerators", "_resolvent"]
+                assert all(tf.den is tfs[0].den for tf in tfs)
+            c_r, c_y = extract_cr_cy(c)
+            assert c_r.den is c_y.den
+
+
+def _channel_numerator(m, output, input):
+    """d * char[k] + float(c @ N[k] @ b), one channel at a time."""
+    char, mats = m.resolvent
+    b, c, d = m.B[:, input], m.C[output, :], float(m.D[output, input])
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = d * char
+        for k in range(m.n_states):
+            num[k] += float(c @ mats[k] @ b)
+    return num
+
+
+# a tuning and a plant with K < 0 from TestGangProducts, at which PS made as
+# k * dc, not 0.0 + k * dc as the convolution makes it, has a -0.0
+NEGATIVE_K = (
+    (2, 525.9936700474275, 7.856861902127318, -8.36559317458831),
+    (-0.5951691781089218, 500.6969422962409, 0.8897818157730942),
+)
+
+
+class TestStackedRoutes:
+    """The stacked transfer table and the direct plant block keep the bits of the per-channel routes."""
+
+    @settings(max_examples=100)
+    @given(TUNINGS, PLANTS)
+    @example(*NEGATIVE_K)
+    def test_table_equal_to_the_per_channel_formula(self, tuning, plant):
+        design = AdrcDesign(*tuning)
+        K, T, D = plant
+        plant = PlantModel(design.order, K, T, D if design.order == 2 else None)
+        for c in _controllers(design):
+            for m in (c.ss, closed_loop(plant, c)):  # 2 inputs and 1 output, 3 inputs and 2 outputs
+                nums, den = m._transfer_table
+                assert np.array(den.coeffs).tobytes() == m.resolvent[0].tobytes()
+                for o in range(m.n_outputs):
+                    for i in range(m.n_inputs):
+                        assert nums[o, i].tobytes() == _channel_numerator(m, o, i).tobytes(), (o, i)
+
+    @settings(max_examples=100)
+    @given(TUNINGS, PLANTS)
+    # K < 0: tf_to_ss gives C = [k, 0.0, ...] with +0.0, where k * [1, 0, ...] would give -0.0
+    @example(*NEGATIVE_K)
+    def test_plant_block_equal_to_the_canonical_realization(self, tuning, plant):
+        order = tuning[0]
+        K, T, D = plant
+        plant = PlantModel(order, K, T, D if order == 2 else None)
+        want = lti.tf_to_ss(plant.tf)
+        for got, ref in zip(_plant_block(plant), (want.A, want.B, want.C)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 class TestLoopMeasures:

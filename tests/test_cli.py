@@ -589,12 +589,10 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
         ),
         # a second-order plant kept whole, whose gang has nothing to divide out and stays in range
         (["figure", "8", "--plant-d", "1e88"], EXIT_OK, ""),
+        # a second-order plant whose gang members, by Horner in s, have a numerator and a
+        # denominator near the float maximum and a quotient past it: evaluated in 1/s, in range
+        (["figure", "8", "--plant-d", "1e296"], EXIT_OK, ""),
         # second-order plants kept whole, whose gang or loop leaves the float range
-        (
-            ["figure", "8", "--plant-d", "1e296"],
-            EXIT_BAD_ARGS,
-            "error: the gang of seven at this plant is not representable: its magnitudes overflow\n",
-        ),
         (
             ["figure", "8", "--plant-t", "1e-152"],
             EXIT_BAD_ARGS,

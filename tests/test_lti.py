@@ -314,6 +314,17 @@ class TestFreqResponse:
         assert got.tolist() == pytest.approx(want, rel=1e-14)
         assert h(1e10j) == got[1]
 
+    def test_value_in_range_where_the_quotient_overflows(self):
+        # at s = 2j, num(s) and den(s) are about -1.76e308 + 3.5e307j, in range, and
+        # their complex quotient is not; their ratio is 1 - 1/den(s)
+        h = tf((0.0, 1.75e307, 4.4e307), (1.0, 1.75e307, 4.4e307))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite([h.num(2j), h.den(2j)]).all()
+            assert not np.isfinite(h.num(2j) / h.den(2j))
+        got = h(np.array([0.5j, 2j]))
+        assert got[0] == h.num(0.5j) / h.den(0.5j)  # in range: the plain ratio, bit for bit
+        assert got[1] == pytest.approx(1.0, rel=1e-15)
+
     def test_value_past_the_float_range_is_not_finite(self):
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(tf((1e300, 1e300, 1e300), (1.0, 1.0))(1e10j))
@@ -341,6 +352,15 @@ class TestStepResponse:
         m = tf_to_ss(tf((1,), (1, 1)))
         with pytest.raises(ValueError):
             step_response(m, 0, t_end=1.0, n_steps=1)
+
+    def test_table_is_read_only(self):
+        out = step_response(tf_to_ss(tf((1,), (1, 1))), 0, t_end=1.0, n_steps=10)
+        assert not out.t.flags.writeable and not out.columns["y"].flags.writeable
+
+    def test_grid_of_subnormal_steps_checked_for_uniformity(self):
+        # linspace rounds these instants to multiples of 5e-324, far off 1e-9 of the step
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            step_response(tf_to_ss(tf((1,), (1, 1))), 0, t_end=1e-312, n_steps=300)
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
