@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 # behind __all__, __getattr__ and __dir__
 _EXPORTS = {
     "lti": (
-        "ImproperTransferFunctionError",
         "Polynomial",
         "RationalTransferFunction",
         "StateSpaceModel",
@@ -30,7 +29,6 @@ _EXPORTS = {
         "step_response",
         "tf_minreal",
         "tf_residual",
-        "tf_to_ss",
     ),
     "design": (
         "AdrcDesign",

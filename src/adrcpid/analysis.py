@@ -22,10 +22,10 @@ from .lti import (
     RationalTransferFunction,
     StateSpaceModel,
     StepResponseTable,
+    _balance,
     is_stable,
     poly_residual,
     step_response,
-    tf_to_ss,
 )
 
 # Step experiments: long enough for integral action to flatten the tail,
@@ -80,9 +80,6 @@ class PlantModel:
         """
         return self.tf.canonicalized()
 
-    def to_ss(self) -> StateSpaceModel:
-        return tf_to_ss(self.tf)
-
 
 def _plant_coeffs(order: int, K: float, T: float, D: float | None) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(num, den) of the plant as written."""
@@ -104,10 +101,9 @@ def _plant_representable(order: int, K: float, T: float, D: float | None) -> boo
 
 
 def _plant_block(plant: PlantModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, C) of plant.to_ss(), made straight from the monic coefficients.
-
-    The bits of tf_to_ss: a companion A, B = e_n and C = [k, 0, ...], since
-    the numerator k is a constant and the direct term is 0.
+    """(A, B, C) of the plant's controllable canonical realization, from its
+    monic coefficients: a companion A, B = e_n and C = [k, 0, ...], since the
+    numerator k is a constant and the direct term is 0.
     """
     P = plant.canonical_tf
     n = plant.order
@@ -125,7 +121,8 @@ def closed_loop(plant: PlantModel, c: TwoInputController) -> StateSpaceModel:
 
     The plant input is u + d_u and the controller measurement is y + n.
     Well-posed because the plant is strictly proper: its numerator is a
-    constant and its denominator keeps its degree, so to_ss() has D = 0.
+    constant and its denominator keeps its degree, so its block has no
+    direct term.
     """
     Ap, Bp, Cp = _plant_block(plant)
     cs = c.ss
@@ -195,8 +192,8 @@ def gang_of_seven(plant: PlantModel, c: TwoInputController) -> GangOfSeven:
     c_r, c_y = extract_cr_cy(c)
     (k,), dp = P.num.coeffs, P.den  # np = k, a constant
     nr, nc, dc = c_r.num, c_y.num, c_y.den  # c_r.den is dc, the same object
-    dp_dc, np_dc, np_nc = dp * dc, _times(k, dc), _times(k, nc)
-    chi = dp_dc + np_nc  # closed-loop characteristic polynomial
+    dp_dc, np_nc, chi = _loop_polynomial(k, dp, nc, dc)
+    np_dc = _times(k, dc)
     nc_chi = nc * chi
     if not all(map(math.isfinite, chi.coeffs + nc_chi.coeffs)):
         raise ValueError("the gang of seven at this plant is not representable: its closed-loop polynomial overflows")
@@ -210,6 +207,13 @@ def gang_of_seven(plant: PlantModel, c: TwoInputController) -> GangOfSeven:
         PSF_r=over_nc_chi(np_dc * nr),
         TF_r=over_chi(_times(k, nr)),
     )
+
+
+def _loop_polynomial(k: float, dp: Polynomial, nc: Polynomial, dc: Polynomial) -> tuple[Polynomial, ...]:
+    """(dp*dc, k*nc, chi) of the loop k/dp with C_y = nc/dc, where
+    chi = dp*dc + k*nc is its closed-loop characteristic polynomial."""
+    dp_dc, np_nc = dp * dc, _times(k, nc)
+    return dp_dc, np_nc, dp_dc + np_nc
 
 
 def _times(k: float, p: Polynomial) -> Polynomial:
@@ -293,21 +297,59 @@ def step_sweep(
     """Unit reference steps over a plant-parameter sweep.
 
     Controllers are not retuned per case; unstable combinations are
-    simulated anyway and flagged instead of raising.
+    simulated anyway and flagged instead of raising.  A case is stable if
+    is_stable passes its chi, formed in the sweep's own time unit
+    s~ = alpha*s, with alpha the power of two at or below t_end (the
+    frequency scaling of Gao, ACC 2003): the roots of chi in s~ are alpha
+    times those in s, with the same signs of real part, and its coefficients
+    stay in the float range where those of chi in s overflow.
     """
     plants = sweep_plants(plant, parameter, values)
     if not controllers:
         raise ValueError("need at least one controller")
     values = tuple(getattr(swept, parameter) for swept in plants)
+    alpha = math.ldexp(0.5, math.frexp(t_end)[1])
+    splits = {name: _time_scaled_measurement(ctrl, alpha) for name, ctrl in controllers.items()}
     cases = []
     for v, swept in zip(values, plants):
         for name, ctrl in controllers.items():
-            loop = closed_loop(swept, ctrl)
-            table = step_response(loop, input=0, t_end=t_end, n_steps=n_steps)
-            cases.append(SweepCase(value=v, controller=name, table=table, stable=is_stable(loop)))
+            table = step_response(closed_loop(swept, ctrl), input=0, t_end=t_end, n_steps=n_steps)
+            with np.errstate(over="ignore", invalid="ignore"):
+                chi = _loop_polynomial(*_time_scaled_plant(swept, alpha), *splits[name])[2]
+            cases.append(SweepCase(value=v, controller=name, table=table, stable=is_stable(chi)))
     return SweepResult(
         parameter=parameter,
         values=values,
         controllers=tuple(controllers),
         cases=tuple(cases),
     )
+
+
+def _time_scaled_plant(plant: PlantModel, alpha: float) -> tuple[float, Polynomial]:
+    """(k, dp) of the monic plant in s~ = alpha*s: coefficient j of dp times
+    alpha**(n - j), and k times alpha**n; inf past the float range."""
+    P = plant.canonical_tf
+    powers = alpha ** np.arange(plant.order, -1.0, -1.0)
+    return P.num.coeffs[0] * powers[0], Polynomial((np.array(P.den.coeffs) * powers).tolist())
+
+
+def _time_scaled_measurement(c: TwoInputController, alpha: float) -> tuple[Polynomial, Polynomial]:
+    """(nc, dc) of C_y in s~ = alpha*s, dc monic, from the y channel realized
+    as (alpha*A, alpha*b, c, d) and balanced by the exact power-of-two scales
+    of _balance, input and output as one more state, so that the products of
+    the split stay in range where those of an ill-scaled realization
+    overflow.  A coefficient past the float range is inf or NaN, without a
+    warning, and makes chi "not stable".
+    """
+    cs = c.ss
+    n = cs.n_states
+    M = np.zeros((n + 1, n + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        M[:n, :n] = alpha * cs.A
+        M[:n, n] = alpha * cs.B[:, 1]
+        M[n, :n] = cs.C[0]
+        if math.isfinite(float(np.abs(M).sum())):  # every row and column sum finite
+            d = _balance(M)
+            M = M * d[None, :] / d[:, None]
+        nums, dc = StateSpaceModel(M[:n, :n], M[:n, n:], M[n:, :n], cs.D[:, 1:])._transfer_table
+        return Polynomial(np.negative(nums[0, 0]).tolist()), dc

@@ -1,8 +1,8 @@
 """Scalar continuous-time LTI primitives.
 
 Polynomial sums and products, rational transfer functions (evaluation,
-negation, monic normalization, cancellation), state-space models,
-conversions between the two, and exact step responses via zero-order hold.
+negation, monic normalization, cancellation), state-space models and their
+transfer functions, exact step responses via zero-order hold, and the Routh test.
 
 Coefficient convention used everywhere in this package: polynomials store
 ascending powers of s, i.e. ``coeffs[k]`` multiplies ``s**k``.
@@ -28,10 +28,6 @@ COEFF_ABS_TOL = 1e-12
 STEP_BLOCK = 64
 # [6/6] Pade coefficients of exp: c_k = (12-k)! 6! / (12! k! (6-k)!).
 _PADE6 = (1.0, 1.0 / 2, 5.0 / 44, 1.0 / 66, 1.0 / 792, 1.0 / 15840, 1.0 / 665280)
-
-
-class ImproperTransferFunctionError(ValueError):
-    """A proper transfer function was required but deg(num) > deg(den)."""
 
 
 def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
@@ -102,33 +98,6 @@ class Polynomial:
     def scaled(self, factor: float) -> "Polynomial":
         return Polynomial([factor * c for c in self.coeffs])
 
-    def roots(self) -> np.ndarray:
-        """Roots via the companion-matrix eigenvalue solver, found once.
-
-        The same arithmetic as numpy's polyroots; the array is shared by every
-        call and read-only.
-        """
-        if self.is_zero:
-            raise ValueError("zero polynomial has no well-defined root set")
-        return self._roots
-
-    @cached_property
-    def _roots(self) -> np.ndarray:
-        c = np.array(self.coeffs)
-        if len(c) == 1:
-            r = np.array([], dtype=complex)
-        elif len(c) == 2:
-            r = np.array([-c[0] / c[1]])
-        else:
-            n = len(c) - 1
-            companion = np.zeros((n, n))
-            companion.reshape(-1)[n :: n + 1] = 1.0
-            companion[:, -1] -= c[:-1] / c[-1]
-            r = np.linalg.eigvals(companion)
-            r.sort()
-        r.setflags(write=False)
-        return r
-
 
 @dataclass(frozen=True)
 class RationalTransferFunction:
@@ -179,13 +148,6 @@ class RationalTransferFunction:
         inv = 1.0 / lead
         return RationalTransferFunction(self.num.scaled(inv), self.den.scaled(inv))
 
-    @property
-    def is_proper(self) -> bool:
-        return self.num.degree <= self.den.degree or self.num.is_zero
-
-    def poles(self) -> np.ndarray:
-        return self.den.roots()
-
 
 def tf_neg(a: RationalTransferFunction) -> RationalTransferFunction:
     return RationalTransferFunction(a.num.scaled(-1.0), a.den).canonicalized()
@@ -208,17 +170,20 @@ def _divide_out(p: Polynomial, roots: list[complex]) -> Polynomial:
 def tf_minreal(a: RationalTransferFunction, tol: float) -> RationalTransferFunction:
     """Cancel num/den root pairs closer than tol, greedy nearest pair first.
 
-    Surviving coefficients are obtained by dividing out the cancelled
-    factors, so an input with nothing to cancel is returned bit-exact (up to
-    monic normalization).
+    Roots come from numpy's companion-matrix polyroots.  Surviving
+    coefficients are obtained by dividing out the cancelled factors, so an
+    input with nothing to cancel is returned bit-exact (up to monic
+    normalization).
     """
+    from numpy.polynomial.polynomial import polyroots
+
     if tol < 0:
         raise ValueError("tol must be >= 0")
     a = a.canonicalized()
     if a.num.is_zero or a.num.degree == 0 or a.den.degree == 0:
         return a
-    zeros = a.num.roots()
-    poles = a.den.roots()
+    zeros = polyroots(a.num.coeffs)
+    poles = polyroots(a.den.coeffs)
     # a NaN distance counts as close, so that the greedy pairing, not this
     # test, decides what a non-finite root set cancels
     if (np.abs(zeros[:, None] - poles) > tol).all():
@@ -419,31 +384,6 @@ def ss_to_tf(m: StateSpaceModel, input: int = 0, output: int = 0) -> RationalTra
     return RationalTransferFunction(Polynomial(num), den)
 
 
-def tf_to_ss(a: RationalTransferFunction) -> StateSpaceModel:
-    """Controllable canonical realization of a proper transfer function."""
-    if not a.is_proper:
-        raise ImproperTransferFunctionError(
-            f"deg(num)={a.num.degree} exceeds deg(den)={a.den.degree}"
-        )
-    a = a.canonicalized()
-    n = a.den.degree
-    den = np.asarray(a.den.coeffs)
-    num = np.zeros(n + 1)
-    num[: len(a.num.coeffs)] = a.num.coeffs
-    d = num[n]
-    residual = num[:n] - d * den[:n]
-    A = np.zeros((n, n))
-    if n:
-        A[:-1, 1:] = np.eye(n - 1)
-        A[-1, :] = -den[:n]
-    B = np.zeros((n, 1))
-    if n:
-        B[-1, 0] = 1.0
-    C = residual.reshape(1, n)
-    D = np.array([[d]])
-    return StateSpaceModel(A, B, C, D, input_labels=("u",), output_labels=("y",))
-
-
 @dataclass(frozen=True, eq=False)
 class StepResponseTable:
     """Named signal traces on a shared uniform time grid starting at 0."""
@@ -621,9 +561,28 @@ def step_response(m: StateSpaceModel, input: int = 0, t_end: float = 10.0, n_ste
     return StepResponseTable._trusted(t, cols)
 
 
-def is_stable(m: StateSpaceModel) -> bool:
-    """True iff every eigenvalue of A has strictly negative real part."""
-    return m.n_states == 0 or bool(np.all(np.linalg.eigvals(m.A).real < 0))
+def is_stable(chi: Polynomial) -> bool:
+    """True iff every root of chi has a strictly negative real part.
+
+    The Routh test (Routh 1877) on the coefficients alone: every entry of the
+    first column of the Routh array must have the sign of the leading
+    coefficient.  An entry that is zero, not finite or of the other sign
+    means "not stable", so a root on the imaginary axis, or an array that
+    leaves the float range, counts as unstable.  A nonzero constant has no
+    roots and is stable.
+    """
+    c = chi.coeffs[::-1]  # descending powers of s
+    if c[0] < 0:
+        c = [-v for v in c]
+    if not 0 < c[0] < math.inf:
+        return False
+    upper, lower = list(c[0::2]), list(c[1::2])
+    while lower:
+        if not 0 < lower[0] < math.inf:
+            return False
+        ratio = upper[0] / lower[0]
+        upper, lower = lower, [u - ratio * v for u, v in zip(upper[1:], lower[1:] + [0.0])]
+    return True
 
 
 def log_grid(lo: float = 1e-2, hi: float = 1e4, n: int = 600) -> np.ndarray:

@@ -4,9 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
+
+from adrcpid.lti import StateSpaceModel, _balance
 
 # Property tests replay the same examples on every run and keep no example
 # database, so a failure reproduces and a pass does not depend on past runs.
@@ -25,6 +29,42 @@ TUNINGS = st.tuples(
     log_uniform(1.0, 1e3),
     st.builds(lambda sign, mag: sign * mag, st.sampled_from((-1.0, 1.0)), log_uniform(1e-3, 1e3)),
 )
+
+
+def tf_to_ss(a) -> StateSpaceModel:
+    """Controllable canonical realization of a proper transfer function; the
+    oracle of the plant block that analysis.closed_loop builds directly."""
+    if a.num.degree > a.den.degree and not a.num.is_zero:
+        raise ValueError(f"deg(num)={a.num.degree} exceeds deg(den)={a.den.degree}")
+    a = a.canonicalized()
+    n = a.den.degree
+    den = np.asarray(a.den.coeffs)
+    num = np.zeros(n + 1)
+    num[: len(a.num.coeffs)] = a.num.coeffs
+    d = num[n]
+    A = np.zeros((n, n))
+    if n:
+        A[:-1, 1:] = np.eye(n - 1)
+        A[-1, :] = -den[:n]
+    B = np.zeros((n, 1))
+    if n:
+        B[-1, 0] = 1.0
+    C = (num[:n] - d * den[:n]).reshape(1, n)
+    return StateSpaceModel(A, B, C, np.array([[d]]), input_labels=("u",), output_labels=("y",))
+
+
+def mp_stable(A, dps=120) -> bool:
+    """True if every eigenvalue of A has a negative real part, by a dps-digit mpmath solve.
+
+    A is balanced first by the exact power-of-two similarity of lti._balance,
+    which keeps its eigenvalues and makes the solve accurate where the
+    entries span hundreds of decades.
+    """
+    d = _balance(A)
+    A = A * d[None, :] / d[:, None]
+    with mpmath.workdps(dps):
+        eigenvalues = mpmath.eig(mpmath.matrix(A.tolist()), left=False, right=False)
+        return all(mpmath.re(e) < 0 for e in eigenvalues)
 
 
 def fresh_python(*args: str) -> subprocess.CompletedProcess:

@@ -3,8 +3,9 @@ import math
 
 import mpmath
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
-from conftest import TUNINGS, log_uniform
+from conftest import TUNINGS, log_uniform, mp_stable, tf_to_ss
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from adrcpid.adrc import (
     tune_second_order,
 )
 from adrcpid.analysis import (
+    STEP_HORIZON_FACTOR,
     PlantModel,
     _plant_block,
     closed_loop,
@@ -88,7 +90,7 @@ class TestPlantModel:
     def test_second_order_tf(self):
         p = PlantModel(order=2, K=1, T=1, D=1)
         assert p.tf.den.coeffs == (1.0, 2.0, 1.0)
-        assert sorted(p.tf.poles().real) == pytest.approx([-1.0, -1.0], abs=1e-7)
+        assert sorted(npoly.polyroots(p.tf.den.coeffs).real) == pytest.approx([-1.0, -1.0], abs=1e-7)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -108,13 +110,13 @@ class TestPlantModel:
         # T**2 = 1e-14 is tiny next to the other denominator coefficients, and still a state
         p = PlantModel(order=2, K=1, T=1e-7, D=1)
         assert p.tf.den.coeffs == (1.0, 2e-7, 1e-7**2)
-        assert p.to_ss().n_states == 2
+        assert _plant_block(p)[0].shape == (2, 2)
 
 
 class TestClosedLoop:
     def test_nominal_first_order_is_stable(self, first_order):
         loop = closed_loop(first_order["plant"], first_order["adrc"])
-        assert is_stable(loop)
+        assert is_stable(gang_of_seven(first_order["plant"], first_order["adrc"]).S.den)
         assert loop.input_labels == ("r", "d_u", "n")
         assert loop.output_labels == ("y", "u")
 
@@ -158,7 +160,7 @@ class TestClosedLoop:
 
 def _np_block_loop(plant, c):
     """The closed loop [r, d_u, n] -> [y, u] assembled with np.block."""
-    p, cs = plant.to_ss(), c.ss
+    p, cs = tf_to_ss(plant.tf), c.ss
     Ap, Bp, Cp = p.A, p.B, p.C
     Ac, Bc, Cc, Dc = cs.A, cs.B, cs.C, cs.D
     n_c = cs.n_states
@@ -335,7 +337,7 @@ class TestGangProducts:
 
     def test_plant_pole_on_a_zero_of_c_y_stays_in_the_sensitivity(self, first_order):
         c = first_order["adrc"]
-        (zero,) = extract_cr_cy(c)[1].num.roots()
+        (zero,) = npoly.polyroots(extract_cr_cy(c)[1].num.coeffs)
         plant = PlantModel(order=1, K=1, T=-1.0 / zero.real)
         # the closed-loop polynomial shares the plant pole, and S = dp dc / chi keeps it
         g = gang_of_seven(plant, c)
@@ -365,10 +367,12 @@ def _channels(m, w):
 
 
 def _state_space_gang(plant, c, w):
-    """|member(jw)| of each gang member, from P, C_r and C_y evaluated on their realizations."""
-    (P,) = _channels(plant.to_ss(), w)
+    """|member(jw)| of each gang member, from C_r and C_y evaluated on their
+    realization and P on the coefficients of plant.tf, in 40-digit arithmetic."""
     Cr, minus_Cy = _channels(c.ss, w)
     with mpmath.workdps(40):
+        s = mpmath.mpc(0, w)
+        P = mpmath.polyval(plant.tf.num.coeffs[::-1], s) / mpmath.polyval(plant.tf.den.coeffs[::-1], s)
         S = 1 / (1 - P * minus_Cy)
         Cy, Fr = -minus_Cy, Cr / -minus_Cy
         members = {"S": S, "PS": P * S, "CS": Cy * S, "T": P * Cy * S,
@@ -377,16 +381,18 @@ def _state_space_gang(plant, c, w):
 
 
 class TestGangAccuracy:
-    """Gang magnitudes at extreme plants against the realizations, at the default tuning."""
+    """Gang magnitudes at extreme plants against a 40-digit reference, at the default tuning."""
 
     @pytest.mark.parametrize(
         "order, K, T, D",
         [(2, 1.0, 1.0, 1e7), (2, 1.0, 1.0, 1e12), (2, 1.0, 1.0, 1e16),
          (1, 1e60, 1.0, None), (1, 1.0, 1e-40, None), (2, 1.0, 1e10, 1.0),
          # a numerator or nc*chi leaves the float range at high w under Horner in s
-         (2, 1e288, 1.0, 1.0), (1, 1e296, 1.0, None)],
+         (2, 1e288, 1.0, 1.0), (1, 1e296, 1.0, None),
+         # a quotient past the float range, evaluated in 1/s
+         (2, 1.0, 1.0, 1e296)],
         ids=["plant-d-1e7", "plant-d-1e12", "plant-d-1e16", "plant-k-1e60", "plant-t-1e-40", "plant-t-1e10",
-             "plant-k-1e288", "plant-k-1e296"],
+             "plant-k-1e288", "plant-k-1e296", "plant-d-1e296"],
     )
     def test_magnitudes_match_the_state_space(self, order, K, T, D):
         design = AdrcDesign(order, 1.0, 10.0, 1.0)
@@ -420,14 +426,14 @@ class TestSharedWorkCounts:
     def test_gang_finds_no_roots(self, monkeypatch, default_order2):
         design, nominal = default_order2
         c = build_adrc(design)
-        zero = extract_cr_cy(c)[1].num.roots()[0]
+        zero = npoly.polyroots(extract_cr_cy(c)[1].num.coeffs)[0]
         # plant poles on the complex zeros of C_y, which a cancelling gang would remove
         on_zeros = PlantModel(order=2, K=1.0, T=1.0 / abs(zero), D=-zero.real / abs(zero))
 
         def refuse(*args):
             raise AssertionError("gang_of_seven found roots")
 
-        monkeypatch.setattr(lti.Polynomial, "roots", refuse)
+        monkeypatch.setattr(npoly, "polyroots", refuse)
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
         for plant in (nominal, on_zeros):
             for ctrl in (c, build_equivalent_controller(equivalent_params(design))):
@@ -498,7 +504,7 @@ class TestStackedRoutes:
         order = tuning[0]
         K, T, D = plant
         plant = PlantModel(order, K, T, D if order == 2 else None)
-        want = lti.tf_to_ss(plant.tf)
+        want = tf_to_ss(plant.tf)
         for got, ref in zip(_plant_block(plant), (want.A, want.B, want.C)):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
@@ -512,6 +518,37 @@ class TestLoopMeasures:
         ms_e = np.max(np.abs(gang_of_seven(case["plant"], case["equiv"]).S(1j * omega)))
         assert ms_a == pytest.approx(ms_e, rel=1e-6)
         assert ms_a > 1.0
+
+
+# plant gain of either sign, lag up to two decades off, damping up to stiff loops at D = 1e24
+STIFF_PLANTS = st.tuples(PLANTS.map(lambda p: p[0]), log_uniform(1e-2, 1e2), log_uniform(0.5, 1e24))
+
+
+class TestStability:
+    """A sweep case is stable iff the Routh test passes its chi; checked against a 120-digit eigenvalue solve."""
+
+    def _assert_stable_as_solved(self, design, plant, values):
+        controllers = dict(zip(("adrc", "equiv"), _controllers(design)))
+        sweep = step_sweep(plant, "K", values, controllers, t_end=STEP_HORIZON_FACTOR * design.T_s)
+        for case in sweep.cases:
+            loop = closed_loop(dataclasses.replace(plant, K=case.value), controllers[case.controller])
+            assert case.stable is mp_stable(loop.A), (case.value, case.controller)
+
+    @settings(max_examples=100)
+    @given(TUNINGS, STIFF_PLANTS)
+    # tunings past the aim-3 range, at which the split of a controller in s overflows
+    @example((2, 1e-100, 1.0, 1.0), (1.0, 1.0, 1.0))
+    @example((2, 1e-100, 10.0, -1.0), (-1.0, 1.0, 1.0))
+    @example((1, 1e-100, 1e3, 1.0), (1.0, 1.0, 1.0))
+    def test_agrees_with_the_eigenvalues(self, tuning, plant):
+        design = AdrcDesign(*tuning)
+        K, T, D = plant
+        self._assert_stable_as_solved(design, PlantModel(design.order, K, T, D if design.order == 2 else None), (K,))
+
+    @pytest.mark.parametrize("D", [1.0, 1e8, 1e16, 1e24])
+    def test_agrees_with_the_eigenvalues_on_the_figure_5_cases(self, D):
+        # where numpy's eigvals of the loop's A gets the sign wrong in 21 of the 48 cases
+        self._assert_stable_as_solved(AdrcDesign(2, 1.0, 10.0, 1.0), PlantModel(2, 1.0, 1.0, D), (0.1, 0.2, 0.5, 1, 2, 5))
 
 
 class TestStepSweep:

@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from conftest import TUNINGS, fresh_python, log_uniform
+from conftest import TUNINGS, fresh_python, log_uniform, mp_stable
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -379,6 +379,47 @@ class TestSweepCommand:
         assert (again / "sweep_K.csv").read_bytes() == (first / "sweep_K.csv").read_bytes()
 
 
+# extreme runs -> how many unstable-case notes they print; the real parts of
+# numpy's eigvals of the loops' A made them 14, 12 and 6
+NOTED_RUNS = {
+    ("figure", "1", "--ts", "1e25"): 0,
+    ("figure", "5", "--plant-d", "1e24"): 0,
+    ("figure", "6", "--ts", "1e-25"): 6,
+}
+
+
+@pytest.mark.parametrize("argv", NOTED_RUNS, ids=["-".join(argv[1:]) for argv in NOTED_RUNS])
+def test_unstable_notes_match_a_300_digit_eigenvalue_solve(tmp_path, capsys, argv):
+    from adrcpid.analysis import closed_loop, sweep_plants
+
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note: ")]
+    _, parameter, order = cli.FIGURES[int(argv[1])]
+    cfg = cli._resolve_config(cli.build_parser().parse_args(argv))
+    want = [
+        f"note: unstable case {parameter}={getattr(plant, parameter):g} controller={name}"
+        for plant in sweep_plants(cli._plant(cfg, order), parameter, cli.DEFAULT_SWEEPS[(order, parameter)])
+        for name, ctrl in cli._controllers(cfg, order).items()
+        if not mp_stable(closed_loop(plant, ctrl).A, dps=300)
+    ]
+    assert notes == want and len(notes) == NOTED_RUNS[argv]
+
+
+def test_commands_find_no_roots_and_no_eigenvalues(tmp_path, monkeypatch):
+    import numpy.polynomial.polynomial as npoly
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command found roots or eigenvalues")
+
+    monkeypatch.setattr(npoly, "polyroots", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    runs = [["tune", "--order", "1", "--ts", "1", "--g", "10"], ["tune", "--order", "2", "--ts", "1", "--g", "10"]]
+    runs += [["figure", str(fig), "--out", str(tmp_path / str(fig))] for fig in cli.FIGURES]
+    runs += [["sweep", "--param", "T", "--order", "2", "--out", str(tmp_path / "sweep")], ["verify"]]
+    with redirect_stdout(io.StringIO()):
+        assert [main(argv) for argv in runs] == [EXIT_OK] * len(runs)
+
+
 class TestVerifyCommand:
     def test_nominal_passes(self, capsys):
         assert main(["verify"]) == EXIT_OK
@@ -675,6 +716,9 @@ TUNING_COMMANDS = {
     "verify": ["verify"],
     "figure3": ["figure", "3"],
     "figure7": ["figure", "7"],
+    # the step path: a trace and a stability note per controller
+    "sweep1": ["sweep", "--param", "K", "--values", "1", "--order", "1"],
+    "sweep2": ["sweep", "--param", "K", "--values", "1", "--order", "2"],
 }
 # refusals raised past the design check, which name no input; how many runs of
 # each command on the grid end in one is pinned, so that none comes or goes unseen
@@ -683,7 +727,7 @@ UNNAMED_REFUSALS = (
     "error: the step response at this tuning is not representable: ",
     "error: the gang of seven at this plant is not representable: ",
 )
-UNNAMED_REFUSAL_COUNTS = {"tune1": 0, "tune2": 0, "verify": 20, "figure3": 4, "figure7": 8}
+UNNAMED_REFUSAL_COUNTS = {"tune1": 0, "tune2": 0, "verify": 20, "figure3": 4, "figure7": 8, "sweep1": 16, "sweep2": 12}
 
 
 @pytest.mark.parametrize("command", TUNING_COMMANDS)
@@ -697,7 +741,7 @@ def test_commands_exit_0_1_or_2_across_the_tuning_range(tmp_path, command):
             for b0 in B0_DECADES:
                 argv = [*TUNING_COMMANDS[command], f"--ts={ts}", f"--g={g}", f"--b0={b0}"]
                 out_dir = tmp_path / f"{ts}_{g}_{b0}"
-                if argv[0] == "figure":
+                if argv[0] in ("figure", "sweep"):
                     argv += ["--out", str(out_dir)]
                 refusal = _run_clean(argv, out_dir, codes)
                 if refusal is None:

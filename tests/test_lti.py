@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from conftest import tf_to_ss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
-from numpy.polynomial.polynomial import polyfromroots
+from numpy.polynomial.polynomial import polyfromroots, polyroots
 
 from adrcpid import adrc, analysis
 from adrcpid.design import PidParams
 from adrcpid.lti import (
     STEP_BLOCK,
-    ImproperTransferFunctionError,
     Polynomial,
     RationalTransferFunction,
     StateSpaceModel,
@@ -22,13 +22,15 @@ from adrcpid.lti import (
     step_response,
     tf_minreal,
     tf_residual,
-    tf_to_ss,
     _expm,
 )
 
 
 def tf(num, den):
     return RationalTransferFunction.from_coeffs(num, den)
+
+
+LAG = StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], [[0.0]], output_labels=("y",))  # 1/(s + 1)
 
 
 class TestPolynomial:
@@ -57,18 +59,11 @@ class TestPolynomial:
     def test_roots_roundtrip(self):
         p = Polynomial(tuple(3.0 * polyfromroots([-1.0, -2.0])))
         assert p.coeffs == pytest.approx((6.0, 9.0, 3.0))
-        assert sorted(p.roots().real) == pytest.approx([-2.0, -1.0])
+        assert sorted(polyroots(p.coeffs).real) == pytest.approx([-2.0, -1.0])
 
     def test_empty_coeffs_rejected(self):
         with pytest.raises(ValueError):
             Polynomial(())
-
-    def test_roots_found_once_and_read_only(self):
-        p = Polynomial((6.0, 5.0, 1.0))
-        r = p.roots()
-        assert p.roots() is r
-        with pytest.raises(ValueError):
-            r[0] = 0.0
 
 
 def _same_bits(got, want) -> bool:
@@ -89,7 +84,7 @@ COEFFS = st.lists(
 
 
 class TestPolynomialMatchesNumpy:
-    """+, *, evaluation and roots give the bits of numpy.polynomial."""
+    """+, * and evaluation give the bits of numpy.polynomial."""
 
     @settings(max_examples=100)
     @given(COEFFS, COEFFS, st.complex_numbers(max_magnitude=1e3))
@@ -101,8 +96,6 @@ class TestPolynomialMatchesNumpy:
         for x in (s, grid, grid.real, [s, -s]):
             got, want = p(x), npoly.polyval(x, p.coeffs)
             assert type(got) is type(want) and _same_bits(got, want)
-        if p.degree > 0:
-            assert _same_bits(p.roots(), np.atleast_1d(npoly.polyroots(p.coeffs)))
 
 
 def _product(a, b):
@@ -186,7 +179,7 @@ class TestMinreal:
         # root-finder oracle on the reduced polynomials
         assert out.num.degree == 0
         assert out.den.degree == 1
-        assert out.den.roots() == pytest.approx([0.0], abs=1e-9)
+        assert polyroots(out.den.coeffs) == pytest.approx([0.0], abs=1e-9)
         assert abs(out(1j) - 1.0 / 1j) < 1e-8
 
     def test_negative_tol_rejected(self):
@@ -248,6 +241,8 @@ class TestSsToTf:
 
 
 class TestTfToSs:
+    """The canonical realization that the plant-block test takes as its oracle."""
+
     def test_first_order_lag(self):
         m = tf_to_ss(tf((1,), (1, 1)))
         np.testing.assert_allclose(m.A, [[-1.0]])
@@ -266,7 +261,7 @@ class TestTfToSs:
         assert tf_residual(ss_to_tf(m), tf((2, 1), (1, 1))) <= 1e-9
 
     def test_improper_rejected(self):
-        with pytest.raises(ImproperTransferFunctionError):
+        with pytest.raises(ValueError, match="exceeds"):
             tf_to_ss(tf((1, 2, 3), (1, 1)))
 
     def test_roundtrip_random_proper(self):
@@ -332,35 +327,35 @@ class TestFreqResponse:
 
 class TestStepResponse:
     def test_first_order_lag_matches_analytic(self):
-        m = tf_to_ss(tf((1,), (1, 1)))
+        m = LAG
         out = step_response(m, 0, t_end=5.0, n_steps=500)
         expected = 1.0 - np.exp(-out.t)
         assert np.max(np.abs(out.columns["y"] - expected)) < 1e-10
 
     def test_lag_value_at_one(self):
-        m = tf_to_ss(tf((1,), (1, 1)))
+        m = LAG
         out = step_response(m, 0, t_end=1.0, n_steps=100)
         assert out.columns["y"][-1] == pytest.approx(1 - np.exp(-1), abs=1e-12)
 
     def test_integrator_ramp(self):
-        m = tf_to_ss(tf((1,), (0, 1)))
+        m = StateSpaceModel([[0.0]], [[1.0]], [[1.0]], [[0.0]], output_labels=("y",))  # 1/s
         out = step_response(m, 0, t_end=2.0, n_steps=200)
         assert out.columns["y"][-1] == pytest.approx(2.0, abs=1e-12)
         assert np.max(np.abs(out.columns["y"] - out.t)) < 1e-10
 
     def test_needs_two_steps(self):
-        m = tf_to_ss(tf((1,), (1, 1)))
+        m = LAG
         with pytest.raises(ValueError):
             step_response(m, 0, t_end=1.0, n_steps=1)
 
     def test_table_is_read_only(self):
-        out = step_response(tf_to_ss(tf((1,), (1, 1))), 0, t_end=1.0, n_steps=10)
+        out = step_response(LAG, 0, t_end=1.0, n_steps=10)
         assert not out.t.flags.writeable and not out.columns["y"].flags.writeable
 
     def test_grid_of_subnormal_steps_checked_for_uniformity(self):
         # linspace rounds these instants to multiples of 5e-324, far off 1e-9 of the step
         with pytest.raises(ValueError, match="uniformly spaced"):
-            step_response(tf_to_ss(tf((1,), (1, 1))), 0, t_end=1e-312, n_steps=300)
+            step_response(LAG, 0, t_end=1e-312, n_steps=300)
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
@@ -485,42 +480,67 @@ class TestBlockedStepResponse:
 
 
 class TestPolesStability:
+    """is_stable is the Routh test of a characteristic polynomial."""
+
     def test_simple_lag(self):
         a = tf((1,), (1, 1))
-        assert a.poles() == pytest.approx([-1.0])
-        assert is_stable(tf_to_ss(a))
+        assert polyroots(a.den.coeffs) == pytest.approx([-1.0])
+        assert is_stable(a.den)
 
     def test_unstable(self):
         a = tf((1,), (-1, 1))
-        assert a.poles() == pytest.approx([1.0])
-        assert not is_stable(tf_to_ss(a))
+        assert polyroots(a.den.coeffs) == pytest.approx([1.0])
+        assert not is_stable(a.den)
+        assert not is_stable(a.den.scaled(-1.0))
 
     def test_double_pole(self):
         a = tf((1,), (1, 2, 1))
-        assert sorted(a.poles().real) == pytest.approx([-1.0, -1.0], abs=1e-7)
-        assert is_stable(tf_to_ss(a))
+        assert sorted(polyroots(a.den.coeffs).real) == pytest.approx([-1.0, -1.0], abs=1e-7)
+        assert is_stable(a.den)
 
     def test_constant_denominator_has_no_poles(self):
         a = tf((2.0,), (1.0,))
-        assert a.poles().size == 0
-        # its realization has no states, and a model without states is stable
-        m = tf_to_ss(a)
-        assert m.n_states == 0
-        assert is_stable(m)
+        assert polyroots(a.den.coeffs).size == 0
+        # a nonzero constant has no roots and is stable; the zero polynomial is not
+        assert is_stable(a.den) and is_stable(Polynomial((-3.0,)))
+        assert not is_stable(Polynomial((0.0,)))
 
     def test_random_second_order_recovery(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             a, b = 10.0 ** rng.uniform(-1, 2, size=2)
             p = Polynomial(tuple(polyfromroots([-a, -b])))
-            got = sorted(tf((1,), p.coeffs).poles().real)
+            got = sorted(polyroots(p.coeffs).real)
             expect = sorted([-a, -b])
             scale = max(1.0, a, b)
             assert got == pytest.approx(expect, abs=1e-9 * scale)
+            assert is_stable(p) and not is_stable(Polynomial(tuple(polyfromroots([-a, b]))))
 
     def test_ss_poles_are_eigenvalues(self):
         m = StateSpaceModel([[-2.0, 0.0], [0.0, -3.0]], [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]])
         assert sorted(np.linalg.eigvals(m.A).real) == pytest.approx([-3.0, -2.0])
-        assert sorted(ss_to_tf(m).poles().real) == pytest.approx([-3.0, -2.0])
-        assert is_stable(m)
-        assert not is_stable(StateSpaceModel([[-2.0, 0.0], [0.0, 0.0]], [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]]))
+        assert sorted(polyroots(ss_to_tf(m).den.coeffs).real) == pytest.approx([-3.0, -2.0])
+        assert is_stable(ss_to_tf(m).den)
+        # an integrator pole: the constant term of the denominator is an exact zero
+        m = StateSpaceModel([[-2.0, 0.0], [0.0, 0.0]], [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        assert not is_stable(ss_to_tf(m).den)
+
+    @pytest.mark.parametrize(
+        "roots, stable",
+        [
+            ([-1.0, -2.0 + 3.0j, -2.0 - 3.0j], True),
+            ([-1.0, 0.1 + 3.0j, 0.1 - 3.0j], False),
+            ([-1.0, 3.0j, -3.0j], False),  # on the imaginary axis: a zero entry
+            ([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0], True),
+            ([-1.0, -2.0, -3.0, -4.0, -5.0, 6.0], False),
+            ([-1e-3, -1.0, -1e3, -1e6 + 1e6j, -1e6 - 1e6j], True),
+        ],
+    )
+    def test_routh_test_on_known_roots(self, roots, stable):
+        p = Polynomial(tuple(np.real(polyfromroots(roots))))
+        assert is_stable(p) is stable
+        assert is_stable(p.scaled(-2.5)) is stable
+
+    @pytest.mark.parametrize("coeffs", [(1.0, math.nan, 1.0), (1.0, math.inf, 1.0), (math.inf, 2.0, 1.0)])
+    def test_coefficients_past_the_float_range_are_not_stable(self, coeffs):
+        assert not is_stable(Polynomial(coeffs))
