@@ -23,8 +23,9 @@ import numpy as np
 COEFF_REL_TOL = 1e-9
 COEFF_ABS_TOL = 1e-12
 
-# Samples advanced per block in step_response; a power of two, because the
-# per-block tables are built by doubling.
+# Samples advanced per block in step_response; a power of two, because a
+# block is filled by doubling with phi, phi^2, ..., and phi^STEP_BLOCK
+# advances the block starts.
 STEP_BLOCK = 64
 # [6/6] Pade coefficients of exp: c_k = (12-k)! 6! / (12! k! (6-k)!).
 _PADE6 = (1.0, 1.0 / 2, 5.0 / 44, 1.0 / 66, 1.0 / 792, 1.0 / 15840, 1.0 / 665280)
@@ -494,20 +495,23 @@ def _expm(M: np.ndarray) -> np.ndarray:
 def step_response(m: StateSpaceModel, input: int = 0, t_end: float = 10.0, n_steps: int = 4000) -> StepResponseTable:
     """Unit-step response from zero initial state, exact at sample instants.
 
-    The state is extended with the constant input and the augmented matrix is
-    exponentiated once at h = t_end / n_steps, so the zero-order-hold
-    discretization reproduces the continuous solution exactly on the grid.
+    The augmented state z = [x; 1] advances by phi = exp([[A, b], [0, 0]] h),
+    h = t_end / n_steps (Van Loan, "Computing integrals involving the matrix
+    exponential", IEEE TAC 1978): the zero-order hold, exact on the grid.
+    Blocks start STEP_BLOCK samples apart, one phi^STEP_BLOCK step each, and
+    doublings z[j + k] = phi^k z[j], k = 1, 2, ..., STEP_BLOCK / 2, fill them.
+    Every sample is y = C x + d of its own state.
 
-    The recurrence x[k+1] = Ad x[k] + bd advances STEP_BLOCK samples at a
-    time: with S_j = sum_{i<j} Ad^i bd, the states of a block that starts in
-    x are Ad^j x + S_j, and the next block starts in Ad^B x + S_B.  Every
-    sample is y = C x + d of its own state; past the first state that
-    overflows, a diverging trace is NaN, as the recurrence itself would be.
+    A power of phi can overflow before the state it advances does, and the
+    recurrence can overflow a state that the doubling finds finite.  So from
+    the first state that one step of phi could overflow, the trace is stepped
+    sample by sample, and a diverging trace is NaN after the first state that
+    overflows, as in the per-sample recurrence.
     """
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
-    if t_end <= 0:
-        raise ValueError("t_end must be > 0")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
     if not 0 <= input < m.n_inputs:
         raise IndexError("input index out of range")
     n = m.n_states
@@ -523,37 +527,42 @@ def step_response(m: StateSpaceModel, input: int = 0, t_end: float = 10.0, n_ste
     phi = _expm(aug * h)
     if not np.isfinite(phi).all():
         raise ValueError(unrepresentable + "the model's exponential over one sample time overflows")
-    Ad = phi[:n, :n]
-    bd = phi[:n, n]
     n_blocks = -(-(n_steps + 1) // STEP_BLOCK)
     with np.errstate(over="ignore", invalid="ignore"):
-        # powers[j] = Ad^j and sums[j] = S_j for j < STEP_BLOCK, by doubling:
-        # each pass enters with power = Ad^k and s = S_k.
-        powers = np.empty((STEP_BLOCK, n, n))
-        sums = np.empty((STEP_BLOCK, n))
-        powers[0] = np.eye(n)
-        sums[0] = 0.0
-        power, s = Ad, bd
-        k = 1
-        while k < STEP_BLOCK:
-            powers[k : 2 * k] = power @ powers[:k]
-            sums[k : 2 * k] = sums[:k] + powers[:k] @ s
-            s = s + power @ s
-            power = power @ power
-            k *= 2
-        starts = np.empty((n, n_blocks))
-        x = np.zeros(n)
-        for b in range(n_blocks):
-            starts[:, b] = x
-            x = power @ x + s
-        # states[b, j] = Ad^j x_b + S_j is the state at sample b*B + j
-        states = (powers @ starts + sums[:, :, None]).transpose(2, 0, 1).reshape(-1, n)[: n_steps + 1]
-        samples = states @ m.C.T + m.D[:, input]
-    overflowed = ~np.isfinite(states).all(axis=1)
-    if overflowed.any():
-        samples[np.argmax(overflowed) + 1 :] = np.nan
-    t = np.linspace(0.0, t_end, n_steps + 1)
-    cols = {name: samples[:, i].copy() for i, name in enumerate(m.output_labels)}
+        powers = [phi]  # phi^(2^i), up to phi^STEP_BLOCK
+        while len(powers) < STEP_BLOCK.bit_length():
+            powers.append(powers[-1] @ powers[-1])
+        # column j * n_blocks + b holds the state at sample b * STEP_BLOCK + j
+        starts = [np.zeros(n + 1)]
+        starts[0][n] = 1.0
+        for _ in range(1, n_blocks):
+            starts.append(powers[-1].dot(starts[-1]))
+        z = np.empty((n + 1, STEP_BLOCK * n_blocks))
+        z[:, :n_blocks] = np.transpose(starts)
+        width = n_blocks
+        for power in powers[:-1]:
+            z[:, width : 2 * width] = power @ z[:, :width]
+            width *= 2
+        states = z.reshape(n + 1, STEP_BLOCK, n_blocks).transpose(0, 2, 1).reshape(n + 1, -1)[:, : n_steps + 1]
+        # below this bound no term or partial sum of phi @ state can
+        # overflow; NaN fails the test too
+        safe = sys.float_info.max / ((n + 1) * float(np.abs(phi).max()))
+        flagged = ~((states.max(axis=0) <= safe) & (states.min(axis=0) >= -safe))
+        k = max(1, int(np.argmax(flagged))) if flagged.any() else n_steps + 1
+        # from the last state below the bound on, step one sample at a time,
+        # as the recurrence does, until a state overflows
+        while k <= n_steps:
+            states[:, k] = phi @ states[:, k - 1]
+            if not np.isfinite(states[:, k]).all():
+                break
+            k += 1
+        samples = m.C @ states[:n]
+        samples += m.D[:, input, None]
+    samples[:, k + 1 :] = np.nan
+    t = np.arange(n_steps + 1, dtype=float)
+    t *= h
+    t[-1] = t_end  # the bits of np.linspace(0, t_end, n_steps + 1)
+    cols = dict(zip(m.output_labels, samples))
     if h < sys.float_info.min:
         # a subnormal step is rounded to multiples of the smallest float, so
         # the grid may not be uniform: the table checks it

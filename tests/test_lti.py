@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import tf_to_ss
-from hypothesis import given, settings
+from conftest import log_uniform, tf_to_ss
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.polynomial import polyfromroots, polyroots
@@ -348,6 +348,27 @@ class TestStepResponse:
         with pytest.raises(ValueError):
             step_response(m, 0, t_end=1.0, n_steps=1)
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_t_end_must_be_finite_and_positive(self, t_end):
+        with pytest.raises(ValueError, match=r"t_end must be finite and > 0, got"):
+            step_response(LAG, 0, t_end=t_end, n_steps=10)
+
+    # the last two steps are subnormal: 5e-311 gives a uniform enough grid,
+    # 3.3e-315 does not
+    @settings(max_examples=150)
+    @given(st.one_of(log_uniform(1e-3, 1e6), log_uniform(1e-318, 1e-308)), st.integers(2, 5000))
+    @example(1e-310, 2)
+    @example(1e-312, 300)
+    def test_grid_has_the_bits_of_linspace(self, t_end, n_steps):
+        want = np.linspace(0.0, t_end, n_steps + 1)
+        try:
+            got = step_response(LAG, 0, t_end=t_end, n_steps=n_steps).t
+        except ValueError:
+            with pytest.raises(ValueError, match="uniformly spaced"):
+                StepResponseTable(want, {})
+        else:
+            assert _same_bits(got, want)
+
     def test_table_is_read_only(self):
         out = step_response(LAG, 0, t_end=1.0, n_steps=10)
         assert not out.t.flags.writeable and not out.columns["y"].flags.writeable
@@ -372,11 +393,16 @@ def _augmented(m, input=0):
     return aug
 
 
-def _adrc_loop(order, ts, g, b0):
+def _adrc_loop(order, ts, g, b0, K=1.0, T=1.0, D=1.0):
     tune = adrc.tune_first_order if order == 1 else adrc.tune_second_order
     ctrl = adrc.build_adrc(tune(ts, g, b0))
-    plant = analysis.PlantModel(order, 1.0, 1.0, 1.0 if order == 2 else None)
+    plant = analysis.PlantModel(order, K, T, D if order == 2 else None)
     return analysis.closed_loop(plant, ctrl)
+
+
+# (order, T_s, g, b0); the first loop gives ||M||_1 = 2.2e14 for a 300-sample
+# trace over 3 T_s, and unbalanced, [6/6] Pade is 1.8e-2 off its exponential
+ILL_SCALED_LOOPS = [(2, 1.52e-3, 619.0, 7.75), (1, 1e-3, 1e3, 1e-3), (2, 1e3, 1.0, -1e3), (2, 1.0, 10.0, 1.0)]
 
 
 class TestExpm:
@@ -397,11 +423,7 @@ class TestExpm:
         c, s = math.cos(theta), math.sin(theta)
         assert np.allclose(got, [[c, -s], [s, c]], rtol=0.0, atol=1e-14)
 
-    # the first loop gives ||M||_1 = 2.2e14; unbalanced, [6/6] Pade is 1.8e-2 off
-    @pytest.mark.parametrize(
-        "order, ts, g, b0",
-        [(2, 1.52e-3, 619.0, 7.75), (1, 1e-3, 1e3, 1e-3), (2, 1e3, 1.0, -1e3), (2, 1.0, 10.0, 1.0)],
-    )
+    @pytest.mark.parametrize("order, ts, g, b0", ILL_SCALED_LOOPS)
     def test_matches_high_precision_reference_on_ill_scaled_loops(self, order, ts, g, b0):
         mpmath = pytest.importorskip("mpmath")
         # the matrix step_response exponentiates for a 300-sample trace over 3 T_s
@@ -446,12 +468,17 @@ def _per_sample_step(m, input, t_end, n_steps):
 
 
 class TestBlockedStepResponse:
-    @pytest.mark.parametrize("n_steps", [2, STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1, 4000])
-    def test_matches_per_sample_recurrence(self, n_steps):
-        loop = _adrc_loop(2, 1.0, 10.0, 1.0)
+    @pytest.mark.parametrize(
+        "n_steps, tuning",
+        [pytest.param(n, (2, 1.0, 10.0, 1.0), id=str(n)) for n in (2, STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1, 4000)]
+        + [pytest.param(300, t, id="300-" + "-".join(map(str, t))) for t in ILL_SCALED_LOOPS],
+    )
+    def test_matches_per_sample_recurrence(self, n_steps, tuning):
+        loop = _adrc_loop(*tuning)
         assert loop.output_labels == ("y", "u")
-        out = step_response(loop, 0, t_end=3.0, n_steps=n_steps)
-        ref = _per_sample_step(loop, 0, 3.0, n_steps)
+        t_end = 3.0 * tuning[1]
+        out = step_response(loop, 0, t_end=t_end, n_steps=n_steps)
+        ref = _per_sample_step(loop, 0, t_end, n_steps)
         for i, name in enumerate(loop.output_labels):
             y = out.columns[name]
             assert y.shape == (n_steps + 1,)
@@ -477,6 +504,46 @@ class TestBlockedStepResponse:
             # the trace oscillates through zero, so compare against its envelope
             envelope = np.maximum.accumulate(np.abs(r[finite]))
             assert np.all(np.abs(y[finite] - r[finite]) <= 1e-12 * np.maximum(1.0, envelope))
+
+
+    # diverging design points of order 2, 300 samples over 3 T_s, and the
+    # number of finite y samples of the recurrence: the first two used to end
+    # one sample off it; in the third a power of phi overflows a sample before
+    # the state it advances, and in the fourth the recurrence overflows in the
+    # step to a state that the doubling finds finite
+    @pytest.mark.parametrize(
+        "tuning, plant, n_finite",
+        [
+            ((2, 6.114569389729376, 766.0288957723631, -0.0024349890633044756),
+             (-0.7787368924125116, 1.7067703223168706, 1.0710596906468963), 12),
+            ((2, 0.4067142425958793, 60.71025349229091, 0.026144712220196535),
+             (0.529045852911303, 0.704301464666525, 1.0950584602731717), 255),
+            ((2, 5.175520621548562, 595.2138624136236, 0.014091378997922299),
+             (0.6266999354441735, 0.7063705230664895, 1.1792477548882325), 17),
+            ((2, 2.4759170871543255, 399.2250973402266, -0.02556996692292239),
+             (-1.3580015678061081, 1.826105788434668, 1.1488698592975795), 125),
+        ],
+    )
+    def test_nan_tail_starts_where_the_recurrence_overflows(self, tuning, plant, n_finite):
+        loop = _adrc_loop(*tuning, *plant)
+        t_end = 3.0 * tuning[1]
+        out = step_response(loop, 0, t_end=t_end, n_steps=300)
+        ref = _per_sample_step(loop, 0, t_end, 300)
+        assert np.isfinite(ref[:, 0]).sum() == n_finite
+        for i, name in enumerate(loop.output_labels):
+            y, r = out.columns[name], ref[:, i]
+            finite = np.isfinite(r)
+            assert np.array_equal(np.isfinite(y), finite)
+            envelope = np.maximum.accumulate(np.abs(r[finite]))
+            assert np.all(np.abs(y[finite] - r[finite]) <= 1e-12 * np.maximum(1.0, envelope))
+
+    def test_mode_the_input_never_reaches_does_not_overflow_the_trace(self):
+        # x1 grows by e^25 a sample but starts at 0 and gets no input, so the
+        # recurrence keeps it at exactly 0; phi^32 already overflows
+        m = StateSpaceModel([[50.0, 0.0], [0.0, -1.0]], [[0.0], [1.0]], np.eye(2), [[0.0], [0.0]])
+        out = step_response(m, 0, t_end=100.0, n_steps=200)
+        assert np.array_equal(out.columns["y1"], np.zeros(201))
+        assert np.max(np.abs(out.columns["y2"] - (1.0 - np.exp(-out.t)))) < 1e-12
 
 
 class TestPolesStability:
