@@ -72,7 +72,7 @@ def build_adrc(design: AdrcDesign) -> TwoInputController:
     B[:, 1] = design.observer_gains
     C = (-feedback / b0)[np.newaxis]
     D = np.array([[K_P / b0, 0.0]])
-    return TwoInputController(StateSpaceModel(A, B, C, D, ("r", "y"), ("u",)))
+    return TwoInputController(StateSpaceModel._trusted(A, B, C, D, ("r", "y"), ("u",)))
 
 
 def extract_cr_cy(c: TwoInputController) -> tuple[RationalTransferFunction, RationalTransferFunction]:

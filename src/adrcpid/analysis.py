@@ -23,6 +23,7 @@ from .lti import (
     StateSpaceModel,
     StepResponseTable,
     _balance,
+    _poly,
     is_stable,
     poly_residual,
     step_response,
@@ -69,7 +70,9 @@ class PlantModel:
 
     @cached_property
     def tf(self) -> RationalTransferFunction:
-        return RationalTransferFunction.from_coeffs(*_plant_coeffs(self.order, self.K, self.T, self.D))
+        # coefficients that _plant_representable has checked
+        num, den = (_poly(list(map(float, c))) for c in _plant_coeffs(self.order, self.K, self.T, self.D))
+        return RationalTransferFunction(num, den)
 
     @cached_property
     def canonical_tf(self) -> RationalTransferFunction:
@@ -145,7 +148,7 @@ def closed_loop(plant: PlantModel, c: TwoInputController) -> StateSpaceModel:
         C[:, :n_p] = Cp * ((1.0,), (Dc_y,))
         C[1:, n_p:] = Cc
     D = np.array([[0.0, 0.0, 0.0], [Dc_r, 0.0, Dc_y]])
-    return StateSpaceModel(A, B, C, D, ("r", "d_u", "n"), ("y", "u"))
+    return StateSpaceModel._trusted(A, B, C, D, ("r", "d_u", "n"), ("y", "u"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +225,7 @@ def _times(k: float, p: Polynomial) -> Polynomial:
     The convolution sums each coefficient from 0.0, so for k < 0 a zero
     coefficient of p gives +0.0, where k * 0.0 alone would give -0.0.
     """
-    return Polynomial([0.0 + k * c for c in p.coeffs])
+    return _poly([0.0 + k * c for c in p.coeffs])
 
 
 def _over(den: Polynomial):
@@ -330,7 +333,7 @@ def _time_scaled_plant(plant: PlantModel, alpha: float) -> tuple[float, Polynomi
     alpha**(n - j), and k times alpha**n; inf past the float range."""
     P = plant.canonical_tf
     powers = alpha ** np.arange(plant.order, -1.0, -1.0)
-    return P.num.coeffs[0] * powers[0], Polynomial((np.array(P.den.coeffs) * powers).tolist())
+    return float(P.num.coeffs[0] * powers[0]), _poly((np.array(P.den.coeffs) * powers).tolist())
 
 
 def _time_scaled_measurement(c: TwoInputController, alpha: float) -> tuple[Polynomial, Polynomial]:
@@ -351,5 +354,6 @@ def _time_scaled_measurement(c: TwoInputController, alpha: float) -> tuple[Polyn
         if math.isfinite(float(np.abs(M).sum())):  # every row and column sum finite
             d = _balance(M)
             M = M * d[None, :] / d[:, None]
-        nums, dc = StateSpaceModel(M[:n, :n], M[:n, n:], M[n:, :n], cs.D[:, 1:])._transfer_table
-        return Polynomial(np.negative(nums[0, 0]).tolist()), dc
+        y_channel = StateSpaceModel._trusted(M[:n, :n], M[:n, n:], M[n:, :n], cs.D[:, 1:], ("y",), ("u",))
+        nums, dc = y_channel._transfer_table
+        return _poly(np.negative(nums[0, 0]).tolist()), dc

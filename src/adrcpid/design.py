@@ -34,7 +34,8 @@ class AdrcDesign:
     its n + 1 poles g times faster, at -g*omega_cl.  T_s and g must be
     finite and positive, b0 finite and nonzero, of either sign, and together
     they must give gains and equivalent PI(D) parameters that are finite and
-    nonzero in floating point.
+    nonzero in floating point.  The design keeps the values that this check
+    computes; ``equivalent_params`` and the builders read them.
     """
 
     order: int
@@ -50,18 +51,21 @@ class AdrcDesign:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if not 0 < abs(self.b0) < math.inf:
             raise ValueError(f"b0 must be finite and nonzero, got {self.b0!r}")
-        if not _representable(self):
+        tuning = _tuning(self)
+        if tuning is None:
             # name g if the tuning fails even at T_s = b0 = 1, else T_s if it fails at b0 = 1
             probes = (
                 ("g", _Unchecked(self.order, 1.0, self.g, 1.0)),
                 ("T_s", _Unchecked(self.order, self.T_s, self.g, 1.0)),
                 ("b0", self),
             )
-            name = next(name for name, probe in probes if not _representable(probe))
+            name = next(name for name, probe in probes if _tuning(probe) is None)
             raise ValueError(
                 f"{name}={getattr(self, name)!r} is out of range: the gains or equivalent PI(D) parameters "
                 f"of T_s={self.T_s!r}, g={self.g!r}, b0={self.b0!r} are not finite and nonzero"
             )
+        # kept outside the fields, so that ==, hash and repr see the inputs only
+        object.__setattr__(self, "_tuning", tuning)
 
     @property
     def omega_cl(self) -> float:
@@ -70,17 +74,12 @@ class AdrcDesign:
     @property
     def feedback_gains(self) -> tuple[float, ...]:
         """k_i = C(n, i) omega_cl^(n-i) for i < n: (K_P,) or (K_P, K_D)."""
-        n, w = self.order, self.omega_cl
-        return tuple(math.comb(n, i) * w ** (n - i) for i in range(n))
+        return self._tuning[0]
 
     @property
     def observer_gains(self) -> tuple[float, ...]:
         """l_i = C(n+1, i) (g omega_cl)^i for i = 1..n+1: (l1, l2[, l3])."""
-        n, w = self.order, self.omega_cl
-        # l1 is rounded as (C(n+1, 1) g) omega_cl, as in the written-out gains
-        # 2 g K_P and 3 g omega_cl; C(n+1, 1) (g omega_cl) can differ in the last bit
-        first = math.comb(n + 1, 1) * self.g * w
-        return (first, *(math.comb(n + 1, i) * (self.g * w) ** i for i in range(2, n + 2)))
+        return self._tuning[1]
 
     @property
     def K_P(self) -> float:
@@ -112,18 +111,24 @@ class _Unchecked(AdrcDesign):
         pass
 
 
-def _representable(design: AdrcDesign) -> bool:
-    """True if every gain and equivalent PI(D) parameter is finite and nonzero."""
+def _tuning(design: AdrcDesign) -> tuple[tuple[float, ...], tuple[float, ...], PidParams] | None:
+    """(feedback gains, observer gains, equivalent PidParams) of a design, or
+    None unless every gain and equivalent PI(D) parameter is finite and nonzero."""
     # the closed forms themselves, not equivalent_params: checking a design is
     # not a call of that layer, and a traced run should not count it as one
+    n, g = design.order, design.g
     try:
-        p = (pif_from_adrc if design.order == 1 else pidf_from_adrc)(design)
-        values = (*design.feedback_gains, *design.observer_gains, p.kp, p.ki, p.Tf, p.b)
-        if design.order == 2:
-            values += (p.kd, p.d)
+        w = design.omega_cl
+        feedback = tuple(math.comb(n, i) * w ** (n - i) for i in range(n))
+        # l1 is rounded as (C(n+1, 1) g) omega_cl, as in the written-out gains
+        # 2 g K_P and 3 g omega_cl; C(n+1, 1) (g omega_cl) can differ in the last bit
+        observer = (math.comb(n + 1, 1) * g * w, *(math.comb(n + 1, i) * (g * w) ** i for i in range(2, n + 2)))
+        p = (pif_from_adrc if n == 1 else pidf_from_adrc)(design)
     except (ArithmeticError, ValueError):  # a float power overflowed, or PidParams refused a value
-        return False
-    return all(map(math.isfinite, values)) and all(values)  # finite, and none is zero
+        return None
+    values = (*feedback, *observer, p.kp, p.ki, p.Tf, p.b) + ((p.kd, p.d) if n == 2 else ())
+    # finite, and none is zero
+    return (feedback, observer, p) if all(map(math.isfinite, values)) and all(values) else None
 
 
 def tune_first_order(T_s: float, g: float, b0: float = 1.0) -> AdrcDesign:
@@ -185,7 +190,7 @@ def pif_from_adrc(design: AdrcDesign) -> PidParams:
     kp = (4.0 * g**2 + 8.0 * g) / (b0 * T_s * (2.0 * g + 1.0))
     ki = 16.0 * g**2 / (b0 * T_s**2 * (2.0 * g + 1.0))
     Tf = T_s / (8.0 * g + 4.0)
-    b = design.K_P / (b0 * kp)
+    b = design.omega_cl / (b0 * kp)  # K_P = omega_cl
     return PidParams(kp=kp, ki=ki, kd=0.0, Tf=Tf, b=b)
 
 
@@ -203,8 +208,9 @@ def pidf_from_adrc(design: AdrcDesign) -> PidParams:
 
 
 def equivalent_params(design: AdrcDesign) -> PidParams:
-    """PI+F parameters of a first-order design, PID+F of a second-order one."""
-    return pif_from_adrc(design) if design.order == 1 else pidf_from_adrc(design)
+    """PI+F parameters of a first-order design, PID+F of a second-order one,
+    as the design's check found them."""
+    return design._tuning[2]
 
 
 def equivalent_realization(p: PidParams) -> tuple[Rows, Rows, Rows, Rows]:

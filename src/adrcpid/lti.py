@@ -31,20 +31,23 @@ STEP_BLOCK = 64
 _PADE6 = (1.0, 1.0 / 2, 5.0 / 44, 1.0 / 66, 1.0 / 792, 1.0 / 15840, 1.0 / 665280)
 
 
-def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
-    """The coefficients without trailing exact zeros; every nonzero one is kept, however small."""
-    # a list first: a tuple built straight from the map iterator is sized by
-    # a guess and shrunk, which fills the interpreter's tuple free lists
-    c = list(map(float, coeffs))
-    if c and c[-1] != 0.0:  # the common case: nothing to trim
+def _trimmed(c: list[float]) -> tuple[float, ...]:
+    """A nonempty list of floats as a tuple without trailing exact zeros,
+    trimmed in place; every nonzero one is kept, however small, and the zero
+    polynomial is (0.0,)."""
+    if c[-1] != 0.0:  # the common case: nothing to trim
         return tuple(c)
-    if not c:
-        raise ValueError("polynomial needs at least one coefficient")
     while len(c) > 1 and c[-1] == 0.0:
         c.pop()
-    if len(c) == 1 and c[0] == 0.0:
-        return (0.0,)
-    return tuple(c)
+    return (0.0,) if c == [0.0] else tuple(c)  # -0.0 too
+
+
+def _poly(c: list[float]) -> "Polynomial":
+    """Polynomial(c) for a nonempty list of floats made inside this package,
+    trimmed as the constructor trims, without the constructor's conversions."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "coeffs", _trimmed(c))
+    return p
 
 
 def _horner(coeffs: Sequence[float], s):
@@ -65,7 +68,12 @@ class Polynomial:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trimmed(self.coeffs))
+        # a list first: a tuple built straight from the map iterator is sized by
+        # a guess and shrunk, which fills the interpreter's tuple free lists
+        c = list(map(float, self.coeffs))
+        if not c:
+            raise ValueError("polynomial needs at least one coefficient")
+        object.__setattr__(self, "coeffs", _trimmed(c))
 
     @property
     def degree(self) -> int:
@@ -83,21 +91,19 @@ class Polynomial:
         return _horner(self.coeffs, s)
 
     # + and * give the bits of numpy's polyadd and polymul without their
-    # series conversion: the longer operand is copied and the shorter one
-    # added into its prefix, and products are plain convolutions.
+    # series conversion: the shorter operand is added into the prefix of the
+    # longer one, and products are plain convolutions.
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) <= len(b):
             a, b = b, a
-        out = np.array(a)
-        out[: len(b)] += b
-        return Polynomial(out.tolist())
+        return _poly([x + y for x, y in zip(a, b)] + list(a[len(b) :]))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(np.convolve(self.coeffs, other.coeffs).tolist())
+        return _poly(np.convolve(self.coeffs, other.coeffs).tolist())
 
     def scaled(self, factor: float) -> "Polynomial":
-        return Polynomial([factor * c for c in self.coeffs])
+        return _poly([factor * c for c in self.coeffs])
 
 
 @dataclass(frozen=True)
@@ -271,11 +277,22 @@ class StateSpaceModel:
         out_labels = self.output_labels or tuple(f"y{i + 1}" for i in range(p))
         if len(in_labels) != m or len(out_labels) != p:
             raise ValueError("label counts must match input/output counts")
+        self._fill(A, B, C, D, tuple(in_labels), tuple(out_labels))
+
+    @classmethod
+    def _trusted(cls, A, B, C, D, input_labels: tuple[str, ...], output_labels: tuple[str, ...]) -> "StateSpaceModel":
+        """A model of 2-D float arrays and labels already known to pass
+        __post_init__, made without running it; the arrays are made read-only."""
+        m = object.__new__(cls)
+        m._fill(A, B, C, D, input_labels, output_labels)
+        return m
+
+    def _fill(self, A, B, C, D, input_labels, output_labels) -> None:
         for name, mat in (("A", A), ("B", B), ("C", C), ("D", D)):
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)
-        object.__setattr__(self, "input_labels", tuple(in_labels))
-        object.__setattr__(self, "output_labels", tuple(out_labels))
+        object.__setattr__(self, "input_labels", input_labels)
+        object.__setattr__(self, "output_labels", output_labels)
 
     @property
     def n_states(self) -> int:
@@ -316,7 +333,7 @@ class StateSpaceModel:
         with np.errstate(over="ignore", invalid="ignore"):
             nums = _numerators(char, mats, self.B, self.C, self.D)
         nums.setflags(write=False)
-        return nums, Polynomial(char.tolist())
+        return nums, _poly(char.tolist())
 
 
 def _resolvent(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -382,7 +399,7 @@ def ss_to_tf(m: StateSpaceModel, input: int = 0, output: int = 0) -> RationalTra
         raise ValueError(
             "the controller transfer function at this tuning is not representable: its coefficients overflow"
         )
-    return RationalTransferFunction(Polynomial(num), den)
+    return RationalTransferFunction(_poly(num), den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,9 +461,11 @@ def _balance(M: np.ndarray) -> np.ndarray:
         changed = False
         for i in range(n):
             row = A[i]
-            r = sum(row)
-            c = 0.0
-            for other in A:
+            # plain left-to-right sums: the builtin sum() of floats is
+            # compensated from Python 3.12 on, which could change the scales
+            r = c = 0.0
+            for v, other in zip(row, A):
+                r += v
                 c += other[i]
             if c == 0.0 or r == 0.0:
                 continue

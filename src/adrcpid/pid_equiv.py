@@ -22,8 +22,8 @@ from .lti import StateSpaceModel
 
 def build_equivalent_controller(p: PidParams) -> TwoInputController:
     """PI+F controller when kd = 0, PID+F otherwise, from ``design.equivalent_realization``."""
-    A, B, C, D = equivalent_realization(p)
-    return TwoInputController(StateSpaceModel(A, B, C, D, ("r", "y"), ("u",)))
+    A, B, C, D = (np.array(rows, dtype=float) for rows in equivalent_realization(p))
+    return TwoInputController(StateSpaceModel._trusted(A, B, C, D, ("r", "y"), ("u",)))
 
 
 def _rel_mismatch(a: float, b: float) -> float:

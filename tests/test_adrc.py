@@ -15,6 +15,7 @@ from adrcpid.adrc import (
     tune_first_order,
     tune_second_order,
 )
+from adrcpid.design import equivalent_params, pidf_from_adrc, pif_from_adrc
 from adrcpid.lti import (
     Polynomial,
     RationalTransferFunction,
@@ -300,3 +301,41 @@ class TestGenericDesign:
     def test_order_outside_one_and_two_rejected(self):
         with pytest.raises(ValueError):
             AdrcDesign(3, 1.0, 10.0)
+
+
+def _bits(params):
+    return [v.hex() for v in dataclasses.astuple(params)]
+
+
+class TestKeptTuning:
+    """A design keeps the gains and PI(D)F parameters that its own check computed."""
+
+    @settings(max_examples=200)
+    @given(TUNINGS)
+    def test_equivalent_params_are_the_closed_forms(self, tuning):
+        d = AdrcDesign(*tuning)
+        closed_form = pif_from_adrc if d.order == 1 else pidf_from_adrc
+        assert _bits(equivalent_params(d)) == _bits(closed_form(d))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_replaced_design_gets_its_own_values(self, order):
+        d = AdrcDesign(order, 1.0, 10.0, 2.0)
+        flipped = dataclasses.replace(d, b0=-d.b0)
+        p, q = equivalent_params(d), equivalent_params(flipped)
+        assert (q.kp, q.ki, q.kd, q.Tf, q.b, q.d) == (-p.kp, -p.ki, -p.kd, p.Tf, p.b, p.d)
+        assert _bits(q) == _bits((pif_from_adrc if order == 1 else pidf_from_adrc)(flipped))
+        assert flipped.observer_gains == d.observer_gains and flipped.feedback_gains == d.feedback_gains
+
+    def test_equal_designs_compare_hash_and_print_by_their_inputs(self):
+        a, b = tune_second_order(1.0, 10.0, 2.0), AdrcDesign(2, 1.0, 10.0, 2.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != dataclasses.replace(a, b0=-2.0)
+        assert repr(a) == "AdrcDesign(order=2, T_s=1.0, g=10.0, b0=2.0)"
+
+    @pytest.mark.parametrize(
+        "inputs, name",
+        [((2, 1.0, 1e300), "g"), ((2, 1e-300, 10.0), "T_s"), ((1, 1e300, 10.0), "T_s"), ((2, 1.0, 10.0, 1e-320), "b0")],
+    )
+    def test_out_of_range_names_the_input_that_breaks(self, inputs, name):
+        with pytest.raises(ValueError, match=f"^{name}=\\S+ is out of range"):
+            AdrcDesign(*inputs)

@@ -9,6 +9,7 @@ from conftest import TUNINGS, log_uniform, mp_stable, tf_to_ss
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adrcpid import design as design_module
 from adrcpid import lti
 from adrcpid.adrc import (
     AdrcDesign,
@@ -28,6 +29,7 @@ from adrcpid.analysis import (
     step_sweep,
 )
 from adrcpid.lti import (
+    Polynomial,
     RationalTransferFunction,
     StateSpaceModel,
     is_stable,
@@ -39,6 +41,7 @@ from adrcpid.pid_equiv import (
     PidParams,
     build_equivalent_controller,
     equivalent_params,
+    equivalent_realization,
     pidf_from_adrc,
     pif_from_adrc,
 )
@@ -457,6 +460,78 @@ class TestSharedWorkCounts:
                 assert all(tf.den is tfs[0].den for tf in tfs)
             c_r, c_y = extract_cr_cy(c)
             assert c_r.den is c_y.den
+
+    @staticmethod
+    def _design_point_path(order):
+        """One design point through every layer a command runs, as design_scan does."""
+        design = (tune_first_order if order == 1 else tune_second_order)(1.0, 10.0, 1.0)
+        params = equivalent_params(design)
+        plant = PlantModel(order, 1.0, 1.0, 1.0 if order == 2 else None)
+        ctrl, equiv = build_adrc(design), build_equivalent_controller(params)
+        for c in (ctrl, equiv):
+            extract_cr_cy(c)
+            gang_of_seven(plant, c)
+        step_response(closed_loop(plant, ctrl), 0, t_end=3.0, n_steps=300)
+        step_sweep(plant, "K", [0.5, 2.0], {"adrc": ctrl, "equiv": equiv}, t_end=3.0, n_steps=300)
+
+    def _count_calls(self, monkeypatch, owner, name, order):
+        calls = []
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or original(*args))
+        self._design_point_path(order)
+        return len(calls)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_closed_forms_run_once_per_design(self, monkeypatch, order):
+        # the design's own check computes them; equivalent_params reuses them
+        closed_form = ("pif_from_adrc", "pidf_from_adrc")[order - 1]
+        assert self._count_calls(monkeypatch, design_module, closed_form, order) == 1
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("value_type", [StateSpaceModel, Polynomial])
+    def test_objects_the_package_builds_skip_the_public_checks(self, monkeypatch, order, value_type):
+        assert self._count_calls(monkeypatch, value_type, "__post_init__", order) == 0
+
+
+SIGNED_ZEROS_AND_SUBNORMALS = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1030)
+
+
+class TestUncheckedConstructors:
+    """Objects the package builds without the public checks equal what the checks would build."""
+
+    @staticmethod
+    def _assert_same_model(got, want):
+        for name in "ABCD":
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype == np.float64 and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            assert not a.flags.writeable, name
+        assert (got.input_labels, got.output_labels) == (want.input_labels, want.output_labels)
+
+    @settings(max_examples=100)
+    @given(TUNINGS, PLANTS)
+    def test_models_equal_the_public_constructor(self, tuning, plant):
+        design = AdrcDesign(*tuning)
+        K, T, D = plant
+        plant = PlantModel(design.order, K, T, D if design.order == 2 else None)
+        params = equivalent_params(design)
+        ctrl, equiv = build_adrc(design), build_equivalent_controller(params)
+        models = [(equiv.ss, equivalent_realization(params))]
+        for m in (ctrl.ss, closed_loop(plant, ctrl), closed_loop(plant, equiv)):
+            models.append((m, [getattr(m, name).tolist() for name in "ABCD"]))
+        for m, (A, B, C, D) in models:
+            self._assert_same_model(m, StateSpaceModel(A, B, C, D, m.input_labels, m.output_labels))
+
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(SIGNED_ZEROS_AND_SUBNORMALS)), min_size=1, max_size=8))
+    @example([-0.0])
+    @example([0.0, -0.0])
+    @example([-0.0, 1.0, 0.0, -0.0])
+    @example([5e-324, -0.0])
+    @example([1.0, -5e-324])
+    def test_polynomial_fast_path_trims_as_the_constructor(self, coeffs):
+        got, want = lti._poly(list(coeffs)), Polynomial(tuple(coeffs))
+        assert type(got) is Polynomial
+        assert [c.hex() for c in got.coeffs] == [c.hex() for c in want.coeffs]
 
 
 def _channel_numerator(m, output, input):

@@ -1,3 +1,4 @@
+import builtins
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from adrcpid.lti import (
     step_response,
     tf_minreal,
     tf_residual,
+    _balance,
     _expm,
 )
 
@@ -437,6 +439,36 @@ class TestExpm:
         got = _expm(np.array([[0.0, 1e200], [1e-200, 0.0]]))
         expected = [[math.cosh(1.0), 1e200 * math.sinh(1.0)], [1e-200 * math.sinh(1.0), math.cosh(1.0)]]
         assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
+
+
+def _compensated_sum(values, start=0):
+    """Neumaier's compensated sum, as the builtin sum() of floats is from Python 3.12 on."""
+    total, compensation = float(start), 0.0
+    for v in values:
+        t = total + v
+        compensation += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + compensation
+
+
+class TestBalance:
+    # left to right, row 0 sums to 32 + 2**-47: each 2**-48 is half an ulp
+    # of 32 and rounds away.  Compensated, it sums to 32 + 2**-46.  Column 0
+    # sums to 1, so 0.5 log2(r / c) rounds to 2.5 or to just above it, and
+    # the scale of state 0 to 2**2 or 2**3.
+    ROW_SUM_TIE = np.zeros((5, 5))
+    ROW_SUM_TIE[0, 1:] = (32.0, 2.0**-48, 2.0**-48, 2.0**-47)
+    ROW_SUM_TIE[1, 0] = 1.0
+
+    def test_scales_do_not_depend_on_the_builtin_sum(self, monkeypatch):
+        row = self.ROW_SUM_TIE[0].tolist()
+        plain = 0.0
+        for v in row:
+            plain += v
+        assert (plain, _compensated_sum(row)) == (32.0 + 2.0**-47, 32.0 + 2.0**-46)
+        assert _balance(self.ROW_SUM_TIE).tolist() == [4.0, 1.0, 1.0, 1.0, 1.0]
+        monkeypatch.setattr(builtins, "sum", _compensated_sum)
+        assert _balance(self.ROW_SUM_TIE).tolist() == [4.0, 1.0, 1.0, 1.0, 1.0]
 
 
 class TestUnrepresentableStep:
