@@ -30,19 +30,12 @@ class TwoInputController:
         if self.ss.n_inputs != 2 or self.ss.n_outputs != 1:
             raise ValueError("controller must have exactly inputs [r, y] and output u")
 
-    def reference_tf(self) -> RationalTransferFunction:
-        """Transfer function from r to u (C_r)."""
-        return ss_to_tf(self.ss, input=0, output=0)
-
-    def measurement_tf(self) -> RationalTransferFunction:
-        """Transfer function from y to u; equals -C_y by convention."""
-        return ss_to_tf(self.ss, input=1, output=0)
-
     @cached_property
     def _cr_cy(self) -> tuple[RationalTransferFunction, RationalTransferFunction]:
-        # both channels read the model's one transfer table, and negation
-        # keeps the monic denominator, so C_r and C_y share one den object
-        return self.reference_tf(), tf_neg(self.measurement_tf())
+        # C_r is the r -> u channel and C_y minus the y -> u channel; both read
+        # the model's one transfer table, and negation keeps the monic
+        # denominator, so C_r and C_y share one den object
+        return ss_to_tf(self.ss, input=0, output=0), tf_neg(ss_to_tf(self.ss, input=1, output=0))
 
 
 def observer_matrix(design: AdrcDesign) -> np.ndarray:

@@ -23,6 +23,7 @@ from .lti import (
     StateSpaceModel,
     StepResponseTable,
     _balance,
+    _over,
     _poly,
     is_stable,
     poly_residual,
@@ -77,10 +78,7 @@ class PlantModel:
     @cached_property
     def canonical_tf(self) -> RationalTransferFunction:
         """tf with a monic denominator, made once per plant and shared by the
-        gangs of that plant.
-
-        Made from the raw tf: canonicalizing twice is not a no-op.
-        """
+        gangs of that plant."""
         return self.tf.canonicalized()
 
 
@@ -92,15 +90,16 @@ def _plant_coeffs(order: int, K: float, T: float, D: float | None) -> tuple[tupl
 
 
 def _plant_representable(order: int, K: float, T: float, D: float | None) -> bool:
-    """True if the plant's coefficients, as written and over a monic denominator,
-    are finite, and its denominator coefficients nonzero."""
+    """True if the plant's coefficients, as written and as _over makes them
+    monic, are finite, and its denominator coefficients nonzero."""
     try:
         num, den = _plant_coeffs(order, K, T, D)
-        inv = 1.0 / den[-1]
-    except ArithmeticError:  # T**2 overflowed, or underflowed to zero
+        if not all(den):  # a zero lead would be trimmed, not divided by
+            return False
+        monic = _over(_poly(list(den)))(_poly(list(num)))
+        return all(map(math.isfinite, (*num, *den, *monic.num.coeffs, *monic.den.coeffs))) and all(monic.den.coeffs)
+    except ArithmeticError:  # T**2 overflowed
         return False
-    monic = tuple(c * inv for c in den)
-    return all(map(math.isfinite, (*num, *den, *monic, *(c * inv for c in num)))) and all(den + monic)
 
 
 def _plant_block(plant: PlantModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -228,27 +227,14 @@ def _times(k: float, p: Polynomial) -> Polynomial:
     return _poly([0.0 + k * c for c in p.coeffs])
 
 
-def _over(den: Polynomial):
-    """num -> RationalTransferFunction(num, den).canonicalized(), den made monic once.
-
-    The raw numerator goes in: canonicalizing twice is not a no-op.
-    """
-    if den.is_zero or den.leading == 1.0:  # a zero den is left to the constructor to reject
-        return lambda num: RationalTransferFunction(num, den)
-    inv = 1.0 / den.leading
-    monic = den.scaled(inv)
-    return lambda num: RationalTransferFunction(num.scaled(inv), monic)
-
-
 def s_plus_t_residual(g: GangOfSeven) -> float:
     """Coefficient residual of the identity S + T = 1.
 
-    S and T are formed over the same characteristic polynomial, so the
-    identity is checked on their polynomials directly: the denominators must
-    match and the numerators must sum to the denominator.
+    S and T are formed over the same monic characteristic polynomial, so
+    the identity is checked on their polynomials directly: the denominators
+    must match and the numerators must sum to the denominator.
     """
-    S = g.S.canonicalized()
-    T = g.T_cl.canonicalized()
+    S, T = g.S, g.T_cl
     return max(
         poly_residual(S.den, T.den),
         poly_residual(S.num + T.num, S.den),

@@ -245,14 +245,12 @@ def _step_columns(sweep: SweepResult) -> tuple[list[str], list[np.ndarray], list
     names = ["t"]
     columns = [t]
     series = []
-    for value in sweep.values:
-        for ctrl in sweep.controllers:
-            case = sweep.case(value, ctrl)
-            y = _capped(case.table.columns["y"])
-            label = f"y_{ctrl}_{sweep.parameter}={value:g}"
-            names.append(label)
-            columns.append(y)
-            series.append(Series(label, t[::stride], y[::stride]))
+    for case in sweep.cases:  # value-major, as step_sweep orders them
+        y = _capped(case.table.columns["y"])
+        label = f"y_{case.controller}_{sweep.parameter}={case.value:g}"
+        names.append(label)
+        columns.append(y)
+        series.append(Series(label, t[::stride], y[::stride]))
     return names, columns, series
 
 

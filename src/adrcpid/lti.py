@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -143,17 +143,22 @@ class RationalTransferFunction:
         return ratio[()]
 
     def canonicalized(self) -> "RationalTransferFunction":
-        """Scale num and den by 1/lead so the denominator is monic.
+        """num/den over a monic denominator, by the rule of _over; self if den is monic already."""
+        return self if self.den.leading == 1.0 else _over(self.den)(self.num)
 
-        The new leading coefficient is lead*(1/lead), which is not always 1:
-        for lead = 49 it is 1 - 2**-53.  So canonicalizing a result again is
-        not a no-op; it can change the last bits of every coefficient.
-        """
-        lead = self.den.leading
-        if lead == 1.0:
-            return self
-        inv = 1.0 / lead
-        return RationalTransferFunction(self.num.scaled(inv), self.den.scaled(inv))
+
+def _over(den: Polynomial) -> Callable[[Polynomial], RationalTransferFunction]:
+    """num -> num/den over a monic denominator, made once and shared by every result.
+
+    The one monic rule of this package: every coefficient is divided by the
+    leading one of den, so the new lead is exactly 1.0 and canonicalizing a
+    result again is a no-op.
+    """
+    lead = den.leading
+    if den.is_zero or lead == 1.0:  # a zero den is left to the constructor to reject
+        return lambda num: RationalTransferFunction(num, den)
+    monic = _poly([c / lead for c in den.coeffs])
+    return lambda num: RationalTransferFunction(_poly([c / lead for c in num.coeffs]), monic)
 
 
 def tf_neg(a: RationalTransferFunction) -> RationalTransferFunction:

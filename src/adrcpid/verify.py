@@ -12,18 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adrc import build_adrc, extract_cr_cy
-from .analysis import PlantModel, closed_loop, gang_of_seven, s_plus_t_residual
-from .design import AdrcDesign, PidParams, equivalent_params, pidf_from_adrc, tune_second_order
-from .lti import (
-    Polynomial,
-    RationalTransferFunction,
-    log_grid,
-    ss_to_tf,
-    step_response,
-    tf_neg,
-    tf_residual,
-)
+from .adrc import TwoInputController, build_adrc, extract_cr_cy
+from .analysis import GangOfSeven, PlantModel, closed_loop, gang_of_seven, s_plus_t_residual
+from .design import AdrcDesign, PidParams, equivalent_params, tune_second_order
+from .lti import Polynomial, RationalTransferFunction, log_grid, step_response, tf_residual
 from .pid_equiv import build_equivalent_controller, verify_asymptotes
 
 EQUIVALENCE_GRID_TS = (0.5, 1.0, 2.0)
@@ -65,12 +57,20 @@ def _perturbed_params(order: int, perturb_b0: float) -> list[PidParams]:
         ) from None
 
 
-def _cy_equivalence(order: int, perturbed: list[PidParams]) -> float:
-    worst = 0.0
-    for (ts, g, b0), params in zip(EQUIVALENCE_GRID, perturbed):
-        _, c_y = extract_cr_cy(build_adrc(AdrcDesign(order, ts, g, b0)))
-        worst = max(worst, tf_residual(c_y, params.feedback_tf()))
-    return worst
+def _grid_residuals(order: int, perturbed: list[PidParams]) -> tuple[float, float]:
+    """(cy_equivalence, setpoint_weight_consistency) of one order, in one pass
+    over EQUIVALENCE_GRID: each design's C_y against the feedback channel of
+    its perturbed parameters, and the set-point weight of its own parameters
+    against its closed form."""
+    cy = weight = 0.0
+    for (ts, g, b0), perturbed_params in zip(EQUIVALENCE_GRID, perturbed):
+        design = AdrcDesign(order, ts, g, b0)
+        _, c_y = extract_cr_cy(build_adrc(design))
+        cy = max(cy, tf_residual(c_y, perturbed_params.feedback_tf()))
+        params = equivalent_params(design)
+        expected = 4.0 / ts if order == 1 else 36.0 / ts**2
+        weight = max(weight, abs(params.b * params.kp * b0 - expected) / expected)
+    return cy, weight
 
 
 def _cr_closed_form(design: AdrcDesign) -> RationalTransferFunction:
@@ -80,9 +80,7 @@ def _cr_closed_form(design: AdrcDesign) -> RationalTransferFunction:
     )
 
 
-def _gang_of_four_identity(design: AdrcDesign, plant: PlantModel) -> float:
-    g7_adrc = gang_of_seven(plant, build_adrc(design))
-    g7_equiv = gang_of_seven(plant, build_equivalent_controller(equivalent_params(design)))
+def _gang_of_four_identity(g7_adrc: GangOfSeven, g7_equiv: GangOfSeven) -> float:
     omega = log_grid(GANG_OMEGA_LO, GANG_OMEGA_HI, GANG_OMEGA_POINTS)
     worst = 0.0
     for name in ("S", "PS", "CS", "T"):
@@ -92,46 +90,31 @@ def _gang_of_four_identity(design: AdrcDesign, plant: PlantModel) -> float:
     return worst
 
 
-def _realization_fidelity(design: AdrcDesign) -> float:
-    """Worst coefficient residual of the printed realization's two channels
-    against their closed forms, over the realization's own denominator s*filter.
+def _realization_fidelity(params: PidParams, ctrl: TwoInputController) -> float:
+    """Worst coefficient residual of the split of the printed realization ctrl
+    of params against its closed forms, over its own denominator s*filter.
 
     The r channel b*kp + ki/s is written as (ki + b*kp*s)*filter / (s*filter),
     so no root is found and nothing is cancelled.
     """
-    params = equivalent_params(design)
-    ctrl = build_equivalent_controller(params)
     feedback = params.feedback_tf()
     filter_ = Polynomial(feedback.den.coeffs[1:])  # s*filter without its exact-zero constant term
     reference = RationalTransferFunction(Polynomial((params.ki, params.b * params.kp)) * filter_, feedback.den)
-    return max(
-        tf_residual(ss_to_tf(ctrl.ss, 1, 0), tf_neg(feedback)),
-        tf_residual(ss_to_tf(ctrl.ss, 0, 0), reference),
-    )
-
-
-def _setpoint_weight_consistency(order: int) -> float:
-    worst = 0.0
-    for ts, g, b0 in EQUIVALENCE_GRID:
-        params = equivalent_params(AdrcDesign(order, ts, g, b0))
-        expected = 4.0 / ts if order == 1 else 36.0 / ts**2
-        got = params.b * params.kp * b0
-        worst = max(worst, abs(got - expected) / expected)
-    return worst
+    c_r, c_y = extract_cr_cy(ctrl)
+    return max(tf_residual(c_y, feedback), tf_residual(c_r, reference))
 
 
 def _filter_damping_range() -> float:
     gs = np.logspace(np.log10(0.1), np.log10(100.0), 201)
-    ds = np.array([pidf_from_adrc(tune_second_order(1.0, float(g), 1.0)).d for g in gs])
+    ds = np.array([equivalent_params(tune_second_order(1.0, float(g), 1.0)).d for g in gs])
     lower = D_MIN_EXACT - 1e-12
     violation = max(0.0, float(lower - ds.min()), float(ds.max() - (1.0 - 1e-12)))
     min_offset = abs(float(ds.min()) - D_MIN_EXACT)
     return max(violation, min_offset)
 
 
-def _settling_time(design: AdrcDesign, plant: PlantModel, band: float = 0.02) -> float:
-    loop = closed_loop(plant, build_adrc(design))
-    table = step_response(loop, input=0, t_end=3.0 * design.T_s, n_steps=6000)
+def _settling_time(ctrl: TwoInputController, plant: PlantModel, ts: float, band: float = 0.02) -> float:
+    table = step_response(closed_loop(plant, ctrl), input=0, t_end=3.0 * ts, n_steps=6000)
     y = table.columns["y"]
     outside = np.nonzero(np.abs(y - 1.0) > band)[0]
     if outside.size == 0:
@@ -155,41 +138,46 @@ def run_verification(
     """
     # both designs and the perturbed grid first, so that a tuning or a
     # perturb_b0 out of range is refused before any work
-    design1, design2 = (AdrcDesign(order, ts, g, b0) for order in (1, 2))
-    perturbed1, perturbed2 = (_perturbed_params(order, perturb_b0) for order in (1, 2))
+    designs = {order: AdrcDesign(order, ts, g, b0) for order in (1, 2)}
+    perturbed = {order: _perturbed_params(order, perturb_b0) for order in (1, 2)}
+    grids = {order: _grid_residuals(order, perturbed[order]) for order in (1, 2)}
+    params = {order: equivalent_params(design) for order, design in designs.items()}
+    adrc = {order: build_adrc(design) for order, design in designs.items()}
+    equiv = {order: build_equivalent_controller(p) for order, p in params.items()}
+    # building refuses nothing; the splits and gangs that can refuse run below,
+    # in the order of the checks, which fixes the first refusal
     checks: list[VerificationCheck] = []
     add = checks.append
 
-    add(VerificationCheck("cy_equivalence_order1", _cy_equivalence(1, perturbed1), 1e-9))
-    add(VerificationCheck("cy_equivalence_order2", _cy_equivalence(2, perturbed2), 1e-9))
+    for order in (1, 2):
+        add(VerificationCheck(f"cy_equivalence_order{order}", grids[order][0], 1e-9))
 
-    c_r, _ = extract_cr_cy(build_adrc(design1))
-    add(VerificationCheck("cr_closed_form_order1", tf_residual(c_r, _cr_closed_form(design1)), 1e-9))
+    c_r, _ = extract_cr_cy(adrc[1])
+    add(VerificationCheck("cr_closed_form_order1", tf_residual(c_r, _cr_closed_form(designs[1])), 1e-9))
 
-    for order, design in ((1, design1), (2, design2)):
-        low, high = verify_asymptotes(design, equivalent_params(design))
+    for order in (1, 2):
+        low, high = verify_asymptotes(designs[order], params[order])
         add(VerificationCheck(f"asymptote_low_order{order}", low, 1e-4))
         add(VerificationCheck(f"asymptote_high_order{order}", high, 1e-4))
 
     # nominal plants with the sign of b0, so that a negative b0 still gives negative feedback
     K = math.copysign(1.0, b0)
-    plant1 = PlantModel(order=1, K=K, T=1.0)
-    plant2 = PlantModel(order=2, K=K, T=1.0, D=1.0)
-    add(VerificationCheck("gang_of_four_identity_order1", _gang_of_four_identity(design1, plant1), 1e-8))
-    add(VerificationCheck("gang_of_four_identity_order2", _gang_of_four_identity(design2, plant2), 1e-8))
+    plants = {1: PlantModel(order=1, K=K, T=1.0), 2: PlantModel(order=2, K=K, T=1.0, D=1.0)}
+    gangs = {}
+    for order in (1, 2):
+        gangs[order] = gang_of_seven(plants[order], adrc[order])
+        identity = _gang_of_four_identity(gangs[order], gang_of_seven(plants[order], equiv[order]))
+        add(VerificationCheck(f"gang_of_four_identity_order{order}", identity, 1e-8))
+    for order in (1, 2):
+        add(VerificationCheck(f"s_plus_t_identity_order{order}", s_plus_t_residual(gangs[order]), 1e-9))
 
-    g7_1 = gang_of_seven(plant1, build_adrc(design1))
-    g7_2 = gang_of_seven(plant2, build_adrc(design2))
-    add(VerificationCheck("s_plus_t_identity_order1", s_plus_t_residual(g7_1), 1e-9))
-    add(VerificationCheck("s_plus_t_identity_order2", s_plus_t_residual(g7_2), 1e-9))
+    for order, form in ((1, "pif"), (2, "pidf")):
+        add(VerificationCheck(f"realization_fidelity_{form}", _realization_fidelity(params[order], equiv[order]), 1e-9))
 
-    add(VerificationCheck("realization_fidelity_pif", _realization_fidelity(design1), 1e-9))
-    add(VerificationCheck("realization_fidelity_pidf", _realization_fidelity(design2), 1e-9))
-
-    add(VerificationCheck("setpoint_weight_consistency_order1", _setpoint_weight_consistency(1), 1e-12))
-    add(VerificationCheck("setpoint_weight_consistency_order2", _setpoint_weight_consistency(2), 1e-12))
+    for order in (1, 2):
+        add(VerificationCheck(f"setpoint_weight_consistency_order{order}", grids[order][1], 1e-12))
 
     add(VerificationCheck("filter_damping_range", _filter_damping_range(), 1e-3))
-    add(VerificationCheck("settling_time_nominal_order1", _settling_time(design1, plant1), 1.3 * ts))
+    add(VerificationCheck("settling_time_nominal_order1", _settling_time(adrc[1], plants[1], ts), 1.3 * ts))
 
     return checks

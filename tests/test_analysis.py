@@ -109,6 +109,32 @@ class TestPlantModel:
             with pytest.raises(ValueError):
                 PlantModel(order=order, K=K, T=T, D=D)
 
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from((1, 2)),
+        st.builds(lambda sign, mag: sign * mag, st.sampled_from((-1.0, 1.0)), log_uniform(1e-320, 1e308)),
+        log_uniform(1e-320, 1e308),
+        log_uniform(1e-320, 1e308),
+    )
+    @example(2, 1.0, 1e-162, 1.0)  # T**2 underflows to 0
+    @example(2, 1.0, 1e155, 1.0)  # T**2 overflows
+    @example(1, 1e300, 1e-10, None)  # K/T overflows
+    @example(2, 1.0, 1e-100, 1e-300)  # 2 D T underflows to 0, T**2 does not
+    def test_accepts_exactly_the_plants_with_representable_coefficients(self, order, K, T, D):
+        """Finite coefficients as written and divided by the denominator's
+        lead, and nonzero denominator coefficients; then the lead is 1.0."""
+        D = D if order == 2 else None
+        try:
+            den = (1.0, T) if order == 1 else (1.0, 2.0 * D * T, T**2)
+        except OverflowError:
+            den = (math.inf,)
+        monic = [c / den[-1] for c in (K, *den)] if all(den) else [math.nan]
+        if not (all(map(math.isfinite, (K, *den, *monic))) and all(monic[1:])):
+            with pytest.raises(ValueError, match="is out of range"):
+                PlantModel(order, K, T, D)
+            return
+        assert PlantModel(order, K, T, D).canonical_tf.den.leading == 1.0
+
     def test_fast_second_order_plant_keeps_both_states(self):
         # T**2 = 1e-14 is tiny next to the other denominator coefficients, and still a state
         p = PlantModel(order=2, K=1, T=1e-7, D=1)

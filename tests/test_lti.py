@@ -28,6 +28,9 @@ from adrcpid.lti import (
 )
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
 def tf(num, den):
     return RationalTransferFunction.from_coeffs(num, den)
 
@@ -142,13 +145,17 @@ class TestTfArithmetic:
         reduced = tf_minreal(raw, 1e-9)
         assert tf_residual(reduced, tf((2,), (1, 1))) <= 1e-9
 
-    def test_canonicalizing_twice_is_not_a_no_op(self):
-        # the new lead is 49 * (1/49) = 1 - 2**-53, so a second pass rescales again
-        once = tf((1.0,), (1.0, 49.0)).canonicalized()
-        assert once.den.leading == 1.0 - 2.0**-53
-        twice = once.canonicalized()
-        assert twice.den.leading == 1.0
-        assert twice.num.coeffs != once.num.coeffs
+    @given(
+        st.lists(FINITE, min_size=1, max_size=4),
+        st.lists(FINITE, max_size=3),
+        FINITE.filter(bool),
+    )
+    @example([1.0], [1.0], 49.0)  # 49 * (1/49) = 1 - 2**-53: a lead scaled by its inverse is not always 1
+    @example([1.0], [], 5e-324)  # 1/lead overflows
+    def test_canonicalizing_gives_an_exact_lead_and_is_idempotent(self, num, den_rest, lead):
+        once = tf(tuple(num), (*den_rest, lead)).canonicalized()
+        assert once.den.leading == 1.0
+        assert once.canonicalized() is once
 
     def test_canonical_scaling_invariance(self):
         rng = np.random.default_rng(7)

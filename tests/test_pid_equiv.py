@@ -112,7 +112,7 @@ class TestPifRealization:
         d = tune_first_order(1, 10, 1)
         adrc_y = extract_cr_cy(build_adrc(d))[1]
         ctrl = build_equivalent_controller(pif_from_adrc(d))
-        built_y = tf_neg(ctrl.measurement_tf())
+        built_y = tf_neg(ss_to_tf(ctrl.ss, 1, 0))
         assert tf_residual(tf_minreal(built_y, 1e-6), adrc_y) < 1e-9
 
     def test_channels_match_closed_forms(self):
@@ -127,7 +127,7 @@ class TestPifRealization:
     def test_high_frequency_reference_gain_is_kp_weighted(self):
         p = pif_from_adrc(tune_first_order(1, 10, 1))
         ctrl = build_equivalent_controller(p)
-        assert abs(ctrl.reference_tf()(1e9j)) == pytest.approx(p.b * p.kp, rel=1e-8)
+        assert abs(ss_to_tf(ctrl.ss, 0, 0)(1e9j)) == pytest.approx(p.b * p.kp, rel=1e-8)
         assert p.b * p.kp == pytest.approx(4.0, rel=1e-12)
 
     def test_low_frequency_reference_integral_gain(self):
@@ -146,7 +146,7 @@ class TestPidfRealization:
         d = tune_second_order(1, 10, 1)
         adrc_y = extract_cr_cy(build_adrc(d))[1]
         ctrl = build_equivalent_controller(pidf_from_adrc(d))
-        built_y = tf_neg(ctrl.measurement_tf())
+        built_y = tf_neg(ss_to_tf(ctrl.ss, 1, 0))
         assert tf_residual(tf_minreal(built_y, 1e-6), adrc_y) < 1e-9
 
     def test_channels_match_closed_forms(self):
@@ -162,7 +162,7 @@ class TestPidfRealization:
         p = pidf_from_adrc(tune_second_order(1, 10, 1))
         assert p.b * p.kp == pytest.approx(36.0, rel=1e-12)
         ctrl = build_equivalent_controller(p)
-        assert abs(ctrl.reference_tf()(1e9j)) == pytest.approx(36.0, rel=1e-8)
+        assert abs(ss_to_tf(ctrl.ss, 0, 0)(1e9j)) == pytest.approx(36.0, rel=1e-8)
 
     def test_filter_unity_dc_gives_integral_gain(self):
         # the measurement filter is unity at DC, so the measurement channel
