@@ -167,21 +167,22 @@ class PidParams:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     def feedback_tf(self) -> RationalTransferFunction:
-        """(kp + ki/s [+ kd s]) / filter, the measurement channel without sign."""
+        """(ki + kp s [+ kd s^2]) / (s*filter) over its monic denominator, the
+        measurement channel without sign; a zero kd is trimmed."""
         from .lti import RationalTransferFunction
 
-        if self.kd == 0.0:
-            return RationalTransferFunction.from_coeffs((self.ki, self.kp), (0.0, 1.0, self.Tf)).canonicalized()
-        return RationalTransferFunction.from_coeffs(
-            (self.ki, self.kp, self.kd),
-            (0.0, 1.0, 2.0 * self.d * self.Tf, self.Tf**2),
-        ).canonicalized()
+        filter_ = (1.0, self.Tf) if self.kd == 0.0 else (1.0, 2.0 * self.d * self.Tf, self.Tf**2)
+        return RationalTransferFunction.from_coeffs((self.ki, self.kp, self.kd), (0.0, *filter_)).canonicalized()
 
     def reference_tf(self) -> RationalTransferFunction:
-        """b*kp + ki/s, the set-point-weighted unfiltered reference channel."""
-        from .lti import RationalTransferFunction
+        """b*kp + ki/s, the set-point-weighted unfiltered reference channel,
+        over the realization's own denominator: (ki + b*kp*s)*filter / (s*filter)
+        on feedback_tf().den, so that comparing it cancels nothing."""
+        from .lti import Polynomial, RationalTransferFunction
 
-        return RationalTransferFunction.from_coeffs((self.ki, self.b * self.kp), (0.0, 1.0))
+        den = self.feedback_tf().den
+        filter_ = Polynomial(den.coeffs[1:])  # the monic s*filter without its exact-zero constant term
+        return RationalTransferFunction(Polynomial((self.ki, self.b * self.kp)) * filter_, den)
 
 
 def pif_from_adrc(design: AdrcDesign) -> PidParams:

@@ -15,7 +15,7 @@ import numpy as np
 from .adrc import TwoInputController, build_adrc, extract_cr_cy
 from .analysis import GangOfSeven, PlantModel, closed_loop, gang_of_seven, s_plus_t_residual
 from .design import AdrcDesign, PidParams, equivalent_params, tune_second_order
-from .lti import Polynomial, RationalTransferFunction, log_grid, step_response, tf_residual
+from .lti import RationalTransferFunction, log_grid, step_response, tf_residual
 from .pid_equiv import build_equivalent_controller, verify_asymptotes
 
 EQUIVALENCE_GRID_TS = (0.5, 1.0, 2.0)
@@ -92,16 +92,10 @@ def _gang_of_four_identity(g7_adrc: GangOfSeven, g7_equiv: GangOfSeven) -> float
 
 def _realization_fidelity(params: PidParams, ctrl: TwoInputController) -> float:
     """Worst coefficient residual of the split of the printed realization ctrl
-    of params against its closed forms, over its own denominator s*filter.
-
-    The r channel b*kp + ki/s is written as (ki + b*kp*s)*filter / (s*filter),
-    so no root is found and nothing is cancelled.
-    """
-    feedback = params.feedback_tf()
-    filter_ = Polynomial(feedback.den.coeffs[1:])  # s*filter without its exact-zero constant term
-    reference = RationalTransferFunction(Polynomial((params.ki, params.b * params.kp)) * filter_, feedback.den)
+    of params against its closed forms, both over its own denominator
+    s*filter, so no root is found and nothing is cancelled."""
     c_r, c_y = extract_cr_cy(ctrl)
-    return max(tf_residual(c_y, feedback), tf_residual(c_r, reference))
+    return max(tf_residual(c_y, params.feedback_tf()), tf_residual(c_r, params.reference_tf()))
 
 
 def _filter_damping_range() -> float:
@@ -132,6 +126,8 @@ def run_verification(
 ) -> list[VerificationCheck]:
     """All equivalence, asymptote, and structural checks as residual/tol pairs.
 
+    Each order's ADRC and PI(D)F controllers at the tuning are built once,
+    and every check that needs them reads their one split.
     ``perturb_b0`` scales b0 on the PI(D)F side of the equivalence checks
     only; any value other than 1 must make those checks fail, which is the
     self-test that the suite actually detects mismatches.
@@ -156,7 +152,7 @@ def run_verification(
     add(VerificationCheck("cr_closed_form_order1", tf_residual(c_r, _cr_closed_form(designs[1])), 1e-9))
 
     for order in (1, 2):
-        low, high = verify_asymptotes(designs[order], params[order])
+        low, high = verify_asymptotes(adrc[order], params[order])
         add(VerificationCheck(f"asymptote_low_order{order}", low, 1e-4))
         add(VerificationCheck(f"asymptote_high_order{order}", high, 1e-4))
 

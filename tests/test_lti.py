@@ -129,9 +129,9 @@ class TestTfArithmetic:
         assert tf_residual(out, tf((2, 1), (1, 1))) <= 1e-9
 
     def test_add_pi_form(self):
-        # kp + ki/s with kp=1, ki=2: the reference channel at b = 1
+        # kp + ki/s with kp=1, ki=2: the reference channel at b = 1, over s*(0.1 s + 1)
         out = PidParams(kp=1.0, ki=2.0, kd=0.0, Tf=0.1, b=1.0).reference_tf()
-        assert tf_residual(out, tf((2, 1), (0, 1))) <= 1e-9
+        assert tf_residual(out, tf((2, 1.2, 0.1), (0, 1, 0.1))) <= 1e-9
 
     def test_add_zero_identity(self):
         a = tf((1, 2), (3, 4, 5))

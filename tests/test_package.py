@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 import sys
@@ -11,6 +12,7 @@ from conftest import fresh_python
 import adrcpid
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(adrcpid.__file__).resolve().parent
 
 
 @pytest.mark.parametrize("name", adrcpid.__all__)
@@ -104,6 +106,26 @@ def test_design_names_are_still_importable_from_their_old_modules(module, names)
     old = importlib.import_module(f"adrcpid.{module}")
     for name in names:
         assert getattr(old, name) is getattr(design, name)
+
+
+# the re-exports that test_design_names_are_still_importable_from_their_old_modules pins
+REEXPORTS = {
+    "adrc": {"tune_first_order", "tune_second_order"},
+    "pid_equiv": {"equivalent_params", "pif_from_adrc", "pidf_from_adrc"},
+}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported - used - REEXPORTS.get(path.stem, set()) == set()
 
 
 def test_readme_quick_start_runs_as_written():

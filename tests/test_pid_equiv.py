@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import TUNINGS
+from hypothesis import given, settings
 
-from adrcpid.adrc import build_adrc, extract_cr_cy, tune_first_order, tune_second_order
-from adrcpid.lti import log_grid, ss_to_tf, tf_minreal, tf_neg, tf_residual
+from adrcpid.adrc import TwoInputController, build_adrc, extract_cr_cy, tune_first_order, tune_second_order
+from adrcpid.design import AdrcDesign
+from adrcpid.lti import StateSpaceModel, log_grid, ss_to_tf, tf_neg, tf_residual
 from adrcpid.pid_equiv import (
     PidParams,
     build_equivalent_controller,
+    equivalent_params,
     pidf_from_adrc,
     pif_from_adrc,
     reference_channel_gap,
@@ -113,14 +117,14 @@ class TestPifRealization:
         adrc_y = extract_cr_cy(build_adrc(d))[1]
         ctrl = build_equivalent_controller(pif_from_adrc(d))
         built_y = tf_neg(ss_to_tf(ctrl.ss, 1, 0))
-        assert tf_residual(tf_minreal(built_y, 1e-6), adrc_y) < 1e-9
+        assert tf_residual(built_y, adrc_y) < 1e-9
 
     def test_channels_match_closed_forms(self):
         p = pif_from_adrc(tune_first_order(1, 10, 1))
         ctrl = build_equivalent_controller(p)
         assert ctrl.ss.n_states == 2  # kd = 0 selects the PI+F realization
-        y_chan = tf_minreal(ss_to_tf(ctrl.ss, 1, 0), 1e-6)
-        r_chan = tf_minreal(ss_to_tf(ctrl.ss, 0, 0), 1e-6)
+        y_chan = ss_to_tf(ctrl.ss, 1, 0)
+        r_chan = ss_to_tf(ctrl.ss, 0, 0)
         assert tf_residual(y_chan, tf_neg(p.feedback_tf())) < 1e-9
         assert tf_residual(r_chan, p.reference_tf()) < 1e-9
 
@@ -147,14 +151,14 @@ class TestPidfRealization:
         adrc_y = extract_cr_cy(build_adrc(d))[1]
         ctrl = build_equivalent_controller(pidf_from_adrc(d))
         built_y = tf_neg(ss_to_tf(ctrl.ss, 1, 0))
-        assert tf_residual(tf_minreal(built_y, 1e-6), adrc_y) < 1e-9
+        assert tf_residual(built_y, adrc_y) < 1e-9
 
     def test_channels_match_closed_forms(self):
         p = pidf_from_adrc(tune_second_order(1, 10, 1))
         ctrl = build_equivalent_controller(p)
         assert ctrl.ss.n_states == 3
-        y_chan = tf_minreal(ss_to_tf(ctrl.ss, 1, 0), 1e-6)
-        r_chan = tf_minreal(ss_to_tf(ctrl.ss, 0, 0), 1e-6)
+        y_chan = ss_to_tf(ctrl.ss, 1, 0)
+        r_chan = ss_to_tf(ctrl.ss, 0, 0)
         assert tf_residual(y_chan, tf_neg(p.feedback_tf())) < 1e-9
         assert tf_residual(r_chan, p.reference_tf()) < 1e-9
 
@@ -198,7 +202,7 @@ class TestAsymptotes:
         assert abs(low_equiv) == pytest.approx(1600 / 21, rel=1e-4)
         assert abs(high_adrc) == pytest.approx(4.0, rel=1e-4)
         assert abs(high_equiv) == pytest.approx(4.0, rel=1e-4)
-        low, high = verify_asymptotes(d, p)
+        low, high = verify_asymptotes(build_adrc(d), p)
         assert low < 1e-4
         assert high < 1e-4
         # the mismatches are those of the exact limits, read from the coefficients of C_r
@@ -220,14 +224,60 @@ class TestAsymptotes:
         assert abs(low_adrc) == pytest.approx(216000 / 361, rel=1e-4)
         assert abs(high_adrc) == pytest.approx(36.0, rel=1e-4)
         assert abs(high_equiv) == pytest.approx(36.0, rel=1e-4)
-        low, high = verify_asymptotes(d, p)
+        low, high = verify_asymptotes(build_adrc(d), p)
         assert low < 1e-4 and high < 1e-4
 
     def test_detects_mismatched_parameters(self):
         d = tune_first_order(1, 10, 1)
         wrong = pif_from_adrc(tune_first_order(1, 10, 1.05))
-        low, high = verify_asymptotes(d, wrong)
+        low, high = verify_asymptotes(build_adrc(d), wrong)
         assert not (low < 1e-4 and high < 1e-4)
+
+    @settings(max_examples=200)
+    @given(TUNINGS)
+    def test_the_equivalent_controller_matches_its_own_parameters(self, tuning):
+        p = equivalent_params(AdrcDesign(*tuning))
+        low, high = verify_asymptotes(build_equivalent_controller(p), p)
+        assert low < 1e-12 and high < 1e-12
+
+
+def two_input(A, B, C, D):
+    """A hand-built controller with the given matrices."""
+    ss = StateSpaceModel(*map(np.array, (A, B, C, D)), input_labels=("r", "y"), output_labels=("u",))
+    return TwoInputController(ss)
+
+
+class TestAsymptotesOfAnyController:
+    """verify_asymptotes on controllers whose C_r lacks what ADRC's has."""
+
+    UNIT = PidParams(kp=1.0, ki=1.0, kd=0.0, Tf=0.1, b=1.0)  # ki = b*kp = 1
+
+    def test_strictly_proper_reference_channel_has_a_high_limit_of_zero(self):
+        ctrl = two_input([[0.0]], [[1.0, 0.0]], [[1.0]], [[0.0, 0.0]])  # C_r = 1/s
+        assert extract_cr_cy(ctrl)[0].num.coeffs == (1.0,)
+        assert verify_asymptotes(ctrl, self.UNIT) == (0.0, 1.0)
+
+    def test_double_pole_at_zero_has_no_integral_gain(self):
+        # C_r = 1 + 1/s^2 = (1 + s^2)/s^2: den[0] == den[1] == 0
+        ctrl = two_input([[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]], [[1.0, 0.0]])
+        assert extract_cr_cy(ctrl)[0].den.coeffs == (0.0, 0.0, 1.0)
+        assert verify_asymptotes(ctrl, self.UNIT) == (1.0, 0.0)
+
+    def test_no_pole_at_zero_has_no_integral_gain(self):
+        ctrl = two_input([[-1.0]], [[1.0, 0.0]], [[1.0]], [[1.0, 0.0]])  # C_r = (s + 2)/(s + 1)
+        assert verify_asymptotes(ctrl, self.UNIT) == (1.0, 0.0)
+
+
+class TestReferenceTf:
+    @settings(max_examples=200)
+    @given(TUNINGS)
+    def test_is_b_kp_plus_ki_over_s_over_the_feedback_denominator(self, tuning):
+        p = equivalent_params(AdrcDesign(*tuning))
+        reference = p.reference_tf()
+        assert reference.den.coeffs == p.feedback_tf().den.coeffs
+        s = 1j * log_grid(1e-3, 1e3, 61) / tuning[1]
+        expected = p.b * p.kp + p.ki / s
+        assert np.max(np.abs(reference(s) - expected) / np.abs(expected)) < 1e-12
 
 
 class TestReferenceChannelGap:
@@ -236,7 +286,7 @@ class TestReferenceChannelGap:
         d = tune_first_order(1, 10, 1) if order == 1 else tune_second_order(1, 10, 1)
         params = pif_from_adrc(d) if order == 1 else pidf_from_adrc(d)
         omega = log_grid(1e-4, 1e8, 800)
-        _, gap = reference_channel_gap(d, params, omega)
+        _, gap = reference_channel_gap(build_adrc(d), params, omega)
         assert gap[0] < 1e-3
         assert gap[-1] < 1e-3
 
@@ -245,7 +295,7 @@ class TestReferenceChannelGap:
         d = tune_first_order(1, 10, 1) if order == 1 else tune_second_order(1, 10, 1)
         params = pif_from_adrc(d) if order == 1 else pidf_from_adrc(d)
         omega = log_grid()
-        sup, gap = reference_channel_gap(d, params, omega)
+        sup, gap = reference_channel_gap(build_adrc(d), params, omega)
         assert sup == pytest.approx(FREQ_GAP_GOLDEN[order], abs=1e-9)
         # finite and attained in the interior of the grid
         peak = int(np.argmax(gap))

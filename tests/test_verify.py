@@ -1,11 +1,14 @@
+import sys
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 from conftest import TUNINGS
 from hypothesis import example, given, settings
 
-from adrcpid import verify
+from adrcpid import adrc, verify
 from adrcpid.design import AdrcDesign, equivalent_params
-from adrcpid.pid_equiv import build_equivalent_controller
+from adrcpid.lti import log_grid
+from adrcpid.pid_equiv import build_equivalent_controller, reference_channel_gap, verify_asymptotes
 
 
 def _fidelity(tuning) -> float:
@@ -30,3 +33,42 @@ class TestRealizationFidelity:
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
         for order in (1, 2):
             assert _fidelity((order, 1.0, 10.0, 1.0)) < 1e-9
+
+
+def _patch_build_adrc(monkeypatch, replacement):
+    """Replace build_adrc in every loaded adrcpid module that binds it."""
+    original = adrc.build_adrc
+    for name, module in list(sys.modules.items()):
+        if name.startswith("adrcpid.") and getattr(module, "build_adrc", None) is original:
+            monkeypatch.setattr(module, "build_adrc", replacement)
+
+
+class TestWork:
+    def test_each_controller_at_the_tuning_is_built_once(self, monkeypatch):
+        # off the equivalence grid, so every design at (0.3, 25, -4) is the user's
+        built = []
+        original = adrc.build_adrc
+
+        def counting(design):
+            built.append((design.order, design.T_s, design.g, design.b0))
+            return original(design)
+
+        _patch_build_adrc(monkeypatch, counting)
+        checks = verify.run_verification(ts=0.3, g=25.0, b0=-4.0)
+        assert all(check.passed for check in checks)
+        assert [key for key in built if key[1:] == (0.3, 25.0, -4.0)] == [(1, 0.3, 25.0, -4.0), (2, 0.3, 25.0, -4.0)]
+
+    def test_the_reference_checks_build_no_controller(self, monkeypatch):
+        designs = [AdrcDesign(order, 1.0, 10.0, 1.0) for order in (1, 2)]
+        controllers = [adrc.build_adrc(design) for design in designs]
+
+        def refuse(design):
+            raise AssertionError("a reference check built its own controller")
+
+        _patch_build_adrc(monkeypatch, refuse)
+        for design, ctrl in zip(designs, controllers):
+            params = equivalent_params(design)
+            low, high = verify_asymptotes(ctrl, params)
+            assert low < 1e-4 and high < 1e-4
+            sup, _ = reference_channel_gap(ctrl, params, log_grid())
+            assert 0 < sup < 1
