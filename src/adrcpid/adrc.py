@@ -5,26 +5,32 @@ too) is fixed by the plant order n (1 or 2), the desired settling time T_s,
 the observer pole multiplier g, and the characteristic plant gain b0.
 Controllers are built directly in substituted closed form (observer
 dynamics with the control law already eliminated), as 2-input state-space
-systems with inputs [r, y] and output u.
+systems with inputs [r, y] and output u, which carry the closed forms of
+their two channels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
 # the design names are also importable from here
-from .design import AdrcDesign, tune_first_order, tune_second_order
-from .lti import RationalTransferFunction, StateSpaceModel, ss_to_tf, tf_neg
+from .design import AdrcDesign, adrc_channels, tune_first_order, tune_second_order
+from .lti import RationalTransferFunction, StateSpaceModel
 
 
 @dataclass(frozen=True, eq=False)
 class TwoInputController:
-    """Controller with inputs ordered [r, y] and single output u."""
+    """Controller with inputs ordered [r, y] and single output u: its realization
+    ss, and channels(alpha), its (C_r, C_y) in closed form in the time unit
+    s~ = alpha*s, as ``design.adrc_channels`` and ``PidParams.channels`` give them."""
 
     ss: StateSpaceModel
+    channels: Callable[[float], tuple[RationalTransferFunction, RationalTransferFunction]]
 
     def __post_init__(self):
         if self.ss.n_inputs != 2 or self.ss.n_outputs != 1:
@@ -32,10 +38,12 @@ class TwoInputController:
 
     @cached_property
     def _cr_cy(self) -> tuple[RationalTransferFunction, RationalTransferFunction]:
-        # C_r is the r -> u channel and C_y minus the y -> u channel; both read
-        # the model's one transfer table, and negation keeps the monic
-        # denominator, so C_r and C_y share one den object
-        return ss_to_tf(self.ss, input=0, output=0), tf_neg(ss_to_tf(self.ss, input=1, output=0))
+        c_r, c_y = self.channels(1.0)
+        if not all(map(math.isfinite, c_r.num.coeffs + c_y.num.coeffs + c_y.den.coeffs)):
+            raise ValueError(
+                "the controller transfer function at this tuning is not representable: its coefficients overflow"
+            )
+        return c_r, c_y
 
 
 def observer_matrix(design: AdrcDesign) -> np.ndarray:
@@ -65,12 +73,10 @@ def build_adrc(design: AdrcDesign) -> TwoInputController:
     B[:, 1] = design.observer_gains
     C = (-feedback / b0)[np.newaxis]
     D = np.array([[K_P / b0, 0.0]])
-    return TwoInputController(StateSpaceModel._trusted(A, B, C, D, ("r", "y"), ("u",)))
+    return TwoInputController(StateSpaceModel._trusted(A, B, C, D, ("r", "y"), ("u",)), partial(adrc_channels, design))
 
 
 def extract_cr_cy(c: TwoInputController) -> tuple[RationalTransferFunction, RationalTransferFunction]:
-    """Split a 2-input controller into (C_r, C_y) with u = C_r r - C_y y.
-
-    The split is made once per controller; later calls return the same pair.
-    """
+    """(C_r, C_y) of a controller, u = C_r r - C_y y, its closed forms over one
+    monic denominator, made on first read; refused past the float range."""
     return c._cr_cy

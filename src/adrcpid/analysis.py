@@ -22,7 +22,6 @@ from .lti import (
     RationalTransferFunction,
     StateSpaceModel,
     StepResponseTable,
-    _balance,
     _over,
     _poly,
     is_stable,
@@ -194,7 +193,7 @@ def gang_of_seven(plant: PlantModel, c: TwoInputController) -> GangOfSeven:
     c_r, c_y = extract_cr_cy(c)
     (k,), dp = P.num.coeffs, P.den  # np = k, a constant
     nr, nc, dc = c_r.num, c_y.num, c_y.den  # c_r.den is dc, the same object
-    dp_dc, np_nc, chi = _loop_polynomial(k, dp, nc, dc)
+    dp_dc, np_nc, chi = _loop_polynomial(k, dp, c_y)
     np_dc = _times(k, dc)
     nc_chi = nc * chi
     if not all(map(math.isfinite, chi.coeffs + nc_chi.coeffs)):
@@ -211,10 +210,10 @@ def gang_of_seven(plant: PlantModel, c: TwoInputController) -> GangOfSeven:
     )
 
 
-def _loop_polynomial(k: float, dp: Polynomial, nc: Polynomial, dc: Polynomial) -> tuple[Polynomial, ...]:
+def _loop_polynomial(k: float, dp: Polynomial, c_y: RationalTransferFunction) -> tuple[Polynomial, ...]:
     """(dp*dc, k*nc, chi) of the loop k/dp with C_y = nc/dc, where
     chi = dp*dc + k*nc is its closed-loop characteristic polynomial."""
-    dp_dc, np_nc = dp * dc, _times(k, nc)
+    dp_dc, np_nc = dp * c_y.den, _times(k, c_y.num)
     return dp_dc, np_nc, dp_dc + np_nc
 
 
@@ -291,20 +290,22 @@ def step_sweep(
     s~ = alpha*s, with alpha the power of two at or below t_end (the
     frequency scaling of Gao, ACC 2003): the roots of chi in s~ are alpha
     times those in s, with the same signs of real part, and its coefficients
-    stay in the float range where those of chi in s overflow.
+    stay in the float range where those of chi in s overflow.  C_y in s~ is
+    ``channels(alpha)`` of the controller; a coefficient past the float
+    range is inf or NaN and makes chi "not stable".
     """
     plants = sweep_plants(plant, parameter, values)
     if not controllers:
         raise ValueError("need at least one controller")
     values = tuple(getattr(swept, parameter) for swept in plants)
     alpha = math.ldexp(0.5, math.frexp(t_end)[1])
-    splits = {name: _time_scaled_measurement(ctrl, alpha) for name, ctrl in controllers.items()}
+    measurements = {name: ctrl.channels(alpha)[1] for name, ctrl in controllers.items()}
     cases = []
     for v, swept in zip(values, plants):
         for name, ctrl in controllers.items():
             table = step_response(closed_loop(swept, ctrl), input=0, t_end=t_end, n_steps=n_steps)
             with np.errstate(over="ignore", invalid="ignore"):
-                chi = _loop_polynomial(*_time_scaled_plant(swept, alpha), *splits[name])[2]
+                chi = _loop_polynomial(*_time_scaled_plant(swept, alpha), measurements[name])[2]
             cases.append(SweepCase(value=v, controller=name, table=table, stable=is_stable(chi)))
     return SweepResult(
         parameter=parameter,
@@ -320,26 +321,3 @@ def _time_scaled_plant(plant: PlantModel, alpha: float) -> tuple[float, Polynomi
     P = plant.canonical_tf
     powers = alpha ** np.arange(plant.order, -1.0, -1.0)
     return float(P.num.coeffs[0] * powers[0]), _poly((np.array(P.den.coeffs) * powers).tolist())
-
-
-def _time_scaled_measurement(c: TwoInputController, alpha: float) -> tuple[Polynomial, Polynomial]:
-    """(nc, dc) of C_y in s~ = alpha*s, dc monic, from the y channel realized
-    as (alpha*A, alpha*b, c, d) and balanced by the exact power-of-two scales
-    of _balance, input and output as one more state, so that the products of
-    the split stay in range where those of an ill-scaled realization
-    overflow.  A coefficient past the float range is inf or NaN, without a
-    warning, and makes chi "not stable".
-    """
-    cs = c.ss
-    n = cs.n_states
-    M = np.zeros((n + 1, n + 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        M[:n, :n] = alpha * cs.A
-        M[:n, n] = alpha * cs.B[:, 1]
-        M[n, :n] = cs.C[0]
-        if math.isfinite(float(np.abs(M).sum())):  # every row and column sum finite
-            d = _balance(M)
-            M = M * d[None, :] / d[:, None]
-        y_channel = StateSpaceModel._trusted(M[:n, :n], M[:n, n:], M[n:, :n], cs.D[:, 1:], ("y",), ("u",))
-        nums, dc = y_channel._transfer_table
-        return _poly(np.negative(nums[0, 0]).tolist()), dc

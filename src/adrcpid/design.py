@@ -5,8 +5,10 @@ A design is fixed by the plant order n (1 or 2), the desired settling time
 T_s, the observer pole multiplier g, and the characteristic plant gain b0.
 Its gains and the paper's closed forms for the equivalent PI+F / PID+F
 parameters are plain floats, so this module needs neither numpy nor the LTI
-layer: ``adrcpid tune`` runs on it alone.  ``adrc`` and ``pid_equiv`` build
-controllers and transfer functions on top of it.
+layer: ``adrcpid tune`` runs on it alone.  The closed forms of both
+controller channels, ADRC's and PI(D)F's, are transfer functions and import
+both on first use; ``adrc`` and ``pid_equiv`` build the controllers that
+carry them.
 """
 
 from __future__ import annotations
@@ -167,22 +169,24 @@ class PidParams:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     def feedback_tf(self) -> RationalTransferFunction:
-        """(ki + kp s [+ kd s^2]) / (s*filter) over its monic denominator, the
-        measurement channel without sign; a zero kd is trimmed."""
-        from .lti import RationalTransferFunction
-
-        filter_ = (1.0, self.Tf) if self.kd == 0.0 else (1.0, 2.0 * self.d * self.Tf, self.Tf**2)
-        return RationalTransferFunction.from_coeffs((self.ki, self.kp, self.kd), (0.0, *filter_)).canonicalized()
+        """(ki + kp s [+ kd s^2]) / (s*filter), the measurement channel without sign."""
+        return self.channels()[1]
 
     def reference_tf(self) -> RationalTransferFunction:
-        """b*kp + ki/s, the set-point-weighted unfiltered reference channel,
-        over the realization's own denominator: (ki + b*kp*s)*filter / (s*filter)
-        on feedback_tf().den, so that comparing it cancels nothing."""
-        from .lti import Polynomial, RationalTransferFunction
+        """b*kp + ki/s, the set-point-weighted reference channel, as (ki + b*kp*s)*filter / (s*filter)."""
+        return self.channels()[0]
 
-        den = self.feedback_tf().den
-        filter_ = Polynomial(den.coeffs[1:])  # the monic s*filter without its exact-zero constant term
-        return RationalTransferFunction(Polynomial((self.ki, self.b * self.kp)) * filter_, den)
+    def channels(self, alpha: float = 1.0) -> tuple[RationalTransferFunction, RationalTransferFunction]:
+        """(C_r, C_y) of the realization, u = C_r r - C_y y, over one monic denominator
+        s*filter; a zero kd is trimmed.  In the time unit s~ = alpha*s, alpha a power of
+        two, ki is times alpha and kd and Tf over alpha, exactly or to inf or 0."""
+        from .lti import RationalTransferFunction, _poly
+
+        ki, kd, Tf = self.ki * alpha, self.kd / alpha, self.Tf / alpha
+        filter_ = [1.0, Tf] if kd == 0.0 else [1.0, 2.0 * self.d * Tf, self.Tf**2 / alpha / alpha]
+        c_y = RationalTransferFunction(_poly([ki, self.kp, kd]), _poly([0.0, *filter_])).canonicalized()
+        c_r = _poly([ki, self.b * self.kp]) * _poly(list(c_y.den.coeffs[1:]))  # times the monic filter
+        return RationalTransferFunction(c_r, c_y.den), c_y
 
 
 def pif_from_adrc(design: AdrcDesign) -> PidParams:
@@ -206,6 +210,36 @@ def pidf_from_adrc(design: AdrcDesign) -> PidParams:
     d = (3.0 * g + 2.0) / (2.0 * math.sqrt(q))
     b = 36.0 / (b0 * T_s**2 * kp)
     return PidParams(kp=kp, ki=ki, kd=kd, Tf=Tf, b=b, d=d)
+
+
+def adrc_channels(design: AdrcDesign, alpha: float = 1.0) -> tuple[RationalTransferFunction, RationalTransferFunction]:
+    """(C_r, C_y) of build_adrc's controller, u = C_r r - C_y y, in closed form (Herbst, Electronics
+    2013) over one monic denominator s*q.  With w = omega_cl, C_r = w^n (s + g w)^(n+1) / (b0 s q) and
+      n = 1: C_y = g w^2 ((g + 2) s + g w) / (b0 s q), q = s + (2g + 1) w;
+      n = 2: C_y = g w^3 ((g^2 + 6g + 3) s^2 + (2g^2 + 3g) w s + g^2 w^2) / (b0 s q),
+             q = s^2 + (3g + 2) w s + (3g^2 + 6g + 1) w^2.
+    Each coefficient is a polynomial in g times w^j = c^j / T_s^j (over b0 in a numerator).  In
+    the time unit s~ = alpha*s, alpha a power of two, T_s/alpha replaces T_s and b0*alpha^n b0;
+    past the float range a coefficient is inf or NaN, without a warning."""
+    import numpy as np
+
+    from .lti import RationalTransferFunction, _poly
+
+    n, alpha = design.order, np.float64(alpha)
+    with np.errstate(all="ignore"):
+        g = np.float64(design.g)
+        r = [math.comb(n + 1, k) * g ** (n + 1 - k) for k in range(n + 2)]
+        if n == 1:
+            y, q = (g * g, (g + 2.0) * g), (2.0 * g + 1.0,)
+        else:
+            y = (g**3, (2.0 * g + 3.0) * g * g, ((g + 6.0) * g + 3.0) * g)
+            q = ((3.0 * g + 6.0) * g + 1.0, 3.0 * g + 2.0)
+        top = 2 * n + 1
+        w = float(SETTLING_CONSTANTS[n]) ** np.arange(top + 1.0) / (design.T_s / alpha) ** np.arange(top + 1.0)
+        b0 = design.b0 * alpha**n
+        c_r, c_y = (_poly((np.array(c) * w[top : top - len(c) : -1] / b0).tolist()) for c in (r, y))
+        den = _poly([0.0, *(np.array(q) * w[n:0:-1]).tolist(), 1.0])
+    return RationalTransferFunction(c_r, den), RationalTransferFunction(c_y, den)
 
 
 def equivalent_params(design: AdrcDesign) -> PidParams:

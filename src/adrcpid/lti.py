@@ -312,30 +312,18 @@ class StateSpaceModel:
         return self.C.shape[0]
 
     @cached_property
-    def resolvent(self) -> tuple[np.ndarray, np.ndarray]:
-        """(char, N) of _resolvent(A), computed once and read-only.
-
-        A recursion past the float range gives inf or NaN without a warning;
-        ss_to_tf refuses the channels it reaches.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            char, mats = _resolvent(self.A)
-        char.setflags(write=False)
-        mats.setflags(write=False)
-        return char, mats
-
-    @cached_property
     def _transfer_table(self) -> tuple[np.ndarray, Polynomial]:
         """(nums, den) of every channel, found once and shared by ss_to_tf.
 
         nums[output, input] holds the numerator coefficients of that channel,
         D[output, input] * char + C[output] N B[:, input], from one stacked
-        product over the Faddeev-LeVerrier matrices N; den is the monic char
-        as one Polynomial, the same object for every channel.  Entries past
-        the float range are inf or NaN, without a warning.
+        product over the Faddeev-LeVerrier matrices N of _resolvent; den is
+        the monic char as one Polynomial, the same object for every channel.
+        Entries past the float range are inf or NaN, without a warning;
+        ss_to_tf refuses the channels it reaches.
         """
-        char, mats = self.resolvent
         with np.errstate(over="ignore", invalid="ignore"):
+            char, mats = _resolvent(self.A)
             nums = _numerators(char, mats, self.B, self.C, self.D)
         nums.setflags(write=False)
         return nums, _poly(char.tolist())

@@ -7,24 +7,23 @@ feedback transfer function matches the ADRC controller's C_y coefficient for
 coefficient.  The reference channel uses the set-point weight b instead of
 the exact (filtered) feedforward, which leaves a small gap around crossover;
 ``reference_channel_gap`` quantifies it and ``verify_asymptotes`` measures
-how closely both ends of the frequency axis agree.  Both take an ADRC
-controller that the caller has built and read its one split, C_r.
+how closely both ends of the frequency axis agree, both from ADRC's C_r.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .adrc import TwoInputController, extract_cr_cy
+from .adrc import TwoInputController
 # the parameter type and closed forms are also importable from here
 from .design import PidParams, equivalent_params, equivalent_realization, pidf_from_adrc, pif_from_adrc
-from .lti import StateSpaceModel
+from .lti import RationalTransferFunction, StateSpaceModel
 
 
 def build_equivalent_controller(p: PidParams) -> TwoInputController:
-    """PI+F controller when kd = 0, PID+F otherwise, from ``design.equivalent_realization``."""
+    """PI+F controller when kd = 0, PID+F otherwise, realized by ``equivalent_realization``."""
     A, B, C, D = (np.array(rows, dtype=float) for rows in equivalent_realization(p))
-    return TwoInputController(StateSpaceModel._trusted(A, B, C, D, ("r", "y"), ("u",)))
+    return TwoInputController(StateSpaceModel._trusted(A, B, C, D, ("r", "y"), ("u",)), p.channels)
 
 
 def _rel_mismatch(a: float, b: float) -> float:
@@ -32,31 +31,30 @@ def _rel_mismatch(a: float, b: float) -> float:
     return abs(a - b) / scale if scale else 0.0
 
 
-def verify_asymptotes(adrc: TwoInputController, params: PidParams) -> tuple[float, float]:
-    """Relative mismatches (low, high) of the reference channels of the ADRC
-    controller and the equivalent controller at both ends of the frequency
-    axis, read from the coefficients of C_r, the controller's cached split:
-    lim s*C_r as s -> 0 is num[0]/den[1] against ki, and lim C_r as s -> oo
-    is num[-1]/den[-1] against b*kp.
+def verify_asymptotes(c_r: RationalTransferFunction, params: PidParams) -> tuple[float, float]:
+    """Relative mismatches (low, high) of the ADRC reference channel c_r and
+    that of the equivalent controller at both ends of the frequency axis,
+    read from the coefficients of c_r: lim s*C_r as s -> 0 is num[0]/den[1]
+    against ki, and lim C_r as s -> oo is num[-1]/den[-1] against b*kp.
 
     A C_r without a simple pole at s = 0 has no integral gain, so its low
     mismatch is 1; a strictly proper C_r has a high limit of 0.
     """
-    c_r, _ = extract_cr_cy(adrc)
     num, den = c_r.num.coeffs, c_r.den.coeffs
     low = _rel_mismatch(num[0] / den[1], params.ki) if den[0] == 0.0 and den[1] != 0.0 else 1.0
     high = num[-1] / den[-1] if len(num) == len(den) else 0.0
     return low, _rel_mismatch(high, params.b * params.kp)
 
 
-def reference_channel_gap(adrc: TwoInputController, params: PidParams, omega: np.ndarray) -> tuple[float, np.ndarray]:
+def reference_channel_gap(
+    c_r: RationalTransferFunction, params: PidParams, omega: np.ndarray
+) -> tuple[float, np.ndarray]:
     """Supremum of the relative gap |C_r - K_ry| / |C_r| over a grid, and the gap.
 
     This is the only place the equivalent controller deviates from ADRC; it
     vanishes at both ends of the axis and peaks near crossover.
     """
     omega = np.asarray(omega, dtype=float)
-    c_r, _ = extract_cr_cy(adrc)
     cr_vals = np.asarray(c_r(1j * omega), dtype=complex)
     kry_vals = np.asarray(params.reference_tf()(1j * omega), dtype=complex)
     gap = np.abs(cr_vals - kry_vals) / np.abs(cr_vals)

@@ -15,7 +15,7 @@ import numpy as np
 from .adrc import TwoInputController, build_adrc, extract_cr_cy
 from .analysis import GangOfSeven, PlantModel, closed_loop, gang_of_seven, s_plus_t_residual
 from .design import AdrcDesign, PidParams, equivalent_params, tune_second_order
-from .lti import RationalTransferFunction, log_grid, step_response, tf_residual
+from .lti import log_grid, ss_to_tf, step_response, tf_neg, tf_residual
 from .pid_equiv import build_equivalent_controller, verify_asymptotes
 
 EQUIVALENCE_GRID_TS = (0.5, 1.0, 2.0)
@@ -57,27 +57,22 @@ def _perturbed_params(order: int, perturb_b0: float) -> list[PidParams]:
         ) from None
 
 
-def _grid_residuals(order: int, perturbed: list[PidParams]) -> tuple[float, float]:
-    """(cy_equivalence, setpoint_weight_consistency) of one order, in one pass
-    over EQUIVALENCE_GRID: each design's C_y against the feedback channel of
-    its perturbed parameters, and the set-point weight of its own parameters
-    against its closed form."""
-    cy = weight = 0.0
+def _grid_residuals(order: int, perturbed: list[PidParams]) -> tuple[float, float, float]:
+    """(cy_equivalence, setpoint_weight_consistency, adrc_realization) of one order, in one
+    pass over EQUIVALENCE_GRID: each design's C_y against the feedback channel of its perturbed
+    parameters, the set-point weight of its own parameters against its closed form, and its
+    realization against its closed forms, on g <= 20, where the split is good to 1e-13."""
+    cy = weight = realization = 0.0
     for (ts, g, b0), perturbed_params in zip(EQUIVALENCE_GRID, perturbed):
         design = AdrcDesign(order, ts, g, b0)
-        _, c_y = extract_cr_cy(build_adrc(design))
+        ctrl = build_adrc(design)
+        _, c_y = extract_cr_cy(ctrl)
         cy = max(cy, tf_residual(c_y, perturbed_params.feedback_tf()))
         params = equivalent_params(design)
         expected = 4.0 / ts if order == 1 else 36.0 / ts**2
         weight = max(weight, abs(params.b * params.kp * b0 - expected) / expected)
-    return cy, weight
-
-
-def _cr_closed_form(design: AdrcDesign) -> RationalTransferFunction:
-    K_P, l1, l2, b0 = design.K_P, design.l1, design.l2, design.b0
-    return RationalTransferFunction.from_coeffs(
-        (K_P * l2 / b0, K_P * l1 / b0, K_P / b0), (0.0, l1 + K_P, 1.0)
-    )
+        realization = max(realization, _realization_residual(ctrl))
+    return cy, weight, realization
 
 
 def _gang_of_four_identity(g7_adrc: GangOfSeven, g7_equiv: GangOfSeven) -> float:
@@ -90,12 +85,12 @@ def _gang_of_four_identity(g7_adrc: GangOfSeven, g7_equiv: GangOfSeven) -> float
     return worst
 
 
-def _realization_fidelity(params: PidParams, ctrl: TwoInputController) -> float:
-    """Worst coefficient residual of the split of the printed realization ctrl
-    of params against its closed forms, both over its own denominator
-    s*filter, so no root is found and nothing is cancelled."""
-    c_r, c_y = extract_cr_cy(ctrl)
-    return max(tf_residual(c_y, params.feedback_tf()), tf_residual(c_r, params.reference_tf()))
+def _realization_residual(ctrl: TwoInputController) -> float:
+    """Worst coefficient residual of the numeric split of ctrl's realization
+    against the closed forms ctrl carries, both over the monic denominator,
+    so no root is found and nothing is cancelled."""
+    split = ss_to_tf(ctrl.ss, input=0), tf_neg(ss_to_tf(ctrl.ss, input=1))
+    return max(map(tf_residual, split, extract_cr_cy(ctrl)))
 
 
 def _filter_damping_range() -> float:
@@ -127,7 +122,7 @@ def run_verification(
     """All equivalence, asymptote, and structural checks as residual/tol pairs.
 
     Each order's ADRC and PI(D)F controllers at the tuning are built once,
-    and every check that needs them reads their one split.
+    and every check that needs them reads the closed forms they carry.
     ``perturb_b0`` scales b0 on the PI(D)F side of the equivalence checks
     only; any value other than 1 must make those checks fail, which is the
     self-test that the suite actually detects mismatches.
@@ -140,7 +135,7 @@ def run_verification(
     params = {order: equivalent_params(design) for order, design in designs.items()}
     adrc = {order: build_adrc(design) for order, design in designs.items()}
     equiv = {order: build_equivalent_controller(p) for order, p in params.items()}
-    # building refuses nothing; the splits and gangs that can refuse run below,
+    # building refuses nothing; the channels and gangs that can refuse run below,
     # in the order of the checks, which fixes the first refusal
     checks: list[VerificationCheck] = []
     add = checks.append
@@ -148,11 +143,11 @@ def run_verification(
     for order in (1, 2):
         add(VerificationCheck(f"cy_equivalence_order{order}", grids[order][0], 1e-9))
 
-    c_r, _ = extract_cr_cy(adrc[1])
-    add(VerificationCheck("cr_closed_form_order1", tf_residual(c_r, _cr_closed_form(designs[1])), 1e-9))
+    for order in (1, 2):
+        add(VerificationCheck(f"adrc_realization_order{order}", grids[order][2], 1e-9))
 
     for order in (1, 2):
-        low, high = verify_asymptotes(adrc[order], params[order])
+        low, high = verify_asymptotes(extract_cr_cy(adrc[order])[0], params[order])
         add(VerificationCheck(f"asymptote_low_order{order}", low, 1e-4))
         add(VerificationCheck(f"asymptote_high_order{order}", high, 1e-4))
 
@@ -168,7 +163,7 @@ def run_verification(
         add(VerificationCheck(f"s_plus_t_identity_order{order}", s_plus_t_residual(gangs[order]), 1e-9))
 
     for order, form in ((1, "pif"), (2, "pidf")):
-        add(VerificationCheck(f"realization_fidelity_{form}", _realization_fidelity(params[order], equiv[order]), 1e-9))
+        add(VerificationCheck(f"realization_fidelity_{form}", _realization_residual(equiv[order]), 1e-9))
 
     for order in (1, 2):
         add(VerificationCheck(f"setpoint_weight_consistency_order{order}", grids[order][1], 1e-12))

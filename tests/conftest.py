@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from adrcpid.design import SETTLING_CONSTANTS
 from adrcpid.lti import StateSpaceModel, _balance
 
 # Property tests replay the same examples on every run and keep no example
@@ -65,6 +67,55 @@ def mp_stable(A, dps=120) -> bool:
     with mpmath.workdps(dps):
         eigenvalues = mpmath.eig(mpmath.matrix(A.tolist()), left=False, right=False)
         return all(mpmath.re(e) < 0 for e in eigenvalues)
+
+
+def exact_adrc_split(order, T_s, g, b0) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+    """(C_r num, C_y num, den) of build_adrc's realization in exact rational
+    arithmetic, ascending, den monic: the matrices are built from the float
+    inputs taken as Fractions, not from the rounded float matrices, and split
+    by Faddeev-LeVerrier and C adj(sI - A) B + D char."""
+    n, m = order, order + 1
+    w = Fraction(SETTLING_CONSTANTS[n]) / Fraction(T_s)
+    g, b0 = Fraction(g), Fraction(b0)
+    feedback = [math.comb(n, i) * w ** (n - i) for i in range(n)] + [Fraction(1)]
+    observer = [math.comb(n + 1, i) * (g * w) ** i for i in range(1, m + 1)]
+    A = [[-observer[i] if j == 0 else Fraction(int(j == i + 1)) for j in range(m)] for i in range(m)]
+    A[n - 1] = [a - f for a, f in zip(A[n - 1], feedback)]
+    b_r = [feedback[0] if i == n - 1 else Fraction(0) for i in range(m)]
+    c = [-f / b0 for f in feedback]
+    char = [Fraction(0)] * m + [Fraction(1)]
+    adj = [None] * m  # adj(sI - A) = sum_k s**k adj[k]
+    M = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    for k in range(1, m + 1):
+        adj[m - k] = M
+        AM = [[sum(A[i][t] * M[t][j] for t in range(m)) for j in range(m)] for i in range(m)]
+        char[m - k] = -sum(AM[i][i] for i in range(m)) / k
+        M = [[AM[i][j] + (char[m - k] if i == j else 0) for j in range(m)] for i in range(m)]
+
+    def c_adj_b(N, b):
+        return sum(c[i] * N[i][j] * b[j] for i in range(m) for j in range(m))
+
+    num_r = [feedback[0] / b0 * char[k] + (c_adj_b(adj[k], b_r) if k < m else 0) for k in range(m + 1)]
+    num_y = [-c_adj_b(adj[k], observer) for k in range(m)]
+    return num_r, num_y, char
+
+
+def exact_stable(coeffs) -> bool:
+    """The Routh verdict of lti.is_stable on ascending Fraction coefficients,
+    in exact arithmetic: True iff every root has a negative real part."""
+    c = list(coeffs)
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    c = c[::-1]
+    if c[0] < 0:
+        c = [-v for v in c]
+    upper, lower = c[0::2], c[1::2]
+    while lower:
+        if not lower[0] > 0:
+            return False
+        ratio = upper[0] / lower[0]
+        upper, lower = lower, [u - ratio * v for u, v in zip(upper[1:], lower[1:] + [0])]
+    return True
 
 
 def fresh_python(*args: str) -> subprocess.CompletedProcess:

@@ -139,7 +139,8 @@ def test_criterion_3_tuned_parameter_values(capsys):
 def test_criterion_4_asymptote_identities():
     for order in (1, 2):
         d = design(order)
-        low, high = verify_asymptotes(build_adrc(d), equivalent_params(d))
+        c_r, _ = extract_cr_cy(build_adrc(d))
+        low, high = verify_asymptotes(c_r, equivalent_params(d))
         assert low < 1e-4 and high < 1e-4, (order, low, high)
 
 

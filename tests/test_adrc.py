@@ -1,12 +1,15 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import TUNINGS
-from hypothesis import given, settings
+from conftest import TUNINGS, exact_adrc_split, log_uniform
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyfromroots, polyroots
 
+from adrcpid import lti
 from adrcpid.adrc import (
     AdrcDesign,
     build_adrc,
@@ -15,13 +18,11 @@ from adrcpid.adrc import (
     tune_first_order,
     tune_second_order,
 )
-from adrcpid.design import equivalent_params, pidf_from_adrc, pif_from_adrc
+from adrcpid.design import adrc_channels, equivalent_params, pidf_from_adrc, pif_from_adrc
 from adrcpid.lti import (
     Polynomial,
     RationalTransferFunction,
     poly_residual,
-    ss_to_tf,
-    tf_neg,
     tf_residual,
 )
 
@@ -240,22 +241,53 @@ class TestTwoInputController:
         from adrcpid.lti import StateSpaceModel
 
         with pytest.raises(ValueError):
-            TwoInputController(StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], [[0.0]]))
+            TwoInputController(StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], [[0.0]]), adrc_channels)
 
     @pytest.mark.parametrize("design", [tune_first_order(1, 10, 1), tune_second_order(0.3, 25, -4)])
-    def test_channel_split_made_once_and_equal_to_direct_split(self, design):
+    def test_channels_made_once_from_the_closed_forms(self, monkeypatch, design):
+        def refuse(A):
+            raise AssertionError("the channels split the realization")
+
+        monkeypatch.setattr(lti, "_resolvent", refuse)
         c = build_adrc(design)
         c_r, c_y = extract_cr_cy(c)
         again = extract_cr_cy(c)
         assert again[0] is c_r and again[1] is c_y
-        # a fresh copy of the model, so the split and the direct transfer
-        # functions do not both read the resolvent cached on c.ss
-        fresh = dataclasses.replace(c.ss)
-        direct_r = ss_to_tf(fresh, input=0, output=0).canonicalized()
-        direct_y = tf_neg(ss_to_tf(fresh, input=1, output=0)).canonicalized()
-        for got, want in ((c_r, direct_r), (c_y, direct_y)):
+        assert c_r.den is c_y.den
+        for got, want in zip((c_r, c_y), adrc_channels(design)):
             for a, b in ((got.num, want.num), (got.den, want.den)):
                 assert np.array(a.coeffs).tobytes() == np.array(b.coeffs).tobytes()
+
+    def test_channels_refused_past_the_float_range_on_first_read(self):
+        # g**3 * w**5, the constant term of both numerators, overflows, though every gain is finite
+        c = build_adrc(AdrcDesign(2, 1e-3, 5e98, 1.0))
+        with pytest.raises(ValueError, match="^the controller transfer function at this tuning is not representable"):
+            extract_cr_cy(c)
+
+
+def _ulps(x: float, exact: Fraction) -> float:
+    """|x - exact| in units in the last place of exact; 0 only for an exact zero."""
+    if exact == 0:
+        return 0.0 if x == 0.0 else math.inf
+    return float(abs(Fraction(x) - exact) / Fraction(math.ulp(float(exact))))
+
+
+# g up to 1e15, far past where a numeric split of the realization keeps any digit (order 2, g >= 1e10)
+HIGH_G_TUNINGS = st.tuples(st.sampled_from((1, 2)), log_uniform(1e-3, 1e3), log_uniform(1.0, 1e15), st.sampled_from((-1.0, 1.0)))
+
+
+class TestClosedForms:
+    """The channels build_adrc's controller carries against the exact split of its realization."""
+
+    @settings(max_examples=150)
+    @given(st.one_of(TUNINGS, HIGH_G_TUNINGS))
+    @example((2, 1.0, 1e15, -1.0))
+    @example((1, 1e-3, 1e15, 1.0))
+    def test_within_8_ulp_of_the_exact_split(self, tuning):
+        c_r, c_y = extract_cr_cy(build_adrc(AdrcDesign(*tuning)))
+        for got, want in zip((c_r.num, c_y.num, c_y.den), exact_adrc_split(*tuning)):
+            assert len(got.coeffs) == len(want)
+            assert max(_ulps(x, e) for x, e in zip(got.coeffs, want)) <= 8.0, (got.coeffs, want)
 
 
 def _reference_matrices(order, T_s, g, b0):

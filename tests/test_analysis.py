@@ -1,11 +1,13 @@
 import dataclasses
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
-from conftest import TUNINGS, log_uniform, mp_stable, tf_to_ss
+from conftest import TUNINGS, exact_adrc_split, exact_stable, log_uniform, mp_stable, tf_to_ss
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -205,11 +207,13 @@ def _np_block_loop(plant, c):
 class TestGangOfSeven:
     def test_unit_feedback_sensitivity(self):
         # P = 1/(s+1) with C_r = C_y = 1 gives S = (s+1)/(s+2)
+        one = Polynomial((1.0,))
         ctrl = TwoInputController(
             StateSpaceModel(
                 np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((1, 0)),
                 np.array([[1.0, -1.0]]), ("r", "y"), ("u",),
-            )
+            ),
+            lambda alpha: (RationalTransferFunction(one, one), RationalTransferFunction(one, one)),
         )
         g = gang_of_seven(PlantModel(order=1, K=1, T=1), ctrl)
         assert tf_residual(g.S, RationalTransferFunction.from_coeffs((1, 1), (2, 1))) < 1e-12
@@ -292,7 +296,7 @@ class TestExactStructure:
     @given(TUNINGS)
     def test_characteristic_polynomial_matches_50_digits(self, tuning):
         for c in _controllers(AdrcDesign(*tuning)):
-            char, _ = c.ss.resolvent
+            char, _ = lti._resolvent(c.ss.A)
             for got, want in zip(char.tolist(), _mp_char_poly(c.ss.A), strict=True):
                 assert abs(got - want) <= 1e-9 * abs(want), (got, want)
 
@@ -442,15 +446,21 @@ class TestSharedWorkCounts:
         design = tune_second_order(1.0, 10.0, 1.0)
         return design, PlantModel(order=2, K=1.0, T=1.0, D=1.0)
 
-    def test_split_runs_the_resolvent_once(self, monkeypatch, default_order2):
+    def test_channels_made_once_over_one_den_without_a_resolvent(self, monkeypatch, default_order2):
         design, _ = default_order2
-        calls = []
-        resolvent = lti._resolvent
-        monkeypatch.setattr(lti, "_resolvent", lambda A: calls.append(A) or resolvent(A))
+        made = []
+
+        def refuse(A):
+            raise AssertionError("the channels split the realization")
+
+        monkeypatch.setattr(lti, "_resolvent", refuse)
         for c in (build_adrc(design), build_equivalent_controller(equivalent_params(design))):
-            calls.clear()
-            extract_cr_cy(c)
-            assert len(calls) == 1
+            channels = c.channels
+            object.__setattr__(c, "channels", lambda alpha: made.append(alpha) or channels(alpha))
+            c_r, c_y = extract_cr_cy(c)
+            again = extract_cr_cy(c)
+            assert again[0] is c_r and again[1] is c_y and c_r.den is c_y.den
+        assert made == [1.0, 1.0]
 
     def test_gang_finds_no_roots(self, monkeypatch, default_order2):
         design, nominal = default_order2
@@ -484,8 +494,6 @@ class TestSharedWorkCounts:
                 tfs = [lti.ss_to_tf(m, i, o) for o in range(m.n_outputs) for i in range(m.n_inputs)]
                 assert sorted(calls) == ["_numerators", "_resolvent"]
                 assert all(tf.den is tfs[0].den for tf in tfs)
-            c_r, c_y = extract_cr_cy(c)
-            assert c_r.den is c_y.den
 
     @staticmethod
     def _design_point_path(order):
@@ -562,9 +570,9 @@ class TestUncheckedConstructors:
 
 def _channel_numerator(m, output, input):
     """d * char[k] + float(c @ N[k] @ b), one channel at a time."""
-    char, mats = m.resolvent
     b, c, d = m.B[:, input], m.C[output, :], float(m.D[output, input])
     with np.errstate(over="ignore", invalid="ignore"):
+        char, mats = lti._resolvent(m.A)
         num = d * char
         for k in range(m.n_states):
             num[k] += float(c @ mats[k] @ b)
@@ -592,7 +600,9 @@ class TestStackedRoutes:
         for c in _controllers(design):
             for m in (c.ss, closed_loop(plant, c)):  # 2 inputs and 1 output, 3 inputs and 2 outputs
                 nums, den = m._transfer_table
-                assert np.array(den.coeffs).tobytes() == m.resolvent[0].tobytes()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    char, _ = lti._resolvent(m.A)
+                assert np.array(den.coeffs).tobytes() == char.tobytes()
                 for o in range(m.n_outputs):
                     for i in range(m.n_inputs):
                         assert nums[o, i].tobytes() == _channel_numerator(m, o, i).tobytes(), (o, i)
@@ -637,7 +647,7 @@ class TestStability:
 
     @settings(max_examples=100)
     @given(TUNINGS, STIFF_PLANTS)
-    # tunings past the aim-3 range, at which the split of a controller in s overflows
+    # tunings past the aim-3 range, at which C_y or the Routh array in s leaves the float range
     @example((2, 1e-100, 1.0, 1.0), (1.0, 1.0, 1.0))
     @example((2, 1e-100, 10.0, -1.0), (-1.0, 1.0, 1.0))
     @example((1, 1e-100, 1e3, 1.0), (1.0, 1.0, 1.0))
@@ -650,6 +660,59 @@ class TestStability:
     def test_agrees_with_the_eigenvalues_on_the_figure_5_cases(self, D):
         # where numpy's eigvals of the loop's A gets the sign wrong in 21 of the 48 cases
         self._assert_stable_as_solved(AdrcDesign(2, 1.0, 10.0, 1.0), PlantModel(2, 1.0, 1.0, D), (0.1, 0.2, 0.5, 1, 2, 5))
+
+
+def _exact_measurement(design: AdrcDesign, params: PidParams) -> dict[str, tuple[list, list]]:
+    """(nc, dc) of C_y of each controller of a figure, in exact rational arithmetic."""
+    _, nc, dc = exact_adrc_split(design.order, design.T_s, design.g, design.b0)
+    Tf = Fraction(params.Tf)
+    filter_ = [Fraction(1), Tf] if design.order == 1 else [Fraction(1), 2 * Fraction(params.d) * Tf, Tf * Tf]
+    return {"adrc": (nc, dc), "equiv": ([Fraction(params.ki), Fraction(params.kp), Fraction(params.kd)], [0, *filter_])}
+
+
+def _fraction_product(a: list, b: list) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestSweepNotesAtExtremeG:
+    """The stability notes of the default sweeps of figures 1, 2, 5 and 6 at g far past the
+    aim-3 range, on every case that AdrcDesign accepts and step_response simulates, against
+    the exact Routh verdict of the exact loop."""
+
+    def test_notes_equal_the_exact_routh_verdict(self):
+        from adrcpid.cli import DEFAULT_SWEEPS, FIGURES
+
+        checked = 0
+        for fig in (1, 2, 5, 6):
+            _, parameter, order = FIGURES[fig]
+            for g, ts, b0 in itertools.product((1e10, 1e30, 1e100), (1e-3, 1.0, 1e3), (1.0, -1.0)):
+                try:
+                    design = AdrcDesign(order, ts, g, b0)
+                except ValueError:
+                    continue
+                params = equivalent_params(design)
+                plant = PlantModel(order, 1.0, 1.0, 1.0 if order == 2 else None)
+                controllers = dict(zip(("adrc", "equiv"), _controllers(design)))
+                try:
+                    sweep = step_sweep(
+                        plant, parameter, DEFAULT_SWEEPS[(order, parameter)], controllers, STEP_HORIZON_FACTOR * ts
+                    )
+                except ValueError as exc:
+                    assert str(exc).startswith("the step response at this tuning is not representable")
+                    continue
+                exact = _exact_measurement(design, params)
+                for case in sweep.cases:
+                    K, T = (Fraction(case.value), Fraction(1)) if parameter == "K" else (Fraction(1), Fraction(case.value))
+                    dp = [Fraction(1), T] if order == 1 else [Fraction(1), 2 * T, T * T]
+                    nc, dc = exact[case.controller]
+                    chi = [a + K * b for a, b in itertools.zip_longest(_fraction_product(dp, dc), nc, fillvalue=0)]
+                    assert case.stable == exact_stable(chi), (fig, g, ts, b0, case.value, case.controller)
+                    checked += 1
+        assert checked == 148
 
 
 class TestStepSweep:

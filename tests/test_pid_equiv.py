@@ -6,7 +6,7 @@ import pytest
 from conftest import TUNINGS
 from hypothesis import given, settings
 
-from adrcpid.adrc import TwoInputController, build_adrc, extract_cr_cy, tune_first_order, tune_second_order
+from adrcpid.adrc import build_adrc, extract_cr_cy, tune_first_order, tune_second_order
 from adrcpid.design import AdrcDesign
 from adrcpid.lti import StateSpaceModel, log_grid, ss_to_tf, tf_neg, tf_residual
 from adrcpid.pid_equiv import (
@@ -202,11 +202,11 @@ class TestAsymptotes:
         assert abs(low_equiv) == pytest.approx(1600 / 21, rel=1e-4)
         assert abs(high_adrc) == pytest.approx(4.0, rel=1e-4)
         assert abs(high_equiv) == pytest.approx(4.0, rel=1e-4)
-        low, high = verify_asymptotes(build_adrc(d), p)
+        c_r, _ = extract_cr_cy(build_adrc(d))
+        low, high = verify_asymptotes(c_r, p)
         assert low < 1e-4
         assert high < 1e-4
         # the mismatches are those of the exact limits, read from the coefficients of C_r
-        c_r, _ = extract_cr_cy(build_adrc(d))
         num, den = c_r.num.coeffs, c_r.den.coeffs
         assert den[0] == 0.0
         for adrc_limit, equiv_limit, exact, mismatch in (
@@ -224,48 +224,47 @@ class TestAsymptotes:
         assert abs(low_adrc) == pytest.approx(216000 / 361, rel=1e-4)
         assert abs(high_adrc) == pytest.approx(36.0, rel=1e-4)
         assert abs(high_equiv) == pytest.approx(36.0, rel=1e-4)
-        low, high = verify_asymptotes(build_adrc(d), p)
+        low, high = verify_asymptotes(extract_cr_cy(build_adrc(d))[0], p)
         assert low < 1e-4 and high < 1e-4
 
     def test_detects_mismatched_parameters(self):
         d = tune_first_order(1, 10, 1)
         wrong = pif_from_adrc(tune_first_order(1, 10, 1.05))
-        low, high = verify_asymptotes(build_adrc(d), wrong)
+        low, high = verify_asymptotes(extract_cr_cy(build_adrc(d))[0], wrong)
         assert not (low < 1e-4 and high < 1e-4)
 
     @settings(max_examples=200)
     @given(TUNINGS)
     def test_the_equivalent_controller_matches_its_own_parameters(self, tuning):
         p = equivalent_params(AdrcDesign(*tuning))
-        low, high = verify_asymptotes(build_equivalent_controller(p), p)
+        low, high = verify_asymptotes(extract_cr_cy(build_equivalent_controller(p))[0], p)
         assert low < 1e-12 and high < 1e-12
 
 
-def two_input(A, B, C, D):
-    """A hand-built controller with the given matrices."""
-    ss = StateSpaceModel(*map(np.array, (A, B, C, D)), input_labels=("r", "y"), output_labels=("u",))
-    return TwoInputController(ss)
+def reference_channel(A, B, C, D):
+    """C_r, the r -> u channel, of a hand-built controller realization with inputs [r, y]."""
+    return ss_to_tf(StateSpaceModel(*map(np.array, (A, B, C, D))), input=0)
 
 
 class TestAsymptotesOfAnyController:
-    """verify_asymptotes on controllers whose C_r lacks what ADRC's has."""
+    """verify_asymptotes on reference channels that lack what ADRC's has."""
 
     UNIT = PidParams(kp=1.0, ki=1.0, kd=0.0, Tf=0.1, b=1.0)  # ki = b*kp = 1
 
     def test_strictly_proper_reference_channel_has_a_high_limit_of_zero(self):
-        ctrl = two_input([[0.0]], [[1.0, 0.0]], [[1.0]], [[0.0, 0.0]])  # C_r = 1/s
-        assert extract_cr_cy(ctrl)[0].num.coeffs == (1.0,)
-        assert verify_asymptotes(ctrl, self.UNIT) == (0.0, 1.0)
+        c_r = reference_channel([[0.0]], [[1.0, 0.0]], [[1.0]], [[0.0, 0.0]])  # C_r = 1/s
+        assert c_r.num.coeffs == (1.0,)
+        assert verify_asymptotes(c_r, self.UNIT) == (0.0, 1.0)
 
     def test_double_pole_at_zero_has_no_integral_gain(self):
         # C_r = 1 + 1/s^2 = (1 + s^2)/s^2: den[0] == den[1] == 0
-        ctrl = two_input([[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]], [[1.0, 0.0]])
-        assert extract_cr_cy(ctrl)[0].den.coeffs == (0.0, 0.0, 1.0)
-        assert verify_asymptotes(ctrl, self.UNIT) == (1.0, 0.0)
+        c_r = reference_channel([[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]], [[1.0, 0.0]])
+        assert c_r.den.coeffs == (0.0, 0.0, 1.0)
+        assert verify_asymptotes(c_r, self.UNIT) == (1.0, 0.0)
 
     def test_no_pole_at_zero_has_no_integral_gain(self):
-        ctrl = two_input([[-1.0]], [[1.0, 0.0]], [[1.0]], [[1.0, 0.0]])  # C_r = (s + 2)/(s + 1)
-        assert verify_asymptotes(ctrl, self.UNIT) == (1.0, 0.0)
+        c_r = reference_channel([[-1.0]], [[1.0, 0.0]], [[1.0]], [[1.0, 0.0]])  # C_r = (s + 2)/(s + 1)
+        assert verify_asymptotes(c_r, self.UNIT) == (1.0, 0.0)
 
 
 class TestReferenceTf:
@@ -286,7 +285,7 @@ class TestReferenceChannelGap:
         d = tune_first_order(1, 10, 1) if order == 1 else tune_second_order(1, 10, 1)
         params = pif_from_adrc(d) if order == 1 else pidf_from_adrc(d)
         omega = log_grid(1e-4, 1e8, 800)
-        _, gap = reference_channel_gap(build_adrc(d), params, omega)
+        _, gap = reference_channel_gap(extract_cr_cy(build_adrc(d))[0], params, omega)
         assert gap[0] < 1e-3
         assert gap[-1] < 1e-3
 
@@ -295,7 +294,7 @@ class TestReferenceChannelGap:
         d = tune_first_order(1, 10, 1) if order == 1 else tune_second_order(1, 10, 1)
         params = pif_from_adrc(d) if order == 1 else pidf_from_adrc(d)
         omega = log_grid()
-        sup, gap = reference_channel_gap(build_adrc(d), params, omega)
+        sup, gap = reference_channel_gap(extract_cr_cy(build_adrc(d))[0], params, omega)
         assert sup == pytest.approx(FREQ_GAP_GOLDEN[order], abs=1e-9)
         # finite and attained in the interior of the grid
         peak = int(np.argmax(gap))

@@ -1,19 +1,20 @@
 import sys
+from functools import partial
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
+import pytest
 from conftest import TUNINGS
 from hypothesis import example, given, settings
 
 from adrcpid import adrc, verify
-from adrcpid.design import AdrcDesign, equivalent_params
+from adrcpid.design import AdrcDesign, adrc_channels, equivalent_params
 from adrcpid.lti import log_grid
 from adrcpid.pid_equiv import build_equivalent_controller, reference_channel_gap, verify_asymptotes
 
 
 def _fidelity(tuning) -> float:
-    params = equivalent_params(AdrcDesign(*tuning))
-    return verify._realization_fidelity(params, build_equivalent_controller(params))
+    return verify._realization_residual(build_equivalent_controller(equivalent_params(AdrcDesign(*tuning))))
 
 
 class TestRealizationFidelity:
@@ -68,7 +69,33 @@ class TestWork:
         _patch_build_adrc(monkeypatch, refuse)
         for design, ctrl in zip(designs, controllers):
             params = equivalent_params(design)
-            low, high = verify_asymptotes(ctrl, params)
+            c_r, _ = adrc.extract_cr_cy(ctrl)
+            low, high = verify_asymptotes(c_r, params)
             assert low < 1e-4 and high < 1e-4
-            sup, _ = reference_channel_gap(ctrl, params, log_grid())
+            sup, _ = reference_channel_gap(c_r, params, log_grid())
             assert 0 < sup < 1
+
+
+# every check that states an identity, as opposed to a design property
+IDENTITY_CHECKS = ("cy_equivalence_", "adrc_realization_", "asymptote_", "gang_of_four_identity_", "s_plus_t_identity_")
+
+
+@pytest.mark.parametrize("g", [1e4, 1e6, 1e10])
+def test_identity_checks_pass_at_high_g(g):
+    # at the default T_s and b0, where a numeric split of the ADRC realization loses about g**2 * eps
+    checks = [check for check in verify.run_verification(g=g) if check.name.startswith(IDENTITY_CHECKS)]
+    assert len(checks) == 12
+    assert [check.name for check in checks if not check.passed] == []
+
+
+class TestAdrcRealization:
+    def test_passes_on_the_equivalence_grid(self):
+        for order in (1, 2):
+            assert verify._grid_residuals(order, verify._perturbed_params(order, 1.0))[2] < 1e-9
+
+    def test_detects_forms_that_the_realization_does_not_realize(self):
+        design = AdrcDesign(2, 1.0, 10.0, 1.0)
+        other = AdrcDesign(2, 1.0, 10.0 * (1 + 1e-8), 1.0)
+        mismatched = adrc.TwoInputController(adrc.build_adrc(design).ss, partial(adrc_channels, other))
+        assert verify._realization_residual(adrc.build_adrc(design)) < 1e-12
+        assert verify._realization_residual(mismatched) > 1e-9
