@@ -24,6 +24,7 @@ from .lti import (
     StepResponseTable,
     _over,
     _poly,
+    _tf,
     is_stable,
     poly_residual,
     step_response,
@@ -58,27 +59,30 @@ class PlantModel:
         for name, value in (("T", self.T), ("D", self.D))[: self.order]:
             if value is None or not 0 < value < math.inf:
                 raise ValueError(f"plant {name} must be finite and > 0, got {value!r}")
-        if not _plant_representable(self.order, self.K, self.T, self.D):
+        monic = _monic_plant(self.order, self.K, self.T, self.D)
+        if monic is None:
             # name T if the plant fails even at K = D = 1, else D if it fails at K = 1
             probes = (("T", 1.0, 1.0), ("D", 1.0, self.D), ("K", self.K, self.D))
-            name = next(name for name, K, D in probes if not _plant_representable(self.order, K, self.T, D))
+            name = next(name for name, K, D in probes if _monic_plant(self.order, K, self.T, D) is None)
             inputs = ", ".join(f"{key}={getattr(self, key)!r}" for key in ("K", "T", "D")[: self.order + 1])
             raise ValueError(
                 f"plant {name}={getattr(self, name)!r} is out of range: the transfer function of {inputs} "
                 "has a coefficient that is not finite or a denominator coefficient that is zero"
             )
+        # kept outside the fields, so that ==, hash and repr see the inputs only
+        object.__setattr__(self, "_monic", monic)
 
     @cached_property
     def tf(self) -> RationalTransferFunction:
-        # coefficients that _plant_representable has checked
-        num, den = (_poly(list(map(float, c))) for c in _plant_coeffs(self.order, self.K, self.T, self.D))
-        return RationalTransferFunction(num, den)
+        """The transfer function as written."""
+        num, den = _plant_coeffs(self.order, self.K, self.T, self.D)
+        return _tf(_poly(list(map(float, num))), _poly(list(map(float, den))))
 
-    @cached_property
+    @property
     def canonical_tf(self) -> RationalTransferFunction:
-        """tf with a monic denominator, made once per plant and shared by the
-        gangs of that plant."""
-        return self.tf.canonicalized()
+        """tf over a monic denominator, as the plant's check made it: made once
+        per plant and shared by the gangs and loops of that plant."""
+        return self._monic
 
 
 def _plant_coeffs(order: int, K: float, T: float, D: float | None) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -88,33 +92,19 @@ def _plant_coeffs(order: int, K: float, T: float, D: float | None) -> tuple[tupl
     return (K,), (1.0, 2.0 * D * T, T**2)
 
 
-def _plant_representable(order: int, K: float, T: float, D: float | None) -> bool:
-    """True if the plant's coefficients, as written and as _over makes them
-    monic, are finite, and its denominator coefficients nonzero."""
+def _monic_plant(order: int, K: float, T: float, D: float | None) -> RationalTransferFunction | None:
+    """The plant over the monic denominator that _over makes, or None unless its
+    coefficients, as written and as made monic, are finite, and its denominator
+    coefficients nonzero."""
     try:
-        num, den = _plant_coeffs(order, K, T, D)
-        if not all(den):  # a zero lead would be trimmed, not divided by
-            return False
-        monic = _over(_poly(list(den)))(_poly(list(num)))
-        return all(map(math.isfinite, (*num, *den, *monic.num.coeffs, *monic.den.coeffs))) and all(monic.den.coeffs)
-    except ArithmeticError:  # T**2 overflowed
-        return False
-
-
-def _plant_block(plant: PlantModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, C) of the plant's controllable canonical realization, from its
-    monic coefficients: a companion A, B = e_n and C = [k, 0, ...], since the
-    numerator k is a constant and the direct term is 0.
-    """
-    P = plant.canonical_tf
-    n = plant.order
-    A = np.eye(n, k=1)
-    A[-1] = np.negative(P.den.coeffs[:n])
-    B = np.zeros((n, 1))
-    B[-1, 0] = 1.0
-    C = np.zeros((1, n))
-    C[0, 0] = P.num.coeffs[0]
-    return A, B, C
+        num, den = (tuple(map(float, c)) for c in _plant_coeffs(order, K, T, D))
+    except OverflowError:  # T**2 overflowed
+        return None
+    if not all(den):  # a zero lead would be trimmed, not divided by
+        return None
+    monic = _over(_poly(list(den)))(_poly(list(num)))
+    ok = all(map(math.isfinite, (*num, *den, *monic.num.coeffs, *monic.den.coeffs))) and all(monic.den.coeffs)
+    return monic if ok else None
 
 
 def closed_loop(plant: PlantModel, c: TwoInputController) -> StateSpaceModel:
@@ -123,28 +113,47 @@ def closed_loop(plant: PlantModel, c: TwoInputController) -> StateSpaceModel:
     The plant input is u + d_u and the controller measurement is y + n.
     Well-posed because the plant is strictly proper: its numerator is a
     constant and its denominator keeps its degree, so its block has no
-    direct term.
+    direct term.  That block is the controllable canonical realization of the
+    monic plant k/a(s): the companion A_p of a, B_p = e_n and C_p = [k, 0, ...].
+    Each block of the loop is filled from k, a and the controller's blocks
+    with the bits of its matrix expression (A_p + Dc_y B_p C_p, B_p C_c,
+    B_c,y C_p, ...), in which a product with one inner term is 0.0 + x*y.
     """
-    Ap, Bp, Cp = _plant_block(plant)
+    P = plant.canonical_tf
+    (k,), a = P.num.coeffs, P.den.coeffs
     cs = c.ss
     Ac, Bc, Cc, Dc = cs.A, cs.B, cs.C, cs.D
     n_p = plant.order
     n = n_p + cs.n_states
+    last = n_p - 1  # the plant row that u drives and that holds -a
     Dc_r, Dc_y = float(Dc[0, 0]), float(Dc[0, 1])
+    zero = 0.0 * Dc_y  # Dc_y times a zero entry of B_p C_p or C_p
 
     # states [x_p, x_c], inputs [r, d_u, n], outputs [y, u]; step_response refuses an entry past the float range
     with np.errstate(over="ignore", invalid="ignore"):
         A = np.empty((n, n))
-        A[:n_p, :n_p] = Ap + Dc_y * (Bp @ Cp)
-        A[:n_p, n_p:] = Bp @ Cc
-        A[n_p:, :n_p] = Bc[:, 1:] @ Cp
-        A[n_p:, n_p:] = Ac
         B = np.zeros((n, 3))
-        B[:n_p] = Bp * (Dc_r, 1.0, Dc_y)
-        B[n_p:, ::2] = Bc
         C = np.zeros((2, n))
-        C[:, :n_p] = Cp * ((1.0,), (Dc_y,))
-        C[1:, n_p:] = Cc
+        # the last plant row: A_p + Dc_y B_p C_p, where B_p C_p is k at (last, 0)
+        # and 0.0 elsewhere, then B_p C_c and B_p (Dc_r, 1, Dc_y)
+        A[last, :n_p] = [-a[0] + Dc_y * k, *(-x + zero for x in a[1:n_p])]
+        A[last, n_p:] = 0.0 + Cc[0]
+        B[last] = (Dc_r, 1.0, Dc_y)
+        # at order 2, the first plant row, where B_p is 0.0, and the second
+        # plant column, where C_p is 0.0
+        if n_p == 2:
+            A[0, :2] = (0.0 + zero, 1.0 + zero)
+            A[0, 2:] = 0.0 + 0.0 * Cc[0]
+            A[2:, 1] = 0.0 + Bc[:, 1] * 0.0
+            B[0] = (0.0 * Dc_r, 0.0, zero)
+            C[1, 1] = zero
+        # the controller rows: B_c,y C_p, A_c and B_c's columns r and y
+        A[n_p:, 0] = 0.0 + Bc[:, 1] * k
+        A[n_p:, n_p:] = Ac
+        B[n_p:, ::2] = Bc
+        # C_p and Dc_y C_p, then C_c in u's row
+        C[:, 0] = (k, k * Dc_y)
+        C[1, n_p:] = Cc[0]
     D = np.array([[0.0, 0.0, 0.0], [Dc_r, 0.0, Dc_y]])
     return StateSpaceModel._trusted(A, B, C, D, ("r", "d_u", "n"), ("y", "u"))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -150,7 +151,9 @@ class PidParams:
     the filtered measurement only; the reference never enters it.  The
     field order matches ``--compare-pid kp,ki,kd,Tf,b``; without a given
     damping the second-order filter is critically damped.  All values must
-    be finite, and Tf and d positive.
+    be finite, and Tf and d positive; with kd != 0, Tf^2 and 1/Tf^2, the
+    filter's lead and an entry of its realization, must be finite and nonzero
+    too.  The channels at alpha = 1 are made once and kept.
     """
 
     kp: float
@@ -167,6 +170,15 @@ class PidParams:
         for name, value in (("Tf", self.Tf), ("d", self.d)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if self.kd != 0.0:
+            try:
+                square = self.Tf**2  # as the channels and the realization form it
+            except OverflowError:
+                square = math.inf
+            if not (0.0 < square < math.inf and 1.0 / square < math.inf):
+                raise ValueError(
+                    f"Tf={self.Tf!r} is out of range: with kd != 0, Tf^2 and 1/Tf^2 must be finite and nonzero"
+                )
 
     def feedback_tf(self) -> RationalTransferFunction:
         """(ki + kp s [+ kd s^2]) / (s*filter), the measurement channel without sign."""
@@ -180,13 +192,21 @@ class PidParams:
         """(C_r, C_y) of the realization, u = C_r r - C_y y, over one monic denominator
         s*filter; a zero kd is trimmed.  In the time unit s~ = alpha*s, alpha a power of
         two, ki is times alpha and kd and Tf over alpha, exactly or to inf or 0."""
-        from .lti import RationalTransferFunction, _poly
+        return self._unit_channels if alpha == 1.0 else self._channels(alpha)
+
+    @cached_property
+    def _unit_channels(self) -> tuple[RationalTransferFunction, RationalTransferFunction]:
+        return self._channels(1.0)
+
+    def _channels(self, alpha: float) -> tuple[RationalTransferFunction, RationalTransferFunction]:
+        from .lti import _over, _poly, _tf
 
         ki, kd, Tf = self.ki * alpha, self.kd / alpha, self.Tf / alpha
         filter_ = [1.0, Tf] if kd == 0.0 else [1.0, 2.0 * self.d * Tf, self.Tf**2 / alpha / alpha]
-        c_y = RationalTransferFunction(_poly([ki, self.kp, kd]), _poly([0.0, *filter_])).canonicalized()
+        s_filter = _poly([0.0, *filter_])
+        c_y = _over(s_filter)(_poly([ki, self.kp, kd]))
         c_r = _poly([ki, self.b * self.kp]) * _poly(list(c_y.den.coeffs[1:]))  # times the monic filter
-        return RationalTransferFunction(c_r, c_y.den), c_y
+        return _tf(c_r, c_y.den), c_y
 
 
 def pif_from_adrc(design: AdrcDesign) -> PidParams:
@@ -223,7 +243,7 @@ def adrc_channels(design: AdrcDesign, alpha: float = 1.0) -> tuple[RationalTrans
     past the float range a coefficient is inf or NaN, without a warning."""
     import numpy as np
 
-    from .lti import RationalTransferFunction, _poly
+    from .lti import _poly, _tf
 
     n, alpha = design.order, np.float64(alpha)
     with np.errstate(all="ignore"):
@@ -239,7 +259,7 @@ def adrc_channels(design: AdrcDesign, alpha: float = 1.0) -> tuple[RationalTrans
         b0 = design.b0 * alpha**n
         c_r, c_y = (_poly((np.array(c) * w[top : top - len(c) : -1] / b0).tolist()) for c in (r, y))
         den = _poly([0.0, *(np.array(q) * w[n:0:-1]).tolist(), 1.0])
-    return RationalTransferFunction(c_r, den), RationalTransferFunction(c_y, den)
+    return _tf(c_r, den), _tf(c_y, den)
 
 
 def equivalent_params(design: AdrcDesign) -> PidParams:

@@ -10,6 +10,7 @@ ascending powers of s, i.e. ``coeffs[k]`` multiplies ``s**k``.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -48,6 +49,15 @@ def _poly(c: list[float]) -> "Polynomial":
     p = object.__new__(Polynomial)
     object.__setattr__(p, "coeffs", _trimmed(c))
     return p
+
+
+def _tf(num: "Polynomial", den: "Polynomial") -> "RationalTransferFunction":
+    """RationalTransferFunction(num, den) for a den made inside this package and
+    known to be nonzero, without the constructor's check."""
+    tf = object.__new__(RationalTransferFunction)
+    object.__setattr__(tf, "num", num)
+    object.__setattr__(tf, "den", den)
+    return tf
 
 
 def _horner(coeffs: Sequence[float], s):
@@ -155,10 +165,12 @@ def _over(den: Polynomial) -> Callable[[Polynomial], RationalTransferFunction]:
     result again is a no-op.
     """
     lead = den.leading
-    if den.is_zero or lead == 1.0:  # a zero den is left to the constructor to reject
+    if lead == 0.0:  # only the zero polynomial leads with 0.0; the constructor rejects it
         return lambda num: RationalTransferFunction(num, den)
+    if lead == 1.0:
+        return lambda num: _tf(num, den)
     monic = _poly([c / lead for c in den.coeffs])
-    return lambda num: RationalTransferFunction(_poly([c / lead for c in num.coeffs]), monic)
+    return lambda num: _tf(_poly([c / lead for c in num.coeffs]), monic)
 
 
 def tf_neg(a: RationalTransferFunction) -> RationalTransferFunction:
@@ -477,6 +489,15 @@ def _balance(M: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0, exponents)
 
 
+@functools.cache
+def _pade_eyes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c_1 I, c_0 I) of the [6/6] Pade approximant for n x n matrices, made once per size, read-only."""
+    eyes = (_PADE6[1] * np.eye(n), _PADE6[0] * np.eye(n))
+    for eye in eyes:
+        eye.setflags(write=False)
+    return eyes
+
+
 def _expm(M: np.ndarray) -> np.ndarray:
     """Matrix exponential of a small dense matrix.
 
@@ -490,11 +511,11 @@ def _expm(M: np.ndarray) -> np.ndarray:
     norm = float(np.abs(B).sum(axis=0).max())
     j = max(0, math.frexp(norm)[1] + 1)
     B = B * 2.0**-j  # now ||B||_1 < 1/2
-    eye = np.eye(M.shape[0])
+    c1_eye, c0_eye = _pade_eyes(M.shape[0])
     B2 = B @ B
     B4 = B2 @ B2
-    U = B @ (_PADE6[1] * eye + _PADE6[3] * B2 + _PADE6[5] * B4)
-    V = _PADE6[0] * eye + _PADE6[2] * B2 + _PADE6[4] * B4 + _PADE6[6] * (B4 @ B2)
+    U = B @ (c1_eye + _PADE6[3] * B2 + _PADE6[5] * B4)
+    V = c0_eye + _PADE6[2] * B2 + _PADE6[4] * B4 + _PADE6[6] * (B4 @ B2)
     E = np.linalg.solve(V - U, V + U)
     # an exponential past the float range squares to inf or NaN, which the
     # caller refuses; it is no cause for a warning
@@ -537,7 +558,8 @@ def step_response(m: StateSpaceModel, input: int = 0, t_end: float = 10.0, n_ste
     if not math.isfinite(float(np.abs(aug).max()) * h * (n + 1)):
         raise ValueError(unrepresentable + "the model's entries times the sample time overflow or are not finite")
     phi = _expm(aug * h)
-    if not np.isfinite(phi).all():
+    phi_max = float(np.abs(phi).max())  # NaN if an entry is
+    if not phi_max < math.inf:
         raise ValueError(unrepresentable + "the model's exponential over one sample time overflows")
     n_blocks = -(-(n_steps + 1) // STEP_BLOCK)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -545,12 +567,11 @@ def step_response(m: StateSpaceModel, input: int = 0, t_end: float = 10.0, n_ste
         while len(powers) < STEP_BLOCK.bit_length():
             powers.append(powers[-1] @ powers[-1])
         # column j * n_blocks + b holds the state at sample b * STEP_BLOCK + j
-        starts = [np.zeros(n + 1)]
-        starts[0][n] = 1.0
-        for _ in range(1, n_blocks):
-            starts.append(powers[-1].dot(starts[-1]))
         z = np.empty((n + 1, STEP_BLOCK * n_blocks))
-        z[:, :n_blocks] = np.transpose(starts)
+        z[:, 0] = 0.0
+        z[n, 0] = 1.0
+        for b in range(1, n_blocks):
+            z[:, b] = powers[-1].dot(z[:, b - 1])
         width = n_blocks
         for power in powers[:-1]:
             z[:, width : 2 * width] = power @ z[:, :width]
@@ -558,8 +579,8 @@ def step_response(m: StateSpaceModel, input: int = 0, t_end: float = 10.0, n_ste
         states = z.reshape(n + 1, STEP_BLOCK, n_blocks).transpose(0, 2, 1).reshape(n + 1, -1)[:, : n_steps + 1]
         # below this bound no term or partial sum of phi @ state can
         # overflow; NaN fails the test too
-        safe = sys.float_info.max / ((n + 1) * float(np.abs(phi).max()))
-        flagged = ~((states.max(axis=0) <= safe) & (states.min(axis=0) >= -safe))
+        safe = sys.float_info.max / ((n + 1) * phi_max)
+        flagged = ~(np.abs(states).max(axis=0) <= safe)
         k = max(1, int(np.argmax(flagged))) if flagged.any() else n_steps + 1
         # from the last state below the bound on, step one sample at a time,
         # as the recurrence does, until a state overflows

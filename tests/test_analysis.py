@@ -10,7 +10,9 @@ import pytest
 from conftest import TUNINGS, exact_adrc_split, exact_stable, log_uniform, mp_stable, tf_to_ss
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from adrcpid import analysis as analysis_module
 from adrcpid import design as design_module
 from adrcpid import lti
 from adrcpid.adrc import (
@@ -24,7 +26,6 @@ from adrcpid.adrc import (
 from adrcpid.analysis import (
     STEP_HORIZON_FACTOR,
     PlantModel,
-    _plant_block,
     closed_loop,
     gang_of_seven,
     s_plus_t_residual,
@@ -49,6 +50,14 @@ from adrcpid.pid_equiv import (
 )
 
 NOMINAL_STEP_GAP = {1: 0.04028012544899118, 2: 0.05240762629027035}
+
+# a tuning and a plant with K < 0 from TestGangProducts, at which PS made as
+# k * dc, not 0.0 + k * dc as the convolution makes it, has a -0.0; in the
+# closed loop, so does B_c,y k for the zero entries of the PID+F B_c,y
+NEGATIVE_K = (
+    (2, 525.9936700474275, 7.856861902127318, -8.36559317458831),
+    (-0.5951691781089218, 500.6969422962409, 0.8897818157730942),
+)
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +150,8 @@ class TestPlantModel:
         # T**2 = 1e-14 is tiny next to the other denominator coefficients, and still a state
         p = PlantModel(order=2, K=1, T=1e-7, D=1)
         assert p.tf.den.coeffs == (1.0, 2e-7, 1e-7**2)
-        assert _plant_block(p)[0].shape == (2, 2)
+        c = build_adrc(tune_second_order(1.0, 10.0, 1.0))
+        assert closed_loop(p, c).n_states == 2 + c.ss.n_states
 
 
 class TestClosedLoop:
@@ -178,15 +188,32 @@ class TestClosedLoop:
 
     @settings(max_examples=100)
     @given(TUNINGS, PLANTS)
+    @example(*NEGATIVE_K)
     def test_blocks_bitwise_equal_to_np_block(self, tuning, plant):
         design = AdrcDesign(*tuning)
         K, T, D = plant
         plant = PlantModel(design.order, K, T, D if design.order == 2 else None)
         for c in (build_adrc(design), build_equivalent_controller(equivalent_params(design))):
-            loop = closed_loop(plant, c)
-            for name, want in zip("ABCD", _np_block_loop(plant, c)):
-                got = getattr(loop, name)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            _assert_loop_equal_to_np_block(plant, c)
+
+    @settings(max_examples=100)
+    @given(st.sampled_from((1, 2)), PLANTS, st.integers(0, 3), st.data())
+    def test_blocks_bitwise_equal_to_np_block_with_direct_terms(self, order, plant, n_c, data):
+        # any finite controller, with direct terms from r and y of either sign and signed zeros
+        entries = st.one_of(st.floats(-1e3, 1e3), st.sampled_from((0.0, -0.0)))
+        A, B, C, D = (
+            data.draw(hnp.arrays(np.float64, shape, elements=entries)) for shape in ((n_c, n_c), (n_c, 2), (1, n_c), (1, 2))
+        )
+        K, T, D_p = plant
+        plant = PlantModel(order, K, T, D_p if order == 2 else None)
+        _assert_loop_equal_to_np_block(plant, TwoInputController(StateSpaceModel(A, B, C, D, ("r", "y"), ("u",)), None))
+
+
+def _assert_loop_equal_to_np_block(plant, c):
+    loop = closed_loop(plant, c)
+    for name, want in zip("ABCD", _np_block_loop(plant, c)):
+        got = getattr(loop, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 def _np_block_loop(plant, c):
@@ -522,9 +549,27 @@ class TestSharedWorkCounts:
         assert self._count_calls(monkeypatch, design_module, closed_form, order) == 1
 
     @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("value_type", [StateSpaceModel, Polynomial])
+    @pytest.mark.parametrize("value_type", [StateSpaceModel, Polynomial, RationalTransferFunction])
     def test_objects_the_package_builds_skip_the_public_checks(self, monkeypatch, order, value_type):
         assert self._count_calls(monkeypatch, value_type, "__post_init__", order) == 0
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_pidf_channels_made_once_per_params(self, monkeypatch, order):
+        params = equivalent_params((tune_first_order if order == 1 else tune_second_order)(1.0, 10.0, 1.0))
+        made = []
+        original = PidParams._channels
+        monkeypatch.setattr(PidParams, "_channels", lambda p, alpha: made.append(alpha) or original(p, alpha))
+        c_r, c_y = extract_cr_cy(build_equivalent_controller(params))
+        assert params.feedback_tf() is c_y and params.reference_tf() is c_r
+        assert params.channels() == params.channels(1.0) == (c_r, c_y)
+        assert made == [1.0]
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_plant_made_monic_once(self, monkeypatch, order):
+        # the plant and the two copies that step_sweep makes of it
+        assert self._count_calls(monkeypatch, analysis_module, "_monic_plant", order) == 3
+        plant = PlantModel(order, 1.0, 1.0, 1.0 if order == 2 else None)
+        assert plant.canonical_tf is plant.canonical_tf
 
 
 SIGNED_ZEROS_AND_SUBNORMALS = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1030)
@@ -579,16 +624,8 @@ def _channel_numerator(m, output, input):
     return num
 
 
-# a tuning and a plant with K < 0 from TestGangProducts, at which PS made as
-# k * dc, not 0.0 + k * dc as the convolution makes it, has a -0.0
-NEGATIVE_K = (
-    (2, 525.9936700474275, 7.856861902127318, -8.36559317458831),
-    (-0.5951691781089218, 500.6969422962409, 0.8897818157730942),
-)
-
-
 class TestStackedRoutes:
-    """The stacked transfer table and the direct plant block keep the bits of the per-channel routes."""
+    """The stacked transfer table keeps the bits of the per-channel route."""
 
     @settings(max_examples=100)
     @given(TUNINGS, PLANTS)
@@ -606,18 +643,6 @@ class TestStackedRoutes:
                 for o in range(m.n_outputs):
                     for i in range(m.n_inputs):
                         assert nums[o, i].tobytes() == _channel_numerator(m, o, i).tobytes(), (o, i)
-
-    @settings(max_examples=100)
-    @given(TUNINGS, PLANTS)
-    # K < 0: tf_to_ss gives C = [k, 0.0, ...] with +0.0, where k * [1, 0, ...] would give -0.0
-    @example(*NEGATIVE_K)
-    def test_plant_block_equal_to_the_canonical_realization(self, tuning, plant):
-        order = tuning[0]
-        K, T, D = plant
-        plant = PlantModel(order, K, T, D if order == 2 else None)
-        want = tf_to_ss(plant.tf)
-        for got, ref in zip(_plant_block(plant), (want.A, want.B, want.C)):
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 class TestLoopMeasures:

@@ -265,6 +265,19 @@ class TestFigureCommand:
         header = (tmp_path / "fig3.csv").read_text().splitlines()[0].split(",")
         assert "mag_pid_Cy" in header
 
+    @pytest.mark.parametrize("Tf", ["1e-200", "1e160"])
+    @pytest.mark.parametrize("argv", [["figure", fig] for fig in "5678"] + [["sweep", "--param", "K", "--order", "2"]])
+    def test_comparison_pidf_filter_out_of_range_exits_2_naming_tf(self, tmp_path, argv, Tf):
+        # Tf^2 is 0 or overflows; each once ended in a traceback
+        out = tmp_path / "out"
+        refusal = _run_clean([*argv, "--compare-pid", f"1,1,1,{Tf},1", "--out", str(out)], out)
+        assert refusal.startswith(f"error: Tf={float(Tf)!r} is out of range: ")
+
+    @pytest.mark.parametrize("argv", [["figure", "5"], ["sweep", "--param", "K", "--order", "2"]])
+    def test_comparison_pif_takes_any_finite_tf(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert _run_clean([*argv, "--compare-pid", "1,1,0,1e300,1", "--out", str(out)], out) is None
+
     @pytest.mark.parametrize("fig", ["1", "2"])
     def test_unrepresentable_step_response_exits_2(self, tmp_path, capsys, fig):
         # the equivalent controller's realization overflows at this tuning

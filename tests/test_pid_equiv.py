@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from adrcpid.pid_equiv import (
     PidParams,
     build_equivalent_controller,
     equivalent_params,
+    equivalent_realization,
     pidf_from_adrc,
     pif_from_adrc,
     reference_channel_gap,
@@ -183,6 +185,22 @@ class TestPidfRealization:
         for bad in (dict(Tf=math.nan), dict(d=math.inf), dict(kp=math.nan), dict(ki=math.inf), dict(kd=-math.inf), dict(b=math.nan)):
             with pytest.raises(ValueError):
                 build_equivalent_controller(PidParams(**{"kp": 1, "ki": 1, "kd": 1, "Tf": 0.1, "b": 0.5, **bad}))
+
+    @pytest.mark.parametrize("Tf", [1e160, 1.4e154, 1e-155, 1e-200])
+    def test_filter_square_out_of_range_refused_naming_tf(self, Tf):
+        # Tf^2 overflows, or 1/Tf^2 does, or Tf^2 is 0
+        with pytest.raises(ValueError, match="^" + re.escape(f"Tf={Tf!r} is out of range: with kd != 0")):
+            PidParams(kp=1, ki=1, kd=1, Tf=Tf, b=0.5)
+        # PI+F forms no Tf^2
+        _, c_y = extract_cr_cy(build_equivalent_controller(PidParams(kp=1, ki=1, kd=0.0, Tf=Tf, b=0.5)))
+        assert c_y.den.coeffs[-1] == 1.0
+
+    @pytest.mark.parametrize("Tf", [1.3e154, 1e-154])
+    def test_filter_square_in_range_accepted(self, Tf):
+        p = PidParams(kp=1, ki=1, kd=1, Tf=Tf, b=0.5)
+        A, _, _, _ = equivalent_realization(p)
+        assert math.isfinite(A[2][0]) and A[2][0] != 0.0
+        assert all(map(math.isfinite, p.feedback_tf().den.coeffs))
 
 
 def reference_extremes(d, params, low_omega=1e-6, high_omega=1e6):
