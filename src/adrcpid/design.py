@@ -37,8 +37,10 @@ class AdrcDesign:
     its n + 1 poles g times faster, at -g*omega_cl.  T_s and g must be
     finite and positive, b0 finite and nonzero, of either sign, and together
     they must give gains and equivalent PI(D) parameters that are finite and
-    nonzero in floating point.  The design keeps the values that this check
-    computes; ``equivalent_params`` and the builders read them.
+    nonzero in floating point, and realizations (``build_adrc``'s and
+    ``equivalent_realization``) whose entries are finite.  The design keeps
+    the values that this check computes; ``equivalent_params`` and the
+    builders read them.
     """
 
     order: int
@@ -130,8 +132,11 @@ def _tuning(design: AdrcDesign) -> tuple[tuple[float, ...], tuple[float, ...], P
     except (ArithmeticError, ValueError):  # a float power overflowed, or PidParams refused a value
         return None
     values = (*feedback, *observer, p.kp, p.ki, p.Tf, p.b) + ((p.kd, p.d) if n == 2 else ())
-    # finite, and none is zero
-    return (feedback, observer, p) if all(map(math.isfinite, values)) and all(values) else None
+    # the other entries of build_adrc's realization: K_P/b0 [, K_D/b0] and 1/b0 in C and D, l_n + K_P in A
+    entries = [k / design.b0 for k in (*feedback, 1.0)] + [observer[n - 1] + feedback[0]]
+    # all finite, and no gain or parameter is zero
+    finite = all(map(math.isfinite, values)) and all(map(math.isfinite, entries))
+    return (feedback, observer, p) if finite and all(values) else None
 
 
 def tune_first_order(T_s: float, g: float, b0: float = 1.0) -> AdrcDesign:
@@ -153,7 +158,8 @@ class PidParams:
     damping the second-order filter is critically damped.  All values must
     be finite, and Tf and d positive; with kd != 0, Tf^2 and 1/Tf^2, the
     filter's lead and an entry of its realization, must be finite and nonzero
-    too.  The channels at alpha = 1 are made once and kept.
+    too, and every entry of ``equivalent_realization`` must be finite.  The
+    channels at alpha = 1 are made once and kept.
     """
 
     kp: float
@@ -179,6 +185,10 @@ class PidParams:
                 raise ValueError(
                     f"Tf={self.Tf!r} is out of range: with kd != 0, Tf^2 and 1/Tf^2 must be finite and nonzero"
                 )
+        if not all(map(math.isfinite, [v for rows in equivalent_realization(self) for row in rows for v in row])):
+            form, names = ("PI+F", "kp ki Tf b") if self.kd == 0.0 else ("PID+F", "kp ki kd Tf b d")
+            values = ", ".join(f"{name}={getattr(self, name)!r}" for name in names.split())
+            raise ValueError(f"{values} are out of range: an entry of their {form} realization is not finite")
 
     def feedback_tf(self) -> RationalTransferFunction:
         """(ki + kp s [+ kd s^2]) / (s*filter), the measurement channel without sign."""

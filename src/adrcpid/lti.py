@@ -14,7 +14,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -323,23 +322,6 @@ class StateSpaceModel:
     def n_outputs(self) -> int:
         return self.C.shape[0]
 
-    @cached_property
-    def _transfer_table(self) -> tuple[np.ndarray, Polynomial]:
-        """(nums, den) of every channel, found once and shared by ss_to_tf.
-
-        nums[output, input] holds the numerator coefficients of that channel,
-        D[output, input] * char + C[output] N B[:, input], from one stacked
-        product over the Faddeev-LeVerrier matrices N of _resolvent; den is
-        the monic char as one Polynomial, the same object for every channel.
-        Entries past the float range are inf or NaN, without a warning;
-        ss_to_tf refuses the channels it reaches.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            char, mats = _resolvent(self.A)
-            nums = _numerators(char, mats, self.B, self.C, self.D)
-        nums.setflags(write=False)
-        return nums, _poly(char.tolist())
-
 
 def _resolvent(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Faddeev-LeVerrier recursion.
@@ -367,44 +349,32 @@ def _resolvent(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return char, mats
 
 
-def _numerators(char: np.ndarray, mats: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """nums[o, i, k] = D[o, i] * char[k] + C[o] N[k] B[:, i], N[k] = mats[k] (zero for k = n).
-
-    One stacked product with the bits of the per-channel formula
-    d * char[k] + float(c @ N[k] @ b): each row C[o] N[k] is one
-    vector-matrix product and each entry one dot product with a column of B,
-    as the formula makes them.  A matrix product of all rows at once would
-    sum in another order and could change the last bits.
-    """
-    n = mats.shape[0]
-    rows = np.matmul(C[:, None, None, :], mats)  # (p, n, 1, n): C[o] N[k]
-    dots = np.matmul(rows[:, :, None], B.T[:, :, None])  # (p, n, m, 1, 1): C[o] N[k] B[:, i]
-    nums = D[:, :, None] * char
-    nums[:, :, :n] += dots[..., 0, 0].transpose(0, 2, 1)
-    return nums
-
-
 def ss_to_tf(m: StateSpaceModel, input: int = 0, output: int = 0) -> RationalTransferFunction:
-    """Transfer function C (sI - A)^-1 B + D of one scalar channel, over a monic denominator.
+    """Transfer function C (sI - A)^-1 B + D of one scalar channel, over the monic
+    characteristic polynomial char of A.
 
-    The numerators of every channel are found once per model (see
-    StateSpaceModel._transfer_table), and its channels share one denominator
-    object.  A channel whose coefficients overflow is refused with a
-    ValueError, without a warning.
+    Its numerator is d * char + [c N[k] b], N[k] the matrices of _resolvent,
+    each term one vector-matrix product and one dot product.  A channel whose
+    coefficients overflow is refused with a ValueError, without a warning.
     """
     if not 0 <= input < m.n_inputs:
         raise IndexError("input index out of range")
     if not 0 <= output < m.n_outputs:
         raise IndexError("output index out of range")
-    nums, den = m._transfer_table
-    num = nums[output, input].tolist()
+    b, c = m.B[:, input], m.C[output]
+    with np.errstate(over="ignore", invalid="ignore"):
+        char, mats = _resolvent(m.A)
+        num = float(m.D[output, input]) * char
+        for k in range(m.n_states):
+            num[k] += float(c @ mats[k] @ b)
+    num = num.tolist()
     # this also refuses a non-finite char: char[k], k < n, enters num[k] = d*char[k] + c N[k] b,
     # and d*inf is never finite
     if not all(map(math.isfinite, num)):
         raise ValueError(
             "the controller transfer function at this tuning is not representable: its coefficients overflow"
         )
-    return RationalTransferFunction(_poly(num), den)
+    return _tf(_poly(num), _poly(char.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

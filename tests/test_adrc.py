@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from adrcpid.adrc import (
     tune_first_order,
     tune_second_order,
 )
-from adrcpid.design import adrc_channels, equivalent_params, pidf_from_adrc, pif_from_adrc
+from adrcpid.design import adrc_channels, equivalent_params, equivalent_realization, pidf_from_adrc, pif_from_adrc
 from adrcpid.lti import (
     Polynomial,
     RationalTransferFunction,
@@ -366,8 +367,42 @@ class TestKeptTuning:
 
     @pytest.mark.parametrize(
         "inputs, name",
-        [((2, 1.0, 1e300), "g"), ((2, 1e-300, 10.0), "T_s"), ((1, 1e300, 10.0), "T_s"), ((2, 1.0, 10.0, 1e-320), "b0")],
+        [
+            ((2, 1.0, 1e300), "g"),
+            ((2, 1e-300, 10.0), "T_s"),
+            ((1, 1e300, 10.0), "T_s"),
+            ((2, 1.0, 10.0, 1e-320), "b0"),
+            # gains and parameters in range, but a realization entry past it
+            ((1, 1e-150, 1.0, 1e-5), "T_s"),  # ki/Tf of the PI+F realization
+            ((1, 1e-3, 1.0, 1e-300), "b0"),  # ki/Tf of the PI+F realization
+            ((2, 1e5, 1.0, 1e-310), "b0"),  # 1/b0 in build_adrc's C
+        ],
     )
     def test_out_of_range_names_the_input_that_breaks(self, inputs, name):
         with pytest.raises(ValueError, match=f"^{name}=\\S+ is out of range"):
             AdrcDesign(*inputs)
+
+
+class TestFiniteRealizations:
+    """Every design accepted across the float range builds two realizations with finite entries."""
+
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from((1, 2)),
+        log_uniform(1e-320, 1e300),
+        log_uniform(1.0, 1e6),
+        st.builds(lambda sign, mag: sign * mag, st.sampled_from((-1.0, 1.0)), log_uniform(1e-320, 1e300)),
+    )
+    @example(1, 1e-3, 1.0, 1e-300)  # ki/Tf of the PI+F realization; the gains are in range
+    @example(2, 1e5, 1.0, -1e-310)  # 1/b0 in build_adrc's C, an overflow warning if built
+    def test_accepted_designs_build_finite_realizations(self, order, T_s, g, b0):
+        # the suite turns warnings into errors, so an overflow inside build_adrc fails here too
+        try:
+            design = AdrcDesign(order, T_s, g, b0)
+        except ValueError as exc:
+            assert re.match(r"(T_s|g|b0)=\S+ is out of range: ", str(exc))
+            return
+        ss = build_adrc(design).ss
+        assert all(np.isfinite(getattr(ss, name)).all() for name in "ABCD")
+        for rows in equivalent_realization(equivalent_params(design)):
+            assert all(math.isfinite(v) for row in rows for v in row)

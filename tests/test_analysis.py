@@ -505,23 +505,6 @@ class TestSharedWorkCounts:
             for ctrl in (c, build_equivalent_controller(equivalent_params(design))):
                 gang_of_seven(plant, ctrl)
 
-    def test_every_channel_costs_one_resolvent_and_one_stacked_product(self, monkeypatch, default_order2):
-        design, plant = default_order2
-        calls = []
-
-        def counted(name):
-            original = getattr(lti, name)
-            return lambda *args: calls.append(name) or original(*args)
-
-        for name in ("_resolvent", "_numerators"):
-            monkeypatch.setattr(lti, name, counted(name))
-        for c in _controllers(design):
-            for m in (c.ss, closed_loop(plant, c)):
-                calls.clear()
-                tfs = [lti.ss_to_tf(m, i, o) for o in range(m.n_outputs) for i in range(m.n_inputs)]
-                assert sorted(calls) == ["_numerators", "_resolvent"]
-                assert all(tf.den is tfs[0].den for tf in tfs)
-
     @staticmethod
     def _design_point_path(order):
         """One design point through every layer a command runs, as design_scan does."""
@@ -611,38 +594,6 @@ class TestUncheckedConstructors:
         got, want = lti._poly(list(coeffs)), Polynomial(tuple(coeffs))
         assert type(got) is Polynomial
         assert [c.hex() for c in got.coeffs] == [c.hex() for c in want.coeffs]
-
-
-def _channel_numerator(m, output, input):
-    """d * char[k] + float(c @ N[k] @ b), one channel at a time."""
-    b, c, d = m.B[:, input], m.C[output, :], float(m.D[output, input])
-    with np.errstate(over="ignore", invalid="ignore"):
-        char, mats = lti._resolvent(m.A)
-        num = d * char
-        for k in range(m.n_states):
-            num[k] += float(c @ mats[k] @ b)
-    return num
-
-
-class TestStackedRoutes:
-    """The stacked transfer table keeps the bits of the per-channel route."""
-
-    @settings(max_examples=100)
-    @given(TUNINGS, PLANTS)
-    @example(*NEGATIVE_K)
-    def test_table_equal_to_the_per_channel_formula(self, tuning, plant):
-        design = AdrcDesign(*tuning)
-        K, T, D = plant
-        plant = PlantModel(design.order, K, T, D if design.order == 2 else None)
-        for c in _controllers(design):
-            for m in (c.ss, closed_loop(plant, c)):  # 2 inputs and 1 output, 3 inputs and 2 outputs
-                nums, den = m._transfer_table
-                with np.errstate(over="ignore", invalid="ignore"):
-                    char, _ = lti._resolvent(m.A)
-                assert np.array(den.coeffs).tobytes() == char.tobytes()
-                for o in range(m.n_outputs):
-                    for i in range(m.n_inputs):
-                        assert nums[o, i].tobytes() == _channel_numerator(m, o, i).tobytes(), (o, i)
 
 
 class TestLoopMeasures:

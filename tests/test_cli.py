@@ -280,14 +280,15 @@ class TestFigureCommand:
 
     @pytest.mark.parametrize("fig", ["1", "2"])
     def test_unrepresentable_step_response_exits_2(self, tmp_path, capsys, fig):
-        # the equivalent controller's realization overflows at this tuning
+        # the equivalent controller's realization overflows at this tuning, so the design
+        # refuses it, naming T_s, before any step response is tried
         out = tmp_path / "out"
         assert main(["figure", fig, "--ts", "1e-110", "--out", str(out)]) == EXIT_BAD_ARGS
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: the step response at this tuning is not representable: "
-            "the model's entries times the sample time overflow or are not finite\n"
+            "error: T_s=1e-110 is out of range: the gains or equivalent PI(D) parameters "
+            "of T_s=1e-110, g=10.0, b0=1.0 are not finite and nonzero\n"
         )
         assert not out.exists()
 
@@ -610,14 +611,14 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
         (["tune", "--order", "1", "--ts", "1", "--g", "10"], EXIT_OK, ""),
         # the exponential of this loop overflows while squaring; no warning, one refusal
         (
-            ["figure", "1", "--ts", "1e-80", "--g", "1e50"],
+            ["figure", "1", "--ts", "1e-40", "--g", "1e50"],
             EXIT_BAD_ARGS,
             "error: the step response at this tuning is not representable: "
             "the model's exponential over one sample time overflows\n",
         ),
-        # the controller's characteristic polynomial overflows; no warning, one refusal
+        # the controller's closed-form channels overflow, its realization does not; no warning, one refusal
         (
-            ["figure", "3", "--ts", "1e-110"],
+            ["figure", "7", "--ts", "1e-100"],
             EXIT_BAD_ARGS,
             "error: the controller transfer function at this tuning is not representable: "
             "its coefficients overflow\n",
@@ -684,12 +685,39 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
             "error: perturb_b0=1e-320 is out of range: scaled by it, the b0 of the equivalence grid "
             "give gains or equivalent PI(D) parameters that are not finite and nonzero\n",
         ),
+        # gains and parameters in range, but a realization entry past it: -ki/Tf of the PI+F
+        # realization, 1/b0 of build_adrc's, kp/Tf of a --compare-pid PI+F; refused, naming the input
+        (
+            ["figure", "3", "--ts", "1e-110"],
+            EXIT_BAD_ARGS,
+            "error: T_s=1e-110 is out of range: the gains or equivalent PI(D) parameters "
+            "of T_s=1e-110, g=10.0, b0=1.0 are not finite and nonzero\n",
+        ),
+        (
+            ["tune", "--order", "1", "--ts", "1e-150", "--g", "1", "--b0", "1e-5"],
+            EXIT_BAD_ARGS,
+            "error: T_s=1e-150 is out of range: the gains or equivalent PI(D) parameters "
+            "of T_s=1e-150, g=1.0, b0=1e-05 are not finite and nonzero\n",
+        ),
+        (
+            ["figure", "5", "--ts", "1e5", "--g", "1", "--b0", "1e-310"],
+            EXIT_BAD_ARGS,
+            "error: b0=1e-310 is out of range: the gains or equivalent PI(D) parameters "
+            "of T_s=100000.0, g=1.0, b0=1e-310 are not finite and nonzero\n",
+        ),
+        (
+            ["figure", "7", "--compare-pid", "1e300,1,0,1e-10,1"],
+            EXIT_BAD_ARGS,
+            "error: kp=1e+300, ki=1.0, Tf=1e-10, b=1.0 are out of range: "
+            "an entry of their PI+F realization is not finite\n",
+        ),
     ],
     ids=["tune", "figure-exponential-overflow", "figure-controller-overflow", "verify-controller-overflow",
          "verify-order2-out-of-range", "figure-plant-t-overflow", "figure-plant-d-overflow",
          "figure-plant-t-underflow", "sweep-plant-t-overflow", "gang-cancellation-overflow",
          "gang-magnitude-overflow", "gang-polynomial-overflow", "closed-loop-overflow", "verify-perturb-b0-zero",
-         "verify-perturb-b0-out-of-range"],
+         "verify-perturb-b0-out-of-range", "figure-pif-realization-overflow", "tune-pif-realization-overflow", "figure-adrc-realization-overflow",
+         "figure-compare-pid-realization-overflow"],
 )
 def test_command_runs_clean_with_warnings_as_errors(tmp_path, argv, code, err):
     if argv[0] != "tune":

@@ -211,20 +211,21 @@ class TestSsToTf:
         assert tf_residual(out, tf((2.5,), (1.0,))) <= 1e-9
 
     def test_matches_direct_solve_oracle(self):
-        # oracle: solve (jw I - A) x = B directly at random frequencies
+        # oracle: solve (jw I - A) X = B directly at random frequencies, every channel
         rng = np.random.default_rng(42)
         for _ in range(20):
-            n = int(rng.integers(1, 7))
+            n, inputs, outputs = int(rng.integers(1, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
             A = rng.normal(size=(n, n))
             A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(n)
-            B = rng.normal(size=(n, 1))
-            C = rng.normal(size=(1, n))
-            D = rng.normal(size=(1, 1))
+            B = rng.normal(size=(n, inputs))
+            C = rng.normal(size=(outputs, n))
+            D = rng.normal(size=(outputs, inputs))
             m = StateSpaceModel(A, B, C, D)
-            h = ss_to_tf(m)
+            channels = {(o, i): ss_to_tf(m, i, o) for o in range(outputs) for i in range(inputs)}
             for w in rng.uniform(0.01, 100.0, size=20):
-                direct = (C @ np.linalg.solve(1j * w * np.eye(n) - A, B) + D)[0, 0]
-                assert abs(h(1j * w) - direct) <= 1e-8 * abs(direct)
+                direct = C @ np.linalg.solve(1j * w * np.eye(n) - A, B) + D
+                for (o, i), h in channels.items():
+                    assert abs(h(1j * w) - direct[o, i]) <= 1e-8 * abs(direct[o, i]), (o, i)
 
     def test_bad_channel_index(self):
         m = StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], [[0.0]])

@@ -128,6 +128,27 @@ def test_every_imported_name_is_used(path):
     assert imported - used - REEXPORTS.get(path.stem, set()) == set()
 
 
+def test_every_private_helper_has_a_caller():
+    """Every private module-level function and class, and every private method,
+    is named somewhere in the package: a helper does not outlive its last caller."""
+    defined, named = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(item.name for item in node.body if isinstance(item, ast.FunctionDef))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    private = {name for name in defined if name.startswith("_") and not name.endswith("__")}
+    assert private, "no private helper found: the scan is broken"
+    assert private - named == set()
+
+
 def test_readme_quick_start_runs_as_written():
     section = README.read_text().split("## Library quick start", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)

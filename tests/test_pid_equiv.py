@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import TUNINGS
+from conftest import TUNINGS, log_uniform
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adrcpid.adrc import build_adrc, extract_cr_cy, tune_first_order, tune_second_order
 from adrcpid.design import AdrcDesign
@@ -201,6 +202,47 @@ class TestPidfRealization:
         A, _, _, _ = equivalent_realization(p)
         assert math.isfinite(A[2][0]) and A[2][0] != 0.0
         assert all(map(math.isfinite, p.feedback_tf().den.coeffs))
+
+
+class TestFiniteRealization:
+    """PidParams refuses values whose realization has an entry past the float range."""
+
+    @pytest.mark.parametrize(
+        "values, fields",
+        [
+            (dict(kp=1e300, ki=1.0, kd=0.0, Tf=1e-10, b=1.0), "kp=1e+300, ki=1.0, Tf=1e-10, b=1.0"),  # kp/Tf
+            (dict(kp=1.0, ki=1e300, kd=0.0, Tf=1e-10, b=1.0), "kp=1.0, ki=1e+300, Tf=1e-10, b=1.0"),  # ki/Tf
+            (dict(kp=1.0, ki=1.0, kd=0.0, Tf=5e-324, b=1.0), "kp=1.0, ki=1.0, Tf=5e-324, b=1.0"),  # 1/Tf
+            (dict(kp=1e200, ki=1.0, kd=0.0, Tf=1.0, b=1e200), "kp=1e+200, ki=1.0, Tf=1.0, b=1e+200"),  # b*kp
+            (
+                dict(kp=1.0, ki=1.0, kd=1.0, Tf=1e-10, b=1.0, d=1e300),  # 2d/Tf
+                "kp=1.0, ki=1.0, kd=1.0, Tf=1e-10, b=1.0, d=1e+300",
+            ),
+            (
+                dict(kp=1e200, ki=1.0, kd=1.0, Tf=1.0, b=-1e200),  # b*kp
+                "kp=1e+200, ki=1.0, kd=1.0, Tf=1.0, b=-1e+200, d=1.0",
+            ),
+        ],
+    )
+    def test_out_of_range_entry_refused_naming_the_fields(self, values, fields):
+        form = "PI+F" if values["kd"] == 0.0 else "PID+F"
+        message = f"{fields} are out of range: an entry of their {form} realization is not finite"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            PidParams(**values)
+
+    @settings(max_examples=200)
+    @given(
+        st.tuples(*[log_uniform(1e-320, 1e300)] * 4).map(lambda v: dict(zip(("kp", "ki", "Tf", "b"), v))),
+        st.sampled_from([0.0, 1.0]),
+        log_uniform(1e-3, 1e3),
+    )
+    def test_accepted_values_have_a_finite_realization(self, values, kd, d):
+        try:
+            p = PidParams(kd=kd, d=d, **values)
+        except ValueError:
+            return
+        for rows in equivalent_realization(p):
+            assert all(math.isfinite(v) for row in rows for v in row)
 
 
 def reference_extremes(d, params, low_omega=1e-6, high_omega=1e6):
