@@ -65,15 +65,15 @@ def build_adrc(design: AdrcDesign) -> TwoInputController:
     row n of the observer matrix and feeds K_P r into that row.
     """
     n, b0, K_P = design.order, design.b0, design.K_P
-    feedback = np.array([*design.feedback_gains, 1.0])
-    A = observer_matrix(design)
-    A[n - 1] -= feedback
-    B = np.zeros((n + 1, 2))
-    B[n - 1, 0] = K_P
-    B[:, 1] = design.observer_gains
-    C = (-feedback / b0)[np.newaxis]
-    D = np.array([[K_P / b0, 0.0]])
-    return TwoInputController(StateSpaceModel._trusted(A, B, C, D, ("r", "y"), ("u",)), partial(adrc_channels, design))
+    feedback = (*design.feedback_gains, 1.0)
+    # the observer matrix: -l in the first column, the integrator chain above the diagonal
+    A = [[-l] + [1.0 if j == i + 1 else 0.0 for j in range(1, n + 1)] for i, l in enumerate(design.observer_gains)]
+    A[n - 1] = [x - k for x, k in zip(A[n - 1], feedback)]
+    B = [[K_P if i == n - 1 else 0.0, l] for i, l in enumerate(design.observer_gains)]
+    C = [[-k / b0 for k in feedback]]
+    D = [[K_P / b0, 0.0]]
+    ss = StateSpaceModel._trusted(*map(np.array, (A, B, C, D)), ("r", "y"), ("u",))
+    return TwoInputController(ss, partial(adrc_channels, design))
 
 
 def extract_cr_cy(c: TwoInputController) -> tuple[RationalTransferFunction, RationalTransferFunction]:

@@ -121,41 +121,27 @@ def closed_loop(plant: PlantModel, c: TwoInputController) -> StateSpaceModel:
     """
     P = plant.canonical_tf
     (k,), a = P.num.coeffs, P.den.coeffs
-    cs = c.ss
-    Ac, Bc, Cc, Dc = cs.A, cs.B, cs.C, cs.D
+    Ac, Bc, (Cc,), ((Dc_r, Dc_y),) = (m.tolist() for m in (c.ss.A, c.ss.B, c.ss.C, c.ss.D))
     n_p = plant.order
-    n = n_p + cs.n_states
-    last = n_p - 1  # the plant row that u drives and that holds -a
-    Dc_r, Dc_y = float(Dc[0, 0]), float(Dc[0, 1])
     zero = 0.0 * Dc_y  # Dc_y times a zero entry of B_p C_p or C_p
 
     # states [x_p, x_c], inputs [r, d_u, n], outputs [y, u]; step_response refuses an entry past the float range
-    with np.errstate(over="ignore", invalid="ignore"):
-        A = np.empty((n, n))
-        B = np.zeros((n, 3))
-        C = np.zeros((2, n))
-        # the last plant row: A_p + Dc_y B_p C_p, where B_p C_p is k at (last, 0)
-        # and 0.0 elsewhere, then B_p C_c and B_p (Dc_r, 1, Dc_y)
-        A[last, :n_p] = [-a[0] + Dc_y * k, *(-x + zero for x in a[1:n_p])]
-        A[last, n_p:] = 0.0 + Cc[0]
-        B[last] = (Dc_r, 1.0, Dc_y)
-        # at order 2, the first plant row, where B_p is 0.0, and the second
-        # plant column, where C_p is 0.0
-        if n_p == 2:
-            A[0, :2] = (0.0 + zero, 1.0 + zero)
-            A[0, 2:] = 0.0 + 0.0 * Cc[0]
-            A[2:, 1] = 0.0 + Bc[:, 1] * 0.0
-            B[0] = (0.0 * Dc_r, 0.0, zero)
-            C[1, 1] = zero
-        # the controller rows: B_c,y C_p, A_c and B_c's columns r and y
-        A[n_p:, 0] = 0.0 + Bc[:, 1] * k
-        A[n_p:, n_p:] = Ac
-        B[n_p:, ::2] = Bc
-        # C_p and Dc_y C_p, then C_c in u's row
-        C[:, 0] = (k, k * Dc_y)
-        C[1, n_p:] = Cc[0]
-    D = np.array([[0.0, 0.0, 0.0], [Dc_r, 0.0, Dc_y]])
-    return StateSpaceModel._trusted(A, B, C, D, ("r", "d_u", "n"), ("y", "u"))
+    # the last plant row: A_p + Dc_y B_p C_p, where B_p C_p is k at (last, 0)
+    # and 0.0 elsewhere, then B_p C_c and B_p (Dc_r, 1, Dc_y)
+    A = [[-a[0] + Dc_y * k, *(-x + zero for x in a[1:n_p]), *(0.0 + x for x in Cc)]]
+    B = [[Dc_r, 1.0, Dc_y]]
+    if n_p == 2:
+        # the first plant row, where B_p is 0.0; below, the second plant column, where C_p is 0.0
+        A.insert(0, [0.0 + zero, 1.0 + zero, *(0.0 + 0.0 * x for x in Cc)])
+        B.insert(0, [0.0 * Dc_r, 0.0, zero])
+    # the controller rows: B_c,y C_p, A_c and B_c's columns r and y
+    for (b_r, b_y), row in zip(Bc, Ac):
+        A.append([0.0 + b_y * k, *[0.0 + b_y * 0.0] * (n_p - 1), *row])
+        B.append([b_r, 0.0, b_y])
+    # C_p, then Dc_y C_p and C_c in u's row
+    C = [[k, *[0.0] * (len(A) - 1)], [k * Dc_y, *[zero] * (n_p - 1), *Cc]]
+    D = [[0.0, 0.0, 0.0], [Dc_r, 0.0, Dc_y]]
+    return StateSpaceModel._trusted(*map(np.array, (A, B, C, D)), ("r", "d_u", "n"), ("y", "u"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,13 +260,24 @@ class SweepResult:
 
 
 def sweep_plants(plant: PlantModel, parameter: str, values) -> tuple[PlantModel, ...]:
-    """One copy of ``plant`` per value of the swept parameter, "K" or "T"."""
+    """One copy of ``plant`` per value of the swept parameter, "K" or "T"; no
+    two values may have the same ``_case_label``."""
     if parameter not in ("K", "T"):
         raise ValueError("parameter must be 'K' or 'T'")
     plants = tuple(dataclasses.replace(plant, **{parameter: float(v)}) for v in values)
     if not plants:
         raise ValueError(f"{parameter} sweep needs at least one value")
+    values = [getattr(swept, parameter) for swept in plants]
+    labels = [_case_label(parameter, value) for value in values]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            pair = f"{values[labels.index(label)]!r} and {values[i]!r}"
+            raise ValueError(f"{parameter} sweep values {pair} cannot be told apart: both are labelled {label}")
     return plants
+
+
+# (parameter, value) -> the name of a sweep case in column labels and notes: the value to 6 significant digits
+_case_label = "{}={:g}".format
 
 
 def step_sweep(

@@ -237,6 +237,7 @@ def _write_csv(path: Path, names: list[str], columns: list[np.ndarray]) -> None:
 
 
 def _step_columns(sweep: SweepResult) -> tuple[list[str], list[np.ndarray], list[Series]]:
+    from .analysis import _case_label
     from .svg import Series
 
     t = sweep.cases[0].table.t
@@ -247,7 +248,7 @@ def _step_columns(sweep: SweepResult) -> tuple[list[str], list[np.ndarray], list
     series = []
     for case in sweep.cases:  # value-major, as step_sweep orders them
         y = _capped(case.table.columns["y"])
-        label = f"y_{case.controller}_{sweep.parameter}={case.value:g}"
+        label = f"y_{case.controller}_{_case_label(sweep.parameter, case.value)}"
         names.append(label)
         columns.append(y)
         series.append(Series(label, t[::stride], y[::stride]))
@@ -255,7 +256,7 @@ def _step_columns(sweep: SweepResult) -> tuple[list[str], list[np.ndarray], list
 
 
 def _figure_step(cfg: ExperimentConfig, order: int, parameter: str):
-    from .analysis import STEP_HORIZON_FACTOR, STEP_N_STEPS, step_sweep
+    from .analysis import STEP_HORIZON_FACTOR, STEP_N_STEPS, _case_label, step_sweep
     from .svg import line_chart
 
     values = getattr(cfg, SWEEP_FIELDS[parameter])
@@ -277,7 +278,7 @@ def _figure_step(cfg: ExperimentConfig, order: int, parameter: str):
         ylabel="y",
     )
     notes = [
-        f"note: unstable case {parameter}={case.value:g} controller={case.controller}"
+        f"note: unstable case {_case_label(parameter, case.value)} controller={case.controller}"
         for case in sweep.cases
         if not case.stable
     ]

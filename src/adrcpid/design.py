@@ -57,17 +57,17 @@ class AdrcDesign:
         if not 0 < abs(self.b0) < math.inf:
             raise ValueError(f"b0 must be finite and nonzero, got {self.b0!r}")
         tuning = _tuning(self)
-        if tuning is None:
+        if isinstance(tuning, str):
             # name g if the tuning fails even at T_s = b0 = 1, else T_s if it fails at b0 = 1
             probes = (
                 ("g", _Unchecked(self.order, 1.0, self.g, 1.0)),
                 ("T_s", _Unchecked(self.order, self.T_s, self.g, 1.0)),
                 ("b0", self),
             )
-            name = next(name for name, probe in probes if _tuning(probe) is None)
+            name = next(name for name, probe in probes if isinstance(_tuning(probe), str))
             raise ValueError(
-                f"{name}={getattr(self, name)!r} is out of range: the gains or equivalent PI(D) parameters "
-                f"of T_s={self.T_s!r}, g={self.g!r}, b0={self.b0!r} are not finite and nonzero"
+                f"{name}={getattr(self, name)!r} is out of range: "
+                + tuning.format(f"T_s={self.T_s!r}, g={self.g!r}, b0={self.b0!r}")
             )
         # kept outside the fields, so that ==, hash and repr see the inputs only
         object.__setattr__(self, "_tuning", tuning)
@@ -116,27 +116,36 @@ class _Unchecked(AdrcDesign):
         pass
 
 
-def _tuning(design: AdrcDesign) -> tuple[tuple[float, ...], tuple[float, ...], PidParams] | None:
-    """(feedback gains, observer gains, equivalent PidParams) of a design, or
-    None unless every gain and equivalent PI(D) parameter is finite and nonzero."""
+def _tuning(design: AdrcDesign) -> tuple[tuple[float, ...], tuple[float, ...], PidParams] | str:
+    """(feedback gains, observer gains, equivalent PidParams) of a design, or the
+    refusal's reason, a format string for the tuning: a gain or equivalent PI(D)
+    parameter is not finite and nonzero, or else an entry of a realization is not finite."""
     # the closed forms themselves, not equivalent_params: checking a design is
     # not a call of that layer, and a traced run should not count it as one
     n, g = design.order, design.g
     try:
         w = design.omega_cl
-        feedback = tuple(math.comb(n, i) * w ** (n - i) for i in range(n))
-        # l1 is rounded as (C(n+1, 1) g) omega_cl, as in the written-out gains
-        # 2 g K_P and 3 g omega_cl; C(n+1, 1) (g omega_cl) can differ in the last bit
-        observer = (math.comb(n + 1, 1) * g * w, *(math.comb(n + 1, i) * (g * w) ** i for i in range(2, n + 2)))
-        p = (pif_from_adrc if n == 1 else pidf_from_adrc)(design)
-    except (ArithmeticError, ValueError):  # a float power overflowed, or PidParams refused a value
-        return None
-    values = (*feedback, *observer, p.kp, p.ki, p.Tf, p.b) + ((p.kd, p.d) if n == 2 else ())
+        # k_i = C(n, i) w^(n-i) and l_i = C(n+1, i) (g w)^i; l1 is rounded as
+        # (C(n+1, 1) g) w, as in the written-out gains 2 g K_P and 3 g omega_cl
+        if n == 1:
+            feedback, observer = (w,), (2.0 * g * w, (g * w) ** 2)
+        else:
+            feedback, observer = (w**2, 2.0 * w), (3.0 * g * w, 3.0 * (g * w) ** 2, (g * w) ** 3)
+        fields = _equivalent_fields(design, n)
+        values = (*feedback, *observer, *(fields if n == 2 else fields[:2] + fields[3:]))  # a PI+F kd is 0.0
+        in_range = all(map(math.isfinite, values)) and all(values)
+    except ArithmeticError:  # a float power overflowed, or a closed form divided by zero
+        in_range = False
+    if not in_range:
+        return "the gains or equivalent PI(D) parameters of {} are not finite and nonzero"
     # the other entries of build_adrc's realization: K_P/b0 [, K_D/b0] and 1/b0 in C and D, l_n + K_P in A
-    entries = [k / design.b0 for k in (*feedback, 1.0)] + [observer[n - 1] + feedback[0]]
-    # all finite, and no gain or parameter is zero
-    finite = all(map(math.isfinite, values)) and all(map(math.isfinite, entries))
-    return (feedback, observer, p) if finite and all(values) else None
+    if not all(map(math.isfinite, [k / design.b0 for k in (*feedback, 1.0)] + [observer[n - 1] + feedback[0]])):
+        return "an entry of the ADRC realization of {} is not finite"
+    try:
+        p = PidParams(*fields)
+    except ValueError:  # an entry of the PI(D)F realization is not finite
+        return f"an entry of the {('PI+F', 'PID+F')[n - 1]} realization of {{}} is not finite"
+    return feedback, observer, p
 
 
 def tune_first_order(T_s: float, g: float, b0: float = 1.0) -> AdrcDesign:
@@ -170,12 +179,14 @@ class PidParams:
     d: float = 1.0
 
     def __post_init__(self):
-        for name, value in (("kp", self.kp), ("ki", self.ki), ("kd", self.kd), ("b", self.b)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name, value in (("Tf", self.Tf), ("d", self.d)):
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        # one test for the values that pass, then one per field to name the first that does not
+        if not (math.isfinite(self.kp + self.ki + self.kd + self.b + self.Tf + self.d) and self.Tf > 0 and self.d > 0):
+            for name, value in (("kp", self.kp), ("ki", self.ki), ("kd", self.kd), ("b", self.b)):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
+            for name, value in (("Tf", self.Tf), ("d", self.d)):
+                if not 0 < value < math.inf:
+                    raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if self.kd != 0.0:
             try:
                 square = self.Tf**2  # as the channels and the realization form it
@@ -211,27 +222,39 @@ class PidParams:
     def _channels(self, alpha: float) -> tuple[RationalTransferFunction, RationalTransferFunction]:
         from .lti import _over, _poly, _tf
 
-        ki, kd, Tf = self.ki * alpha, self.kd / alpha, self.Tf / alpha
+        ki, kp, kd, Tf = self.ki * alpha, self.kp, self.kd / alpha, self.Tf / alpha
         filter_ = [1.0, Tf] if kd == 0.0 else [1.0, 2.0 * self.d * Tf, self.Tf**2 / alpha / alpha]
-        s_filter = _poly([0.0, *filter_])
-        c_y = _over(s_filter)(_poly([ki, self.kp, kd]))
-        c_r = _poly([ki, self.b * self.kp]) * _poly(list(c_y.den.coeffs[1:]))  # times the monic filter
-        return _tf(c_r, c_y.den), c_y
+        c_y = _over(_poly([0.0, *filter_]))(_poly([ki, kp, kd]))
+        # (ki + b kp s) times the monic filter f, with the bits of the Polynomial
+        # product: each coefficient sums its one or two products from 0.0, and a
+        # zero b kp is trimmed, so that it forms no product
+        bkp, f = self.b * kp, c_y.den.coeffs[1:]
+        c_r = [0.0 + ki * x for x in f] + [0.0]
+        if bkp:
+            for j, x in enumerate(f):
+                c_r[j + 1] += bkp * x
+        return _tf(_poly(c_r), c_y.den), c_y
 
 
 def pif_from_adrc(design: AdrcDesign) -> PidParams:
     """Exact PI+F match of the first-order design's measurement channel."""
-    T_s, g, b0 = design.T_s, design.g, design.b0
-    kp = (4.0 * g**2 + 8.0 * g) / (b0 * T_s * (2.0 * g + 1.0))
-    ki = 16.0 * g**2 / (b0 * T_s**2 * (2.0 * g + 1.0))
-    Tf = T_s / (8.0 * g + 4.0)
-    b = design.omega_cl / (b0 * kp)  # K_P = omega_cl
-    return PidParams(kp=kp, ki=ki, kd=0.0, Tf=Tf, b=b)
+    return PidParams(*_equivalent_fields(design, 1))
 
 
 def pidf_from_adrc(design: AdrcDesign) -> PidParams:
     """Exact PID+F match of the second-order design's measurement channel."""
+    return PidParams(*_equivalent_fields(design, 2))
+
+
+def _equivalent_fields(design: AdrcDesign, order: int) -> tuple[float, ...]:
+    """(kp, ki, kd, Tf, b, d) of the PI+F (order 1) or PID+F (order 2) match, unchecked."""
     T_s, g, b0 = design.T_s, design.g, design.b0
+    if order == 1:
+        kp = (4.0 * g**2 + 8.0 * g) / (b0 * T_s * (2.0 * g + 1.0))
+        ki = 16.0 * g**2 / (b0 * T_s**2 * (2.0 * g + 1.0))
+        Tf = T_s / (8.0 * g + 4.0)
+        b = design.omega_cl / (b0 * kp)  # K_P = omega_cl
+        return kp, ki, 0.0, Tf, b, 1.0
     q = 3.0 * g**2 + 6.0 * g + 1.0
     kp = (72.0 * g**3 + 108.0 * g**2) / (b0 * T_s**2 * q)
     ki = 216.0 * g**3 / (b0 * T_s**3 * q)
@@ -239,7 +262,7 @@ def pidf_from_adrc(design: AdrcDesign) -> PidParams:
     Tf = T_s / (6.0 * math.sqrt(q))
     d = (3.0 * g + 2.0) / (2.0 * math.sqrt(q))
     b = 36.0 / (b0 * T_s**2 * kp)
-    return PidParams(kp=kp, ki=ki, kd=kd, Tf=Tf, b=b, d=d)
+    return kp, ki, kd, Tf, b, d
 
 
 def adrc_channels(design: AdrcDesign, alpha: float = 1.0) -> tuple[RationalTransferFunction, RationalTransferFunction]:
@@ -255,20 +278,22 @@ def adrc_channels(design: AdrcDesign, alpha: float = 1.0) -> tuple[RationalTrans
 
     from .lti import _poly, _tf
 
-    n, alpha = design.order, np.float64(alpha)
+    n, g = design.order, design.g
+    if n == 1:
+        r, y, q = (g**2, 2.0 * g, 1.0), (g * g, (g + 2.0) * g), (2.0 * g + 1.0,)
+    else:
+        r, y = (g**3, 3.0 * g**2, 3.0 * g, 1.0), (g**3, (2.0 * g + 3.0) * g * g, ((g + 6.0) * g + 3.0) * g)
+        q = ((3.0 * g + 6.0) * g + 1.0, 3.0 * g + 2.0)
+    top = 2 * n + 1
+    # numpy's array power, whose last bit can differ from that of a scalar power
     with np.errstate(all="ignore"):
-        g = np.float64(design.g)
-        r = [math.comb(n + 1, k) * g ** (n + 1 - k) for k in range(n + 2)]
-        if n == 1:
-            y, q = (g * g, (g + 2.0) * g), (2.0 * g + 1.0,)
-        else:
-            y = (g**3, (2.0 * g + 3.0) * g * g, ((g + 6.0) * g + 3.0) * g)
-            q = ((3.0 * g + 6.0) * g + 1.0, 3.0 * g + 2.0)
-        top = 2 * n + 1
-        w = float(SETTLING_CONSTANTS[n]) ** np.arange(top + 1.0) / (design.T_s / alpha) ** np.arange(top + 1.0)
-        b0 = design.b0 * alpha**n
-        c_r, c_y = (_poly((np.array(c) * w[top : top - len(c) : -1] / b0).tolist()) for c in (r, y))
-        den = _poly([0.0, *(np.array(q) * w[n:0:-1]).tolist(), 1.0])
+        j = np.arange(top + 1.0)
+        w = (float(SETTLING_CONSTANTS[n]) ** j / (design.T_s / alpha) ** j).tolist()
+    b0 = design.b0 * (alpha if n == 1 else alpha * alpha)  # alpha**n, exact or inf or 0 for a power of two
+    # c / b0 is c times a signed inf where b0 * alpha^n underflowed to a signed zero
+    over_b0 = (lambda c: c / b0) if b0 else (lambda c, inf=math.copysign(math.inf, b0): c * inf)
+    c_r, c_y = (_poly([over_b0(c * w[top - i]) for i, c in enumerate(cs)]) for cs in (r, y))
+    den = _poly([0.0, *(c * w[n - i] for i, c in enumerate(q)), 1.0])
     return _tf(c_r, den), _tf(c_y, den)
 
 

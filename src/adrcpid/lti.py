@@ -35,8 +35,6 @@ def _trimmed(c: list[float]) -> tuple[float, ...]:
     """A nonempty list of floats as a tuple without trailing exact zeros,
     trimmed in place; every nonzero one is kept, however small, and the zero
     polynomial is (0.0,)."""
-    if c[-1] != 0.0:  # the common case: nothing to trim
-        return tuple(c)
     while len(c) > 1 and c[-1] == 0.0:
         c.pop()
     return (0.0,) if c == [0.0] else tuple(c)  # -0.0 too
@@ -46,7 +44,7 @@ def _poly(c: list[float]) -> "Polynomial":
     """Polynomial(c) for a nonempty list of floats made inside this package,
     trimmed as the constructor trims, without the constructor's conversions."""
     p = object.__new__(Polynomial)
-    object.__setattr__(p, "coeffs", _trimmed(c))
+    object.__setattr__(p, "coeffs", tuple(c) if c[-1] != 0.0 else _trimmed(c))  # most have nothing to trim
     return p
 
 
@@ -235,15 +233,6 @@ def tf_minreal(a: RationalTransferFunction, tol: float) -> RationalTransferFunct
     return RationalTransferFunction(num, den).canonicalized()
 
 
-def _padded_pair(a: Polynomial, b: Polynomial) -> tuple[np.ndarray, np.ndarray]:
-    n = max(len(a.coeffs), len(b.coeffs))
-    pa = np.zeros(n)
-    pb = np.zeros(n)
-    pa[: len(a.coeffs)] = a.coeffs
-    pb[: len(b.coeffs)] = b.coeffs
-    return pa, pb
-
-
 def poly_residual(a: Polynomial, b: Polynomial) -> float:
     """Largest per-coefficient relative deviation between two polynomials.
 
@@ -251,7 +240,8 @@ def poly_residual(a: Polynomial, b: Polynomial) -> float:
     the atol+rtol acceptance rule, so absolute noise below the floor does not
     blow up the quotient.
     """
-    pa, pb = _padded_pair(a, b)
+    n = max(len(a.coeffs), len(b.coeffs))
+    pa, pb = (np.array([*p.coeffs, *[0.0] * (n - len(p.coeffs))]) for p in (a, b))
     floor = COEFF_ABS_TOL / COEFF_REL_TOL
     scale = np.maximum(np.maximum(np.abs(pa), np.abs(pb)), floor)
     return float(np.max(np.abs(pa - pb) / scale))
@@ -550,8 +540,10 @@ def step_response(m: StateSpaceModel, input: int = 0, t_end: float = 10.0, n_ste
         # below this bound no term or partial sum of phi @ state can
         # overflow; NaN fails the test too
         safe = sys.float_info.max / ((n + 1) * phi_max)
-        flagged = ~(np.abs(states).max(axis=0) <= safe)
-        k = max(1, int(np.argmax(flagged))) if flagged.any() else n_steps + 1
+        magnitudes = np.abs(states)
+        k = n_steps + 1
+        if not magnitudes.max() <= safe:  # the first flagged sample
+            k = max(1, int(np.argmax(~(magnitudes.max(axis=0) <= safe))))
         # from the last state below the bound on, step one sample at a time,
         # as the recurrence does, until a state overflows
         while k <= n_steps:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,16 @@ from adrcpid.adrc import (
     tune_first_order,
     tune_second_order,
 )
-from adrcpid.design import adrc_channels, equivalent_params, equivalent_realization, pidf_from_adrc, pif_from_adrc
+from adrcpid.design import (
+    SETTLING_CONSTANTS,
+    _equivalent_fields,
+    _Unchecked,
+    adrc_channels,
+    equivalent_params,
+    equivalent_realization,
+    pidf_from_adrc,
+    pif_from_adrc,
+)
 from adrcpid.lti import (
     Polynomial,
     RationalTransferFunction,
@@ -30,6 +40,8 @@ from adrcpid.lti import (
 TS_GRID = (0.5, 1.0, 2.0)
 G_GRID = (2.0, 5.0, 10.0, 20.0)
 B0_GRID = (0.5, 1.0, 3.0)
+# the reason of a refusal whose gains or PI(D) parameters leave the float range
+GAINS = "the gains or equivalent PI(D) parameters"
 
 
 class TestTuneFirstOrder:
@@ -366,21 +378,61 @@ class TestKeptTuning:
         assert repr(a) == "AdrcDesign(order=2, T_s=1.0, g=10.0, b0=2.0)"
 
     @pytest.mark.parametrize(
-        "inputs, name",
+        "inputs, name, reason",
         [
-            ((2, 1.0, 1e300), "g"),
-            ((2, 1e-300, 10.0), "T_s"),
-            ((1, 1e300, 10.0), "T_s"),
-            ((2, 1.0, 10.0, 1e-320), "b0"),
+            ((2, 1.0, 1e300), "g", GAINS),
+            ((2, 1e-300, 10.0), "T_s", GAINS),
+            ((1, 1e300, 10.0), "T_s", GAINS),
+            ((2, 1.0, 10.0, 1e-320), "b0", GAINS),
             # gains and parameters in range, but a realization entry past it
-            ((1, 1e-150, 1.0, 1e-5), "T_s"),  # ki/Tf of the PI+F realization
-            ((1, 1e-3, 1.0, 1e-300), "b0"),  # ki/Tf of the PI+F realization
-            ((2, 1e5, 1.0, 1e-310), "b0"),  # 1/b0 in build_adrc's C
+            ((1, 1e-150, 1.0, 1e-5), "T_s", "an entry of the PI+F realization"),  # ki/Tf
+            ((1, 1e-3, 1.0, 1e-300), "b0", "an entry of the PI+F realization"),  # ki/Tf
+            ((2, 1e5, 1.0, 1e-310), "b0", "an entry of the ADRC realization"),  # 1/b0 in build_adrc's C
         ],
     )
-    def test_out_of_range_names_the_input_that_breaks(self, inputs, name):
-        with pytest.raises(ValueError, match=f"^{name}=\\S+ is out of range"):
+    def test_out_of_range_names_the_input_that_breaks(self, inputs, name, reason):
+        with pytest.raises(ValueError, match=f"^{name}=\\S+ is out of range: {re.escape(reason)} of T_s="):
             AdrcDesign(*inputs)
+
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from((1, 2)),
+        log_uniform(1e-320, 1e300),
+        log_uniform(1.0, 1e6),
+        st.builds(lambda sign, mag: sign * mag, st.sampled_from((-1.0, 1.0)), log_uniform(1e-320, 1e300)),
+    )
+    @example(2, 1e5, 1.0, 1e-310)
+    @example(1, 1e-150, 1.0, 1e-5)
+    def test_a_refusal_names_the_rule_that_the_values_break(self, order, T_s, g, b0):
+        try:
+            AdrcDesign(order, T_s, g, b0)
+        except ValueError as exc:
+            assert str(exc).split(" is out of range: ")[1].startswith(_broken_rule(order, T_s, g, b0) + " of T_s=")
+
+
+def _broken_rule(order, T_s, g, b0):
+    """GAINS if a gain or PI(D) parameter of the tuning is not finite and nonzero, else
+    the realization, ADRC's or else PI(D)F's, with an entry that is not finite."""
+    w = SETTLING_CONSTANTS[order] / T_s
+    try:
+        if order == 1:
+            gains = (w, 2.0 * g * w, (g * w) ** 2)
+        else:
+            gains = (w**2, 2.0 * w, 3.0 * g * w, 3.0 * (g * w) ** 2, (g * w) ** 3)
+        kp, ki, kd, Tf, b, d = _equivalent_fields(_Unchecked(order, T_s, g, b0), order)
+    except ArithmeticError:
+        return GAINS
+    if not all(math.isfinite(v) and v != 0.0 for v in (*gains, kp, ki, Tf, b) + ((kd, d) if order == 2 else ())):
+        return GAINS
+    with np.errstate(all="ignore"):
+        if not all(np.isfinite(m).all() for m in _reference_matrices(order, T_s, g, b0)):
+            return "an entry of the ADRC realization"
+    try:
+        rows = equivalent_realization(SimpleNamespace(kp=kp, ki=ki, kd=kd, Tf=Tf, b=b, d=d))
+        finite = all(math.isfinite(v) for matrix in rows for row in matrix for v in row)
+    except ArithmeticError:
+        finite = False
+    return GAINS if finite else f"an entry of the {('PI+F', 'PID+F')[order - 1]} realization"
 
 
 class TestFiniteRealizations:

@@ -1,7 +1,10 @@
+import collections
 import dataclasses
 import itertools
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -528,8 +531,7 @@ class TestSharedWorkCounts:
     @pytest.mark.parametrize("order", [1, 2])
     def test_closed_forms_run_once_per_design(self, monkeypatch, order):
         # the design's own check computes them; equivalent_params reuses them
-        closed_form = ("pif_from_adrc", "pidf_from_adrc")[order - 1]
-        assert self._count_calls(monkeypatch, design_module, closed_form, order) == 1
+        assert self._count_calls(monkeypatch, design_module, "_equivalent_fields", order) == 1
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("value_type", [StateSpaceModel, Polynomial, RationalTransferFunction])
@@ -553,6 +555,68 @@ class TestSharedWorkCounts:
         assert self._count_calls(monkeypatch, analysis_module, "_monic_plant", order) == 3
         plant = PlantModel(order, 1.0, 1.0, 1.0 if order == 2 else None)
         assert plant.canonical_tf is plant.canonical_tf
+
+
+class TestNumpyCallBudget:
+    """The numpy calls of one design_scan operation: a round trip added to the
+    fixed cost of a design point fails here.
+
+    Counted are the calls that sys.setprofile reports from a frame of the
+    package into numpy: numpy's builtin functions and the methods of arrays,
+    scalars and ufuncs, and numpy's Python functions, less its private helpers
+    (dispatchers, method bodies).  Operators and direct ufunc calls report no
+    event, so numpy's internals do not move the count."""
+
+    # order -> calls; 88 for both orders before the closed forms and loop blocks were made in floats
+    BUDGET = {1: 72, 2: 72}
+
+    @staticmethod
+    def _design_scan_op(order):
+        tune = tune_first_order if order == 1 else tune_second_order
+        design, params = tune(1.0, 10.0, 1.0), equivalent_params(tune(1.0, 10.0, 1.0))
+        ctrl, equiv = build_adrc(design), build_equivalent_controller(params)
+        extract_cr_cy(ctrl)
+        params.feedback_tf()
+        plant = PlantModel(order, 1.0, 1.0, 1.0 if order == 2 else None)
+        gang_of_seven(plant, ctrl), gang_of_seven(plant, equiv)
+        step_response(closed_loop(plant, ctrl), 0, t_end=3.0, n_steps=300)
+
+    @staticmethod
+    def _numpy_calls(fn):
+        package, numpy_dir = (str(Path(module.__file__).parent) for module in (lti, np))
+        calls = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                name, caller = frame.f_code.co_name, frame.f_back
+                private = name.startswith("_") and not name.endswith("__")
+                if frame.f_code.co_filename.startswith(numpy_dir) and caller and not private:
+                    if caller.f_code.co_filename.startswith(package):
+                        calls[name] += 1
+            elif event == "c_call" and frame.f_code.co_filename.startswith(package):
+                owner = getattr(arg, "__self__", None)
+                if str(getattr(arg, "__module__", "")).startswith("numpy") or isinstance(
+                    owner, (np.ndarray, np.generic, np.ufunc)
+                ):
+                    calls[arg.__name__] += 1
+
+        sys.setprofile(profile)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_one_design_point_stays_within_its_numpy_calls(self, order):
+        self._design_scan_op(order)  # fills the per-size caches first
+        calls = self._numpy_calls(lambda: self._design_scan_op(order))
+        assert sum(calls.values()) == self.BUDGET[order], sorted(calls.items())
+
+    def test_counts_a_call_from_the_package_but_not_from_numpy(self):
+        calls = self._numpy_calls(lambda: Polynomial((1.0, 2.0)) * Polynomial((3.0, 4.0)))
+        # __mul__ calls np.convolve and tolist; np.convolve's own calls are numpy's
+        assert calls == {"convolve": 1, "tolist": 1}
 
 
 SIGNED_ZEROS_AND_SUBNORMALS = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1030)
@@ -748,6 +812,12 @@ class TestStepSweep:
     def test_rejects_unknown_parameter(self, first_order):
         with pytest.raises(ValueError):
             step_sweep(first_order["plant"], "D", (1.0,), {"adrc": first_order["adrc"]}, 10.0)
+
+    @pytest.mark.parametrize("values", [(2.0, 2), (1e-7, 1.0000001e-7), (-0.5, 3.0, -0.50000004)])
+    def test_rejects_values_with_one_label(self, first_order, values):
+        # SweepResult.case could find only the first of the two
+        with pytest.raises(ValueError, match="cannot be told apart: both are labelled K="):
+            step_sweep(first_order["plant"], "K", values, {"adrc": first_order["adrc"]}, 10.0)
 
 
 class TestBodeSet:

@@ -287,8 +287,8 @@ class TestFigureCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: T_s=1e-110 is out of range: the gains or equivalent PI(D) parameters "
-            "of T_s=1e-110, g=10.0, b0=1.0 are not finite and nonzero\n"
+            "error: T_s=1e-110 is out of range: an entry of the PI+F realization "
+            "of T_s=1e-110, g=10.0, b0=1.0 is not finite\n"
         )
         assert not out.exists()
 
@@ -391,6 +391,35 @@ class TestSweepCommand:
         assert "[sweep]\nk_values = 0.5,3\n" in echo.read_text()
         assert main(["sweep", "--param", "K", "--config", str(echo), "--out", str(again)]) == EXIT_OK
         assert (again / "sweep_K.csv").read_bytes() == (first / "sweep_K.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "values, first, second, label",
+        [("1,1", "1.0", "1.0", "K=1"), ("2,1.0000001,1.0000002", "1.0000001", "1.0000002", "K=1")],
+    )
+    def test_values_with_one_label_refused(self, tmp_path, capsys, values, first, second, label):
+        # two cases that would write the same column header, and the same note
+        out = tmp_path / "out"
+        assert main(["sweep", "--param", "K", "--values", values, "--out", str(out)]) == EXIT_BAD_ARGS
+        assert capsys.readouterr() == (
+            "",
+            f"error: K sweep values {first} and {second} cannot be told apart: both are labelled {label}\n",
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["sweep", "--param", "K"], ["figure", "1"]])
+    def test_config_values_with_one_label_refused(self, tmp_path, capsys, argv):
+        config, out = tmp_path / "sweep.cfg", tmp_path / "out"
+        config.write_text("[sweep]\nk_values = 0.5,2,0.50000001\n")
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == EXIT_BAD_ARGS
+        assert capsys.readouterr().err == (
+            "error: K sweep values 0.5 and 0.50000001 cannot be told apart: both are labelled K=0.5\n"
+        )
+        assert not out.exists()
+
+    def test_values_apart_in_the_sixth_digit_accepted(self, tmp_path):
+        assert main(["sweep", "--param", "T", "--values", "1,1.00001", "--out", str(tmp_path)]) == EXIT_OK
+        header = (tmp_path / "sweep_T.csv").read_text().splitlines()[0]
+        assert header == "t,y_adrc_T=1,y_equiv_T=1,y_adrc_T=1.00001,y_equiv_T=1.00001"
 
 
 # extreme runs -> how many unstable-case notes they print; the real parts of
@@ -629,12 +658,13 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
             "error: the controller transfer function at this tuning is not representable: "
             "its coefficients overflow\n",
         ),
-        # order 1 accepts this tuning, order 2 does not: refused before any order-1 work
+        # neither order accepts this tuning: order 1, refused first, for its PI+F realization
+        # (-ki/Tf overflows), before any verification work
         (
             ["verify", "--ts", "1e-150", "--g", "1", "--b0", "1"],
             EXIT_BAD_ARGS,
-            "error: T_s=1e-150 is out of range: the gains or equivalent PI(D) parameters "
-            "of T_s=1e-150, g=1.0, b0=1.0 are not finite and nonzero\n",
+            "error: T_s=1e-150 is out of range: an entry of the PI+F realization "
+            "of T_s=1e-150, g=1.0, b0=1.0 is not finite\n",
         ),
         # a plant whose coefficients leave the float range: refused whole, naming the input
         (
@@ -690,20 +720,20 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
         (
             ["figure", "3", "--ts", "1e-110"],
             EXIT_BAD_ARGS,
-            "error: T_s=1e-110 is out of range: the gains or equivalent PI(D) parameters "
-            "of T_s=1e-110, g=10.0, b0=1.0 are not finite and nonzero\n",
+            "error: T_s=1e-110 is out of range: an entry of the PI+F realization "
+            "of T_s=1e-110, g=10.0, b0=1.0 is not finite\n",
         ),
         (
             ["tune", "--order", "1", "--ts", "1e-150", "--g", "1", "--b0", "1e-5"],
             EXIT_BAD_ARGS,
-            "error: T_s=1e-150 is out of range: the gains or equivalent PI(D) parameters "
-            "of T_s=1e-150, g=1.0, b0=1e-05 are not finite and nonzero\n",
+            "error: T_s=1e-150 is out of range: an entry of the PI+F realization "
+            "of T_s=1e-150, g=1.0, b0=1e-05 is not finite\n",
         ),
         (
             ["figure", "5", "--ts", "1e5", "--g", "1", "--b0", "1e-310"],
             EXIT_BAD_ARGS,
-            "error: b0=1e-310 is out of range: the gains or equivalent PI(D) parameters "
-            "of T_s=100000.0, g=1.0, b0=1e-310 are not finite and nonzero\n",
+            "error: b0=1e-310 is out of range: an entry of the ADRC realization "
+            "of T_s=100000.0, g=1.0, b0=1e-310 is not finite\n",
         ),
         (
             ["figure", "7", "--compare-pid", "1e300,1,0,1e-10,1"],
