@@ -43,7 +43,6 @@ _EXPORTS = {
         "TwoInputController",
         "build_adrc",
         "extract_cr_cy",
-        "observer_matrix",
     ),
     "pid_equiv": (
         "build_equivalent_controller",

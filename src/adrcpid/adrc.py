@@ -3,10 +3,10 @@
 A design (``AdrcDesign``, defined in ``design`` and importable from here
 too) is fixed by the plant order n (1 or 2), the desired settling time T_s,
 the observer pole multiplier g, and the characteristic plant gain b0.
-Controllers are built directly in substituted closed form (observer
-dynamics with the control law already eliminated), as 2-input state-space
-systems with inputs [r, y] and output u, which carry the closed forms of
-their two channels.
+Both controllers' realizations, ADRC's (the extended observer with the
+control law substituted) and the equivalent PI(D)F's, are stated in
+``design``; one builder makes either a 2-input state-space system with
+inputs [r, y] and output u, which carries its two channels in closed form.
 """
 
 from __future__ import annotations
@@ -19,18 +19,20 @@ from typing import Callable
 import numpy as np
 
 # the design names are also importable from here
-from .design import AdrcDesign, adrc_channels, tune_first_order, tune_second_order
+from .design import AdrcDesign, Realization, adrc_channels, adrc_realization, tune_first_order, tune_second_order
 from .lti import RationalTransferFunction, StateSpaceModel
+
+
+Channels = Callable[[float], tuple[RationalTransferFunction, RationalTransferFunction]]
 
 
 @dataclass(frozen=True, eq=False)
 class TwoInputController:
-    """Controller with inputs ordered [r, y] and single output u: its realization
-    ss, and channels(alpha), its (C_r, C_y) in closed form in the time unit
-    s~ = alpha*s, as ``design.adrc_channels`` and ``PidParams.channels`` give them."""
+    """Controller with inputs ordered [r, y] and single output u: its realization ss, and
+    channels(alpha), its (C_r, C_y) in closed form in the time unit s~ = alpha*s."""
 
     ss: StateSpaceModel
-    channels: Callable[[float], tuple[RationalTransferFunction, RationalTransferFunction]]
+    channels: Channels
 
     def __post_init__(self):
         if self.ss.n_inputs != 2 or self.ss.n_outputs != 1:
@@ -46,34 +48,15 @@ class TwoInputController:
         return c_r, c_y
 
 
-def observer_matrix(design: AdrcDesign) -> np.ndarray:
-    """Dynamics matrix of the pure observer (before feedback substitution).
-
-    The observer gains fill the first column and the integrator chain the
-    superdiagonal, so its characteristic polynomial is (s + g omega_cl)^(n+1).
-    """
-    m = np.eye(design.order + 1, k=1)
-    m[:, 0] = np.negative(design.observer_gains)
-    return m
+def _controller(realization: Realization, channels: Channels) -> TwoInputController:
+    """The controller carrying channels, realized by the rows (A, B, C, D) as float arrays, also from ints."""
+    ss = StateSpaceModel._trusted(*map(partial(np.array, dtype=float), realization), ("r", "y"), ("u",))
+    return TwoInputController(ss, channels)
 
 
 def build_adrc(design: AdrcDesign) -> TwoInputController:
-    """(n+1)-state controller: extended observer with the control law substituted.
-
-    With u = (K_P r - K_P x1 [- K_D x2] - x_{n+1}) / b0, the term b0 u in the
-    observer equation of x_n subtracts the feedback row [K_P, (K_D,) 1] from
-    row n of the observer matrix and feeds K_P r into that row.
-    """
-    n, b0, K_P = design.order, design.b0, design.K_P
-    feedback = (*design.feedback_gains, 1.0)
-    # the observer matrix: -l in the first column, the integrator chain above the diagonal
-    A = [[-l] + [1.0 if j == i + 1 else 0.0 for j in range(1, n + 1)] for i, l in enumerate(design.observer_gains)]
-    A[n - 1] = [x - k for x, k in zip(A[n - 1], feedback)]
-    B = [[K_P if i == n - 1 else 0.0, l] for i, l in enumerate(design.observer_gains)]
-    C = [[-k / b0 for k in feedback]]
-    D = [[K_P / b0, 0.0]]
-    ss = StateSpaceModel._trusted(*map(np.array, (A, B, C, D)), ("r", "y"), ("u",))
-    return TwoInputController(ss, partial(adrc_channels, design))
+    """(n+1)-state controller, realized by ``design.adrc_realization``."""
+    return _controller(adrc_realization(design), partial(adrc_channels, design))
 
 
 def extract_cr_cy(c: TwoInputController) -> tuple[RationalTransferFunction, RationalTransferFunction]:

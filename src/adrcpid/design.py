@@ -1,5 +1,5 @@
 """The tuning layer: ADRC designs, their equivalent PI(D)F parameters and
-the entries of the PI(D)F realizations, in scalar arithmetic.
+the entries of both controllers' realizations, in scalar arithmetic.
 
 A design is fixed by the plant order n (1 or 2), the desired settling time
 T_s, the observer pole multiplier g, and the characteristic plant gain b0.
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -24,8 +25,10 @@ if TYPE_CHECKING:
 # omega_cl * T_s per plant order: the settling constants of the bandwidth rule
 SETTLING_CONSTANTS = {1: 4.0, 2: 6.0}
 
-# the rows of one matrix of a realization
+# feedback or observer gains; the rows of one matrix of a realization, and of its (A, B, C, D)
+Gains = tuple[float, ...]
 Rows = tuple[tuple[float, ...], ...]
+Realization = tuple[Rows, Rows, Rows, Rows]
 
 
 @dataclass(frozen=True)
@@ -37,10 +40,10 @@ class AdrcDesign:
     its n + 1 poles g times faster, at -g*omega_cl.  T_s and g must be
     finite and positive, b0 finite and nonzero, of either sign, and together
     they must give gains and equivalent PI(D) parameters that are finite and
-    nonzero in floating point, and realizations (``build_adrc``'s and
+    nonzero in floating point, and realizations (``adrc_realization`` and
     ``equivalent_realization``) whose entries are finite.  The design keeps
-    the values that this check computes; ``equivalent_params`` and the
-    builders read them.
+    the values that this check computes, the ADRC realization too;
+    ``equivalent_params``, ``adrc_realization`` and the builders read them.
     """
 
     order: int
@@ -56,15 +59,11 @@ class AdrcDesign:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if not 0 < abs(self.b0) < math.inf:
             raise ValueError(f"b0 must be finite and nonzero, got {self.b0!r}")
-        tuning = _tuning(self)
+        tuning = _tuning(self.order, self.T_s, self.g, self.b0)
         if isinstance(tuning, str):
             # name g if the tuning fails even at T_s = b0 = 1, else T_s if it fails at b0 = 1
-            probes = (
-                ("g", _Unchecked(self.order, 1.0, self.g, 1.0)),
-                ("T_s", _Unchecked(self.order, self.T_s, self.g, 1.0)),
-                ("b0", self),
-            )
-            name = next(name for name, probe in probes if isinstance(_tuning(probe), str))
+            probes = (("g", 1.0, 1.0), ("T_s", self.T_s, 1.0), ("b0", self.T_s, self.b0))
+            name = next(name for name, T_s, b0 in probes if isinstance(_tuning(self.order, T_s, self.g, b0), str))
             raise ValueError(
                 f"{name}={getattr(self, name)!r} is out of range: "
                 + tuning.format(f"T_s={self.T_s!r}, g={self.g!r}, b0={self.b0!r}")
@@ -109,43 +108,40 @@ class AdrcDesign:
         return self.observer_gains[2]
 
 
-class _Unchecked(AdrcDesign):
-    """A design whose tuning is not checked, to find which input breaks one."""
-
-    def __post_init__(self):
-        pass
-
-
-def _tuning(design: AdrcDesign) -> tuple[tuple[float, ...], tuple[float, ...], PidParams] | str:
-    """(feedback gains, observer gains, equivalent PidParams) of a design, or the
-    refusal's reason, a format string for the tuning: a gain or equivalent PI(D)
-    parameter is not finite and nonzero, or else an entry of a realization is not finite."""
+def _tuning(n: int, T_s: float, g: float, b0: float) -> tuple[Gains, Gains, PidParams, Realization] | str:
+    """(feedback gains, observer gains, equivalent PidParams, ADRC realization) of the tuning of
+    order n, or the refusal's reason, a format string for the tuning: a gain or equivalent PI(D)
+    parameter is not finite and nonzero, or else an entry of a realization, ADRC's or PI(D)F's, is not."""
     # the closed forms themselves, not equivalent_params: checking a design is
     # not a call of that layer, and a traced run should not count it as one
-    n, g = design.order, design.g
     try:
-        w = design.omega_cl
+        w = SETTLING_CONSTANTS[n] / T_s
         # k_i = C(n, i) w^(n-i) and l_i = C(n+1, i) (g w)^i; l1 is rounded as
         # (C(n+1, 1) g) w, as in the written-out gains 2 g K_P and 3 g omega_cl
         if n == 1:
             feedback, observer = (w,), (2.0 * g * w, (g * w) ** 2)
         else:
             feedback, observer = (w**2, 2.0 * w), (3.0 * g * w, 3.0 * (g * w) ** 2, (g * w) ** 3)
-        fields = _equivalent_fields(design, n)
+        fields = _equivalent_fields(n, T_s, g, b0)
         values = (*feedback, *observer, *(fields if n == 2 else fields[:2] + fields[3:]))  # a PI+F kd is 0.0
         in_range = all(map(math.isfinite, values)) and all(values)
     except ArithmeticError:  # a float power overflowed, or a closed form divided by zero
         in_range = False
     if not in_range:
         return "the gains or equivalent PI(D) parameters of {} are not finite and nonzero"
-    # the other entries of build_adrc's realization: K_P/b0 [, K_D/b0] and 1/b0 in C and D, l_n + K_P in A
-    if not all(map(math.isfinite, [k / design.b0 for k in (*feedback, 1.0)] + [observer[n - 1] + feedback[0]])):
+    rows = _adrc_rows(n, feedback, observer, b0)
+    if not _finite(rows):
         return "an entry of the ADRC realization of {} is not finite"
     try:
         p = PidParams(*fields)
     except ValueError:  # an entry of the PI(D)F realization is not finite
         return f"an entry of the {('PI+F', 'PID+F')[n - 1]} realization of {{}} is not finite"
-    return feedback, observer, p
+    return feedback, observer, p, rows
+
+
+def _finite(realization: Realization) -> bool:
+    """Whether every entry of a realization is finite."""
+    return all(map(math.isfinite, chain.from_iterable(chain.from_iterable(realization))))
 
 
 def tune_first_order(T_s: float, g: float, b0: float = 1.0) -> AdrcDesign:
@@ -196,7 +192,7 @@ class PidParams:
                 raise ValueError(
                     f"Tf={self.Tf!r} is out of range: with kd != 0, Tf^2 and 1/Tf^2 must be finite and nonzero"
                 )
-        if not all(map(math.isfinite, [v for rows in equivalent_realization(self) for row in rows for v in row])):
+        if not _finite(equivalent_realization(self)):
             form, names = ("PI+F", "kp ki Tf b") if self.kd == 0.0 else ("PID+F", "kp ki kd Tf b d")
             values = ", ".join(f"{name}={getattr(self, name)!r}" for name in names.split())
             raise ValueError(f"{values} are out of range: an entry of their {form} realization is not finite")
@@ -238,22 +234,21 @@ class PidParams:
 
 def pif_from_adrc(design: AdrcDesign) -> PidParams:
     """Exact PI+F match of the first-order design's measurement channel."""
-    return PidParams(*_equivalent_fields(design, 1))
+    return PidParams(*_equivalent_fields(1, design.T_s, design.g, design.b0))
 
 
 def pidf_from_adrc(design: AdrcDesign) -> PidParams:
     """Exact PID+F match of the second-order design's measurement channel."""
-    return PidParams(*_equivalent_fields(design, 2))
+    return PidParams(*_equivalent_fields(2, design.T_s, design.g, design.b0))
 
 
-def _equivalent_fields(design: AdrcDesign, order: int) -> tuple[float, ...]:
+def _equivalent_fields(order: int, T_s: float, g: float, b0: float) -> tuple[float, ...]:
     """(kp, ki, kd, Tf, b, d) of the PI+F (order 1) or PID+F (order 2) match, unchecked."""
-    T_s, g, b0 = design.T_s, design.g, design.b0
     if order == 1:
         kp = (4.0 * g**2 + 8.0 * g) / (b0 * T_s * (2.0 * g + 1.0))
         ki = 16.0 * g**2 / (b0 * T_s**2 * (2.0 * g + 1.0))
         Tf = T_s / (8.0 * g + 4.0)
-        b = design.omega_cl / (b0 * kp)  # K_P = omega_cl
+        b = SETTLING_CONSTANTS[1] / T_s / (b0 * kp)  # K_P = omega_cl
         return kp, ki, 0.0, Tf, b, 1.0
     q = 3.0 * g**2 + 6.0 * g + 1.0
     kp = (72.0 * g**3 + 108.0 * g**2) / (b0 * T_s**2 * q)
@@ -303,7 +298,7 @@ def equivalent_params(design: AdrcDesign) -> PidParams:
     return design._tuning[2]
 
 
-def equivalent_realization(p: PidParams) -> tuple[Rows, Rows, Rows, Rows]:
+def equivalent_realization(p: PidParams) -> Realization:
     """(A, B, C, D) of the PI+F controller when kd = 0, of the PID+F controller otherwise.
 
     Inputs [r, y], output u; the r -> u channel equals b*kp + ki/s.  PI+F has
@@ -325,3 +320,26 @@ def equivalent_realization(p: PidParams) -> tuple[Rows, Rows, Rows, Rows]:
         ((p.kp, p.ki, p.kd),),
         ((p.b * p.kp, 0.0),),
     )
+
+
+def adrc_realization(design: AdrcDesign) -> Realization:
+    """(A, B, C, D) of the ADRC controller, as the design's check built them.
+
+    Inputs [r, y], output u; the n + 1 states of the extended observer, whose matrix has -l
+    in its first column and the integrator chain above its diagonal.  Substituted, the law
+    u = (K_P r - K_P x1 [- K_D x2] - x_{n+1}) / b0 subtracts the feedback row [K_P, (K_D,) 1]
+    from row n of that matrix and feeds K_P r into that row.
+    """
+    return design._tuning[3]
+
+
+def _adrc_rows(order: int, feedback: Gains, observer: Gains, b0: float) -> Realization:
+    """The rows of ``adrc_realization`` from the gains, unchecked."""
+    if order == 1:
+        (K_P,), (l1, l2) = feedback, observer
+        A, B, C = ((-l1 - K_P, 0.0), (-l2, 0.0)), ((K_P, l1), (0.0, l2)), (-K_P / b0, -1.0 / b0)
+    else:
+        (K_P, K_D), (l1, l2, l3) = feedback, observer
+        A = (-l1, 1.0, 0.0), (-l2 - K_P, -K_D, 0.0), (-l3, 0.0, 0.0)
+        B, C = ((0.0, l1), (K_P, l2), (0.0, l3)), (-K_P / b0, -K_D / b0, -1.0 / b0)
+    return A, B, (C,), ((K_P / b0, 0.0),)

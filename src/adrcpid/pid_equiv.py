@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adrc import TwoInputController
+from .adrc import TwoInputController, _controller
 # the parameter type and closed forms are also importable from here
 from .design import PidParams, equivalent_params, equivalent_realization, pidf_from_adrc, pif_from_adrc
-from .lti import RationalTransferFunction, StateSpaceModel
+from .lti import RationalTransferFunction
 
 
 def build_equivalent_controller(p: PidParams) -> TwoInputController:
     """PI+F controller when kd = 0, PID+F otherwise, realized by ``equivalent_realization``."""
-    A, B, C, D = (np.array(rows, dtype=float) for rows in equivalent_realization(p))
-    return TwoInputController(StateSpaceModel._trusted(A, B, C, D, ("r", "y"), ("u",)), p.channels)
+    return _controller(equivalent_realization(p), p.channels)
 
 
 def _rel_mismatch(a: float, b: float) -> float:

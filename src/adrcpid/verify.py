@@ -44,17 +44,16 @@ class VerificationCheck:
 def _perturbed_params(order: int, perturb_b0: float) -> list[PidParams]:
     """equivalent_params over EQUIVALENCE_GRID with b0 scaled by perturb_b0.
 
-    A perturb_b0 that takes any b0 of the grid out of range is refused whole.
+    A perturb_b0 that takes any b0 of the grid out of range is refused whole, for
+    the reason that AdrcDesign gives the first grid design that it refuses.
     """
     if not 0 < abs(perturb_b0) < math.inf:
         raise ValueError(f"perturb_b0 must be finite and nonzero, got {perturb_b0!r}")
     try:
         return [equivalent_params(AdrcDesign(order, ts, g, b0 * perturb_b0)) for ts, g, b0 in EQUIVALENCE_GRID]
-    except ValueError:
-        raise ValueError(
-            f"perturb_b0={perturb_b0!r} is out of range: scaled by it, the b0 of the equivalence grid "
-            "give gains or equivalent PI(D) parameters that are not finite and nonzero"
-        ) from None
+    except ValueError as exc:
+        reason = str(exc).partition(" is out of range: ")[2]
+        raise ValueError(f"perturb_b0={perturb_b0!r} is out of range: on the equivalence grid, {reason}") from None
 
 
 def _grid_residuals(order: int, perturbed: list[PidParams]) -> tuple[float, float, float]:

@@ -16,14 +16,12 @@ from adrcpid.adrc import (
     AdrcDesign,
     build_adrc,
     extract_cr_cy,
-    observer_matrix,
     tune_first_order,
     tune_second_order,
 )
 from adrcpid.design import (
     SETTLING_CONSTANTS,
     _equivalent_fields,
-    _Unchecked,
     adrc_channels,
     equivalent_params,
     equivalent_realization,
@@ -216,6 +214,14 @@ class TestSecondOrderController:
         s = 1j * 5.0
         assert scaled_r(s) == pytest.approx(base_r(s) / 3, rel=1e-12)
         assert scaled_y(s) == pytest.approx(base_y(s) / 3, rel=1e-12)
+
+
+def observer_matrix(design):
+    """Dynamics matrix of the pure observer (before feedback substitution): the observer
+    gains fill the first column and the integrator chain the superdiagonal."""
+    m = np.eye(design.order + 1, k=1)
+    m[:, 0] = np.negative(design.observer_gains)
+    return m
 
 
 class TestObserverPoles:
@@ -419,7 +425,7 @@ def _broken_rule(order, T_s, g, b0):
             gains = (w, 2.0 * g * w, (g * w) ** 2)
         else:
             gains = (w**2, 2.0 * w, 3.0 * g * w, 3.0 * (g * w) ** 2, (g * w) ** 3)
-        kp, ki, kd, Tf, b, d = _equivalent_fields(_Unchecked(order, T_s, g, b0), order)
+        kp, ki, kd, Tf, b, d = _equivalent_fields(order, T_s, g, b0)
     except ArithmeticError:
         return GAINS
     if not all(math.isfinite(v) and v != 0.0 for v in (*gains, kp, ki, Tf, b) + ((kd, d) if order == 2 else ())):

@@ -18,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 from adrcpid import analysis as analysis_module
 from adrcpid import design as design_module
 from adrcpid import lti
+from adrcpid import pid_equiv as pid_equiv_module
 from adrcpid.adrc import (
     AdrcDesign,
     TwoInputController,
@@ -534,6 +535,23 @@ class TestSharedWorkCounts:
         assert self._count_calls(monkeypatch, design_module, "_equivalent_fields", order) == 1
 
     @pytest.mark.parametrize("order", [1, 2])
+    def test_each_realization_built_once(self, monkeypatch, order):
+        # the design's check builds the ADRC rows and build_adrc reads them; the PI(D)F
+        # builder states its rows again, as PidParams' check does not keep them
+        built, stated = [], []
+        original_rows, original_realization = design_module._adrc_rows, pid_equiv_module.equivalent_realization
+        monkeypatch.setattr(design_module, "_adrc_rows", lambda *args: built.append(args) or original_rows(*args))
+        design = AdrcDesign(order, 1.0, 10.0, 1.0)
+        params = equivalent_params(design)
+        assert len(built) == 1
+        monkeypatch.setattr(
+            pid_equiv_module, "equivalent_realization", lambda p: stated.append(p) or original_realization(p)
+        )
+        build_adrc(design), build_equivalent_controller(params)
+        assert len(built) == 1 and stated == [params]
+        assert self._count_calls(monkeypatch, design_module, "_adrc_rows", order) == 1
+
+    @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("value_type", [StateSpaceModel, Polynomial, RationalTransferFunction])
     def test_objects_the_package_builds_skip_the_public_checks(self, monkeypatch, order, value_type):
         assert self._count_calls(monkeypatch, value_type, "__post_init__", order) == 0
@@ -567,8 +585,10 @@ class TestNumpyCallBudget:
     (dispatchers, method bodies).  Operators and direct ufunc calls report no
     event, so numpy's internals do not move the count."""
 
-    # order -> calls; 88 for both orders before the closed forms and loop blocks were made in floats
-    BUDGET = {1: 72, 2: 72}
+    # order -> calls; 88 for both orders before the closed forms and loop blocks were made in
+    # floats, 72 before both controllers were built through map(np.array, ...): map's calls
+    # report no event, so the equivalent controller's 4 arrays, still made, left the count
+    BUDGET = {1: 68, 2: 68}
 
     @staticmethod
     def _design_scan_op(order):

@@ -712,8 +712,15 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
         (
             ["verify", "--perturb-b0", "1e-320"],
             EXIT_BAD_ARGS,
-            "error: perturb_b0=1e-320 is out of range: scaled by it, the b0 of the equivalence grid "
-            "give gains or equivalent PI(D) parameters that are not finite and nonzero\n",
+            "error: perturb_b0=1e-320 is out of range: on the equivalence grid, the gains or equivalent "
+            "PI(D) parameters of T_s=0.5, g=2.0, b0=5e-321 are not finite and nonzero\n",
+        ),
+        # the gains are in range, but -ki/Tf of the first grid design's PI+F realization is not
+        (
+            ["verify", "--perturb-b0", "1e-305"],
+            EXIT_BAD_ARGS,
+            "error: perturb_b0=1e-305 is out of range: on the equivalence grid, an entry of the PI+F "
+            "realization of T_s=0.5, g=2.0, b0=5e-306 is not finite\n",
         ),
         # gains and parameters in range, but a realization entry past it: -ki/Tf of the PI+F
         # realization, 1/b0 of build_adrc's, kp/Tf of a --compare-pid PI+F; refused, naming the input
@@ -746,7 +753,8 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
          "verify-order2-out-of-range", "figure-plant-t-overflow", "figure-plant-d-overflow",
          "figure-plant-t-underflow", "sweep-plant-t-overflow", "gang-cancellation-overflow",
          "gang-magnitude-overflow", "gang-polynomial-overflow", "closed-loop-overflow", "verify-perturb-b0-zero",
-         "verify-perturb-b0-out-of-range", "figure-pif-realization-overflow", "tune-pif-realization-overflow", "figure-adrc-realization-overflow",
+         "verify-perturb-b0-out-of-range", "verify-perturb-b0-realization-out-of-range",
+         "figure-pif-realization-overflow", "tune-pif-realization-overflow", "figure-adrc-realization-overflow",
          "figure-compare-pid-realization-overflow"],
 )
 def test_command_runs_clean_with_warnings_as_errors(tmp_path, argv, code, err):

@@ -9,6 +9,7 @@ and past the float range.  The float forms must raise no warning there.
 import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 from conftest import TUNINGS, log_uniform
@@ -20,7 +21,6 @@ from adrcpid.analysis import PlantModel, closed_loop
 from adrcpid.design import (
     SETTLING_CONSTANTS,
     PidParams,
-    _Unchecked,
     _tuning,
     adrc_channels,
     equivalent_params,
@@ -120,6 +120,11 @@ def tuning_comb(design):
     return (feedback, observer, p) if finite and all(values) else None
 
 
+def _unchecked(order, T_s, g, b0):
+    """The inputs of a design, with its omega_cl, as tuning_comb reads them, not checked."""
+    return SimpleNamespace(order=order, T_s=T_s, g=g, b0=b0, omega_cl=SETTLING_CONSTANTS[order] / T_s)
+
+
 def params_refusal(kp, ki, kd, Tf, b, d):
     """The message of the per-field checks that PidParams made on every value, or None."""
     for name, value in (("kp", kp), ("ki", ki), ("kd", kd), ("b", b)):
@@ -211,7 +216,7 @@ class TestDesignChecks:
     @example((1, 1e-150, 1.0, 1e-5))  # only -ki/Tf of the PI+F realization overflows
     @example((2, 0.0268, 42.9228, 1.0))  # (3 g) omega_cl differs from 3 (g omega_cl) in the last bit
     def test_accepts_exactly_what_the_binomial_check_accepted_with_its_bits(self, tuning):
-        want, got = tuning_comb(_Unchecked(*tuning)), _quietly(_tuning, _Unchecked(*tuning))
+        want, got = tuning_comb(_unchecked(*tuning)), _quietly(_tuning, *tuning)
         assert (want is None) == isinstance(got, str)
         if want is not None:
             assert [_hex(want[0]), _hex(want[1])] == [_hex(got[0]), _hex(got[1])]
