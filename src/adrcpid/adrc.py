@@ -5,8 +5,8 @@ too) is fixed by the plant order n (1 or 2), the desired settling time T_s,
 the observer pole multiplier g, and the characteristic plant gain b0.
 Both controllers' realizations, ADRC's (the extended observer with the
 control law substituted) and the equivalent PI(D)F's, are stated in
-``design``; one builder makes either a 2-input state-space system with
-inputs [r, y] and output u, which carries its two channels in closed form.
+``design``; both are controllers with inputs [r, y] and output u, which carry
+the rows of their realization and their two channels in closed form.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
-
-import numpy as np
 
 # the design names are also importable from here
 from .design import AdrcDesign, Realization, adrc_channels, adrc_realization, tune_first_order, tune_second_order
@@ -28,15 +26,21 @@ Channels = Callable[[float], tuple[RationalTransferFunction, RationalTransferFun
 
 @dataclass(frozen=True, eq=False)
 class TwoInputController:
-    """Controller with inputs ordered [r, y] and single output u: its realization ss, and
-    channels(alpha), its (C_r, C_y) in closed form in the time unit s~ = alpha*s."""
+    """Controller with inputs ordered [r, y] and single output u: the rows (A, B, C, D) of
+    its realization, and channels(alpha), its (C_r, C_y) in closed form in the time unit
+    s~ = alpha*s.  The realization as a state-space model, ss, is made on first read."""
 
-    ss: StateSpaceModel
+    realization: Realization
     channels: Channels
 
     def __post_init__(self):
-        if self.ss.n_inputs != 2 or self.ss.n_outputs != 1:
+        D = self.realization[3]
+        if len(D) != 1 or len(D[0]) != 2:
             raise ValueError("controller must have exactly inputs [r, y] and output u")
+
+    @cached_property
+    def ss(self) -> StateSpaceModel:
+        return StateSpaceModel(*self.realization, ("r", "y"), ("u",))
 
     @cached_property
     def _cr_cy(self) -> tuple[RationalTransferFunction, RationalTransferFunction]:
@@ -48,15 +52,9 @@ class TwoInputController:
         return c_r, c_y
 
 
-def _controller(realization: Realization, channels: Channels) -> TwoInputController:
-    """The controller carrying channels, realized by the rows (A, B, C, D) as float arrays, also from ints."""
-    ss = StateSpaceModel._trusted(*map(partial(np.array, dtype=float), realization), ("r", "y"), ("u",))
-    return TwoInputController(ss, channels)
-
-
 def build_adrc(design: AdrcDesign) -> TwoInputController:
     """(n+1)-state controller, realized by ``design.adrc_realization``."""
-    return _controller(adrc_realization(design), partial(adrc_channels, design))
+    return TwoInputController(adrc_realization(design), partial(adrc_channels, design))
 
 
 def extract_cr_cy(c: TwoInputController) -> tuple[RationalTransferFunction, RationalTransferFunction]:

@@ -3,7 +3,8 @@
 Builds the standard feedback interconnection (reference, plant-input
 disturbance, measurement noise), the gang-of-four/seven sensitivity set,
 and plant-parameter step-response sweeps in which the controllers are
-deliberately not retuned.
+deliberately not retuned.  Plants and gangs are plain floats; the closed
+loop, a state-space model, and the sweeps import numpy on first use.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-import numpy as np
-
 from .adrc import TwoInputController, extract_cr_cy
 from .lti import (
     Polynomial,
@@ -25,6 +24,7 @@ from .lti import (
     _over,
     _poly,
     _tf,
+    _worst,
     is_stable,
     poly_residual,
     step_response,
@@ -115,13 +115,15 @@ def closed_loop(plant: PlantModel, c: TwoInputController) -> StateSpaceModel:
     constant and its denominator keeps its degree, so its block has no
     direct term.  That block is the controllable canonical realization of the
     monic plant k/a(s): the companion A_p of a, B_p = e_n and C_p = [k, 0, ...].
-    Each block of the loop is filled from k, a and the controller's blocks
-    with the bits of its matrix expression (A_p + Dc_y B_p C_p, B_p C_c,
-    B_c,y C_p, ...), in which a product with one inner term is 0.0 + x*y.
+    Each block of the loop is filled from k, a and the rows of the controller's
+    realization with the bits of its matrix expression (A_p + Dc_y B_p C_p,
+    B_p C_c, B_c,y C_p, ...), in which a product with one inner term is 0.0 + x*y.
     """
+    import numpy as np
+
     P = plant.canonical_tf
     (k,), a = P.num.coeffs, P.den.coeffs
-    Ac, Bc, (Cc,), ((Dc_r, Dc_y),) = (m.tolist() for m in (c.ss.A, c.ss.B, c.ss.C, c.ss.D))
+    Ac, Bc, (Cc,), ((Dc_r, Dc_y),) = c.realization
     n_p = plant.order
     zero = 0.0 * Dc_y  # Dc_y times a zero entry of B_p C_p or C_p
 
@@ -229,10 +231,7 @@ def s_plus_t_residual(g: GangOfSeven) -> float:
     must match and the numerators must sum to the denominator.
     """
     S, T = g.S, g.T_cl
-    return max(
-        poly_residual(S.den, T.den),
-        poly_residual(S.num + T.num, S.den),
-    )
+    return _worst((poly_residual(S.den, T.den), poly_residual(S.num + T.num, S.den)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +297,8 @@ def step_sweep(
     times those in s, with the same signs of real part, and its coefficients
     stay in the float range where those of chi in s overflow.  C_y in s~ is
     ``channels(alpha)`` of the controller; a coefficient past the float
-    range is inf or NaN and makes chi "not stable".
+    range is inf or NaN and makes chi "not stable".  A case whose step
+    response is refused raises _CaseRefused, which names its controller.
     """
     plants = sweep_plants(plant, parameter, values)
     if not controllers:
@@ -309,9 +309,11 @@ def step_sweep(
     cases = []
     for v, swept in zip(values, plants):
         for name, ctrl in controllers.items():
-            table = step_response(closed_loop(swept, ctrl), input=0, t_end=t_end, n_steps=n_steps)
-            with np.errstate(over="ignore", invalid="ignore"):
-                chi = _loop_polynomial(*_time_scaled_plant(swept, alpha), measurements[name])[2]
+            try:
+                table = step_response(closed_loop(swept, ctrl), input=0, t_end=t_end, n_steps=n_steps)
+            except ValueError as exc:
+                raise _CaseRefused(name, str(exc)) from None
+            chi = _loop_polynomial(*_time_scaled_plant(swept, alpha), measurements[name])[2]
             cases.append(SweepCase(value=v, controller=name, table=table, stable=is_stable(chi)))
     return SweepResult(
         parameter=parameter,
@@ -321,9 +323,20 @@ def step_sweep(
     )
 
 
+class _CaseRefused(ValueError):
+    """The refusal of one sweep case's step response, with the name of its controller."""
+
+    def __init__(self, controller: str, reason: str):
+        super().__init__(reason)
+        self.controller = controller
+
+
 def _time_scaled_plant(plant: PlantModel, alpha: float) -> tuple[float, Polynomial]:
     """(k, dp) of the monic plant in s~ = alpha*s: coefficient j of dp times
     alpha**(n - j), and k times alpha**n; inf past the float range."""
+    import numpy as np
+
     P = plant.canonical_tf
-    powers = alpha ** np.arange(plant.order, -1.0, -1.0)
-    return float(P.num.coeffs[0] * powers[0]), _poly((np.array(P.den.coeffs) * powers).tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = alpha ** np.arange(plant.order, -1.0, -1.0)
+        return float(P.num.coeffs[0] * powers[0]), _poly((np.array(P.den.coeffs) * powers).tolist())

@@ -14,18 +14,23 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import io
+import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .design import AdrcDesign, PidParams, equivalent_params, equivalent_realization
 
 # Every command imports the above: the scalar design layer, which needs no
-# numpy.  numpy and the layers only some commands run (lti, adrc, pid_equiv,
-# analysis, svg, verify, configparser) are imported by the functions that
-# use them, so that a fresh process loads only what its command needs:
-# `tune` none of them, `figure` all but verify, `verify` all but svg.
+# numpy.  The layers only some commands run (lti, adrc, pid_equiv, analysis,
+# svg, verify, configparser) are imported by the functions that use them,
+# so that a fresh process loads only what its command needs: `tune` none of
+# them, `figure` all but verify, `verify` all but svg.  Those layers import
+# numpy only in their state-space half, so of the commands only the step
+# figures (1, 2, 5, 6), `sweep` and `verify` load it: the bode and gang
+# figures (3, 4, 7, 8) run on plain floats.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -209,68 +214,96 @@ def _plant(cfg: ExperimentConfig, order: int) -> PlantModel:
     )
 
 
-def _capped(values: np.ndarray) -> np.ndarray:
-    """Clamp a trace to +-CSV_CAP; a NaN sample takes the sign of the last non-NaN one.
+def _pid_refusal(cfg: ExperimentConfig, reason: ValueError) -> ValueError:
+    """The refusal of the --compare-pid controller's columns, naming its values as a PidParams refusal does."""
+    values = ", ".join(f"{name}={value!r}" for name, value in zip(("kp", "ki", "kd", "Tf", "b"), cfg.compare_pid))
+    return ValueError(f"{values} are out of range: {reason}")
 
-    A trace that overflows turns NaN from then on, so its tail keeps the
-    direction in which it diverged.  A NaN with nothing before it is +CSV_CAP.
+
+def _per_controller(cfg: ExperimentConfig, order: int, columns: Callable[[TwoInputController], dict]) -> dict:
+    """columns(controller) for each controller of a figure, by name and in order."""
+    out = {}
+    for name, ctrl in _controllers(cfg, order).items():
+        try:
+            out[name] = columns(ctrl)
+        except ValueError as exc:
+            if name != "pid":
+                raise
+            raise _pid_refusal(cfg, exc) from None
+    return out
+
+
+def _capped(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """A trace clamped to +-CSV_CAP, and how many of its samples were past that or NaN.
+
+    A NaN sample takes the sign of the last non-NaN one: a trace that overflows
+    turns NaN from then on, so its tail keeps the direction in which it
+    diverged.  A NaN with nothing before it is +CSV_CAP.
     """
     import numpy as np
 
+    count = int(np.count_nonzero(~(np.abs(values) <= CSV_CAP)))
     v = np.clip(values, -CSV_CAP, CSV_CAP)
     nan = np.isnan(v)
     if nan.any():
         last = np.maximum.accumulate(np.where(nan, 0, np.arange(v.size)))
         v[nan] = np.where(v[last[nan]] < 0, -CSV_CAP, CSV_CAP)
-    return v
+    return v, count
 
 
-def _write_csv(path: Path, names: list[str], columns: list[np.ndarray]) -> None:
-    import numpy as np
-
+def _write_csv(path: Path, names: list[str], columns: list[Sequence[float]]) -> None:
     # one %-format for the whole body; "%.17g" prints the bytes of _fmt
-    table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
+        fh.write(row * len(columns[0]) % tuple(chain.from_iterable(zip(*columns))))
 
 
-def _step_columns(sweep: SweepResult) -> tuple[list[str], list[np.ndarray], list[Series]]:
+def _step_columns(sweep: SweepResult) -> tuple[list[str], list[list[float]], list[Series], list[str]]:
+    """The CSV names and columns of a sweep, its SVG series and one note per clamped column."""
     from .analysis import _case_label
     from .svg import Series
 
-    t = sweep.cases[0].table.t
+    t = sweep.cases[0].table.t.tolist()
     # CSV keeps every sample; the SVG gets a decimated copy to stay small
-    stride = max(1, t.size // 1000)
+    stride = max(1, len(t) // 1000)
     names = ["t"]
     columns = [t]
     series = []
+    notes = []
     for case in sweep.cases:  # value-major, as step_sweep orders them
-        y = _capped(case.table.columns["y"])
+        y, clamped = _capped(case.table.columns["y"])
+        y = y.tolist()
         label = f"y_{case.controller}_{_case_label(sweep.parameter, case.value)}"
         names.append(label)
         columns.append(y)
         series.append(Series(label, t[::stride], y[::stride]))
-    return names, columns, series
+        if clamped:
+            notes.append(f"note: column {label} clamped to +-{CSV_CAP:g} at {clamped} of {len(y)} samples")
+    return names, columns, series, notes
 
 
 def _figure_step(cfg: ExperimentConfig, order: int, parameter: str):
-    from .analysis import STEP_HORIZON_FACTOR, STEP_N_STEPS, _case_label, step_sweep
+    from .analysis import STEP_HORIZON_FACTOR, STEP_N_STEPS, _case_label, _CaseRefused, step_sweep
     from .svg import line_chart
 
     values = getattr(cfg, SWEEP_FIELDS[parameter])
     if values is None:
         values = DEFAULT_SWEEPS[(order, parameter)]
-    sweep = step_sweep(
-        _plant(cfg, order),
-        parameter,
-        values,
-        _controllers(cfg, order),
-        t_end=STEP_HORIZON_FACTOR * cfg.ts,
-        n_steps=STEP_N_STEPS,
-    )
-    names, columns, series = _step_columns(sweep)
+    try:
+        sweep = step_sweep(
+            _plant(cfg, order),
+            parameter,
+            values,
+            _controllers(cfg, order),
+            t_end=STEP_HORIZON_FACTOR * cfg.ts,
+            n_steps=STEP_N_STEPS,
+        )
+    except _CaseRefused as exc:
+        if exc.controller != "pid":
+            raise
+        raise _pid_refusal(cfg, exc) from None
+    names, columns, series, clamp_notes = _step_columns(sweep)
     markup = line_chart(
         series,
         title=f"Closed-loop step response, {parameter} sweep (order {order})",
@@ -282,26 +315,56 @@ def _figure_step(cfg: ExperimentConfig, order: int, parameter: str):
         for case in sweep.cases
         if not case.stable
     ]
-    return names, columns, markup, notes
+    return names, columns, markup, notes + clamp_notes
+
+
+def _magnitude(value: complex) -> float:
+    """|value|, inf where it overflows."""
+    try:
+        return abs(value)
+    except OverflowError:
+        return math.inf
+
+
+def _phase_degrees(values: list[complex]) -> list[float]:
+    """The phase of values in degrees, unwrapped, with the arithmetic of numpy's
+    degrees(unwrap(angle(values))): a jump between neighbours of pi or more is
+    taken back by the multiple of 2 pi that brings it into [-pi, pi], and a
+    radian is 180/pi degrees."""
+    phase = [math.atan2(v.imag, v.real) for v in values]
+    unwrapped = phase[:1]
+    correction = 0.0
+    for previous, current in zip(phase, phase[1:]):
+        jump = current - previous
+        if not abs(jump) < math.pi:  # NaN too
+            wrapped = (jump + math.pi) % (2.0 * math.pi) - math.pi
+            if wrapped == -math.pi and jump > 0:
+                wrapped = math.pi
+            correction += wrapped - jump
+        unwrapped.append(current + correction)
+    return [x * (180.0 / math.pi) for x in unwrapped]
 
 
 def _figure_bode(cfg: ExperimentConfig, order: int):
-    import numpy as np
-
     from .adrc import extract_cr_cy
     from .lti import log_grid
     from .svg import Series, line_chart
 
     omega = log_grid(cfg.omega_min, cfg.omega_max, cfg.omega_points)
+    points = [1j * w for w in omega]
+
+    def channels(ctrl: TwoInputController) -> dict:
+        responses = {}
+        for channel, tf in zip(("Cr", "Cy"), extract_cr_cy(ctrl)):
+            values = tf(points)
+            responses[channel] = [_magnitude(v) for v in values], _phase_degrees(values)
+        return responses
+
     names = ["omega"]
     columns = [omega]
     series = []
-    for ctrl_name, ctrl in _controllers(cfg, order).items():
-        c_r, c_y = extract_cr_cy(ctrl)
-        for channel, tf in (("Cr", c_r), ("Cy", c_y)):
-            values = np.asarray(tf(1j * omega), dtype=complex)
-            mag = np.abs(values)
-            phase = np.degrees(np.unwrap(np.angle(values)))
+    for ctrl_name, responses in _per_controller(cfg, order, channels).items():
+        for channel, (mag, phase) in responses.items():
             label = f"{ctrl_name}_{channel}"
             names.extend([f"mag_{label}", f"phase_deg_{label}"])
             columns.extend([mag, phase])
@@ -318,24 +381,27 @@ def _figure_bode(cfg: ExperimentConfig, order: int):
 
 
 def _figure_gang(cfg: ExperimentConfig, order: int):
-    import numpy as np
-
     from .analysis import gang_of_seven
     from .lti import log_grid
     from .svg import Series, line_chart
 
     omega = log_grid(cfg.omega_min, cfg.omega_max, cfg.omega_points)
+    points = [1j * w for w in omega]
     plant = _plant(cfg, order)
+
+    def magnitudes(ctrl: TwoInputController) -> dict:
+        gang = {}
+        for fn_name, tf in gang_of_seven(plant, ctrl).named().items():
+            gang[fn_name] = [_magnitude(v) for v in tf(points)]
+            if not all(map(math.isfinite, gang[fn_name])):
+                raise ValueError("the gang of seven at this plant is not representable: its magnitudes overflow")
+        return gang
+
     names = ["omega"]
     columns = [omega]
     series = []
-    for ctrl_name, ctrl in _controllers(cfg, order).items():
-        g7 = gang_of_seven(plant, ctrl)
-        for fn_name, tf in g7.named().items():
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                mag = np.abs(np.asarray(tf(1j * omega), dtype=complex))
-            if not np.isfinite(mag).all():
-                raise ValueError("the gang of seven at this plant is not representable: its magnitudes overflow")
+    for ctrl_name, gang in _per_controller(cfg, order, magnitudes).items():
+        for fn_name, mag in gang.items():
             label = f"{fn_name}_{ctrl_name}"
             names.append(label)
             columns.append(mag)

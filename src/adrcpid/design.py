@@ -6,9 +6,9 @@ T_s, the observer pole multiplier g, and the characteristic plant gain b0.
 Its gains and the paper's closed forms for the equivalent PI+F / PID+F
 parameters are plain floats, so this module needs neither numpy nor the LTI
 layer: ``adrcpid tune`` runs on it alone.  The closed forms of both
-controller channels, ADRC's and PI(D)F's, are transfer functions and import
-both on first use; ``adrc`` and ``pid_equiv`` build the controllers that
-carry them.
+controller channels, ADRC's and PI(D)F's, are transfer functions, still in
+plain floats, and import the LTI layer on first use; ``adrc`` and
+``pid_equiv`` build the controllers that carry them.
 """
 
 from __future__ import annotations
@@ -266,11 +266,10 @@ def adrc_channels(design: AdrcDesign, alpha: float = 1.0) -> tuple[RationalTrans
       n = 1: C_y = g w^2 ((g + 2) s + g w) / (b0 s q), q = s + (2g + 1) w;
       n = 2: C_y = g w^3 ((g^2 + 6g + 3) s^2 + (2g^2 + 3g) w s + g^2 w^2) / (b0 s q),
              q = s^2 + (3g + 2) w s + (3g^2 + 6g + 1) w^2.
-    Each coefficient is a polynomial in g times w^j = c^j / T_s^j (over b0 in a numerator).  In
-    the time unit s~ = alpha*s, alpha a power of two, T_s/alpha replaces T_s and b0*alpha^n b0;
-    past the float range a coefficient is inf or NaN, without a warning."""
-    import numpy as np
-
+    Each coefficient is a polynomial in g times w^j = c^j / T_s^j (over b0 in a numerator), both
+    powers by Python's float **.  In the time unit s~ = alpha*s, alpha a power of two, T_s/alpha
+    replaces T_s and b0*alpha^n b0; past the float range a coefficient is inf or NaN, without a
+    warning or an exception."""
     from .lti import _poly, _tf
 
     n, g = design.order, design.g
@@ -280,16 +279,23 @@ def adrc_channels(design: AdrcDesign, alpha: float = 1.0) -> tuple[RationalTrans
         r, y = (g**3, 3.0 * g**2, 3.0 * g, 1.0), (g**3, (2.0 * g + 3.0) * g * g, ((g + 6.0) * g + 3.0) * g)
         q = ((3.0 * g + 6.0) * g + 1.0, 3.0 * g + 2.0)
     top = 2 * n + 1
-    # numpy's array power, whose last bit can differ from that of a scalar power
-    with np.errstate(all="ignore"):
-        j = np.arange(top + 1.0)
-        w = (float(SETTLING_CONSTANTS[n]) ** j / (design.T_s / alpha) ** j).tolist()
+    w = [_ratio_power(float(SETTLING_CONSTANTS[n]), design.T_s / alpha, j) for j in range(top + 1)]
     b0 = design.b0 * (alpha if n == 1 else alpha * alpha)  # alpha**n, exact or inf or 0 for a power of two
     # c / b0 is c times a signed inf where b0 * alpha^n underflowed to a signed zero
     over_b0 = (lambda c: c / b0) if b0 else (lambda c, inf=math.copysign(math.inf, b0): c * inf)
     c_r, c_y = (_poly([over_b0(c * w[top - i]) for i, c in enumerate(cs)]) for cs in (r, y))
     den = _poly([0.0, *(c * w[n - i] for i, c in enumerate(q)), 1.0])
     return _tf(c_r, den), _tf(c_y, den)
+
+
+def _ratio_power(c: float, T: float, j: int) -> float:
+    """c**j / T**j for c > 0 and T >= 0, inf included: 0.0 where T**j overflows and
+    inf where it underflows to 0, as the quotient of IEEE powers is."""
+    try:
+        T_j = T**j
+    except OverflowError:
+        return 0.0
+    return c**j / T_j if T_j else math.inf
 
 
 def equivalent_params(design: AdrcDesign) -> PidParams:

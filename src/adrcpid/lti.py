@@ -4,19 +4,27 @@ Polynomial sums and products, rational transfer functions (evaluation,
 negation, monic normalization, cancellation), state-space models and their
 transfer functions, exact step responses via zero-order hold, and the Routh test.
 
+Two halves.  Polynomials, transfer functions, their evaluation at s, their
+residuals, the Routh test and the frequency grid are plain Python floats and
+complex numbers, so the frequency-domain commands run without numpy.  The
+state-space half (models, ``ss_to_tf``, ``step_response``, ``tf_minreal``)
+imports numpy in each function that needs it, on first use.
+
 Coefficient convention used everywhere in this package: polynomials store
 ascending powers of s, i.e. ``coeffs[k]`` multiplies ``s**k``.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Transfer-function comparison uses the REL/ABS pair below after monic
 # normalization of the denominator.
@@ -57,15 +65,22 @@ def _tf(num: "Polynomial", den: "Polynomial") -> "RationalTransferFunction":
     return tf
 
 
-def _horner(coeffs: Sequence[float], s):
-    """Horner evaluation of ascending coefficients, the same arithmetic as numpy's polyval."""
-    c = np.array(coeffs)
-    if isinstance(s, (tuple, list)):
-        s = np.asarray(s)
-    value = c[-1] + s * 0
-    for k in range(2, len(c) + 1):
-        value = c[-k] + value * s
-    return value
+def _horner(coeffs: Sequence[float], points: list) -> list:
+    """Horner evaluation of ascending coefficients at each of a list of points, real
+    or complex: one pass over the points per coefficient."""
+    values = [coeffs[-1] + s * 0 for s in points]
+    for c in coeffs[-2::-1]:
+        values = [c + v * s for v, s in zip(values, points)]
+    return values
+
+
+def _at_points(f: Callable[[list], list], s):
+    """f at one point, a number, or the list of f at each point of any other iterable of
+    points; f maps a list of points to the list of values.  A numpy array or scalar is
+    taken as its Python values, by its tolist()."""
+    if hasattr(s, "tolist"):
+        s = s.tolist()
+    return f([s])[0] if isinstance(s, (int, float, complex)) else f(list(s))
 
 
 @dataclass(frozen=True)
@@ -95,11 +110,12 @@ class Polynomial:
         return self.coeffs[-1]
 
     def __call__(self, s):
-        return _horner(self.coeffs, s)
+        """The value at s by Horner's rule; at each point of s if s is not a number."""
+        return _at_points(functools.partial(_horner, self.coeffs), s)
 
-    # + and * give the bits of numpy's polyadd and polymul without their
-    # series conversion: the shorter operand is added into the prefix of the
-    # longer one, and products are plain convolutions.
+    # + adds the shorter operand into the prefix of the longer one, as
+    # numpy's polyadd does.  * is the plain convolution: coefficient k sums
+    # a[i] * b[k - i] from 0.0, in ascending i.
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) <= len(b):
@@ -107,7 +123,12 @@ class Polynomial:
         return _poly([x + y for x, y in zip(a, b)] + list(a[len(b) :]))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return _poly(np.convolve(self.coeffs, other.coeffs).tolist())
+        a, b = self.coeffs, other.coeffs
+        c = [0.0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for k, y in enumerate(b, i):
+                c[k] += x * y
+        return _poly(c)
 
     def scaled(self, factor: float) -> "Polynomial":
         return _poly([factor * c for c in self.coeffs])
@@ -129,25 +150,35 @@ class RationalTransferFunction:
         return cls(Polynomial(tuple(num)), Polynomial(tuple(den)))
 
     def __call__(self, s):
-        """num(s)/den(s), both by Horner in s.
+        """num(s)/den(s), both by Horner in s; at each point of s if s is not a number.
 
         Where num(s), den(s) or their quotient leaves the float range at
         |s| > 1, the point is evaluated in z = 1/s instead, as
         z**(deg den - deg num) times the ratio of the reversed coefficients
         at z, so that the powers of s that cancel in the ratio are never
-        formed.  Elsewhere the bits are those of the plain ratio.
+        formed.  Elsewhere the value is the plain ratio.  A quotient by zero,
+        or a power of z past the float range, is NaN.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            num, den = self.num(s), self.den(s)
-            ratio = num / den
-            redo = ~(np.isfinite(num) & np.isfinite(den) & np.isfinite(ratio)) & (np.abs(s) > 1)
-        if not redo.any():
+        return _at_points(self._values, s)
+
+    def _values(self, points: list) -> list:
+        num, den = _horner(self.num.coeffs, points), _horner(self.den.coeffs, points)
+        ratio = [n / d if d else math.nan for n, d in zip(num, den)]
+        if all(map(cmath.isfinite, num + den + ratio)):
             return ratio
-        z = 1.0 / np.asarray(s)[redo]
+        redo = [
+            k
+            for k, (n, d, r, s) in enumerate(zip(num, den, ratio, points))
+            if not (cmath.isfinite(n) and cmath.isfinite(d) and cmath.isfinite(r)) and abs(s) > 1
+        ]
+        z = [1.0 / points[k] for k in redo]
         rnum, rden = _horner(self.num.coeffs[::-1], z), _horner(self.den.coeffs[::-1], z)
-        ratio = np.array(ratio)
-        ratio[redo] = z ** (self.den.degree - self.num.degree) * rnum / rden
-        return ratio[()]
+        for k, z_k, n, d in zip(redo, z, rnum, rden):
+            try:
+                ratio[k] = z_k ** (self.den.degree - self.num.degree) * n / d
+            except (OverflowError, ZeroDivisionError):
+                ratio[k] = math.nan
+        return ratio
 
     def canonicalized(self) -> "RationalTransferFunction":
         """num/den over a monic denominator, by the rule of _over; self if den is monic already."""
@@ -178,6 +209,7 @@ def _divide_out(p: Polynomial, roots: list[complex]) -> Polynomial:
     """Quotient of p by the monic polynomial with the given roots; refused past the float range."""
     if not roots:
         return p
+    import numpy as np
     from numpy.polynomial.polynomial import polydiv, polyfromroots
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -196,6 +228,7 @@ def tf_minreal(a: RationalTransferFunction, tol: float) -> RationalTransferFunct
     input with nothing to cancel is returned bit-exact (up to monic
     normalization).
     """
+    import numpy as np
     from numpy.polynomial.polynomial import polyroots
 
     if tol < 0:
@@ -241,17 +274,29 @@ def poly_residual(a: Polynomial, b: Polynomial) -> float:
     blow up the quotient.
     """
     n = max(len(a.coeffs), len(b.coeffs))
-    pa, pb = (np.array([*p.coeffs, *[0.0] * (n - len(p.coeffs))]) for p in (a, b))
+    pa, pb = ((*p.coeffs, *[0.0] * (n - len(p.coeffs))) for p in (a, b))
     floor = COEFF_ABS_TOL / COEFF_REL_TOL
-    scale = np.maximum(np.maximum(np.abs(pa), np.abs(pb)), floor)
-    return float(np.max(np.abs(pa - pb) / scale))
+    # a NaN coefficient makes its deviation NaN through |x - y|, so max() needs no NaN test on the scale
+    return _worst(abs(x - y) / max(abs(x), abs(y), floor) for x, y in zip(pa, pb))
+
+
+def _worst(residuals: Iterable[float]) -> float:
+    """The largest of some nonnegative residuals, 0.0 for none, and NaN if any is
+    NaN, as numpy's maximum propagates it: a NaN residual fails every tolerance."""
+    largest = 0.0
+    for r in residuals:
+        if r != r:
+            return r
+        if r > largest:
+            largest = r
+    return largest
 
 
 def tf_residual(a: RationalTransferFunction, b: RationalTransferFunction) -> float:
     """Largest per-coefficient relative deviation after monic normalization."""
     a = a.canonicalized()
     b = b.canonicalized()
-    return max(poly_residual(a.num, b.num), poly_residual(a.den, b.den))
+    return _worst((poly_residual(a.num, b.num), poly_residual(a.den, b.den)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,6 +311,8 @@ class StateSpaceModel:
     output_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        import numpy as np
+
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         B = np.atleast_2d(np.asarray(self.B, dtype=float))
         C = np.atleast_2d(np.asarray(self.C, dtype=float))
@@ -324,6 +371,8 @@ def _resolvent(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exact zero row, column or pivot, as the integrator of every ADRC and
     PI(D)F realization does: both controller channels keep their s = 0 pole.
     """
+    import numpy as np
+
     n = A.shape[0]
     char = np.zeros(n + 1)
     char[n] = 1.0
@@ -347,6 +396,8 @@ def ss_to_tf(m: StateSpaceModel, input: int = 0, output: int = 0) -> RationalTra
     each term one vector-matrix product and one dot product.  A channel whose
     coefficients overflow is refused with a ValueError, without a warning.
     """
+    import numpy as np
+
     if not 0 <= input < m.n_inputs:
         raise IndexError("input index out of range")
     if not 0 <= output < m.n_outputs:
@@ -375,6 +426,8 @@ class StepResponseTable:
     columns: dict[str, np.ndarray]
 
     def __post_init__(self):
+        import numpy as np
+
         t = np.asarray(self.t, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("t must hold at least two samples")
@@ -416,6 +469,8 @@ def _balance(M: np.ndarray) -> np.ndarray:
     balancing adds no rounding error.  Plain lists, because for n <= 7 the
     per-call overhead of numpy reductions would dominate.
     """
+    import numpy as np
+
     n = M.shape[0]
     A = np.abs(M)
     np.fill_diagonal(A, 0.0)
@@ -452,6 +507,8 @@ def _balance(M: np.ndarray) -> np.ndarray:
 @functools.cache
 def _pade_eyes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(c_1 I, c_0 I) of the [6/6] Pade approximant for n x n matrices, made once per size, read-only."""
+    import numpy as np
+
     eyes = (_PADE6[1] * np.eye(n), _PADE6[0] * np.eye(n))
     for eye in eyes:
         eye.setflags(write=False)
@@ -466,6 +523,8 @@ def _expm(M: np.ndarray) -> np.ndarray:
     matrix").  Balancing first keeps the result accurate when the entries
     span many decades, as ADRC closed loops do when T_s is far from 1.
     """
+    import numpy as np
+
     d = _balance(M)
     B = M * d[None, :] / d[:, None]
     norm = float(np.abs(B).sum(axis=0).max())
@@ -501,6 +560,8 @@ def step_response(m: StateSpaceModel, input: int = 0, t_end: float = 10.0, n_ste
     sample by sample, and a diverging trace is NaN after the first state that
     overflows, as in the per-sample recurrence.
     """
+    import numpy as np
+
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
     if not 0 < t_end < math.inf:
@@ -589,11 +650,20 @@ def is_stable(chi: Polynomial) -> bool:
     return True
 
 
-def log_grid(lo: float = 1e-2, hi: float = 1e4, n: int = 600) -> np.ndarray:
+def log_grid(lo: float = 1e-2, hi: float = 1e4, n: int = 600) -> list[float]:
     """Logarithmic frequency grid of n >= 2 points from lo to hi, finite and
-    never containing 0."""
+    never containing 0.
+
+    The points are 10**e for exponents e spaced evenly from log10(lo) to
+    log10(hi), the last one log10(hi) itself, as numpy's logspace forms them.
+    """
+    refusal = f"frequency grid needs finite 0 < lo < hi and n >= 2, got lo={lo!r}, hi={hi!r}, n={n!r}"
     if not (0 < lo < hi < math.inf and n >= 2):
-        raise ValueError(
-            f"frequency grid needs finite 0 < lo < hi and n >= 2, got lo={lo!r}, hi={hi!r}, n={n!r}"
-        )
-    return np.logspace(np.log10(lo), np.log10(hi), n)
+        raise ValueError(refusal)
+    start, stop = math.log10(lo), math.log10(hi)
+    step = (stop - start) / (n - 1)
+    exponents = [k * step + start for k in range(n - 1)] + [stop]
+    try:
+        return [10.0**e for e in exponents]
+    except OverflowError:  # 10**log10(hi) rounds past the float range
+        raise ValueError(refusal + ": its last point overflows") from None

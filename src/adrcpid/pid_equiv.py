@@ -12,17 +12,17 @@ how closely both ends of the frequency axis agree, both from ADRC's C_r.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Sequence
 
-from .adrc import TwoInputController, _controller
+from .adrc import TwoInputController
 # the parameter type and closed forms are also importable from here
 from .design import PidParams, equivalent_params, equivalent_realization, pidf_from_adrc, pif_from_adrc
-from .lti import RationalTransferFunction
+from .lti import RationalTransferFunction, _worst
 
 
 def build_equivalent_controller(p: PidParams) -> TwoInputController:
     """PI+F controller when kd = 0, PID+F otherwise, realized by ``equivalent_realization``."""
-    return _controller(equivalent_realization(p), p.channels)
+    return TwoInputController(equivalent_realization(p), p.channels)
 
 
 def _rel_mismatch(a: float, b: float) -> float:
@@ -46,15 +46,13 @@ def verify_asymptotes(c_r: RationalTransferFunction, params: PidParams) -> tuple
 
 
 def reference_channel_gap(
-    c_r: RationalTransferFunction, params: PidParams, omega: np.ndarray
-) -> tuple[float, np.ndarray]:
+    c_r: RationalTransferFunction, params: PidParams, omega: Sequence[float]
+) -> tuple[float, list[float]]:
     """Supremum of the relative gap |C_r - K_ry| / |C_r| over a grid, and the gap.
 
     This is the only place the equivalent controller deviates from ADRC; it
     vanishes at both ends of the axis and peaks near crossover.
     """
-    omega = np.asarray(omega, dtype=float)
-    cr_vals = np.asarray(c_r(1j * omega), dtype=complex)
-    kry_vals = np.asarray(params.reference_tf()(1j * omega), dtype=complex)
-    gap = np.abs(cr_vals - kry_vals) / np.abs(cr_vals)
-    return float(gap.max()), gap
+    points = [1j * w for w in omega]
+    gap = [abs(c - k) / abs(c) for c, k in zip(c_r(points), params.reference_tf()(points))]
+    return _worst(gap), gap

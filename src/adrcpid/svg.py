@@ -1,16 +1,16 @@
 """Minimal self-contained SVG line charts with linear or log axes.
 
 Plots are conveniences next to the CSV data, so the emitter stays small:
-fixed layout, a deterministic color cycle, no external dependencies.  Output
-is a pure function of the input series.
+fixed layout, a deterministic color cycle, no external dependencies, plain
+floats.  Output is a pure function of the input series.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import compress, groupby
+from typing import Sequence
 
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -37,8 +37,8 @@ def escape(text: str) -> str:
 @dataclass(frozen=True)
 class Series:
     name: str
-    x: np.ndarray
-    y: np.ndarray
+    x: Sequence[float]
+    y: Sequence[float]
 
 
 def _linear_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -55,7 +55,9 @@ def _linear_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + 1e-9 * step:
+    # a range only a few ulps wide has a step below the float resolution, which
+    # leaves t where it is: it gets the ticks up to there
+    while t <= hi + 1e-9 * step and (not ticks or t > ticks[-1]):
         ticks.append(0.0 if abs(t) < 1e-9 * step else t)
         t += step
     return ticks
@@ -73,8 +75,12 @@ def _fmt_tick(v: float) -> str:
     return f"{v:g}"
 
 
-def _transform(v: np.ndarray, log: bool) -> np.ndarray:
-    return np.log10(v) if log else v
+def _drawable(x: list[float], y: list[float], xlog: bool, ylog: bool) -> list[bool]:
+    """Per point (x, y), whether it can be drawn: finite, and positive on a log axis."""
+    isfinite = math.isfinite
+    if all(map(isfinite, x + y)) and (min(x, default=1.0) > 0 or not xlog) and (min(y, default=1.0) > 0 or not ylog):
+        return [True] * len(x)  # every point, found at the speed of the builtins
+    return [isfinite(u) and isfinite(v) and (u > 0 or not xlog) and (v > 0 or not ylog) for u, v in zip(x, y)]
 
 
 def line_chart(
@@ -87,25 +93,25 @@ def line_chart(
     ylog: bool = False,
 ) -> str:
     """Render named (x, y) series as one SVG line chart."""
-    # each series with its mask of drawable points: finite, and positive on a log axis
-    masked: list[tuple[str, np.ndarray, np.ndarray, np.ndarray]] = []
+    # the drawable points of all series in order, finite and positive on a log
+    # axis, and each series with the lengths of its runs of them
+    xs: list[float] = []
+    ys: list[float] = []
+    masked: list[tuple[str, list[int]]] = []
     for s in series:
-        x = np.asarray(s.x, dtype=float)
-        y = np.asarray(s.y, dtype=float)
-        ok = np.isfinite(x) & np.isfinite(y)
-        if xlog:
-            ok &= x > 0
-        if ylog:
-            ok &= y > 0
-        masked.append((s.name, x, y, ok))
-    if not any(ok.any() for *_, ok in masked):
+        x, y = list(map(float, s.x)), list(map(float, s.y))
+        ok = _drawable(x, y, xlog, ylog)
+        xs += compress(x, ok)
+        ys += compress(y, ok)
+        masked.append((s.name, [sum(run) for drawable, run in groupby(ok) if drawable]))
+    if not xs:
         raise ValueError("no finite data to plot")
 
-    x_all = np.concatenate([x[ok] for _, x, _, ok in masked])
-    y_all = np.concatenate([y[ok] for _, _, y, ok in masked])
-    tx_all, ty_all = _transform(x_all, xlog), _transform(y_all, ylog)
-    tx_lo, tx_hi = float(tx_all.min()), float(tx_all.max())
-    ty_lo, ty_hi = float(ty_all.min()), float(ty_all.max())
+    # the axis values, after the log transform
+    txs = list(map(math.log10, xs)) if xlog else xs
+    tys = list(map(math.log10, ys)) if ylog else ys
+    tx_lo, tx_hi = min(txs), max(txs)
+    ty_lo, ty_hi = min(tys), max(tys)
     if tx_hi <= tx_lo:
         tx_lo, tx_hi = tx_lo - 0.5, tx_hi + 0.5
     if ty_hi <= ty_lo:
@@ -117,12 +123,14 @@ def line_chart(
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
-    # axis value (after the log transform) -> pixel, for a tick or a whole series
-    def px(tv):
-        return MARGIN_LEFT + (tv - tx_lo) / (tx_hi - tx_lo) * plot_w
+    # axis values (after the log transform) -> pixels, for ticks or points
+    x_span, y_span = tx_hi - tx_lo, ty_hi - ty_lo
 
-    def py(tv):
-        return MARGIN_TOP + (ty_hi - tv) / (ty_hi - ty_lo) * plot_h
+    def px(tvs: list[float]) -> list[float]:
+        return [MARGIN_LEFT + (tv - tx_lo) / x_span * plot_w for tv in tvs]
+
+    def py(tvs: list[float]) -> list[float]:
+        return [MARGIN_TOP + (ty_hi - tv) / y_span * plot_h for tv in tvs]
 
     out: list[str] = []
     out.append(
@@ -136,13 +144,13 @@ def line_chart(
             f'font-size="15">{escape(title)}</text>'
         )
 
-    x_ticks = _log_ticks(x_all.min(), x_all.max()) if xlog else _linear_ticks(tx_lo, tx_hi)
-    y_ticks = _log_ticks(y_all.min(), y_all.max()) if ylog else _linear_ticks(ty_lo, ty_hi)
+    x_ticks = _log_ticks(min(xs), max(xs)) if xlog else _linear_ticks(tx_lo, tx_hi)
+    y_ticks = _log_ticks(min(ys), max(ys)) if ylog else _linear_ticks(ty_lo, ty_hi)
     for tick in x_ticks:
         tv = math.log10(tick) if xlog else tick
         if not tx_lo - 1e-9 <= tv <= tx_hi + 1e-9:
             continue
-        x = px(tv)
+        (x,) = px([tv])
         out.append(
             f'<line x1="{x:.2f}" y1="{MARGIN_TOP}" x2="{x:.2f}" '
             f'y2="{MARGIN_TOP + plot_h}" stroke="#dddddd" stroke-width="1"/>'
@@ -155,7 +163,7 @@ def line_chart(
         tv = math.log10(tick) if ylog else tick
         if not ty_lo - 1e-9 <= tv <= ty_hi + 1e-9:
             continue
-        y = py(tv)
+        (y,) = py([tv])
         out.append(
             f'<line x1="{MARGIN_LEFT}" y1="{y:.2f}" x2="{MARGIN_LEFT + plot_w}" '
             f'y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'
@@ -180,20 +188,17 @@ def line_chart(
             f'transform="rotate(-90 18 {yc:.1f})">{escape(ylabel)}</text>'
         )
 
-    for idx, (name, x, y, ok) in enumerate(masked):
+    pxs, pys = px(txs), py(tys)
+    end = 0
+    for idx, (name, lengths) in enumerate(masked):
         color = PALETTE[idx % len(PALETTE)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            xy = np.column_stack((px(_transform(x[ok], xlog)), py(_transform(y[ok], ylog))))
-        coords = xy.ravel().tolist()
-        # runs of finite points, as [start, end) positions among the finite ones
-        edges = np.flatnonzero(np.diff(np.concatenate(([False], ok, [False]))))
-        lengths = edges[1::2] - edges[::2]
-        end = 0
-        for n in lengths.tolist():
+        for n in lengths:
             start, end = end, end + n
             if n < 2:
                 continue
-            points = ("%.2f,%.2f " * n)[:-1] % tuple(coords[2 * start : 2 * end])
+            coords = [0.0] * (2 * n)
+            coords[::2], coords[1::2] = pxs[start:end], pys[start:end]
+            points = ("%.2f,%.2f " * n)[:-1] % tuple(coords)
             out.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.4" '
                 f'points="{points}"/>'

@@ -75,11 +75,11 @@ def _grid_residuals(order: int, perturbed: list[PidParams]) -> tuple[float, floa
 
 
 def _gang_of_four_identity(g7_adrc: GangOfSeven, g7_equiv: GangOfSeven) -> float:
-    omega = log_grid(GANG_OMEGA_LO, GANG_OMEGA_HI, GANG_OMEGA_POINTS)
+    points = [1j * w for w in log_grid(GANG_OMEGA_LO, GANG_OMEGA_HI, GANG_OMEGA_POINTS)]
     worst = 0.0
     for name in ("S", "PS", "CS", "T"):
-        ma = np.abs(np.asarray(g7_adrc.named()[name](1j * omega)))
-        me = np.abs(np.asarray(g7_equiv.named()[name](1j * omega)))
+        ma = np.abs(g7_adrc.named()[name](points))
+        me = np.abs(g7_equiv.named()[name](points))
         worst = max(worst, float(np.max(np.abs(ma - me) / np.maximum(ma, me))))
     return worst
 

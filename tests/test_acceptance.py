@@ -146,7 +146,7 @@ def test_criterion_4_asymptote_identities():
 
 @criterion("5 gang_of_four_identity")
 def test_criterion_5_gang_of_four_identity():
-    omega = log_grid(1e-2, 1e3, 300)
+    omega = np.array(log_grid(1e-2, 1e3, 300))
     for order in (1, 2):
         plant = nominal_plant(order)
         ctrls = controllers(order)

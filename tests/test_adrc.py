@@ -257,10 +257,9 @@ class TestObserverPoles:
 class TestTwoInputController:
     def test_requires_two_inputs_one_output(self):
         from adrcpid.adrc import TwoInputController
-        from adrcpid.lti import StateSpaceModel
 
         with pytest.raises(ValueError):
-            TwoInputController(StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], [[0.0]]), adrc_channels)
+            TwoInputController(([[-1.0]], [[1.0]], [[1.0]], [[0.0]]), adrc_channels)
 
     @pytest.mark.parametrize("design", [tune_first_order(1, 10, 1), tune_second_order(0.3, 25, -4)])
     def test_channels_made_once_from_the_closed_forms(self, monkeypatch, design):

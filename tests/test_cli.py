@@ -250,14 +250,33 @@ class TestFigureCommand:
         trace = np.array([float(row[column]) for row in rows])
         assert np.all(trace[-1000:] == tail)
 
-    def test_reports_unstable_cases_like_sweep(self, tmp_path, capsys):
+    def test_reports_unstable_and_clamped_cases_like_sweep(self, tmp_path, capsys):
         assert main(["figure", "6", "--out", str(tmp_path / "fig")]) == EXIT_OK
         figure_out = capsys.readouterr().out.splitlines()
         notes = [f"note: unstable case T={v} controller={c}" for v in ("0.1", "0.2", "5") for c in ("adrc", "equiv")]
+        # the diverging traces, clamped on output; T = 5 diverges too slowly to reach the cap
+        notes += [
+            f"note: column y_{c}_T={v} clamped to +-1e+06 at {n} of 4001 samples"
+            for c, v, n in (("adrc", "0.1", 3924), ("equiv", "0.1", 3924), ("adrc", "0.2", 3800), ("equiv", "0.2", 3802))
+        ]
         assert figure_out[: len(notes)] == notes
         assert all(line.startswith("wrote ") for line in figure_out[len(notes) :])
         assert main(["sweep", "--param", "T", "--order", "2", "--out", str(tmp_path / "sweep")]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[:-1] == notes
+
+    def test_clamp_notes_count_the_samples_the_csv_holds_at_the_cap(self, tmp_path, capsys):
+        # at g = 1e8 three ADRC traces diverge; the PI(D)F traces settle and say nothing
+        assert main(["figure", "5", "--g", "1e8", "--out", str(tmp_path)]) == EXIT_OK
+        notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note: ")]
+        with open(tmp_path / "fig5.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        clamped = {name: sum(abs(float(row[name])) == 1e6 for row in rows) for name in rows[0]}
+        assert notes == [
+            f"note: column {name} clamped to +-1e+06 at {count} of 4001 samples"
+            for name, count in clamped.items()
+            if count
+        ]
+        assert [line.split()[2] for line in notes] == ["y_adrc_K=0.5", "y_adrc_K=1", "y_adrc_K=5"]
 
     def test_comparison_controller_included(self, tmp_path):
         args = ["figure", "3", "--out", str(tmp_path), "--compare-pid", "20,70,0,0.012,0.2"]
@@ -272,6 +291,28 @@ class TestFigureCommand:
         out = tmp_path / "out"
         refusal = _run_clean([*argv, "--compare-pid", f"1,1,1,{Tf},1", "--out", str(out)], out)
         assert refusal.startswith(f"error: Tf={float(Tf)!r} is out of range: ")
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (
+                ["figure", "8", "--compare-pid", "1,1,1,1e-154,1"],
+                "the gang of seven at this plant is not representable: its closed-loop polynomial overflows",
+            ),
+            (
+                ["figure", "6", "--compare-pid", "1,1e300,1,1e-100,1"],
+                "the step response at this tuning is not representable: "
+                "the model's exponential over one sample time overflows",
+            ),
+        ],
+        ids=["gang", "trace"],
+    )
+    def test_comparison_refused_past_its_parameters_names_them(self, tmp_path, argv, reason):
+        # parameters that PidParams accepts, but whose gang or trace leaves the float range
+        values = [float(v) for v in argv[-1].split(",")]
+        named = ", ".join(f"{name}={value!r}" for name, value in zip(("kp", "ki", "kd", "Tf", "b"), values))
+        out = tmp_path / "out"
+        assert _run_clean([*argv, "--out", str(out)], out) == f"error: {named} are out of range: {reason}"
 
     @pytest.mark.parametrize("argv", [["figure", "5"], ["sweep", "--param", "K", "--order", "2"]])
     def test_comparison_pif_takes_any_finite_tf(self, tmp_path, argv):
@@ -436,7 +477,7 @@ def test_unstable_notes_match_a_300_digit_eigenvalue_solve(tmp_path, capsys, arg
     from adrcpid.analysis import closed_loop, sweep_plants
 
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
-    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note: ")]
+    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note: unstable ")]
     _, parameter, order = cli.FIGURES[int(argv[1])]
     cfg = cli._resolve_config(cli.build_parser().parse_args(argv))
     want = [
@@ -598,9 +639,19 @@ class TestCommandsAgree:
 
 HEAVY_MODULES = ("scipy", "urllib.request", "numpy.polynomial")
 # the modules that `figure`, `sweep` and `verify` run and `tune` does not
-NUMERIC_MODULES = ("numpy", "adrcpid.lti", "adrcpid.adrc", "adrcpid.pid_equiv")
+CONTROLLER_MODULES = ("adrcpid.lti", "adrcpid.adrc", "adrcpid.pid_equiv", "adrcpid.analysis")
 # the modules that only some commands run
-LAYER_MODULES = (*NUMERIC_MODULES, "adrcpid.analysis", "adrcpid.svg", "adrcpid.verify", "configparser")
+LAYER_MODULES = ("numpy", *CONTROLLER_MODULES, "adrcpid.svg", "adrcpid.verify", "configparser")
+# what each command loads of them: the frequency figures run on plain floats, and only
+# the step figures, sweep and verify, which simulate or split a realization, load numpy
+FIGURE_MODULES = (*CONTROLLER_MODULES, "adrcpid.svg", "configparser")
+LOADED_MODULES = {
+    ("tune", "--order", "2", "--ts", "1", "--g", "10"): (),
+    **{("figure", str(fig)): FIGURE_MODULES for fig in (3, 4, 7, 8)},
+    **{("figure", str(fig)): ("numpy", *FIGURE_MODULES) for fig in (1, 2, 5, 6)},
+    ("sweep", "--param", "K"): ("numpy", *FIGURE_MODULES),
+    ("verify",): ("numpy", *CONTROLLER_MODULES, "adrcpid.verify"),
+}
 
 
 def test_cli_import_leaves_out_scipy_and_urllib():
@@ -611,18 +662,10 @@ def test_cli_import_leaves_out_scipy_and_urllib():
     assert done.stdout.split() == []
 
 
-@pytest.mark.parametrize(
-    "argv, loaded",
-    [
-        (["tune", "--order", "2", "--ts", "1", "--g", "10"], ()),
-        (["figure", "3"], (*NUMERIC_MODULES, "adrcpid.analysis", "adrcpid.svg", "configparser")),
-        (["verify"], (*NUMERIC_MODULES, "adrcpid.analysis", "adrcpid.verify")),
-    ],
-    ids=["tune", "figure", "verify"],
-)
-def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
-    if argv[0] == "figure":
-        argv = [*argv, "--out", str(tmp_path)]
+@pytest.mark.parametrize("argv", LOADED_MODULES, ids=lambda argv: "".join(argv[:2]) if argv[0] == "figure" else argv[0])
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv):
+    loaded = LOADED_MODULES[argv]
+    argv = [*argv, "--out", str(tmp_path)] if argv[0] in ("figure", "sweep") else list(argv)
     modules = HEAVY_MODULES + LAYER_MODULES
     code = (
         "import sys\nfrom adrcpid.cli import main\n"

@@ -4,11 +4,17 @@ replaced gave.  Those expressions are kept here as the oracles, and every
 comparison is of ``float.hex()``, so signed zeros and the positions of inf and
 NaN count, over the package's tunings, powers of two alpha, negative b0 and K,
 and past the float range.  The float forms must raise no warning there.
+
+The one exception is ADRC's closed-form channels, whose powers c^j / T_s^j
+Python's ``**`` forms: numpy's array power can differ from it in the last bit.
+They are held to an exact rational reference within a derived bound, and to
+the numpy form only for where inf, NaN and signed zeros fall.
 """
 
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,8 +33,44 @@ from adrcpid.design import (
     pidf_from_adrc,
     pif_from_adrc,
 )
-from adrcpid.lti import StateSpaceModel, _over, _poly, _tf
+from adrcpid.lti import _over, _poly, _tf
 from adrcpid.pid_equiv import build_equivalent_controller
+
+
+# unit roundoff, and the range of normal floats with an ulp of slack at the top
+U = 2.0**-53
+NORMAL = (Fraction(2) ** -1022, Fraction(2) ** 1023)
+
+
+def adrc_channels_exact(design, alpha):
+    """The coefficients of adrc_channels' (C_r num, C_y num, den) as (exact value, in range):
+    the closed form in rational arithmetic from the float inputs, and whether every step that
+    the float form rounds, or that could leave the float range, is normal: the polynomial c
+    in g, T = T_s/alpha, T^j, w^j = c_n^j / T^j, c w^j and, in a numerator, b0 alpha^n and
+    c w^j / (b0 alpha^n)."""
+    n, c_n = design.order, SETTLING_CONSTANTS[design.order]
+    g, T = Fraction(design.g), Fraction(design.T_s) / Fraction(alpha)
+    b0 = Fraction(design.b0) * Fraction(alpha) ** n
+    if n == 1:
+        r, y, q = (g**2, 2 * g, 1), (g * g, (g + 2) * g), (2 * g + 1,)
+    else:
+        r, y = (g**3, 3 * g**2, 3 * g, 1), (g**3, (2 * g + 3) * g * g, ((g + 6) * g + 3) * g)
+        q = ((3 * g + 6) * g + 1, 3 * g + 2)
+
+    def coefficient(c, j, over_b0):
+        w = Fraction(c_n) ** j / T**j
+        steps = [Fraction(c), T, T**j, w, c * w] + ([b0, c * w / b0] if over_b0 else [])
+        return steps[-1], all(NORMAL[0] <= abs(v) <= NORMAL[1] for v in steps)
+
+    top = 2 * n + 1
+    num_r, num_y = ([coefficient(c, top - i, True) for i, c in enumerate(cs)] for cs in (r, y))
+    den = [(Fraction(0), True), *(coefficient(c, n - i, False) for i, c in enumerate(q)), (Fraction(1), True)]
+    return num_r, num_y, den
+
+
+def _kind(v: float) -> str:
+    """Where a value falls for the placement checks: NaN, a signed inf or zero, or finite."""
+    return "nan" if v != v else v.hex() if v in (0.0, math.inf, -math.inf) else "finite"
 
 
 def adrc_channels_numpy(design, alpha=1.0):
@@ -244,8 +286,23 @@ class TestClosedForms:
     @example((2, 1e10, 1.0, 4.981073788540406e-308), 2.0**-5)  # b0 alpha^2 is subnormal, rounded once
     def test_adrc_channels(self, tuning, alpha):
         design = _design(tuning)
-        got, want = _quietly(adrc_channels, design, alpha), adrc_channels_numpy(design, alpha)
-        assert [_tf_hex(tf) for tf in got] == [_tf_hex(tf) for tf in want]
+        (c_r, c_y), (np_r, np_y) = _quietly(adrc_channels, design, alpha), adrc_channels_numpy(design, alpha)
+        exact = adrc_channels_exact(design, alpha)
+        # relative error of a coefficient whose steps are normal: c takes at most 4
+        # roundings (g > 0, so its terms never cancel), T^j and w^j 3 (a libm pow is within
+        # 1 ulp, two roundings' worth, and w^j divides once), c w^j and the division by
+        # b0 alpha^n 1 each; T and b0 alpha^n are exact, alpha being a power of two
+        bound = Fraction(9 * U / (1 - 9 * U))
+        assert c_r.den is c_y.den
+        for got, numpy_form, want in zip((c_r.num, c_y.num, c_y.den), (np_r.num, np_y.num, np_y.den), exact):
+            assert len(got.coeffs) <= len(want)
+            # trailing zeros are trimmed
+            padded = zip(*(list(p.coeffs) + [0.0] * len(want) for p in (got, numpy_form)))
+            for (c, np_c), (value, in_range) in zip(padded, want):
+                if in_range:
+                    assert abs(Fraction(c) - value) <= bound * abs(value), (c, float(value))
+                else:
+                    assert _kind(c) == _kind(np_c), (c, np_c)
 
     @settings(max_examples=400)
     @given(st.one_of(WIDE_TUNINGS.map(lambda t: ("design", t)), PARAMS.map(lambda v: ("values", v))), POWERS_OF_TWO)
@@ -290,6 +347,6 @@ class TestLoopBlocks:
         else:  # any entries, inf and NaN too, in a 3-state controller
             A, B, C, D = (np.array(values[i:j]).reshape(shape) for i, j, shape in
                           ((0, 9, (3, 3)), (6, 12, (3, 2)), (12, 15, (1, 3)), (14, 16, (1, 2))))
-            c = TwoInputController(StateSpaceModel(A, B, C, D), lambda alpha: None)
+            c = TwoInputController(tuple(m.tolist() for m in (A, B, C, D)), lambda alpha: None)
         got = _quietly(closed_loop, plant, c)
         assert _matrices_hex((got.A, got.B, got.C, got.D)) == _matrices_hex(closed_loop_numpy(plant, c))

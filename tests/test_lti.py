@@ -1,5 +1,6 @@
 import builtins
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,19 +89,98 @@ COEFFS = st.lists(
 )
 
 
-class TestPolynomialMatchesNumpy:
-    """+, * and evaluation give the bits of numpy.polynomial."""
+# unit roundoff and the smallest subnormal, the absolute error of a result that underflows
+U = 2.0**-53
+ETA = 2.0**-1074
+
+
+def gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the bound on the relative error of k roundings (Higham, ASNA 3.1)."""
+    return k * U / (1 - k * U)
+
+
+def exact_value(coeffs, s) -> tuple[Fraction, Fraction]:
+    """(Re, Im) of the polynomial with float coefficients at the float point s, exactly."""
+    x, y = Fraction(s.real), Fraction(s.imag)
+    re, im = Fraction(0), Fraction(0)
+    for c in reversed(coeffs):  # Horner in exact arithmetic
+        re, im = Fraction(c) + re * x - im * y, re * y + im * x
+    return re, im
+
+
+# coefficients and points whose products and sums are exact in floats, with the
+# values that carry signed zeros, inf and NaN through them
+SPECIAL = st.lists(st.sampled_from((0.0, -0.0, 1.0, -2.5, 0.5, math.inf, -math.inf, math.nan)), min_size=1, max_size=5)
+SPECIAL_POINTS = st.sampled_from((0j, -0j, 1j, -1.5 + 0j, 2.0 - 1.0j, complex(0.0, -0.0), complex(math.inf, 0.0)))
+
+
+class TestPolynomialArithmetic:
+    """+ gives the bits of numpy's polyadd.  * and evaluation are plain float sums, each
+    coefficient or value within the standard forward-error bound of its sum (Higham, ASNA
+    3.1 and 5.1) of the exact result; where every product and sum is exact, they give the
+    bits of numpy's convolve and polyval, signed zeros, inf and NaN in their places."""
 
     @settings(max_examples=100)
-    @given(COEFFS, COEFFS, st.complex_numbers(max_magnitude=1e3))
-    def test_bitwise_equal_to_numpy_polynomial(self, a, b, s):
+    @given(COEFFS, COEFFS)
+    def test_sum_bitwise_equal_to_numpy_polyadd(self, a, b):
         p, q = Polynomial(tuple(a)), Polynomial(tuple(b))
-        for got, want in ((p + q, npoly.polyadd), (p * q, npoly.polymul)):
-            assert _same_bits(got.coeffs, Polynomial(tuple(want(p.coeffs, q.coeffs))).coeffs)
-        grid = np.array([s, 0.5 * s, 1j * abs(s)])
-        for x in (s, grid, grid.real, [s, -s]):
-            got, want = p(x), npoly.polyval(x, p.coeffs)
-            assert type(got) is type(want) and _same_bits(got, want)
+        assert _same_bits((p + q).coeffs, Polynomial(tuple(npoly.polyadd(p.coeffs, q.coeffs))).coeffs)
+
+    @settings(max_examples=200)
+    @given(COEFFS, COEFFS)
+    def test_product_within_the_bound_of_its_sums(self, a, b):
+        p, q = Polynomial(tuple(a)), Polynomial(tuple(b))
+        n = len(p.coeffs) + len(q.coeffs) - 1
+        got = list((p * q).coeffs) + [0.0] * n  # trailing zeros were trimmed
+        for k in range(n):
+            terms = [Fraction(x) * Fraction(q.coeffs[k - i]) for i, x in enumerate(p.coeffs) if 0 <= k - i < len(q.coeffs)]
+            # coefficient k sums its m = len(terms) products from 0.0, one rounding per
+            # product and per addition: |error| <= gamma_m sum |a_i b_j|, plus one ETA
+            # per operation that underflows
+            m = len(terms)
+            bound = Fraction(gamma(m)) * sum(map(abs, terms)) + 2 * m * Fraction(ETA)
+            assert abs(Fraction(got[k]) - sum(terms)) <= bound, k
+
+    @settings(max_examples=200)
+    @given(COEFFS, st.complex_numbers(max_magnitude=1e3))
+    def test_value_within_the_bound_of_horner(self, a, s):
+        p = Polynomial(tuple(a))
+        n = p.degree
+        for x in (s, complex(s.real, 0.0), s.real):
+            got = complex(p(x))
+            re, im = exact_value(p.coeffs, x)
+            # step k of Horner's rule, c + v * x, is one complex product, off by at most
+            # sqrt(2) gamma_2 of |v x| (Higham, ASNA lemma 3.5), and one complex sum, off by
+            # at most u of its value: the value is off by at most
+            # ((1 + sqrt(2) gamma_2)^n (1 + u)^n - 1) sum |c_i| |x|^i.  The bound is
+            # formed in floats, to a relative 1e-12 that its last factor covers.
+            theta = (1 + math.sqrt(2) * gamma(2)) ** n * (1 + U) ** n - 1
+            size = sum(abs(c) * abs(x) ** i for i, c in enumerate(p.coeffs))
+            underflow = 4 * ETA * sum((1 + abs(x)) ** i for i in range(n + 1))
+            bound = Fraction((theta * size + underflow) * (1 + 1e-12))
+            assert (Fraction(got.real) - re) ** 2 + (Fraction(got.imag) - im) ** 2 <= bound**2
+
+    @settings(max_examples=200)
+    @given(SPECIAL, SPECIAL, SPECIAL_POINTS)
+    def test_signed_zeros_inf_and_nan_where_numpy_puts_them(self, a, b, s):
+        p, q = Polynomial(tuple(a)), Polynomial(tuple(b))
+        with np.errstate(all="ignore"):
+            want_product = Polynomial(tuple(npoly.polymul(p.coeffs, q.coeffs))).coeffs
+            want_values = [npoly.polyval(x, p.coeffs) for x in (s, s.real)]
+        assert _hex((p * q).coeffs) == _hex(want_product)
+        for x, want in zip((s, s.real), want_values):
+            got = p(x)
+            assert type(got) is type(x) and _hex((got.real, got.imag)) == _hex((want.real, want.imag))
+
+    def test_a_sequence_of_points_gives_the_list_of_values(self):
+        p = Polynomial((1.0, -2.0, 0.5))
+        grid = np.array([1j, 0.5 + 2j, -3.0])
+        assert p(grid) == p(grid.tolist()) == [p(x) for x in grid.tolist()]
+        assert p((2.0, -1.0)) == [p(2.0), p(-1.0)] and type(p(2.0)) is float
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
 
 
 def _product(a, b):
@@ -286,6 +366,18 @@ class TestTfToSs:
             assert tf_residual(a, back) < 1e-9
 
 
+class TestLogGrid:
+    def test_within_two_ulp_of_numpy_logspace(self):
+        # both raise 10 to the same exponents; libm's pow and numpy's may differ by an ulp each
+        for lo, hi, n in ((1e-2, 1e4, 600), (1e-2, 1e3, 300), (3e-7, 2.5e5, 7)):
+            got, want = np.array(log_grid(lo, hi, n)), np.logspace(np.log10(lo), np.log10(hi), n)
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
+    def test_last_point_past_the_float_range_refused(self):
+        with pytest.raises(ValueError, match="its last point overflows"):
+            log_grid(1e-2, 1.7976931348623157e308, 3)
+
+
 class TestFreqResponse:
     def test_integrator_at_one(self):
         assert tf((1,), (0, 1))(1j) == pytest.approx(-1j)
@@ -298,7 +390,7 @@ class TestFreqResponse:
     def test_ss_matches_tf_route(self):
         # two independent routes: direct solve vs polynomial evaluation
         rng = np.random.default_rng(11)
-        omega = log_grid(1e-2, 1e3, 120)
+        omega = np.array(log_grid(1e-2, 1e3, 120))
         for _ in range(10):
             n = int(rng.integers(1, 7))
             A = rng.normal(size=(n, n))
@@ -316,7 +408,7 @@ class TestFreqResponse:
         want = [1e300 * ((1 + 3 * x) / (1e-10 + 1e-5 * x + x * x)) for x in s.tolist()]
         got = h(s)
         assert got[0] == h.num(1j) / h.den(1j)  # in range: the plain ratio, bit for bit
-        assert got.tolist() == pytest.approx(want, rel=1e-14)
+        assert got == pytest.approx(want, rel=1e-14)
         assert h(1e10j) == got[1]
 
     def test_value_in_range_where_the_quotient_overflows(self):

@@ -334,7 +334,7 @@ class TestReferenceTf:
         p = equivalent_params(AdrcDesign(*tuning))
         reference = p.reference_tf()
         assert reference.den.coeffs == p.feedback_tf().den.coeffs
-        s = 1j * log_grid(1e-3, 1e3, 61) / tuning[1]
+        s = 1j * np.array(log_grid(1e-3, 1e3, 61)) / tuning[1]
         expected = p.b * p.kp + p.ki / s
         assert np.max(np.abs(reference(s) - expected) / np.abs(expected)) < 1e-12
 
@@ -358,7 +358,7 @@ class TestReferenceChannelGap:
         assert sup == pytest.approx(FREQ_GAP_GOLDEN[order], abs=1e-9)
         # finite and attained in the interior of the grid
         peak = int(np.argmax(gap))
-        assert 0 < peak < omega.size - 1 and sup == gap[peak]
+        assert 0 < peak < len(omega) - 1 and sup == gap[peak]
 
 
 class TestSetpointWeightConsistency:

@@ -19,14 +19,18 @@ from adrcpid.svg import (
     _fmt_tick,
     _linear_ticks,
     _log_ticks,
-    _transform,
     escape,
     line_chart,
 )
 
 
-# The loop line_chart had before it worked on whole arrays, kept verbatim as
-# the reference for the vectorized one.
+def _transform(v: np.ndarray, log: bool) -> np.ndarray:
+    """An axis's values after its log transform, math.log10 per value as line_chart takes it."""
+    return np.array([math.log10(x) for x in v.tolist()]) if log else v
+
+
+# The loop line_chart had before it worked on whole arrays, kept verbatim
+# but for the log transform above as the reference for the current one.
 def reference_line_chart(
     series: list[Series],
     *,
@@ -227,3 +231,11 @@ def test_no_finite_point_is_refused_on_both_sides():
     assert _render(line_chart, series) == _render(reference_line_chart, series) == (
         ValueError, "no finite data to plot",
     )
+
+
+def test_an_axis_a_few_ulps_wide_gets_its_ticks():
+    # the tick step is below the float resolution there; adding it once left t in place for good
+    lo, hi = 1.0, 1.0 + 2.0**-51
+    assert _linear_ticks(lo, hi) == [1.0 - 2.0**-53, 1.0]
+    chart = line_chart([Series("a", [0.0, 1.0], [lo, hi])])
+    assert chart.count("<polyline") == 1

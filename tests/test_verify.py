@@ -96,6 +96,6 @@ class TestAdrcRealization:
     def test_detects_forms_that_the_realization_does_not_realize(self):
         design = AdrcDesign(2, 1.0, 10.0, 1.0)
         other = AdrcDesign(2, 1.0, 10.0 * (1 + 1e-8), 1.0)
-        mismatched = adrc.TwoInputController(adrc.build_adrc(design).ss, partial(adrc_channels, other))
+        mismatched = adrc.TwoInputController(adrc.build_adrc(design).realization, partial(adrc_channels, other))
         assert verify._realization_residual(adrc.build_adrc(design)) < 1e-12
         assert verify._realization_residual(mismatched) > 1e-9
