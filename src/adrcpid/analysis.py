@@ -3,8 +3,9 @@
 Builds the standard feedback interconnection (reference, plant-input
 disturbance, measurement noise), the gang-of-four/seven sensitivity set,
 and plant-parameter step-response sweeps in which the controllers are
-deliberately not retuned.  Plants and gangs are plain floats; the closed
-loop, a state-space model, and the sweeps import numpy on first use.
+deliberately not retuned.  The module itself is plain floats and imports
+no numpy: a closed loop's rows go to ``lti``, which makes its state-space
+model, and a sweep's step responses are ``lti``'s.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping
 
 from .adrc import TwoInputController, extract_cr_cy
 from .lti import (
@@ -23,7 +22,6 @@ from .lti import (
     StepResponseTable,
     _over,
     _poly,
-    _tf,
     _worst,
     is_stable,
     poly_residual,
@@ -57,8 +55,7 @@ class PlantModel:
         if not math.isfinite(self.K):
             raise ValueError(f"plant K must be finite, got {self.K!r}")
         for name, value in (("T", self.T), ("D", self.D))[: self.order]:
-            if value is None or not 0 < value < math.inf:
-                raise ValueError(f"plant {name} must be finite and > 0, got {value!r}")
+            _check_positive(name, value)
         monic = _monic_plant(self.order, self.K, self.T, self.D)
         if monic is None:
             # name T if the plant fails even at K = D = 1, else D if it fails at K = 1
@@ -72,17 +69,17 @@ class PlantModel:
         # kept outside the fields, so that ==, hash and repr see the inputs only
         object.__setattr__(self, "_monic", monic)
 
-    @cached_property
-    def tf(self) -> RationalTransferFunction:
-        """The transfer function as written."""
-        num, den = _plant_coeffs(self.order, self.K, self.T, self.D)
-        return _tf(_poly(list(map(float, num))), _poly(list(map(float, den))))
-
     @property
     def canonical_tf(self) -> RationalTransferFunction:
-        """tf over a monic denominator, as the plant's check made it: made once
-        per plant and shared by the gangs and loops of that plant."""
+        """The transfer function over a monic denominator, as the plant's check made
+        it: made once per plant and shared by the gangs and loops of that plant."""
         return self._monic
+
+
+def _check_positive(name: str, value: float | None) -> None:
+    """Refuse a plant T or D that is not finite and > 0."""
+    if value is None or not 0 < value < math.inf:
+        raise ValueError(f"plant {name} must be finite and > 0, got {value!r}")
 
 
 def _plant_coeffs(order: int, K: float, T: float, D: float | None) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -119,8 +116,6 @@ def closed_loop(plant: PlantModel, c: TwoInputController) -> StateSpaceModel:
     realization with the bits of its matrix expression (A_p + Dc_y B_p C_p,
     B_p C_c, B_c,y C_p, ...), in which a product with one inner term is 0.0 + x*y.
     """
-    import numpy as np
-
     P = plant.canonical_tf
     (k,), a = P.num.coeffs, P.den.coeffs
     Ac, Bc, (Cc,), ((Dc_r, Dc_y),) = c.realization
@@ -143,7 +138,7 @@ def closed_loop(plant: PlantModel, c: TwoInputController) -> StateSpaceModel:
     # C_p, then Dc_y C_p and C_c in u's row
     C = [[k, *[0.0] * (len(A) - 1)], [k * Dc_y, *[zero] * (n_p - 1), *Cc]]
     D = [[0.0, 0.0, 0.0], [Dc_r, 0.0, Dc_y]]
-    return StateSpaceModel._trusted(*map(np.array, (A, B, C, D)), ("r", "d_u", "n"), ("y", "u"))
+    return StateSpaceModel._trusted(A, B, C, D, ("r", "d_u", "n"), ("y", "u"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,25 +232,16 @@ def s_plus_t_residual(g: GangOfSeven) -> float:
 @dataclass(frozen=True, eq=False)
 class SweepCase:
     value: float
-    controller: str
     table: StepResponseTable
     stable: bool
 
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Step responses across one swept plant parameter, per controller."""
+    """Step responses of one controller across one swept plant parameter, one case per value."""
 
     parameter: str
-    values: tuple[float, ...]
-    controllers: tuple[str, ...]
     cases: tuple[SweepCase, ...]
-
-    def case(self, value: float, controller: str) -> SweepCase:
-        for c in self.cases:
-            if c.value == value and c.controller == controller:
-                return c
-        raise KeyError(f"no sweep case for {self.parameter}={value}, {controller!r}")
 
 
 def sweep_plants(plant: PlantModel, parameter: str, values) -> tuple[PlantModel, ...]:
@@ -283,13 +269,13 @@ def step_sweep(
     plant: PlantModel,
     parameter: str,
     values,
-    controllers: Mapping[str, TwoInputController],
+    controller: TwoInputController,
     t_end: float,
     n_steps: int = STEP_N_STEPS,
 ) -> SweepResult:
-    """Unit reference steps over a plant-parameter sweep.
+    """Unit reference steps of one controller over a plant-parameter sweep.
 
-    Controllers are not retuned per case; unstable combinations are
+    The controller is not retuned per case; unstable combinations are
     simulated anyway and flagged instead of raising.  A case is stable if
     is_stable passes its chi, formed in the sweep's own time unit
     s~ = alpha*s, with alpha the power of two at or below t_end (the
@@ -298,45 +284,23 @@ def step_sweep(
     stay in the float range where those of chi in s overflow.  C_y in s~ is
     ``channels(alpha)`` of the controller; a coefficient past the float
     range is inf or NaN and makes chi "not stable".  A case whose step
-    response is refused raises _CaseRefused, which names its controller.
+    response is refused raises that refusal.
     """
     plants = sweep_plants(plant, parameter, values)
-    if not controllers:
-        raise ValueError("need at least one controller")
-    values = tuple(getattr(swept, parameter) for swept in plants)
     alpha = math.ldexp(0.5, math.frexp(t_end)[1])
-    measurements = {name: ctrl.channels(alpha)[1] for name, ctrl in controllers.items()}
+    measurement = controller.channels(alpha)[1]
     cases = []
-    for v, swept in zip(values, plants):
-        for name, ctrl in controllers.items():
-            try:
-                table = step_response(closed_loop(swept, ctrl), input=0, t_end=t_end, n_steps=n_steps)
-            except ValueError as exc:
-                raise _CaseRefused(name, str(exc)) from None
-            chi = _loop_polynomial(*_time_scaled_plant(swept, alpha), measurements[name])[2]
-            cases.append(SweepCase(value=v, controller=name, table=table, stable=is_stable(chi)))
-    return SweepResult(
-        parameter=parameter,
-        values=values,
-        controllers=tuple(controllers),
-        cases=tuple(cases),
-    )
-
-
-class _CaseRefused(ValueError):
-    """The refusal of one sweep case's step response, with the name of its controller."""
-
-    def __init__(self, controller: str, reason: str):
-        super().__init__(reason)
-        self.controller = controller
+    for swept in plants:
+        table = step_response(closed_loop(swept, controller), input=0, t_end=t_end, n_steps=n_steps)
+        chi = _loop_polynomial(*_time_scaled_plant(swept, alpha), measurement)[2]
+        cases.append(SweepCase(value=getattr(swept, parameter), table=table, stable=is_stable(chi)))
+    return SweepResult(parameter=parameter, cases=tuple(cases))
 
 
 def _time_scaled_plant(plant: PlantModel, alpha: float) -> tuple[float, Polynomial]:
     """(k, dp) of the monic plant in s~ = alpha*s: coefficient j of dp times
-    alpha**(n - j), and k times alpha**n; inf past the float range."""
-    import numpy as np
-
+    alpha**(n - j), and k times alpha**n; inf past the float range.  alpha is a
+    power of two, so each power is exact, inf or 0."""
     P = plant.canonical_tf
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = alpha ** np.arange(plant.order, -1.0, -1.0)
-        return float(P.num.coeffs[0] * powers[0]), _poly((np.array(P.den.coeffs) * powers).tolist())
+    powers = (alpha * alpha, alpha, 1.0)[2 - plant.order :]
+    return P.num.coeffs[0] * powers[0], _poly([c * x for c, x in zip(P.den.coeffs, powers)])

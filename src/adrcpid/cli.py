@@ -27,10 +27,10 @@ from .design import AdrcDesign, PidParams, equivalent_params, equivalent_realiza
 # numpy.  The layers only some commands run (lti, adrc, pid_equiv, analysis,
 # svg, verify, configparser) are imported by the functions that use them,
 # so that a fresh process loads only what its command needs: `tune` none of
-# them, `figure` all but verify, `verify` all but svg.  Those layers import
-# numpy only in their state-space half, so of the commands only the step
-# figures (1, 2, 5, 6), `sweep` and `verify` load it: the bode and gang
-# figures (3, 4, 7, 8) run on plain floats.
+# them, `figure` all but verify, `verify` all but svg.  Of those layers only
+# lti's state-space half and verify import numpy, so of the commands only
+# the step figures (1, 2, 5, 6), `sweep` and `verify` load it: the bode and
+# gang figures (3, 4, 7, 8) run on plain floats.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -87,11 +87,13 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Build every object the config describes, so that bad input fails
         here, before any work, with the message of the type that owns the rule."""
-        from .analysis import PlantModel, sweep_plants
+        from .analysis import _check_positive, sweep_plants
         from .lti import log_grid
 
         AdrcDesign(self.order, self.ts, self.g, self.b0)
-        plant = PlantModel(2, self.plant_k, self.plant_t, self.plant_d)
+        # the plant of the order the command runs; its damping D is refused at order 1 too
+        plant = _plant(self, self.order)
+        _check_positive("D", self.plant_d)
         for parameter, field in SWEEP_FIELDS.items():
             if getattr(self, field) is not None:
                 sweep_plants(plant, parameter, getattr(self, field))
@@ -221,7 +223,8 @@ def _pid_refusal(cfg: ExperimentConfig, reason: ValueError) -> ValueError:
 
 
 def _per_controller(cfg: ExperimentConfig, order: int, columns: Callable[[TwoInputController], dict]) -> dict:
-    """columns(controller) for each controller of a figure, by name and in order."""
+    """columns(controller) for each controller of a figure, by name and in order; the one
+    place where a refusal of the --compare-pid controller's columns names its values."""
     out = {}
     for name, ctrl in _controllers(cfg, order).items():
         try:
@@ -259,63 +262,54 @@ def _write_csv(path: Path, names: list[str], columns: list[Sequence[float]]) -> 
         fh.write(row * len(columns[0]) % tuple(chain.from_iterable(zip(*columns))))
 
 
-def _step_columns(sweep: SweepResult) -> tuple[list[str], list[list[float]], list[Series], list[str]]:
-    """The CSV names and columns of a sweep, its SVG series and one note per clamped column."""
+def _step_columns(sweeps: dict[str, SweepResult]) -> tuple[list[str], list[list[float]], list[Series], list[str]]:
+    """The CSV names and columns of the sweeps of a figure's controllers, by name, value-major;
+    their SVG series, and one note per unstable case, then one per clamped column."""
     from .analysis import _case_label
     from .svg import Series
 
-    t = sweep.cases[0].table.t.tolist()
+    first = next(iter(sweeps.values()))
+    t = first.cases[0].table.t.tolist()
     # CSV keeps every sample; the SVG gets a decimated copy to stay small
     stride = max(1, len(t) // 1000)
     names = ["t"]
     columns = [t]
     series = []
-    notes = []
-    for case in sweep.cases:  # value-major, as step_sweep orders them
-        y, clamped = _capped(case.table.columns["y"])
-        y = y.tolist()
-        label = f"y_{case.controller}_{_case_label(sweep.parameter, case.value)}"
-        names.append(label)
-        columns.append(y)
-        series.append(Series(label, t[::stride], y[::stride]))
-        if clamped:
-            notes.append(f"note: column {label} clamped to +-{CSV_CAP:g} at {clamped} of {len(y)} samples")
-    return names, columns, series, notes
+    unstable = []
+    clamps = []
+    for cases in zip(*(sweep.cases for sweep in sweeps.values())):
+        for controller, case in zip(sweeps, cases):
+            case_label = _case_label(first.parameter, case.value)
+            if not case.stable:
+                unstable.append(f"note: unstable case {case_label} controller={controller}")
+            y, clamped = _capped(case.table.columns["y"])
+            y = y.tolist()
+            label = f"y_{controller}_{case_label}"
+            names.append(label)
+            columns.append(y)
+            series.append(Series(label, t[::stride], y[::stride]))
+            if clamped:
+                clamps.append(f"note: column {label} clamped to +-{CSV_CAP:g} at {clamped} of {len(y)} samples")
+    return names, columns, series, unstable + clamps
 
 
 def _figure_step(cfg: ExperimentConfig, order: int, parameter: str):
-    from .analysis import STEP_HORIZON_FACTOR, STEP_N_STEPS, _case_label, _CaseRefused, step_sweep
+    from .analysis import STEP_HORIZON_FACTOR, step_sweep
     from .svg import line_chart
 
     values = getattr(cfg, SWEEP_FIELDS[parameter])
     if values is None:
         values = DEFAULT_SWEEPS[(order, parameter)]
-    try:
-        sweep = step_sweep(
-            _plant(cfg, order),
-            parameter,
-            values,
-            _controllers(cfg, order),
-            t_end=STEP_HORIZON_FACTOR * cfg.ts,
-            n_steps=STEP_N_STEPS,
-        )
-    except _CaseRefused as exc:
-        if exc.controller != "pid":
-            raise
-        raise _pid_refusal(cfg, exc) from None
-    names, columns, series, clamp_notes = _step_columns(sweep)
+    plant, t_end = _plant(cfg, order), STEP_HORIZON_FACTOR * cfg.ts
+    sweeps = _per_controller(cfg, order, lambda ctrl: step_sweep(plant, parameter, values, ctrl, t_end))
+    names, columns, series, notes = _step_columns(sweeps)
     markup = line_chart(
         series,
         title=f"Closed-loop step response, {parameter} sweep (order {order})",
         xlabel="t [s]",
         ylabel="y",
     )
-    notes = [
-        f"note: unstable case {_case_label(parameter, case.value)} controller={case.controller}"
-        for case in sweep.cases
-        if not case.stable
-    ]
-    return names, columns, markup, notes + clamp_notes
+    return names, columns, markup, notes
 
 
 def _magnitude(value: complex) -> float:
@@ -551,6 +545,8 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     flags = dict(vars(args))
     if flags.get("values") is not None:  # sweep --values lists the swept parameter's values
         flags[SWEEP_FIELDS[args.param]] = flags["values"]
+    if args.command == "figure":  # a figure runs at the plant order of its experiment
+        flags["order"] = FIGURES[args.id][2]
     overrides = {
         field: parse(flags[field])
         for keys in _CONFIG_FIELDS.values()
@@ -609,8 +605,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_tune(args.order, args.ts, args.g, args.b0)
         cfg = _resolve_config(args)
         if args.command == "figure":
-            _, _, order = FIGURES[args.id]
-            cfg = dataclasses.replace(cfg, order=order)
             return cmd_figure(args.id, cfg)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.param)

@@ -145,10 +145,6 @@ class RationalTransferFunction:
         if self.den.is_zero:
             raise ValueError("denominator must not be the zero polynomial")
 
-    @classmethod
-    def from_coeffs(cls, num: Sequence[float], den: Sequence[float]) -> "RationalTransferFunction":
-        return cls(Polynomial(tuple(num)), Polynomial(tuple(den)))
-
     def __call__(self, s):
         """num(s)/den(s), both by Horner in s; at each point of s if s is not a number.
 
@@ -334,10 +330,12 @@ class StateSpaceModel:
 
     @classmethod
     def _trusted(cls, A, B, C, D, input_labels: tuple[str, ...], output_labels: tuple[str, ...]) -> "StateSpaceModel":
-        """A model of 2-D float arrays and labels already known to pass
-        __post_init__, made without running it; the arrays are made read-only."""
+        """A model of rows of floats and labels already known to pass __post_init__,
+        made without running it; each matrix is one read-only array of its rows."""
+        import numpy as np
+
         m = object.__new__(cls)
-        m._fill(A, B, C, D, input_labels, output_labels)
+        m._fill(*map(np.array, (A, B, C, D)), input_labels, output_labels)
         return m
 
     def _fill(self, A, B, C, D, input_labels, output_labels) -> None:
@@ -466,8 +464,11 @@ def _balance(M: np.ndarray) -> np.ndarray:
     each sweep rescales state i so that the off-diagonal 1-norms of its row
     and column meet, jumping straight to the nearest power of two, and the
     sweeps stop once no scale changes.  Power-of-two scales are exact, so
-    balancing adds no rounding error.  Plain lists, because for n <= 7 the
-    per-call overhead of numpy reductions would dominate.
+    balancing adds no rounding error.  As gebal bounds its scales to the safe
+    float range, each exponent stays within +-1000, so that every scale is
+    finite and nonzero: where a column's off-diagonal entries are subnormal,
+    the iteration would otherwise scale its state past the float range.  Plain
+    lists, because for n <= 7 the per-call overhead of numpy reductions would dominate.
     """
     import numpy as np
 
@@ -494,6 +495,8 @@ def _balance(M: np.ndarray) -> np.ndarray:
             except (OverflowError, ValueError):  # r / c over- or underflowed
                 k = round(0.5 * (math.log2(r) - math.log2(c)))
             if k:
+                if not -1000 <= exponents[i] + k <= 1000:
+                    k = (1000 if k > 0 else -1000) - exponents[i]
                 f = 2.0**k
                 if c * f + r / f < 0.95 * (c + r):
                     for other in A:

@@ -93,8 +93,7 @@ def _realization_residual(ctrl: TwoInputController) -> float:
 
 
 def _filter_damping_range() -> float:
-    gs = np.logspace(np.log10(0.1), np.log10(100.0), 201)
-    ds = np.array([equivalent_params(tune_second_order(1.0, float(g), 1.0)).d for g in gs])
+    ds = np.array([equivalent_params(tune_second_order(1.0, g, 1.0)).d for g in log_grid(0.1, 100.0, 201)])
     lower = D_MIN_EXACT - 1e-12
     violation = max(0.0, float(lower - ds.min()), float(ds.max() - (1.0 - 1e-12)))
     min_offset = abs(float(ds.min()) - D_MIN_EXACT)

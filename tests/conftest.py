@@ -12,7 +12,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from adrcpid.design import SETTLING_CONSTANTS
-from adrcpid.lti import StateSpaceModel, _balance
+from adrcpid.lti import Polynomial, RationalTransferFunction, StateSpaceModel, _balance
 
 # Property tests replay the same examples on every run and keep no example
 # database, so a failure reproduces and a pass does not depend on past runs.
@@ -31,6 +31,17 @@ TUNINGS = st.tuples(
     log_uniform(1.0, 1e3),
     st.builds(lambda sign, mag: sign * mag, st.sampled_from((-1.0, 1.0)), log_uniform(1e-3, 1e3)),
 )
+
+
+def tf(num, den) -> RationalTransferFunction:
+    """The transfer function num/den of coefficients in ascending powers of s, by the checked constructors."""
+    return RationalTransferFunction(Polynomial(tuple(num)), Polynomial(tuple(den)))
+
+
+def plant_tf(plant) -> RationalTransferFunction:
+    """A plant's transfer function as written: K/(T s + 1) or K/(T^2 s^2 + 2 D T s + 1)."""
+    den = (1.0, plant.T) if plant.order == 1 else (1.0, 2.0 * plant.D * plant.T, plant.T**2)
+    return tf((plant.K,), den)
 
 
 def tf_to_ss(a) -> StateSpaceModel:

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import tf
 
 from adrcpid.adrc import (
     build_adrc,
@@ -25,7 +26,6 @@ from adrcpid.analysis import (
 )
 from adrcpid.cli import main
 from adrcpid.lti import (
-    RationalTransferFunction,
     log_grid,
     ss_to_tf,
     step_response,
@@ -98,7 +98,7 @@ def test_criterion_1_exact_y_channel_equivalence():
 @criterion("2 reference_channel_coefficients")
 def test_criterion_2_reference_channel_coefficients():
     c_r, _ = extract_cr_cy(build_adrc(tune_first_order(1, 10, 1)))
-    printed = RationalTransferFunction.from_coeffs((6400, 320, 4), (0, 84, 1))
+    printed = tf((6400, 320, 4), (0, 84, 1))
     assert tf_residual(c_r, printed) < 1e-9
 
 
@@ -164,11 +164,12 @@ def test_criterion_6_robustness_sweeps():
         plant = nominal_plant(order)
         ctrls = controllers(order)
         for parameter, values in (("K", K_SWEEP[order]), ("T", T_SWEEP[order])):
-            figure_sweep = step_sweep(plant, parameter, values, ctrls, t_end=10.0)
+            adrc_sweep, equiv_sweep = (
+                step_sweep(plant, parameter, values, ctrls[name], t_end=10.0) for name in ("adrc", "equiv")
+            )
             gap = 0.0
-            for v in figure_sweep.values:
-                adrc_case = figure_sweep.case(v, "adrc")
-                equiv_case = figure_sweep.case(v, "equiv")
+            for adrc_case, equiv_case in zip(adrc_sweep.cases, equiv_sweep.cases, strict=True):
+                assert adrc_case.value == equiv_case.value
                 assert adrc_case.stable == equiv_case.stable
                 if adrc_case.stable:
                     delta = np.max(
@@ -180,12 +181,13 @@ def test_criterion_6_robustness_sweeps():
             # final-value check on a horizon long enough for the slowest
             # stable mode (order 2, K=0.1: Re lambda ~ -0.69) to decay below
             # the tolerance; diverging cases stay flagged, never raise
-            final_sweep = step_sweep(plant, parameter, values, ctrls, t_end=30.0)
-            for case in final_sweep.cases:
-                if case.stable:
-                    assert abs(case.table.columns["y"][-1] - 1.0) < 1e-6
-                else:
-                    assert order == 2 and parameter == "T"
+            for ctrl in ctrls.values():
+                final_sweep = step_sweep(plant, parameter, values, ctrl, t_end=30.0)
+                for case in final_sweep.cases:
+                    if case.stable:
+                        assert abs(case.table.columns["y"][-1] - 1.0) < 1e-6
+                    else:
+                        assert order == 2 and parameter == "T"
 
 
 @criterion("7 nominal_settling_time")

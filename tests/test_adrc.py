@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import TUNINGS, exact_adrc_split, log_uniform
+from conftest import TUNINGS, exact_adrc_split, log_uniform, tf
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyfromroots, polyroots
@@ -30,7 +30,6 @@ from adrcpid.design import (
 )
 from adrcpid.lti import (
     Polynomial,
-    RationalTransferFunction,
     poly_residual,
     tf_residual,
 )
@@ -105,14 +104,14 @@ class TestFirstOrderController:
     def test_reference_channel_printed_coefficients(self):
         c = build_adrc(tune_first_order(1, 10, 1))
         c_r, _ = extract_cr_cy(c)
-        expected = RationalTransferFunction.from_coeffs((6400, 320, 4), (0, 84, 1))
+        expected = tf((6400, 320, 4), (0, 84, 1))
         assert tf_residual(c_r, expected) < 1e-9
 
     def test_measurement_channel_is_filtered_pi(self):
         c = build_adrc(tune_first_order(1, 10, 1))
         _, c_y = extract_cr_cy(c)
         kp, ki, tf_ = 480 / 21, 1600 / 21, 1 / 84
-        expected = RationalTransferFunction.from_coeffs((ki, kp), (0, 1, tf_))
+        expected = tf((ki, kp), (0, 1, tf_))
         assert tf_residual(c_y, expected) < 1e-9
 
     def test_reference_channel_integral_gain(self):
@@ -133,7 +132,7 @@ class TestFirstOrderController:
                 for b0 in B0_GRID:
                     d = tune_first_order(ts, g, b0)
                     c_r, _ = extract_cr_cy(build_adrc(d))
-                    expected = RationalTransferFunction.from_coeffs(
+                    expected = tf(
                         (d.K_P * d.l2 / b0, d.K_P * d.l1 / b0, d.K_P / b0),
                         (0.0, d.l1 + d.K_P, 1.0),
                     )
@@ -158,7 +157,7 @@ class TestSecondOrderController:
         n0 = d.K_P * d.l3
         q1 = d.l1 + d.K_D
         q0 = d.l1 * d.K_D + d.l2 + d.K_P
-        expected = RationalTransferFunction.from_coeffs((n0, n1, n2), (0.0, q0, q1, 1.0))
+        expected = tf((n0, n1, n2), (0.0, q0, q1, 1.0))
         assert tf_residual(c_y, expected) < 1e-9
         assert q1 == pytest.approx(192.0)
         assert q0 == pytest.approx(12996.0)

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
-from conftest import TUNINGS, exact_adrc_split, exact_stable, log_uniform, mp_stable, tf_to_ss
+from conftest import TUNINGS, exact_adrc_split, exact_stable, log_uniform, mp_stable, plant_tf, tf, tf_to_ss
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -104,13 +104,13 @@ def dc_gains(loop):
 class TestPlantModel:
     def test_first_order_tf(self):
         p = PlantModel(order=1, K=2, T=3)
-        assert p.tf.num.coeffs == (2.0,)
-        assert p.tf.den.coeffs == (1.0, 3.0)
+        assert p.canonical_tf.num.coeffs == (2.0 / 3.0,)
+        assert p.canonical_tf.den.coeffs == (1.0 / 3.0, 1.0)
 
     def test_second_order_tf(self):
         p = PlantModel(order=2, K=1, T=1, D=1)
-        assert p.tf.den.coeffs == (1.0, 2.0, 1.0)
-        assert sorted(npoly.polyroots(p.tf.den.coeffs).real) == pytest.approx([-1.0, -1.0], abs=1e-7)
+        assert p.canonical_tf.den.coeffs == (1.0, 2.0, 1.0)
+        assert sorted(npoly.polyroots(p.canonical_tf.den.coeffs).real) == pytest.approx([-1.0, -1.0], abs=1e-7)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -155,7 +155,7 @@ class TestPlantModel:
     def test_fast_second_order_plant_keeps_both_states(self):
         # T**2 = 1e-14 is tiny next to the other denominator coefficients, and still a state
         p = PlantModel(order=2, K=1, T=1e-7, D=1)
-        assert p.tf.den.coeffs == (1.0, 2e-7, 1e-7**2)
+        assert p.canonical_tf.den.coeffs == (1.0 / 1e-7**2, 2e-7 / 1e-7**2, 1.0)
         c = build_adrc(tune_second_order(1.0, 10.0, 1.0))
         assert closed_loop(p, c).n_states == 2 + c.ss.n_states
 
@@ -224,7 +224,7 @@ def _assert_loop_equal_to_np_block(plant, c):
 
 def _np_block_loop(plant, c):
     """The closed loop [r, d_u, n] -> [y, u] assembled with np.block."""
-    p, cs = tf_to_ss(plant.tf), c.ss
+    p, cs = tf_to_ss(plant_tf(plant)), c.ss
     Ap, Bp, Cp = p.A, p.B, p.C
     Ac, Bc, Cc, Dc = cs.A, cs.B, cs.C, cs.D
     n_c = cs.n_states
@@ -246,7 +246,7 @@ class TestGangOfSeven:
             lambda alpha: (RationalTransferFunction(one, one), RationalTransferFunction(one, one)),
         )
         g = gang_of_seven(PlantModel(order=1, K=1, T=1), ctrl)
-        assert tf_residual(g.S, RationalTransferFunction.from_coeffs((1, 1), (2, 1))) < 1e-12
+        assert tf_residual(g.S, tf((1, 1), (2, 1))) < 1e-12
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_s_plus_t_identity(self, order, first_order, second_order):
@@ -349,7 +349,7 @@ class TestExactStructure:
 
 def _reference_gang(plant, c):
     """The gang as seven products over the monic chi or nc*chi, nothing cancelled."""
-    P = plant.tf.canonicalized()
+    P = plant_tf(plant).canonicalized()
     c_r, c_y = extract_cr_cy(c)
     np_, dp = P.num, P.den
     nr, nc, dc = c_r.num, c_y.num, c_y.den
@@ -431,11 +431,12 @@ def _channels(m, w):
 
 def _state_space_gang(plant, c, w):
     """|member(jw)| of each gang member, from C_r and C_y evaluated on their
-    realization and P on the coefficients of plant.tf, in 40-digit arithmetic."""
+    realization and P on the coefficients of the plant as written, in 40-digit arithmetic."""
     Cr, minus_Cy = _channels(c.ss, w)
+    written = plant_tf(plant)
     with mpmath.workdps(40):
         s = mpmath.mpc(0, w)
-        P = mpmath.polyval(plant.tf.num.coeffs[::-1], s) / mpmath.polyval(plant.tf.den.coeffs[::-1], s)
+        P = mpmath.polyval(written.num.coeffs[::-1], s) / mpmath.polyval(written.den.coeffs[::-1], s)
         S = 1 / (1 - P * minus_Cy)
         Cy, Fr = -minus_Cy, Cr / -minus_Cy
         members = {"S": S, "PS": P * S, "CS": Cy * S, "T": P * Cy * S,
@@ -518,8 +519,8 @@ class TestSharedWorkCounts:
         for c in (ctrl, equiv):
             extract_cr_cy(c)
             gang_of_seven(plant, c)
-        step_response(closed_loop(plant, ctrl), 0, t_end=3.0, n_steps=300)
-        step_sweep(plant, "K", [0.5, 2.0], {"adrc": ctrl, "equiv": equiv}, t_end=3.0, n_steps=300)
+            step_response(closed_loop(plant, c), 0, t_end=3.0, n_steps=300)
+        step_sweep(plant, "K", [0.5, 2.0], ctrl, t_end=3.0, n_steps=300)
 
     def _count_calls(self, monkeypatch, owner, name, order):
         calls = []
@@ -669,8 +670,8 @@ class TestNumpyCallBudget:
     def test_counts_the_calls_made_through_map_but_not_numpy_internal_ones(self):
         design = tune_second_order(1.0, 10.0, 1.0)
         ctrl, plant = build_adrc(design), PlantModel(2, 1.0, 1.0, 1.0)
-        # closed_loop makes its four arrays by map(np.array, ...); np.atleast_2d's own
-        # np.asanyarray is numpy's
+        # closed_loop hands its rows to StateSpaceModel._trusted, which makes the four
+        # arrays by map(np.array, ...); np.atleast_2d's own np.asanyarray is numpy's
         assert self._numpy_calls(lambda: closed_loop(plant, ctrl)) == {"array": 4}
         assert self._numpy_calls(lambda: ctrl.ss) == {"atleast_2d": 4, "asarray": 4}
 
@@ -735,11 +736,11 @@ class TestStability:
     """A sweep case is stable iff the Routh test passes its chi; checked against a 120-digit eigenvalue solve."""
 
     def _assert_stable_as_solved(self, design, plant, values):
-        controllers = dict(zip(("adrc", "equiv"), _controllers(design)))
-        sweep = step_sweep(plant, "K", values, controllers, t_end=STEP_HORIZON_FACTOR * design.T_s)
-        for case in sweep.cases:
-            loop = closed_loop(dataclasses.replace(plant, K=case.value), controllers[case.controller])
-            assert case.stable is mp_stable(loop.A), (case.value, case.controller)
+        for name, ctrl in zip(("adrc", "equiv"), _controllers(design)):
+            sweep = step_sweep(plant, "K", values, ctrl, t_end=STEP_HORIZON_FACTOR * design.T_s)
+            for case in sweep.cases:
+                loop = closed_loop(dataclasses.replace(plant, K=case.value), ctrl)
+                assert case.stable is mp_stable(loop.A), (case.value, name)
 
     @settings(max_examples=100)
     @given(TUNINGS, STIFF_PLANTS)
@@ -792,64 +793,57 @@ class TestSweepNotesAtExtremeG:
                     continue
                 params = equivalent_params(design)
                 plant = PlantModel(order, 1.0, 1.0, 1.0 if order == 2 else None)
-                controllers = dict(zip(("adrc", "equiv"), _controllers(design)))
-                try:
-                    sweep = step_sweep(
-                        plant, parameter, DEFAULT_SWEEPS[(order, parameter)], controllers, STEP_HORIZON_FACTOR * ts
-                    )
+                values = DEFAULT_SWEEPS[(order, parameter)]
+                try:  # a figure is refused whole if any case of either controller is
+                    sweeps = {
+                        name: step_sweep(plant, parameter, values, ctrl, STEP_HORIZON_FACTOR * ts)
+                        for name, ctrl in zip(("adrc", "equiv"), _controllers(design))
+                    }
                 except ValueError as exc:
                     assert str(exc).startswith("the step response at this tuning is not representable")
                     continue
                 exact = _exact_measurement(design, params)
-                for case in sweep.cases:
-                    K, T = (Fraction(case.value), Fraction(1)) if parameter == "K" else (Fraction(1), Fraction(case.value))
-                    dp = [Fraction(1), T] if order == 1 else [Fraction(1), 2 * T, T * T]
-                    nc, dc = exact[case.controller]
-                    chi = [a + K * b for a, b in itertools.zip_longest(_fraction_product(dp, dc), nc, fillvalue=0)]
-                    assert case.stable == exact_stable(chi), (fig, g, ts, b0, case.value, case.controller)
-                    checked += 1
+                for name, sweep in sweeps.items():
+                    nc, dc = exact[name]
+                    for case in sweep.cases:
+                        K, T = (Fraction(case.value), Fraction(1)) if parameter == "K" else (Fraction(1), Fraction(case.value))
+                        dp = [Fraction(1), T] if order == 1 else [Fraction(1), 2 * T, T * T]
+                        chi = [a + K * b for a, b in itertools.zip_longest(_fraction_product(dp, dc), nc, fillvalue=0)]
+                        assert case.stable == exact_stable(chi), (fig, g, ts, b0, case.value, name)
+                        checked += 1
         assert checked == 148
 
 
 class TestStepSweep:
     def test_first_order_gain_sweep_all_stable(self, first_order):
-        sweep = step_sweep(
-            first_order["plant"], "K", (0.1, 0.2, 0.5, 1, 2, 5, 10),
-            {"adrc": first_order["adrc"], "equiv": first_order["equiv"]},
-            t_end=10.0,
-        )
-        assert all(case.stable for case in sweep.cases)
-        spans = {case.table.t[-1] for case in sweep.cases}
-        assert spans == {10.0}
+        for name in ("adrc", "equiv"):
+            sweep = step_sweep(first_order["plant"], "K", (0.1, 0.2, 0.5, 1, 2, 5, 10), first_order[name], t_end=10.0)
+            assert all(case.stable for case in sweep.cases)
+            spans = {case.table.t[-1] for case in sweep.cases}
+            assert spans == {10.0}
 
     def test_low_gain_case_stable(self, first_order):
-        sweep = step_sweep(
-            first_order["plant"], "K", (0.1,),
-            {"adrc": first_order["adrc"], "equiv": first_order["equiv"]},
-            t_end=10.0,
-        )
-        assert sweep.case(0.1, "adrc").stable
-        assert sweep.case(0.1, "equiv").stable
+        for name in ("adrc", "equiv"):
+            (case,) = step_sweep(first_order["plant"], "K", (0.1,), first_order[name], t_end=10.0).cases
+            assert case.value == 0.1 and case.stable
 
     def test_second_order_time_constant_sweep_flags_unstable(self, second_order):
-        sweep = step_sweep(
-            second_order["plant"], "T", (0.1, 0.2, 0.5, 1, 2, 5),
-            {"adrc": second_order["adrc"], "equiv": second_order["equiv"]},
-            t_end=10.0,
-        )
-        unstable = {case.value for case in sweep.cases if not case.stable}
+        sweeps = {
+            name: step_sweep(second_order["plant"], "T", (0.1, 0.2, 0.5, 1, 2, 5), second_order[name], t_end=10.0)
+            for name in ("adrc", "equiv")
+        }
+        unstable = {case.value for sweep in sweeps.values() for case in sweep.cases if not case.stable}
         assert unstable == {0.1, 0.2, 5.0}
         # divergence is recorded, not raised
-        diverged = sweep.case(0.2, "adrc").table.columns["y"]
+        case = sweeps["adrc"].cases[1]
+        assert case.value == 0.2
+        diverged = case.table.columns["y"]
         assert not np.all(np.isfinite(diverged)) or np.max(np.abs(diverged)) > 1e3
 
     def test_stable_cases_converge(self, first_order):
         # horizon long enough for the slowest stable mode to decay below 1e-6
-        sweep = step_sweep(
-            first_order["plant"], "T", (0.1, 1.0, 10.0),
-            {"adrc": first_order["adrc"]},
-            t_end=30.0,
-        )
+        sweep = step_sweep(first_order["plant"], "T", (0.1, 1.0, 10.0), first_order["adrc"], t_end=30.0)
+        assert sweep.parameter == "T" and [case.value for case in sweep.cases] == [0.1, 1.0, 10.0]
         for case in sweep.cases:
             assert case.stable
             assert abs(case.table.columns["y"][-1] - 1.0) < 1e-6
@@ -863,17 +857,17 @@ class TestStepSweep:
 
     def test_rejects_empty_values(self, first_order):
         with pytest.raises(ValueError):
-            step_sweep(first_order["plant"], "K", (), {"adrc": first_order["adrc"]}, 10.0)
+            step_sweep(first_order["plant"], "K", (), first_order["adrc"], 10.0)
 
     def test_rejects_unknown_parameter(self, first_order):
         with pytest.raises(ValueError):
-            step_sweep(first_order["plant"], "D", (1.0,), {"adrc": first_order["adrc"]}, 10.0)
+            step_sweep(first_order["plant"], "D", (1.0,), first_order["adrc"], 10.0)
 
     @pytest.mark.parametrize("values", [(2.0, 2), (1e-7, 1.0000001e-7), (-0.5, 3.0, -0.50000004)])
     def test_rejects_values_with_one_label(self, first_order, values):
-        # SweepResult.case could find only the first of the two
+        # the figure's columns and notes would name both cases alike
         with pytest.raises(ValueError, match="cannot be told apart: both are labelled K="):
-            step_sweep(first_order["plant"], "K", values, {"adrc": first_order["adrc"]}, 10.0)
+            step_sweep(first_order["plant"], "K", values, first_order["adrc"], 10.0)
 
 
 class TestBodeSet:

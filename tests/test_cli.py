@@ -563,9 +563,13 @@ COMMANDS = {
     "tune": ["tune", "--order", "1", "--ts", "1", "--g", "10"],
     "tune2": ["tune", "--order", "2", "--ts", "1", "--g", "10"],
     "figure3": ["figure", "3"],
+    "figure7": ["figure", "7"],
     "sweepK": ["sweep", "--param", "K"],
+    "sweepK2": ["sweep", "--param", "K", "--order", "2"],
     "verify": ["verify"],
 }
+# the commands that run a second-order plant
+SECOND_ORDER_COMMANDS = ("figure7", "sweepK2")
 # (flag, rejected value, what the message names); every command takes the tuning flags
 # but --order, which tune and sweep refuse as an invalid choice and figure and verify
 # as an unrecognized argument
@@ -588,14 +592,20 @@ OTHER_REJECTS = [
     ("--compare-pid", "1,2,0,inf,1", "Tf"),
     ("--compare-pid", "nan,2,0,0.1,1", "kp"),
     # finite, but the plant's coefficients overflow or underflow
-    ("--plant-t", "1e160", "plant T=1e+160 is out of range"),
     ("--plant-t", "1e-320", "plant T=1e-320 is out of range"),
+]
+# finite, but the coefficients of a second-order plant overflow: T**2 and 2 D T, which a
+# first-order plant does not form
+SECOND_ORDER_REJECTS = [
+    ("--plant-t", "1e160", "plant T=1e+160 is out of range"),
     ("--plant-d", "1e308", "plant D=1e+308 is out of range"),
 ]
 REJECTED = [
     (command, *case)
     for command in COMMANDS
-    for case in TUNING_REJECTS + (OTHER_REJECTS if COMMANDS[command][0] != "tune" else [])
+    for case in TUNING_REJECTS
+    + (OTHER_REJECTS if COMMANDS[command][0] != "tune" else [])
+    + (SECOND_ORDER_REJECTS if command in SECOND_ORDER_COMMANDS else [])
 ]
 
 
@@ -725,8 +735,15 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv):
         (
             ["figure", "1", "--plant-t", "1e-320"],
             EXIT_BAD_ARGS,
-            "error: plant T=1e-320 is out of range: the transfer function of K=1.0, T=1e-320, D=1.0 "
+            "error: plant T=1e-320 is out of range: the transfer function of K=1.0, T=1e-320 "
             "has a coefficient that is not finite or a denominator coefficient that is zero\n",
+        ),
+        # a figure's tuning is checked at the figure's order, as tune --order 2 checks it
+        (
+            ["figure", "5", "--ts", "1e-100", "--g", "1e8"],
+            EXIT_BAD_ARGS,
+            "error: T_s=1e-100 is out of range: the gains or equivalent PI(D) parameters "
+            "of T_s=1e-100, g=100000000.0, b0=1.0 are not finite and nonzero\n",
         ),
         (
             ["sweep", "--param", "T", "--values", "1e200", "--order", "2"],
@@ -794,7 +811,8 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv):
     ],
     ids=["tune", "figure-exponential-overflow", "figure-controller-overflow", "verify-controller-overflow",
          "verify-order2-out-of-range", "figure-plant-t-overflow", "figure-plant-d-overflow",
-         "figure-plant-t-underflow", "sweep-plant-t-overflow", "gang-cancellation-overflow",
+         "figure-plant-t-underflow", "figure-design-at-its-order", "sweep-plant-t-overflow",
+         "gang-cancellation-overflow",
          "gang-magnitude-overflow", "gang-polynomial-overflow", "closed-loop-overflow", "verify-perturb-b0-zero",
          "verify-perturb-b0-out-of-range", "verify-perturb-b0-realization-out-of-range",
          "figure-pif-realization-overflow", "tune-pif-realization-overflow", "figure-adrc-realization-overflow",
@@ -837,6 +855,31 @@ def _run_clean(argv, out_dir, codes=(EXIT_OK, EXIT_BAD_ARGS)):
     assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
     assert stdout.getvalue() == "" and not out_dir.exists(), argv
     return lines[0]
+
+
+# a first-order plant forms no T**2 and no 2 D T, so these pass at order 1 and are refused at order 2
+FIRST_ORDER_PLANTS = ["--plant-t=1e155", "--plant-t=1e300", "--plant-t=1e-155", "--plant-t=1e-300", "--plant-d=1e308"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["figure", fig] for fig in ("1", "2", "3", "4")] + [["sweep", "--param", "T", "--values", "1e200,1e-200"]],
+    ids=["figure1", "figure2", "figure3", "figure4", "sweepT"],
+)
+def test_first_order_commands_take_the_plants_only_order_2_refuses(tmp_path, argv):
+    for flag in FIRST_ORDER_PLANTS:
+        out_dir = tmp_path / flag
+        assert _run_clean([*argv, flag, "--out", str(out_dir)], out_dir, codes=(EXIT_OK,)) is None
+
+
+@pytest.mark.parametrize("fig", ["2", "6"])
+def test_step_figure_runs_clean_at_a_subnormal_plant_gain(tmp_path, fig):
+    """The loop's balancing keeps its scales finite where the plant gain, and with it
+    a column of the loop, is subnormal: exit 0 and no warning."""
+    for value in ("1e-310", "-1e-310", "1e-320", "-1e-320"):
+        out_dir = tmp_path / value
+        argv = ["figure", fig, f"--plant-k={value}", "--out", str(out_dir)]
+        assert _run_clean(argv, out_dir, codes=(EXIT_OK,)) is None
 
 
 @pytest.mark.parametrize("flag", sorted(PLANT_GRID))

@@ -1,10 +1,11 @@
 import builtins
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import log_uniform, tf_to_ss
+from conftest import log_uniform, tf, tf_to_ss
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
@@ -30,10 +31,6 @@ from adrcpid.lti import (
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
-def tf(num, den):
-    return RationalTransferFunction.from_coeffs(num, den)
 
 
 LAG = StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], [[0.0]], output_labels=("y",))  # 1/(s + 1)
@@ -569,6 +566,18 @@ class TestBalance:
         assert _balance(self.ROW_SUM_TIE).tolist() == [4.0, 1.0, 1.0, 1.0, 1.0]
         monkeypatch.setattr(builtins, "sum", _compensated_sum)
         assert _balance(self.ROW_SUM_TIE).tolist() == [4.0, 1.0, 1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("K", [1e-320, -1e-320, 1e-310, -1e-310])
+    def test_scales_stay_finite_where_a_column_is_subnormal(self, K):
+        # the plant column of the ADRC loop holds K/T and nothing larger; left
+        # unbounded, the scale of the plant state grows past the float range
+        loop = analysis.closed_loop(analysis.PlantModel(1, K, 1.0), adrc.build_adrc(adrc.AdrcDesign(1, 1.0, 10.0, 1.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = _balance(_augmented(loop) * 0.0025)
+            y = step_response(loop, 0, t_end=10.0, n_steps=4000).columns["y"]
+        assert np.all(np.abs(np.log2(d)) <= 1000), d
+        assert np.all(np.isfinite(y)) and abs(y[-1]) < 1e-300
 
 
 class TestUnrepresentableStep:

@@ -142,6 +142,34 @@ def _named(paths):
     return named
 
 
+def _read_members(paths):
+    """Every attribute read (ast.Attribute attr) in the files at paths, and every
+    string that is an identifier, as getattr reads TUNE_REPORT's keys."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                read.add(node.value)
+    return read
+
+
+def _public_members(paths):
+    """(class, member) of each public method, property and annotated field of an exported class."""
+    members = set()
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.ClassDef) and node.name in adrcpid.__all__):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    members.add((node.name, item.name))
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    members.add((node.name, item.target.id))
+    return {(cls, name) for cls, name in members if not name.startswith("_")}
+
+
 def test_every_private_helper_has_a_caller():
     """Every private module-level function and class, and every private method,
     is named somewhere in the package: a helper does not outlive its last caller."""
@@ -169,10 +197,29 @@ UNNAMED_PUBLIC_NAMES = (
 
 def test_every_public_name_has_a_user():
     """Every public name is named in a module of the package other than __init__.py,
-    or by the benchmark: a public name does not outlive its last user."""
+    or by the benchmark, and so is every public method, property and field of an
+    exported class, by an attribute read or an identifier string: neither outlives
+    its last user."""
     modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
-    named = _named(modules + sorted(PERFBENCH.glob("*.py")))
-    assert set(adrcpid.__all__) - named == {name for name, _ in UNNAMED_PUBLIC_NAMES}
+    users = modules + sorted(PERFBENCH.glob("*.py"))
+    assert set(adrcpid.__all__) - _named(users) == {name for name, _ in UNNAMED_PUBLIC_NAMES}
+    members = _public_members(modules)
+    assert ("PlantModel", "canonical_tf") in members and ("SweepResult", "cases") in members
+    read = _read_members(users)
+    assert {(cls, name) for cls, name in members if name not in read} == set()
+
+
+def test_analysis_names_no_numpy():
+    """The closed loop hands its rows to lti, and the sweeps' time scaling is plain floats."""
+    tree = ast.parse((PACKAGE / "analysis.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert not any(module.partition(".")[0] == "numpy" for module in imported)
+    assert "np" not in _named([PACKAGE / "analysis.py"])
 
 
 def test_readme_quick_start_runs_as_written():
