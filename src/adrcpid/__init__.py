@@ -34,8 +34,6 @@ _EXPORTS = {
         "AdrcDesign",
         "PidParams",
         "equivalent_params",
-        "pidf_from_adrc",
-        "pif_from_adrc",
         "tune_first_order",
         "tune_second_order",
     ),

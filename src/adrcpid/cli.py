@@ -147,8 +147,13 @@ def _fmt(v: float) -> str:
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    return tuple(float(part) for part in items)
+    """The values of a comma list; an empty text has none, and an empty item is refused."""
+    if not text.strip():
+        return ()
+    items = [part.strip() for part in text.split(",")]
+    if "" in items:
+        raise ValueError(f"the comma list {text!r} has an empty item")
+    return tuple(map(float, items))
 
 
 def _parse_pid(text: str) -> tuple[float, ...]:

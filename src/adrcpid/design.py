@@ -3,12 +3,13 @@ the entries of both controllers' realizations, in scalar arithmetic.
 
 A design is fixed by the plant order n (1 or 2), the desired settling time
 T_s, the observer pole multiplier g, and the characteristic plant gain b0.
-Its gains and the paper's closed forms for the equivalent PI+F / PID+F
-parameters are plain floats, so this module needs neither numpy nor the LTI
-layer: ``adrcpid tune`` runs on it alone.  The closed forms of both
-controller channels, ADRC's and PI(D)F's, are transfer functions, still in
-plain floats, and import the LTI layer on first use; ``adrc`` and
-``pid_equiv`` build the controllers that carry them.
+Its gains (``K_P``, ``K_D``, ``l1``, ``l2``, ``l3``) and its equivalent PI+F
+(order 1) or PID+F (order 2) parameters, which ``equivalent_params`` returns,
+come from the paper's closed forms in plain floats, so this module needs
+neither numpy nor the LTI layer: ``adrcpid tune`` runs on it alone.  The
+closed forms of both controller channels, ADRC's and PI(D)F's, are transfer
+functions, still in plain floats, and import the LTI layer on first use;
+``adrc`` and ``pid_equiv`` build the controllers that carry them.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class AdrcDesign:
     they must give gains and equivalent PI(D) parameters that are finite and
     nonzero in floating point, and realizations (``adrc_realization`` and
     ``equivalent_realization``) whose entries are finite.  The design keeps
-    the values that this check computes, the ADRC realization too;
+    the values that this check computes, the ADRC realization too; the gains,
     ``equivalent_params``, ``adrc_realization`` and the builders read them.
     """
 
@@ -76,36 +77,32 @@ class AdrcDesign:
         return SETTLING_CONSTANTS[self.order] / self.T_s
 
     @property
-    def feedback_gains(self) -> tuple[float, ...]:
-        """k_i = C(n, i) omega_cl^(n-i) for i < n: (K_P,) or (K_P, K_D)."""
-        return self._tuning[0]
-
-    @property
-    def observer_gains(self) -> tuple[float, ...]:
-        """l_i = C(n+1, i) (g omega_cl)^i for i = 1..n+1: (l1, l2[, l3])."""
-        return self._tuning[1]
-
-    @property
     def K_P(self) -> float:
-        return self.feedback_gains[0]
+        return self._tuning[0][0]
 
     @property
     def K_D(self) -> float:
         """Derivative feedback gain; second-order designs only."""
-        return self.feedback_gains[1]
+        return self._second_order_gain("K_D", self._tuning[0])
 
     @property
     def l1(self) -> float:
-        return self.observer_gains[0]
+        return self._tuning[1][0]
 
     @property
     def l2(self) -> float:
-        return self.observer_gains[1]
+        return self._tuning[1][1]
 
     @property
     def l3(self) -> float:
         """Third observer gain; second-order designs only."""
-        return self.observer_gains[2]
+        return self._second_order_gain("l3", self._tuning[1])
+
+    def _second_order_gain(self, name: str, gains: Gains) -> float:
+        """The last of gains, a gain that only a second-order design has."""
+        if self.order != 2:
+            raise AttributeError(f"a first-order design has no {name}")
+        return gains[-1]
 
 
 def _tuning(n: int, T_s: float, g: float, b0: float) -> tuple[Gains, Gains, PidParams, Realization] | str:
@@ -221,25 +218,9 @@ class PidParams:
         ki, kp, kd, Tf = self.ki * alpha, self.kp, self.kd / alpha, self.Tf / alpha
         filter_ = [1.0, Tf] if kd == 0.0 else [1.0, 2.0 * self.d * Tf, self.Tf**2 / alpha / alpha]
         c_y = _over(_poly([0.0, *filter_]))(_poly([ki, kp, kd]))
-        # (ki + b kp s) times the monic filter f, with the bits of the Polynomial
-        # product: each coefficient sums its one or two products from 0.0, and a
-        # zero b kp is trimmed, so that it forms no product
-        bkp, f = self.b * kp, c_y.den.coeffs[1:]
-        c_r = [0.0 + ki * x for x in f] + [0.0]
-        if bkp:
-            for j, x in enumerate(f):
-                c_r[j + 1] += bkp * x
-        return _tf(_poly(c_r), c_y.den), c_y
-
-
-def pif_from_adrc(design: AdrcDesign) -> PidParams:
-    """Exact PI+F match of the first-order design's measurement channel."""
-    return PidParams(*_equivalent_fields(1, design.T_s, design.g, design.b0))
-
-
-def pidf_from_adrc(design: AdrcDesign) -> PidParams:
-    """Exact PID+F match of the second-order design's measurement channel."""
-    return PidParams(*_equivalent_fields(2, design.T_s, design.g, design.b0))
+        # (ki + b kp s) f, f the monic filter; a zero b kp is trimmed and forms no product
+        c_r = _poly([ki, self.b * kp]) * _poly(c_y.den.coeffs[1:])
+        return _tf(c_r, c_y.den), c_y
 
 
 def _equivalent_fields(order: int, T_s: float, g: float, b0: float) -> tuple[float, ...]:

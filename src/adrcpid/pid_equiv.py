@@ -1,13 +1,14 @@
 """Equivalent set-point-weighted, measurement-filtered PI(D) controllers.
 
-The parameters and the entries of their realizations come from ``design``;
-this module builds the realizations as controllers and checks them against
-ADRC.  The conversion is exact in the measurement channel: the filtered PI(D)
-feedback transfer function matches the ADRC controller's C_y coefficient for
-coefficient.  The reference channel uses the set-point weight b instead of
-the exact (filtered) feedforward, which leaves a small gap around crossover;
-``reference_channel_gap`` quantifies it and ``verify_asymptotes`` measures
-how closely both ends of the frequency axis agree, both from ADRC's C_r.
+The parameters (``equivalent_params``) and the entries of their realizations
+come from ``design``; this module builds the realizations as controllers and
+checks them against ADRC.  The conversion is exact in the measurement
+channel: the filtered PI(D) feedback transfer function matches the ADRC
+controller's C_y coefficient for coefficient.  The reference channel uses
+the set-point weight b instead of the exact (filtered) feedforward, which
+leaves a small gap around crossover; ``reference_channel_gap`` quantifies it
+and ``verify_asymptotes`` measures how closely both ends of the frequency
+axis agree, both from ADRC's C_r.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .adrc import TwoInputController
-# the parameter type and closed forms are also importable from here
-from .design import PidParams, equivalent_params, equivalent_realization, pidf_from_adrc, pif_from_adrc
+# the parameter type and its getter are also importable from here
+from .design import PidParams, equivalent_params, equivalent_realization
 from .lti import RationalTransferFunction, _worst
 
 

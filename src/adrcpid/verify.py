@@ -10,8 +10,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .adrc import TwoInputController, build_adrc, extract_cr_cy
 from .analysis import GangOfSeven, PlantModel, closed_loop, gang_of_seven, s_plus_t_residual
 from .design import AdrcDesign, PidParams, equivalent_params, tune_second_order
@@ -75,6 +73,10 @@ def _grid_residuals(order: int, perturbed: list[PidParams]) -> tuple[float, floa
 
 
 def _gang_of_four_identity(g7_adrc: GangOfSeven, g7_equiv: GangOfSeven) -> float:
+    # numpy's complex abs, not Python's: the two round |z| differently in the last
+    # bit, and the printed residual keeps the bits of numpy's
+    import numpy as np
+
     points = [1j * w for w in log_grid(GANG_OMEGA_LO, GANG_OMEGA_HI, GANG_OMEGA_POINTS)]
     worst = 0.0
     for name in ("S", "PS", "CS", "T"):
@@ -93,20 +95,20 @@ def _realization_residual(ctrl: TwoInputController) -> float:
 
 
 def _filter_damping_range() -> float:
-    ds = np.array([equivalent_params(tune_second_order(1.0, g, 1.0)).d for g in log_grid(0.1, 100.0, 201)])
+    ds = [equivalent_params(tune_second_order(1.0, g, 1.0)).d for g in log_grid(0.1, 100.0, 201)]
     lower = D_MIN_EXACT - 1e-12
-    violation = max(0.0, float(lower - ds.min()), float(ds.max() - (1.0 - 1e-12)))
-    min_offset = abs(float(ds.min()) - D_MIN_EXACT)
+    violation = max(0.0, lower - min(ds), max(ds) - (1.0 - 1e-12))
+    min_offset = abs(min(ds) - D_MIN_EXACT)
     return max(violation, min_offset)
 
 
 def _settling_time(ctrl: TwoInputController, plant: PlantModel, ts: float, band: float = 0.02) -> float:
     table = step_response(closed_loop(plant, ctrl), input=0, t_end=3.0 * ts, n_steps=6000)
-    y = table.columns["y"]
-    outside = np.nonzero(np.abs(y - 1.0) > band)[0]
-    if outside.size == 0:
+    y = table.columns["y"].tolist()
+    outside = [k for k, v in enumerate(y) if abs(v - 1.0) > band]
+    if not outside:
         return 0.0
-    if outside[-1] == y.size - 1:
+    if outside[-1] == len(y) - 1:
         return math.inf
     return float(table.t[outside[-1] + 1])
 

@@ -33,6 +33,13 @@ TUNINGS = st.tuples(
 )
 
 
+def design_gains(design) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(feedback, observer) gains of a design, read from its named gains: ((K_P[, K_D]), (l1, l2[, l3]))."""
+    if design.order == 1:
+        return (design.K_P,), (design.l1, design.l2)
+    return (design.K_P, design.K_D), (design.l1, design.l2, design.l3)
+
+
 def tf(num, den) -> RationalTransferFunction:
     """The transfer function num/den of coefficients in ascending powers of s, by the checked constructors."""
     return RationalTransferFunction(Polynomial(tuple(num)), Polynomial(tuple(den)))

@@ -35,8 +35,6 @@ from adrcpid.lti import (
 from adrcpid.pid_equiv import (
     build_equivalent_controller,
     equivalent_params,
-    pidf_from_adrc,
-    pif_from_adrc,
     verify_asymptotes,
 )
 
@@ -105,7 +103,7 @@ def test_criterion_2_reference_channel_coefficients():
 @criterion("3 tuned_parameter_values")
 def test_criterion_3_tuned_parameter_values(capsys):
     # exact rational oracle by direct substitution of T_s=1, g=10, b0=1
-    p1 = pif_from_adrc(tune_first_order(1, 10, 1))
+    p1 = equivalent_params(tune_first_order(1, 10, 1))
     exact1 = {
         "kp": Fraction(480, 21),
         "ki": Fraction(1600, 21),
@@ -115,7 +113,7 @@ def test_criterion_3_tuned_parameter_values(capsys):
     for name, exact in exact1.items():
         assert abs(getattr(p1, name) - float(exact)) <= 1e-12 * float(exact)
 
-    p2 = pidf_from_adrc(tune_second_order(1, 10, 1))
+    p2 = equivalent_params(tune_second_order(1, 10, 1))
     exact2 = {
         "kp": Fraction(82800, 361),
         "ki": Fraction(216000, 361),
@@ -209,7 +207,7 @@ def test_criterion_8_structural_properties():
 
     lower = 5 / (2 * math.sqrt(10))
     gs = np.logspace(np.log10(0.1), np.log10(100.0), 201)
-    ds = np.array([pidf_from_adrc(tune_second_order(1, float(g), 1)).d for g in gs])
+    ds = np.array([equivalent_params(tune_second_order(1, float(g), 1)).d for g in gs])
     assert np.all(ds >= lower - 1e-12)
     assert np.all(ds < 1.0)
     assert abs(ds.min() - lower) < 1e-3
@@ -218,20 +216,20 @@ def test_criterion_8_structural_properties():
     for ts in TS_GRID:
         for g in G_GRID:
             for b0 in B0_GRID:
-                p1 = pif_from_adrc(tune_first_order(ts, g, b0))
+                p1 = equivalent_params(tune_first_order(ts, g, b0))
                 assert abs(p1.b * p1.kp * b0 - 4.0 / ts) <= 1e-12 * (4.0 / ts)
-                p2 = pidf_from_adrc(tune_second_order(ts, g, b0))
+                p2 = equivalent_params(tune_second_order(ts, g, b0))
                 assert abs(p2.b * p2.kp * b0 - 36.0 / ts**2) <= 1e-12 * (36.0 / ts**2)
 
 
 @criterion("9 realization_fidelity")
 def test_criterion_9_realization_fidelity():
-    p1 = pif_from_adrc(tune_first_order(1, 10, 1))
+    p1 = equivalent_params(tune_first_order(1, 10, 1))
     pif = build_equivalent_controller(p1)
     assert tf_residual(ss_to_tf(pif.ss, 1, 0), tf_neg(p1.feedback_tf())) < 1e-9
     assert tf_residual(ss_to_tf(pif.ss, 0, 0), p1.reference_tf()) < 1e-9
 
-    p2 = pidf_from_adrc(tune_second_order(1, 10, 1))
+    p2 = equivalent_params(tune_second_order(1, 10, 1))
     pidf = build_equivalent_controller(p2)
     assert tf_residual(ss_to_tf(pidf.ss, 1, 0), tf_neg(p2.feedback_tf())) < 1e-9
     assert tf_residual(ss_to_tf(pidf.ss, 0, 0), p2.reference_tf()) < 1e-9

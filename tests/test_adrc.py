@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import TUNINGS, exact_adrc_split, log_uniform, tf
+from conftest import TUNINGS, design_gains, exact_adrc_split, log_uniform, tf
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyfromroots, polyroots
@@ -21,12 +21,11 @@ from adrcpid.adrc import (
 )
 from adrcpid.design import (
     SETTLING_CONSTANTS,
+    PidParams,
     _equivalent_fields,
     adrc_channels,
     equivalent_params,
     equivalent_realization,
-    pidf_from_adrc,
-    pif_from_adrc,
 )
 from adrcpid.lti import (
     Polynomial,
@@ -56,6 +55,13 @@ class TestTuneFirstOrder:
         a = tune_first_order(1, 10, 1)
         b = tune_first_order(1, 10, 5)
         assert (a.K_P, a.l1, a.l2) == (b.K_P, b.l1, b.l2)
+
+    def test_has_no_second_order_gains(self):
+        d = tune_first_order(1.0, 10.0)
+        assert not hasattr(d, "K_D") and getattr(d, "l3", None) is None
+        for name in ("K_D", "l3"):
+            with pytest.raises(AttributeError, match=f"^a first-order design has no {name}$"):
+                getattr(d, name)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -219,7 +225,7 @@ def observer_matrix(design):
     """Dynamics matrix of the pure observer (before feedback substitution): the observer
     gains fill the first column and the integrator chain the superdiagonal."""
     m = np.eye(design.order + 1, k=1)
-    m[:, 0] = np.negative(design.observer_gains)
+    m[:, 0] = np.negative(design_gains(design)[1])
     return m
 
 
@@ -363,8 +369,7 @@ class TestKeptTuning:
     @given(TUNINGS)
     def test_equivalent_params_are_the_closed_forms(self, tuning):
         d = AdrcDesign(*tuning)
-        closed_form = pif_from_adrc if d.order == 1 else pidf_from_adrc
-        assert _bits(equivalent_params(d)) == _bits(closed_form(d))
+        assert _bits(equivalent_params(d)) == _bits(PidParams(*_equivalent_fields(*tuning)))
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_replaced_design_gets_its_own_values(self, order):
@@ -372,8 +377,8 @@ class TestKeptTuning:
         flipped = dataclasses.replace(d, b0=-d.b0)
         p, q = equivalent_params(d), equivalent_params(flipped)
         assert (q.kp, q.ki, q.kd, q.Tf, q.b, q.d) == (-p.kp, -p.ki, -p.kd, p.Tf, p.b, p.d)
-        assert _bits(q) == _bits((pif_from_adrc if order == 1 else pidf_from_adrc)(flipped))
-        assert flipped.observer_gains == d.observer_gains and flipped.feedback_gains == d.feedback_gains
+        assert _bits(q) == _bits(PidParams(*_equivalent_fields(*dataclasses.astuple(flipped))))
+        assert design_gains(flipped) == design_gains(d)
 
     def test_equal_designs_compare_hash_and_print_by_their_inputs(self):
         a, b = tune_second_order(1.0, 10.0, 2.0), AdrcDesign(2, 1.0, 10.0, 2.0)

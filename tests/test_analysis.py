@@ -51,8 +51,6 @@ from adrcpid.pid_equiv import (
     build_equivalent_controller,
     equivalent_params,
     equivalent_realization,
-    pidf_from_adrc,
-    pif_from_adrc,
 )
 
 NOMINAL_STEP_GAP = {1: 0.04028012544899118, 2: 0.05240762629027035}
@@ -73,7 +71,7 @@ def first_order():
         "design": d,
         "plant": PlantModel(order=1, K=1, T=1),
         "adrc": build_adrc(d),
-        "equiv": build_equivalent_controller(pif_from_adrc(d)),
+        "equiv": build_equivalent_controller(equivalent_params(d)),
     }
 
 
@@ -84,7 +82,7 @@ def second_order():
         "design": d,
         "plant": PlantModel(order=2, K=1, T=1, D=1),
         "adrc": build_adrc(d),
-        "equiv": build_equivalent_controller(pidf_from_adrc(d)),
+        "equiv": build_equivalent_controller(equivalent_params(d)),
     }
 
 

@@ -457,6 +457,26 @@ class TestSweepCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, config, text",
+        [
+            # every value after the gap would move one field to the left
+            (["figure", "4", "--compare-pid", "1,2,,0.1,1,1"], None, "1,2,,0.1,1,1"),
+            (["sweep", "--param", "K", "--values", "0.5,,2,"], None, "0.5,,2,"),
+            (["figure", "4"], "[compare]\npid = 1,2,,0.1,1,1\n", "1,2,,0.1,1,1"),
+            (["sweep", "--param", "T"], "[sweep]\nt_values = 0.5,2,\n", "0.5,2,"),
+        ],
+        ids=["compare-pid", "values", "config-pid", "config-t_values"],
+    )
+    def test_empty_item_in_a_comma_list_refused(self, tmp_path, capsys, argv, config, text):
+        out = tmp_path / "out"
+        if config is not None:
+            (tmp_path / "lists.cfg").write_text(config)
+            argv = [*argv, "--config", str(tmp_path / "lists.cfg")]
+        assert main([*argv, "--out", str(out)]) == EXIT_BAD_ARGS
+        assert capsys.readouterr() == ("", f"error: the comma list {text!r} has an empty item\n")
+        assert not out.exists()
+
     def test_values_apart_in_the_sixth_digit_accepted(self, tmp_path):
         assert main(["sweep", "--param", "T", "--values", "1,1.00001", "--out", str(tmp_path)]) == EXIT_OK
         header = (tmp_path / "sweep_T.csv").read_text().splitlines()[0]

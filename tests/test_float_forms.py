@@ -18,7 +18,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
-from conftest import TUNINGS, log_uniform
+from conftest import TUNINGS, design_gains, log_uniform
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -27,11 +27,10 @@ from adrcpid.analysis import PlantModel, closed_loop
 from adrcpid.design import (
     SETTLING_CONSTANTS,
     PidParams,
+    _equivalent_fields,
     _tuning,
     adrc_channels,
     equivalent_params,
-    pidf_from_adrc,
-    pif_from_adrc,
 )
 from adrcpid.lti import _over, _poly, _tf
 from adrcpid.pid_equiv import build_equivalent_controller
@@ -101,13 +100,14 @@ def pid_channels_numpy(p, alpha=1.0):
 
 def build_adrc_numpy(design):
     n, b0, K_P = design.order, design.b0, design.K_P
-    feedback = np.array([*design.feedback_gains, 1.0])
+    gains, observer = design_gains(design)
+    feedback = np.array([*gains, 1.0])
     A = np.eye(n + 1, k=1)
-    A[:, 0] = np.negative(design.observer_gains)
+    A[:, 0] = np.negative(observer)
     A[n - 1] -= feedback
     B = np.zeros((n + 1, 2))
     B[n - 1, 0] = K_P
-    B[:, 1] = design.observer_gains
+    B[:, 1] = observer
     C = (-feedback / b0)[np.newaxis]
     D = np.array([[K_P / b0, 0.0]])
     return A, B, C, D
@@ -153,7 +153,7 @@ def tuning_comb(design):
         w = design.omega_cl
         feedback = tuple(math.comb(n, i) * w ** (n - i) for i in range(n))
         observer = (math.comb(n + 1, 1) * g * w, *(math.comb(n + 1, i) * (g * w) ** i for i in range(2, n + 2)))
-        p = (pif_from_adrc if n == 1 else pidf_from_adrc)(design)
+        p = PidParams(*_equivalent_fields(n, design.T_s, g, design.b0))
     except (ArithmeticError, ValueError):
         return None
     values = (*feedback, *observer, p.kp, p.ki, p.Tf, p.b) + ((p.kd, p.d) if n == 2 else ())

@@ -43,6 +43,8 @@ REMOVED_NAMES = (
     "ImproperTransferFunctionError",
     "tf_to_ss",
     "observer_matrix",
+    "pif_from_adrc",
+    "pidf_from_adrc",
 )
 
 
@@ -53,7 +55,7 @@ def test_unknown_name_raises_attribute_error():
     for name in REMOVED_NAMES:
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(adrcpid, name)
-    assert len(adrcpid.__all__) == 29
+    assert len(adrcpid.__all__) == 27
 
 
 # module -> the names that the benchmark under perfbench/ reaches on it
@@ -99,7 +101,7 @@ def test_design_layer_loads_no_numpy_and_no_other_module():
     "module, names",
     [
         ("adrc", ("AdrcDesign", "tune_first_order", "tune_second_order")),
-        ("pid_equiv", ("PidParams", "equivalent_params", "pif_from_adrc", "pidf_from_adrc")),
+        ("pid_equiv", ("PidParams", "equivalent_params")),
     ],
 )
 def test_design_names_are_still_importable_from_their_old_modules(module, names):
@@ -113,7 +115,7 @@ def test_design_names_are_still_importable_from_their_old_modules(module, names)
 # the re-exports that test_design_names_are_still_importable_from_their_old_modules pins
 REEXPORTS = {
     "adrc": {"tune_first_order", "tune_second_order"},
-    "pid_equiv": {"equivalent_params", "pif_from_adrc", "pidf_from_adrc"},
+    "pid_equiv": {"equivalent_params"},
 }
 
 
@@ -188,8 +190,6 @@ def test_every_private_helper_has_a_caller():
 
 # public names that neither the package's modules nor the benchmark name, and why each stays
 UNNAMED_PUBLIC_NAMES = (
-    ("pif_from_adrc", "the paper's PI+F expressions, kept as API"),
-    ("pidf_from_adrc", "the paper's PID+F expressions, kept as API"),
     ("reference_channel_gap", "waits on a run record that reports the reference-channel gap"),
     ("tf_minreal", "the benchmark's tracer names it only as a string, and must drop it first"),
 )
@@ -210,16 +210,23 @@ def test_every_public_name_has_a_user():
 
 
 def test_analysis_names_no_numpy():
-    """The closed loop hands its rows to lti, and the sweeps' time scaling is plain floats."""
-    tree = ast.parse((PACKAGE / "analysis.py").read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-    assert not any(module.partition(".")[0] == "numpy" for module in imported)
-    assert "np" not in _named([PACKAGE / "analysis.py"])
+    """The closed loop hands its rows to lti, and the sweeps' time scaling is plain floats;
+    so are verify's checks, but for the gang-of-four identity, whose residual keeps the
+    bits of numpy's complex abs (Python's abs rounds some |z| differently)."""
+    for module, kept in (("analysis", ()), ("verify", ("_gang_of_four_identity",))):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        nodes = [node for node in tree.body if not (isinstance(node, ast.FunctionDef) and node.name in kept)]
+        assert len(tree.body) - len(nodes) == len(kept)
+        imported, named = set(), set()
+        for node in (child for top in nodes for child in ast.walk(top)):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+        assert not any(name.partition(".")[0] == "numpy" for name in imported), module
+        assert "np" not in named, module
 
 
 def test_readme_quick_start_runs_as_written():

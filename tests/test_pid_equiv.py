@@ -16,8 +16,6 @@ from adrcpid.pid_equiv import (
     build_equivalent_controller,
     equivalent_params,
     equivalent_realization,
-    pidf_from_adrc,
-    pif_from_adrc,
     reference_channel_gap,
     verify_asymptotes,
 )
@@ -32,22 +30,22 @@ FREQ_GAP_GOLDEN = {1: 0.2880833223211246, 2: 0.5909713628454178}
 
 class TestPifParams:
     def test_nominal_values_exact(self):
-        p = pif_from_adrc(tune_first_order(1, 10, 1))
+        p = equivalent_params(tune_first_order(1, 10, 1))
         assert p.kp == pytest.approx(float(Fraction(480, 21)), rel=1e-12)
         assert p.ki == pytest.approx(float(Fraction(1600, 21)), rel=1e-12)
         assert p.Tf == pytest.approx(float(Fraction(1, 84)), rel=1e-12)
         assert p.b == pytest.approx(0.175, rel=1e-12)
 
     def test_b0_scaling(self):
-        p1 = pif_from_adrc(tune_first_order(1, 10, 1))
-        p2 = pif_from_adrc(tune_first_order(1, 10, 2))
+        p1 = equivalent_params(tune_first_order(1, 10, 1))
+        p2 = equivalent_params(tune_first_order(1, 10, 2))
         assert p2.kp == pytest.approx(p1.kp / 2, rel=1e-12)
         assert p2.ki == pytest.approx(p1.ki / 2, rel=1e-12)
         assert p2.Tf == pytest.approx(p1.Tf, rel=1e-12)
         assert p2.b == pytest.approx(0.175, rel=1e-12)
 
     def test_settling_time_scaling(self):
-        p = pif_from_adrc(tune_first_order(2, 10, 1))
+        p = equivalent_params(tune_first_order(2, 10, 1))
         assert p.kp == pytest.approx(float(Fraction(240, 21)), rel=1e-12)
         assert p.ki == pytest.approx(float(Fraction(400, 21)), rel=1e-12)
         assert p.Tf == pytest.approx(float(Fraction(1, 42)), rel=1e-12)
@@ -55,14 +53,14 @@ class TestPifParams:
 
     def test_setpoint_weight_in_unit_interval(self):
         for g in G_GRID:
-            p = pif_from_adrc(tune_first_order(1, g, 1))
+            p = equivalent_params(tune_first_order(1, g, 1))
             assert 0 < p.b < 1
             assert p.b == pytest.approx((2 * g + 1) / (g * (g + 2)), rel=1e-12)
 
 
 class TestPidfParams:
     def test_nominal_values_exact(self):
-        p = pidf_from_adrc(tune_second_order(1, 10, 1))
+        p = equivalent_params(tune_second_order(1, 10, 1))
         assert p.kp == pytest.approx(float(Fraction(82800, 361)), rel=1e-12)
         assert p.ki == pytest.approx(float(Fraction(216000, 361)), rel=1e-12)
         assert p.kd == pytest.approx(float(Fraction(9780, 361)), rel=1e-12)
@@ -71,12 +69,12 @@ class TestPidfParams:
         assert p.b == pytest.approx(float(Fraction(12996, 82800)), rel=1e-12)
 
     def test_minimum_damping_at_unit_multiplier(self):
-        p = pidf_from_adrc(tune_second_order(1, 1, 1))
+        p = equivalent_params(tune_second_order(1, 1, 1))
         assert p.d == pytest.approx(5 / (2 * math.sqrt(10)), rel=1e-12)
 
     def test_b0_scaling(self):
-        p1 = pidf_from_adrc(tune_second_order(1, 10, 1))
-        p3 = pidf_from_adrc(tune_second_order(1, 10, 3))
+        p1 = equivalent_params(tune_second_order(1, 10, 1))
+        p3 = equivalent_params(tune_second_order(1, 10, 3))
         assert p3.kp == pytest.approx(p1.kp / 3, rel=1e-12)
         assert p3.ki == pytest.approx(p1.ki / 3, rel=1e-12)
         assert p3.kd == pytest.approx(p1.kd / 3, rel=1e-12)
@@ -88,7 +86,7 @@ class TestPidfParams:
 
     def test_damping_range_over_multiplier(self):
         gs = np.logspace(np.log10(0.1), np.log10(100.0), 201)
-        ds = np.array([pidf_from_adrc(tune_second_order(1, float(g), 1)).d for g in gs])
+        ds = np.array([equivalent_params(tune_second_order(1, float(g), 1)).d for g in gs])
         lower = 5 / (2 * math.sqrt(10))
         assert np.all(ds >= lower - 1e-12)
         assert np.all(ds < 1.0)
@@ -103,7 +101,7 @@ class TestExactFeedbackEquivalence:
     def test_first_order(self, ts, g, b0):
         d = tune_first_order(ts, g, b0)
         _, c_y = extract_cr_cy(build_adrc(d))
-        assert tf_residual(c_y, pif_from_adrc(d).feedback_tf()) < 1e-9
+        assert tf_residual(c_y, equivalent_params(d).feedback_tf()) < 1e-9
 
     @pytest.mark.parametrize("ts", TS_GRID)
     @pytest.mark.parametrize("g", G_GRID)
@@ -111,19 +109,19 @@ class TestExactFeedbackEquivalence:
     def test_second_order(self, ts, g, b0):
         d = tune_second_order(ts, g, b0)
         _, c_y = extract_cr_cy(build_adrc(d))
-        assert tf_residual(c_y, pidf_from_adrc(d).feedback_tf()) < 1e-9
+        assert tf_residual(c_y, equivalent_params(d).feedback_tf()) < 1e-9
 
 
 class TestPifRealization:
     def test_measurement_channel_matches_adrc(self):
         d = tune_first_order(1, 10, 1)
         adrc_y = extract_cr_cy(build_adrc(d))[1]
-        ctrl = build_equivalent_controller(pif_from_adrc(d))
+        ctrl = build_equivalent_controller(equivalent_params(d))
         built_y = tf_neg(ss_to_tf(ctrl.ss, 1, 0))
         assert tf_residual(built_y, adrc_y) < 1e-9
 
     def test_channels_match_closed_forms(self):
-        p = pif_from_adrc(tune_first_order(1, 10, 1))
+        p = equivalent_params(tune_first_order(1, 10, 1))
         ctrl = build_equivalent_controller(p)
         assert ctrl.ss.n_states == 2  # kd = 0 selects the PI+F realization
         y_chan = ss_to_tf(ctrl.ss, 1, 0)
@@ -132,13 +130,13 @@ class TestPifRealization:
         assert tf_residual(r_chan, p.reference_tf()) < 1e-9
 
     def test_high_frequency_reference_gain_is_kp_weighted(self):
-        p = pif_from_adrc(tune_first_order(1, 10, 1))
+        p = equivalent_params(tune_first_order(1, 10, 1))
         ctrl = build_equivalent_controller(p)
         assert abs(ss_to_tf(ctrl.ss, 0, 0)(1e9j)) == pytest.approx(p.b * p.kp, rel=1e-8)
         assert p.b * p.kp == pytest.approx(4.0, rel=1e-12)
 
     def test_low_frequency_reference_integral_gain(self):
-        p = pif_from_adrc(tune_first_order(1, 10, 1))
+        p = equivalent_params(tune_first_order(1, 10, 1))
         s = 1e-9j
         assert abs(s * p.reference_tf()(s)) == pytest.approx(p.ki, rel=1e-9)
 
@@ -152,12 +150,12 @@ class TestPidfRealization:
     def test_measurement_channel_matches_adrc(self):
         d = tune_second_order(1, 10, 1)
         adrc_y = extract_cr_cy(build_adrc(d))[1]
-        ctrl = build_equivalent_controller(pidf_from_adrc(d))
+        ctrl = build_equivalent_controller(equivalent_params(d))
         built_y = tf_neg(ss_to_tf(ctrl.ss, 1, 0))
         assert tf_residual(built_y, adrc_y) < 1e-9
 
     def test_channels_match_closed_forms(self):
-        p = pidf_from_adrc(tune_second_order(1, 10, 1))
+        p = equivalent_params(tune_second_order(1, 10, 1))
         ctrl = build_equivalent_controller(p)
         assert ctrl.ss.n_states == 3
         y_chan = ss_to_tf(ctrl.ss, 1, 0)
@@ -166,7 +164,7 @@ class TestPidfRealization:
         assert tf_residual(r_chan, p.reference_tf()) < 1e-9
 
     def test_high_frequency_reference_gain(self):
-        p = pidf_from_adrc(tune_second_order(1, 10, 1))
+        p = equivalent_params(tune_second_order(1, 10, 1))
         assert p.b * p.kp == pytest.approx(36.0, rel=1e-12)
         ctrl = build_equivalent_controller(p)
         assert abs(ss_to_tf(ctrl.ss, 0, 0)(1e9j)) == pytest.approx(36.0, rel=1e-8)
@@ -174,7 +172,7 @@ class TestPidfRealization:
     def test_filter_unity_dc_gives_integral_gain(self):
         # the measurement filter is unity at DC, so the measurement channel
         # keeps the pure integral gain ki
-        p = pidf_from_adrc(tune_second_order(1, 10, 1))
+        p = equivalent_params(tune_second_order(1, 10, 1))
         omega = 1e-8
         assert abs(p.feedback_tf()(1j * omega)) * omega == pytest.approx(p.ki, rel=1e-6)
 
@@ -256,7 +254,7 @@ def reference_extremes(d, params, low_omega=1e-6, high_omega=1e6):
 class TestAsymptotes:
     def test_first_order_pairs(self):
         d = tune_first_order(1, 10, 1)
-        p = pif_from_adrc(d)
+        p = equivalent_params(d)
         (low_adrc, low_equiv), (high_adrc, high_equiv) = reference_extremes(d, p)
         assert abs(low_adrc) == pytest.approx(1600 / 21, rel=1e-4)
         assert abs(low_equiv) == pytest.approx(1600 / 21, rel=1e-4)
@@ -279,7 +277,7 @@ class TestAsymptotes:
 
     def test_second_order_pairs(self):
         d = tune_second_order(1, 10, 1)
-        p = pidf_from_adrc(d)
+        p = equivalent_params(d)
         (low_adrc, _), (high_adrc, high_equiv) = reference_extremes(d, p)
         assert abs(low_adrc) == pytest.approx(216000 / 361, rel=1e-4)
         assert abs(high_adrc) == pytest.approx(36.0, rel=1e-4)
@@ -289,7 +287,7 @@ class TestAsymptotes:
 
     def test_detects_mismatched_parameters(self):
         d = tune_first_order(1, 10, 1)
-        wrong = pif_from_adrc(tune_first_order(1, 10, 1.05))
+        wrong = equivalent_params(tune_first_order(1, 10, 1.05))
         low, high = verify_asymptotes(extract_cr_cy(build_adrc(d))[0], wrong)
         assert not (low < 1e-4 and high < 1e-4)
 
@@ -343,7 +341,7 @@ class TestReferenceChannelGap:
     @pytest.mark.parametrize("order", [1, 2])
     def test_vanishes_at_grid_extremes(self, order):
         d = tune_first_order(1, 10, 1) if order == 1 else tune_second_order(1, 10, 1)
-        params = pif_from_adrc(d) if order == 1 else pidf_from_adrc(d)
+        params = equivalent_params(d)
         omega = log_grid(1e-4, 1e8, 800)
         _, gap = reference_channel_gap(extract_cr_cy(build_adrc(d))[0], params, omega)
         assert gap[0] < 1e-3
@@ -352,7 +350,7 @@ class TestReferenceChannelGap:
     @pytest.mark.parametrize("order", [1, 2])
     def test_supremum_matches_golden(self, order):
         d = tune_first_order(1, 10, 1) if order == 1 else tune_second_order(1, 10, 1)
-        params = pif_from_adrc(d) if order == 1 else pidf_from_adrc(d)
+        params = equivalent_params(d)
         omega = log_grid()
         sup, gap = reference_channel_gap(extract_cr_cy(build_adrc(d))[0], params, omega)
         assert sup == pytest.approx(FREQ_GAP_GOLDEN[order], abs=1e-9)
@@ -366,12 +364,12 @@ class TestSetpointWeightConsistency:
     @pytest.mark.parametrize("g", G_GRID)
     @pytest.mark.parametrize("b0", B0_GRID)
     def test_first_order(self, ts, g, b0):
-        p = pif_from_adrc(tune_first_order(ts, g, b0))
+        p = equivalent_params(tune_first_order(ts, g, b0))
         assert p.b * p.kp * b0 == pytest.approx(4.0 / ts, rel=1e-12)
 
     @pytest.mark.parametrize("ts", TS_GRID)
     @pytest.mark.parametrize("g", G_GRID)
     @pytest.mark.parametrize("b0", B0_GRID)
     def test_second_order(self, ts, g, b0):
-        p = pidf_from_adrc(tune_second_order(ts, g, b0))
+        p = equivalent_params(tune_second_order(ts, g, b0))
         assert p.b * p.kp * b0 == pytest.approx(36.0 / ts**2, rel=1e-12)
