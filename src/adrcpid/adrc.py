@@ -3,10 +3,10 @@
 A design (``AdrcDesign``, defined in ``design`` and importable from here
 too) is fixed by the plant order n (1 or 2), the desired settling time T_s,
 the observer pole multiplier g, and the characteristic plant gain b0.
-Both controllers' realizations, ADRC's (the extended observer with the
-control law substituted) and the equivalent PI(D)F's, are stated in
-``design``; both are controllers with inputs [r, y] and output u, which carry
-the rows of their realization and their two channels in closed form.
+Both controllers' realizations, the equivalent PI(D)F's and ADRC's (the
+same rows with ADRC's own reference column), are stated in ``design``; both
+are controllers with inputs [r, y] and output u, which carry the rows of
+their realization and their two channels in closed form.
 """
 
 from __future__ import annotations

@@ -282,9 +282,9 @@ def step_sweep(
     frequency scaling of Gao, ACC 2003): the roots of chi in s~ are alpha
     times those in s, with the same signs of real part, and its coefficients
     stay in the float range where those of chi in s overflow.  C_y in s~ is
-    ``channels(alpha)`` of the controller; a coefficient past the float
-    range is inf or NaN and makes chi "not stable".  A case whose step
-    response is refused raises that refusal.
+    ``channels(alpha)`` of the controller.  A case whose chi in s~ leaves
+    the float range cannot be judged, and is refused, as is a case whose
+    step response is refused.
     """
     plants = sweep_plants(plant, parameter, values)
     alpha = math.ldexp(0.5, math.frexp(t_end)[1])
@@ -293,6 +293,9 @@ def step_sweep(
     for swept in plants:
         table = step_response(closed_loop(swept, controller), input=0, t_end=t_end, n_steps=n_steps)
         chi = _loop_polynomial(*_time_scaled_plant(swept, alpha), measurement)[2]
+        if not all(map(math.isfinite, chi.coeffs)):  # then no note can say whether the case is stable
+            reason = "its closed-loop polynomial overflows in the sweep's time unit, so its stability cannot be judged"
+            raise ValueError(f"the step response at this tuning is not representable: {reason}")
         cases.append(SweepCase(value=getattr(swept, parameter), table=table, stable=is_stable(chi)))
     return SweepResult(parameter=parameter, cases=tuple(cases))
 

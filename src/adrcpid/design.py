@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 # omega_cl * T_s per plant order: the settling constants of the bandwidth rule
 SETTLING_CONSTANTS = {1: 4.0, 2: 6.0}
 
-# feedback or observer gains; the rows of one matrix of a realization, and of its (A, B, C, D)
+# gains, or a column of B; the rows of one matrix of a realization, and of its (A, B, C, D)
 Gains = tuple[float, ...]
 Rows = tuple[tuple[float, ...], ...]
 Realization = tuple[Rows, Rows, Rows, Rows]
@@ -41,9 +41,9 @@ class AdrcDesign:
     its n + 1 poles g times faster, at -g*omega_cl.  T_s and g must be
     finite and positive, b0 finite and nonzero, of either sign, and together
     they must give gains and equivalent PI(D) parameters that are finite and
-    nonzero in floating point, and realizations (``adrc_realization`` and
-    ``equivalent_realization``) whose entries are finite.  The design keeps
-    the values that this check computes, the ADRC realization too; the gains,
+    nonzero in floating point, and realizations (``equivalent_realization``,
+    and ``adrc_realization``'s reference column) whose entries are finite.
+    The design keeps the values that this check computes; the gains,
     ``equivalent_params``, ``adrc_realization`` and the builders read them.
     """
 
@@ -105,10 +105,10 @@ class AdrcDesign:
         return gains[-1]
 
 
-def _tuning(n: int, T_s: float, g: float, b0: float) -> tuple[Gains, Gains, PidParams, Realization] | str:
-    """(feedback gains, observer gains, equivalent PidParams, ADRC realization) of the tuning of
-    order n, or the refusal's reason, a format string for the tuning: a gain or equivalent PI(D)
-    parameter is not finite and nonzero, or else an entry of a realization, ADRC's or PI(D)F's, is not."""
+def _tuning(n: int, T_s: float, g: float, b0: float) -> tuple[Gains, Gains, PidParams, Gains] | str:
+    """(feedback gains, observer gains, equivalent PidParams, ADRC's reference column) of the tuning
+    of order n, or the refusal's reason, a format string for the tuning: a gain or equivalent PI(D)
+    parameter is not finite and nonzero, or else an entry of the PI(D)F realization or the column is not."""
     # the closed forms themselves, not equivalent_params: checking a design is
     # not a call of that layer, and a traced run should not count it as one
     try:
@@ -126,14 +126,14 @@ def _tuning(n: int, T_s: float, g: float, b0: float) -> tuple[Gains, Gains, PidP
         in_range = False
     if not in_range:
         return "the gains or equivalent PI(D) parameters of {} are not finite and nonzero"
-    rows = _adrc_rows(n, feedback, observer, b0)
-    if not _finite(rows):
-        return "an entry of the ADRC realization of {} is not finite"
     try:
         p = PidParams(*fields)
     except ValueError:  # an entry of the PI(D)F realization is not finite
         return f"an entry of the {('PI+F', 'PID+F')[n - 1]} realization of {{}} is not finite"
-    return feedback, observer, p, rows
+    column = _reference_column(n, T_s, g, b0)
+    if not all(map(math.isfinite, column)):  # its last entry overflows at a tiny g T_s^2, every parameter in range
+        return "an entry of the ADRC realization of {} is not finite"
+    return feedback, observer, p, column
 
 
 def _finite(realization: Realization) -> bool:
@@ -310,23 +310,19 @@ def equivalent_realization(p: PidParams) -> Realization:
 
 
 def adrc_realization(design: AdrcDesign) -> Realization:
-    """(A, B, C, D) of the ADRC controller, as the design's check built them.
-
-    Inputs [r, y], output u; the n + 1 states of the extended observer, whose matrix has -l
-    in its first column and the integrator chain above its diagonal.  Substituted, the law
-    u = (K_P r - K_P x1 [- K_D x2] - x_{n+1}) / b0 subtracts the feedback row [K_P, (K_D,) 1]
-    from row n of that matrix and feeds K_P r into that row.
-    """
-    return design._tuning[3]
+    """(A, B, C, D) of the ADRC controller: ``equivalent_realization``'s rows, the measurement path
+    that the two controllers share exactly (the paper's claim), with B's r column replaced by ADRC's
+    own, ``_reference_column``, which makes C_r ADRC's closed form."""
+    A, B, C, D = equivalent_realization(design._tuning[2])
+    return A, tuple((beta, b_y) for beta, (_, b_y) in zip(design._tuning[3], B)), C, D
 
 
-def _adrc_rows(order: int, feedback: Gains, observer: Gains, b0: float) -> Realization:
-    """The rows of ``adrc_realization`` from the gains, unchecked."""
+def _reference_column(order: int, T_s: float, g: float, b0: float) -> Gains:
+    """B's r column of ``adrc_realization`` in the states of ``equivalent_realization``, unchecked:
+      n = 1: (8g / (T_s^2 b0), 1/(2g));
+      n = 2: (2r / (g T_s), r/3, -12 (g + 2) r / (g T_s^2)), r = q / (g + 1)^2, q = 3g^2 + 6g + 1.
+    With it in place of their r column, the PI(D)F rows have ADRC's C_r (``adrc_channels``)."""
     if order == 1:
-        (K_P,), (l1, l2) = feedback, observer
-        A, B, C = ((-l1 - K_P, 0.0), (-l2, 0.0)), ((K_P, l1), (0.0, l2)), (-K_P / b0, -1.0 / b0)
-    else:
-        (K_P, K_D), (l1, l2, l3) = feedback, observer
-        A = (-l1, 1.0, 0.0), (-l2 - K_P, -K_D, 0.0), (-l3, 0.0, 0.0)
-        B, C = ((0.0, l1), (K_P, l2), (0.0, l3)), (-K_P / b0, -K_D / b0, -1.0 / b0)
-    return A, B, (C,), ((K_P / b0, 0.0),)
+        return 8.0 * g / (b0 * T_s**2), 0.5 / g
+    r = (3.0 * g**2 + 6.0 * g + 1.0) / (g + 1.0) ** 2
+    return 2.0 * r / g / T_s, r / 3.0, -12.0 * r * (g + 2.0) / g / T_s**2

@@ -1,12 +1,24 @@
 import dataclasses
 import math
 import re
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import TUNINGS, design_gains, exact_adrc_split, log_uniform, tf
+from conftest import (
+    COLUMN_ROUNDINGS,
+    TUNINGS,
+    design_gains,
+    exact_adrc_split,
+    exact_pidf_rows,
+    exact_reference_column,
+    exact_split,
+    log_uniform,
+    tf,
+    within_roundings,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyfromroots, polyroots
@@ -313,33 +325,28 @@ class TestClosedForms:
             assert max(_ulps(x, e) for x, e in zip(got.coeffs, want)) <= 8.0, (got.coeffs, want)
 
 
-def _reference_matrices(order, T_s, g, b0):
-    """The per-order controllers as written out by hand before the generic builder."""
-    if order == 1:
-        K_P = 4.0 / T_s
-        l1, l2 = 2.0 * g * K_P, (g * K_P) ** 2
-        A = np.array([[-(l1 + K_P), 0.0], [-l2, 0.0]])
-        B = np.array([[K_P, l1], [0.0, l2]])
-        C = np.array([[-K_P / b0, -1.0 / b0]])
-        return A, B, C, np.array([[K_P / b0, 0.0]])
-    w = 6.0 / T_s
-    K_P, K_D = w**2, 2.0 * w
-    l1, l2, l3 = 3.0 * g * w, 3.0 * (g * w) ** 2, (g * w) ** 3
-    A = np.array([[-l1, 1.0, 0.0], [-(l2 + K_P), -K_D, 0.0], [-l3, 0.0, 0.0]])
-    B = np.array([[0.0, l1], [K_P, l2], [0.0, l3]])
-    C = np.array([[-K_P / b0, -K_D / b0, -1.0 / b0]])
-    return A, B, C, np.array([[K_P / b0, 0.0]])
-
-
 class TestGenericDesign:
     @settings(max_examples=300)
     @given(TUNINGS)
-    def test_builder_matches_per_order_matrices_bit_for_bit(self, tuning):
-        order, T_s, g, b0 = tuning
-        ss = build_adrc(AdrcDesign(order, T_s, g, b0)).ss
-        for got, want in zip((ss.A, ss.B, ss.C, ss.D), _reference_matrices(order, T_s, g, b0)):
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+    def test_builder_is_the_pidf_rows_with_its_reference_column(self, tuning):
+        d = AdrcDesign(*tuning)
+        A, B, C, D = build_adrc(d).realization
+        A_e, B_e, C_e, D_e = equivalent_realization(equivalent_params(d))
+        y_column, y_column_e = [[row[1] for row in rows] for rows in (B, B_e)]
+        assert _hex((A, C, D, [y_column])) == _hex((A_e, C_e, D_e, [y_column_e]))
+        column = [row[0] for row in B]
+        exact = exact_reference_column(*tuning)
+        assert len(column) == len(exact) == d.order + 1
+        assert all(map(within_roundings, column, exact, COLUMN_ROUNDINGS[d.order])), (column, exact)
+
+    @settings(max_examples=50)
+    @given(st.one_of(TUNINGS, HIGH_G_TUNINGS))
+    def test_pidf_rows_with_the_exact_column_are_adrc_exactly(self, tuning):
+        # the paper's claim, in exact arithmetic: ADRC is the PI(D)F's measurement path with its own
+        # reference column, so both splits, from those rows and from the observer form, are equal
+        A, B, C, D = exact_pidf_rows(*tuning)
+        B = [[beta, b_y] for beta, (_, b_y) in zip(exact_reference_column(*tuning), B)]
+        assert exact_split(A, B, C, D) == exact_adrc_split(*tuning)
 
     @settings(max_examples=300)
     @given(TUNINGS)
@@ -360,6 +367,11 @@ class TestGenericDesign:
 
 def _bits(params):
     return [v.hex() for v in dataclasses.astuple(params)]
+
+
+def _hex(matrices):
+    """The entries of a list of matrices, rows of floats, as hex strings, row by row."""
+    return [[[v.hex() for v in row] for row in m] for m in matrices]
 
 
 class TestKeptTuning:
@@ -396,7 +408,8 @@ class TestKeptTuning:
             # gains and parameters in range, but a realization entry past it
             ((1, 1e-150, 1.0, 1e-5), "T_s", "an entry of the PI+F realization"),  # ki/Tf
             ((1, 1e-3, 1.0, 1e-300), "b0", "an entry of the PI+F realization"),  # ki/Tf
-            ((2, 1e5, 1.0, 1e-310), "b0", "an entry of the ADRC realization"),  # 1/b0 in build_adrc's C
+            # -12 (g + 2) r / (g T_s^2), the last entry of ADRC's reference column
+            ((2, 1e-102, 1e-107, 1.0), "T_s", "an entry of the ADRC realization"),
         ],
     )
     def test_out_of_range_names_the_input_that_breaks(self, inputs, name, reason):
@@ -410,7 +423,7 @@ class TestKeptTuning:
         log_uniform(1.0, 1e6),
         st.builds(lambda sign, mag: sign * mag, st.sampled_from((-1.0, 1.0)), log_uniform(1e-320, 1e300)),
     )
-    @example(2, 1e5, 1.0, 1e-310)
+    @example(2, 1e-102, 1e-107, 1.0)
     @example(1, 1e-150, 1.0, 1e-5)
     def test_a_refusal_names_the_rule_that_the_values_break(self, order, T_s, g, b0):
         try:
@@ -421,7 +434,8 @@ class TestKeptTuning:
 
 def _broken_rule(order, T_s, g, b0):
     """GAINS if a gain or PI(D) parameter of the tuning is not finite and nonzero, else
-    the realization, ADRC's or else PI(D)F's, with an entry that is not finite."""
+    the realization, PI(D)F's or else ADRC's reference column, with an entry that is not
+    finite: that column's exact value past the float range."""
     w = SETTLING_CONSTANTS[order] / T_s
     try:
         if order == 1:
@@ -433,15 +447,16 @@ def _broken_rule(order, T_s, g, b0):
         return GAINS
     if not all(math.isfinite(v) and v != 0.0 for v in (*gains, kp, ki, Tf, b) + ((kd, d) if order == 2 else ())):
         return GAINS
-    with np.errstate(all="ignore"):
-        if not all(np.isfinite(m).all() for m in _reference_matrices(order, T_s, g, b0)):
-            return "an entry of the ADRC realization"
     try:
         rows = equivalent_realization(SimpleNamespace(kp=kp, ki=ki, kd=kd, Tf=Tf, b=b, d=d))
         finite = all(math.isfinite(v) for matrix in rows for row in matrix for v in row)
     except ArithmeticError:
         finite = False
-    return GAINS if finite else f"an entry of the {('PI+F', 'PID+F')[order - 1]} realization"
+    if not finite:
+        return f"an entry of the {('PI+F', 'PID+F')[order - 1]} realization"
+    if any(abs(x) > sys.float_info.max for x in exact_reference_column(order, T_s, g, b0)):
+        return "an entry of the ADRC realization"
+    return GAINS
 
 
 class TestFiniteRealizations:
@@ -455,7 +470,8 @@ class TestFiniteRealizations:
         st.builds(lambda sign, mag: sign * mag, st.sampled_from((-1.0, 1.0)), log_uniform(1e-320, 1e300)),
     )
     @example(1, 1e-3, 1.0, 1e-300)  # ki/Tf of the PI+F realization; the gains are in range
-    @example(2, 1e5, 1.0, -1e-310)  # 1/b0 in build_adrc's C, an overflow warning if built
+    @example(2, 1e5, 1.0, -1e-310)  # 1/b0 in the ADRC observer form's C; the PID+F rows are finite
+    @example(2, 1e-102, 1e-107, 1.0)  # the last entry of ADRC's reference column; refused
     def test_accepted_designs_build_finite_realizations(self, order, T_s, g, b0):
         # the suite turns warnings into errors, so an overflow inside build_adrc fails here too
         try:

@@ -12,7 +12,20 @@ import mpmath
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
-from conftest import TUNINGS, exact_adrc_split, exact_stable, log_uniform, mp_stable, plant_tf, tf, tf_to_ss
+from conftest import (
+    TUNINGS,
+    exact_adrc_split,
+    exact_observer_form,
+    exact_pidf_rows,
+    exact_reference_column,
+    exact_stable,
+    exact_step,
+    log_uniform,
+    mp_stable,
+    plant_tf,
+    tf,
+    tf_to_ss,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -534,20 +547,21 @@ class TestSharedWorkCounts:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_each_realization_built_once(self, monkeypatch, order):
-        # the design's check builds the ADRC rows and build_adrc reads them; the PI(D)F
-        # builder states its rows again, as PidParams' check does not keep them
-        built, stated = [], []
-        original_rows, original_realization = design_module._adrc_rows, pid_equiv_module.equivalent_realization
-        monkeypatch.setattr(design_module, "_adrc_rows", lambda *args: built.append(args) or original_rows(*args))
+        # the design's check computes ADRC's reference column and build_adrc reads it; each
+        # builder states the PI(D)F rows of the design's parameters, as PidParams' check does not keep them
+        columns, stated = [], []
+        original_column, original_realization = design_module._reference_column, design_module.equivalent_realization
+        monkeypatch.setattr(
+            design_module, "_reference_column", lambda *args: columns.append(args) or original_column(*args)
+        )
         design = AdrcDesign(order, 1.0, 10.0, 1.0)
         params = equivalent_params(design)
-        assert len(built) == 1
-        monkeypatch.setattr(
-            pid_equiv_module, "equivalent_realization", lambda p: stated.append(p) or original_realization(p)
-        )
+        assert len(columns) == 1
+        for module in (design_module, pid_equiv_module):
+            monkeypatch.setattr(module, "equivalent_realization", lambda p: stated.append(p) or original_realization(p))
         build_adrc(design), build_equivalent_controller(params)
-        assert len(built) == 1 and stated == [params]
-        assert self._count_calls(monkeypatch, design_module, "_adrc_rows", order) == 1
+        assert len(columns) == 1 and len(stated) == 2 and all(p is params for p in stated)
+        assert self._count_calls(monkeypatch, design_module, "_reference_column", order) == 1
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("value_type", [StateSpaceModel, Polynomial, RationalTransferFunction])
@@ -773,10 +787,42 @@ def _fraction_product(a: list, b: list) -> list:
     return out
 
 
+class TestStepTraceAccuracy:
+    """Nominal step traces over 3 T_s at T_s = 1 against the exact loop, from the inputs taken
+    as Fractions: ADRC's from its observer form, a realization that shares no float row with
+    build_adrc's, and PI(D)F's from its own rows."""
+
+    @pytest.mark.parametrize("order, g", [(2, 1e3), (2, 1e5), (2, 1e6), (2, 1e8), (1, 1e3), (1, 1e6), (1, 1e9)])
+    def test_adrc_trace_within_twice_the_pidf_traces_error(self, order, g):
+        # the two share their measurement path, so ADRC's reference column may cost no more than that
+        design = AdrcDesign(order, 1.0, g, 1.0)
+        plant = PlantModel(order, 1.0, 1.0, 1.0 if order == 2 else None)
+        loops = (
+            (build_adrc(design), exact_observer_form(order, 1.0, g, 1.0)),
+            (build_equivalent_controller(equivalent_params(design)), exact_pidf_rows(order, 1.0, g, 1.0)),
+        )
+        errors = []
+        for ctrl, rows in loops:
+            y = step_response(closed_loop(plant, ctrl), 0, t_end=3.0, n_steps=300).columns["y"].tolist()
+            errors.append(max(abs(a - b) for a, b in zip(y, exact_step(rows, plant, 3.0, 300), strict=True)))
+        assert errors[0] <= 2.0 * errors[1], errors
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_oracle_gives_one_trace_for_both_exact_adrc_realizations(self, order):
+        plant = PlantModel(order, 1.0, 1.0, 1.0 if order == 2 else None)
+        A, B, C, D = exact_pidf_rows(order, 1.0, 10.0, 1.0)
+        B = [[beta, b_y] for beta, (_, b_y) in zip(exact_reference_column(order, 1.0, 10.0, 1.0), B)]
+        observer = exact_step(exact_observer_form(order, 1.0, 10.0, 1.0), plant, 3.0, 300)
+        assert max(abs(a - b) for a, b in zip(observer, exact_step((A, B, C, D), plant, 3.0, 300))) <= 1e-15
+        ctrl = build_adrc(AdrcDesign(order, 1.0, 10.0, 1.0))
+        y = step_response(closed_loop(plant, ctrl), 0, t_end=3.0, n_steps=300).columns["y"].tolist()
+        assert max(abs(a - b) for a, b in zip(y, observer, strict=True)) <= 1e-12
+
+
 class TestSweepNotesAtExtremeG:
     """The stability notes of the default sweeps of figures 1, 2, 5 and 6 at g far past the
-    aim-3 range, on every case that AdrcDesign accepts and step_response simulates, against
-    the exact Routh verdict of the exact loop."""
+    aim-3 range, on every case that AdrcDesign accepts and step_sweep simulates and judges,
+    against the exact Routh verdict of the exact loop."""
 
     def test_notes_equal_the_exact_routh_verdict(self):
         from adrcpid.cli import DEFAULT_SWEEPS, FIGURES
@@ -809,7 +855,7 @@ class TestSweepNotesAtExtremeG:
                         chi = [a + K * b for a, b in itertools.zip_longest(_fraction_product(dp, dc), nc, fillvalue=0)]
                         assert case.stable == exact_stable(chi), (fig, g, ts, b0, case.value, name)
                         checked += 1
-        assert checked == 148
+        assert checked == 288
 
 
 class TestStepSweep:

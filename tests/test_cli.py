@@ -265,10 +265,10 @@ class TestFigureCommand:
         assert capsys.readouterr().out.splitlines()[:-1] == notes
 
     def test_clamp_notes_count_the_samples_the_csv_holds_at_the_cap(self, tmp_path, capsys):
-        # at g = 1e8 three ADRC traces diverge; the PI(D)F traces settle and say nothing
-        assert main(["figure", "5", "--g", "1e8", "--out", str(tmp_path)]) == EXIT_OK
-        notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note: ")]
-        with open(tmp_path / "fig5.csv", newline="") as fh:
+        # at T = 0.1 and 0.2 both controllers' traces diverge to the cap; T = 5 diverges too slowly
+        assert main(["figure", "6", "--out", str(tmp_path)]) == EXIT_OK
+        notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note: column ")]
+        with open(tmp_path / "fig6.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         clamped = {name: sum(abs(float(row[name])) == 1e6 for row in rows) for name in rows[0]}
         assert notes == [
@@ -276,7 +276,20 @@ class TestFigureCommand:
             for name, count in clamped.items()
             if count
         ]
-        assert [line.split()[2] for line in notes] == ["y_adrc_K=0.5", "y_adrc_K=1", "y_adrc_K=5"]
+        assert [line.split()[2] for line in notes] == ["y_adrc_T=0.1", "y_equiv_T=0.1", "y_adrc_T=0.2", "y_equiv_T=0.2"]
+
+    @pytest.mark.parametrize("g", ["1e3", "1e6", "1e8", "1e12"])
+    def test_adrc_traces_end_on_the_pidf_traces_at_high_g(self, tmp_path, capsys, g):
+        # both controllers carry the same C_y, so once the reference transient has passed their
+        # traces agree; ADRC's reference column adds no error of its own there
+        assert main(["figure", "5", "--g", g, "--out", str(tmp_path)]) == EXIT_OK
+        assert not [line for line in capsys.readouterr().out.splitlines() if line.startswith("note: ")]
+        with open(tmp_path / "fig5.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        names = [name for name in rows[0] if name.startswith("y_adrc_")]
+        tail = rows[len(rows) * 4 // 5 :]
+        gap = max(abs(float(row[name]) - float(row[name.replace("adrc", "equiv")])) for row in tail for name in names)
+        assert gap <= 1e-12
 
     def test_comparison_controller_included(self, tmp_path):
         args = ["figure", "3", "--out", str(tmp_path), "--compare-pid", "20,70,0,0.012,0.2"]
@@ -713,7 +726,7 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv):
         (["tune", "--order", "1", "--ts", "1", "--g", "10"], EXIT_OK, ""),
         # the exponential of this loop overflows while squaring; no warning, one refusal
         (
-            ["figure", "1", "--ts", "1e-40", "--g", "1e50"],
+            ["figure", "1", "--ts", "1", "--g", "10", "--b0", "1e-200"],
             EXIT_BAD_ARGS,
             "error: the step response at this tuning is not representable: "
             "the model's exponential over one sample time overflows\n",
@@ -783,10 +796,24 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv):
             "error: the gang of seven at this plant is not representable: its closed-loop polynomial overflows\n",
         ),
         (
-            ["figure", "5", "--plant-t", "1e-152"],
+            ["figure", "5", "--plant-t", "1e-153"],
             EXIT_BAD_ARGS,
             "error: the step response at this tuning is not representable: "
             "the model's entries times the sample time overflow or are not finite\n",
+        ),
+        # loops that step_response simulates, but whose chi in the sweep's time unit leaves the
+        # float range, so that no note can say whether they are stable
+        (
+            ["figure", "5", "--g", "1e100"],
+            EXIT_BAD_ARGS,
+            "error: the step response at this tuning is not representable: its closed-loop polynomial "
+            "overflows in the sweep's time unit, so its stability cannot be judged\n",
+        ),
+        (
+            ["figure", "1", "--plant-t", "1e-305"],
+            EXIT_BAD_ARGS,
+            "error: the step response at this tuning is not representable: its closed-loop polynomial "
+            "overflows in the sweep's time unit, so its stability cannot be judged\n",
         ),
         (["verify", "--perturb-b0", "0"], EXIT_BAD_ARGS, "error: perturb_b0 must be finite and nonzero, got 0.0\n"),
         (
@@ -803,7 +830,8 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv):
             "realization of T_s=0.5, g=2.0, b0=5e-306 is not finite\n",
         ),
         # gains and parameters in range, but a realization entry past it: -ki/Tf of the PI+F
-        # realization, 1/b0 of build_adrc's, kp/Tf of a --compare-pid PI+F; refused, naming the input
+        # realization, the last entry of ADRC's reference column, kp/Tf of a --compare-pid PI+F;
+        # refused, naming the input
         (
             ["figure", "3", "--ts", "1e-110"],
             EXIT_BAD_ARGS,
@@ -817,10 +845,10 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv):
             "of T_s=1e-150, g=1.0, b0=1e-05 is not finite\n",
         ),
         (
-            ["figure", "5", "--ts", "1e5", "--g", "1", "--b0", "1e-310"],
+            ["figure", "5", "--ts", "1e-102", "--g", "1e-107"],
             EXIT_BAD_ARGS,
-            "error: b0=1e-310 is out of range: an entry of the ADRC realization "
-            "of T_s=100000.0, g=1.0, b0=1e-310 is not finite\n",
+            "error: T_s=1e-102 is out of range: an entry of the ADRC realization "
+            "of T_s=1e-102, g=1e-107, b0=1.0 is not finite\n",
         ),
         (
             ["figure", "7", "--compare-pid", "1e300,1,0,1e-10,1"],
@@ -833,7 +861,8 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv):
          "verify-order2-out-of-range", "figure-plant-t-overflow", "figure-plant-d-overflow",
          "figure-plant-t-underflow", "figure-design-at-its-order", "sweep-plant-t-overflow",
          "gang-cancellation-overflow",
-         "gang-magnitude-overflow", "gang-polynomial-overflow", "closed-loop-overflow", "verify-perturb-b0-zero",
+         "gang-magnitude-overflow", "gang-polynomial-overflow", "closed-loop-overflow",
+         "sweep-polynomial-overflow-at-g", "sweep-polynomial-overflow-at-plant-t", "verify-perturb-b0-zero",
          "verify-perturb-b0-out-of-range", "verify-perturb-b0-realization-out-of-range",
          "figure-pif-realization-overflow", "tune-pif-realization-overflow", "figure-adrc-realization-overflow",
          "figure-compare-pid-realization-overflow"],
@@ -931,7 +960,7 @@ UNNAMED_REFUSALS = (
     "error: the step response at this tuning is not representable: ",
     "error: the gang of seven at this plant is not representable: ",
 )
-UNNAMED_REFUSAL_COUNTS = {"tune1": 0, "tune2": 0, "verify": 20, "figure3": 0, "figure7": 8, "sweep1": 16, "sweep2": 12}
+UNNAMED_REFUSAL_COUNTS = {"tune1": 0, "tune2": 0, "verify": 18, "figure3": 0, "figure7": 8, "sweep1": 13, "sweep2": 12}
 
 
 @pytest.mark.parametrize("command", TUNING_COMMANDS)

@@ -5,20 +5,22 @@ comparison is of ``float.hex()``, so signed zeros and the positions of inf and
 NaN count, over the package's tunings, powers of two alpha, negative b0 and K,
 and past the float range.  The float forms must raise no warning there.
 
-The one exception is ADRC's closed-form channels, whose powers c^j / T_s^j
-Python's ``**`` forms: numpy's array power can differ from it in the last bit.
-They are held to an exact rational reference within a derived bound, and to
-the numpy form only for where inf, NaN and signed zeros fall.
+The exceptions are ADRC's closed-form channels, whose powers c^j / T_s^j
+Python's ``**`` forms: numpy's array power can differ from it in the last bit,
+and the reference column of ADRC's realization, which replaced no numpy form.
+They are held to an exact rational reference within a derived bound, the
+channels also to the numpy form for where inf, NaN and signed zeros fall.
 """
 
 import dataclasses
 import math
+import sys
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
-from conftest import TUNINGS, design_gains, log_uniform
+from conftest import COLUMN_ROUNDINGS, TUNINGS, exact_reference_column, log_uniform, within_roundings
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -98,19 +100,15 @@ def pid_channels_numpy(p, alpha=1.0):
     return _tf(c_r, c_y.den), c_y
 
 
-def build_adrc_numpy(design):
-    n, b0, K_P = design.order, design.b0, design.K_P
-    gains, observer = design_gains(design)
-    feedback = np.array([*gains, 1.0])
-    A = np.eye(n + 1, k=1)
-    A[:, 0] = np.negative(observer)
-    A[n - 1] -= feedback
-    B = np.zeros((n + 1, 2))
-    B[n - 1, 0] = K_P
-    B[:, 1] = observer
-    C = (-feedback / b0)[np.newaxis]
-    D = np.array([[K_P / b0, 0.0]])
-    return A, B, C, D
+def reference_column_exact(design):
+    """ADRC's reference column as (exact value, in range): whether the value and the steps of
+    _reference_column that can leave the normal range are normal, T_s^2 and, at order 1, b0 T_s^2."""
+    T_s, b0 = Fraction(design.T_s), Fraction(design.b0)
+    steps = (T_s**2, b0 * T_s**2)[: 3 - design.order]
+    return [
+        (value, all(NORMAL[0] <= abs(v) <= NORMAL[1] for v in (*steps, value)))
+        for value in exact_reference_column(design.order, design.T_s, design.g, design.b0)
+    ]
 
 
 def closed_loop_numpy(plant, c):
@@ -146,8 +144,9 @@ def closed_loop_numpy(plant, c):
 
 
 def tuning_comb(design):
-    """(feedback, observer gains, PidParams) of a design by the binomial forms, or
-    None where the check that they replaced refused the design."""
+    """(feedback, observer gains, PidParams) of a design by the binomial forms, or None where
+    the check that they replaced refused the design, or where ADRC's reference column leaves
+    the float range."""
     n, g = design.order, design.g
     try:
         w = design.omega_cl
@@ -157,8 +156,8 @@ def tuning_comb(design):
     except (ArithmeticError, ValueError):
         return None
     values = (*feedback, *observer, p.kp, p.ki, p.Tf, p.b) + ((p.kd, p.d) if n == 2 else ())
-    entries = [k / design.b0 for k in (*feedback, 1.0)] + [observer[n - 1] + feedback[0]]
-    finite = all(map(math.isfinite, values)) and all(map(math.isfinite, entries))
+    column = exact_reference_column(n, design.T_s, g, design.b0)  # ADRC's, past the float range where exactly so
+    finite = all(map(math.isfinite, values)) and all(abs(x) <= sys.float_info.max for x in column)
     return (feedback, observer, p) if finite and all(values) else None
 
 
@@ -254,7 +253,8 @@ def _plant(order, K, T, D):
 class TestDesignChecks:
     @settings(max_examples=400)
     @given(WIDE_TUNINGS)
-    @example((2, 1e5, 1.0, 1e-310))  # only 1/b0 of build_adrc's C overflows
+    @example((2, 1e5, 1.0, 1e-310))  # only 1/b0 of the ADRC observer form's C overflows: accepted
+    @example((2, 1e-102, 1e-107, 1.0))  # only the last entry of ADRC's reference column overflows
     @example((1, 1e-150, 1.0, 1e-5))  # only -ki/Tf of the PI+F realization overflows
     @example((2, 0.0268, 42.9228, 1.0))  # (3 g) omega_cl differs from 3 (g omega_cl) in the last bit
     def test_accepts_exactly_what_the_binomial_check_accepted_with_its_bits(self, tuning):
@@ -320,9 +320,15 @@ class TestLoopBlocks:
     @settings(max_examples=300)
     @given(WIDE_TUNINGS)
     def test_build_adrc(self, tuning):
+        # the PI(D)F's arrays but for B's r column, which is ADRC's closed form within its roundings
+        # where every step of it is normal, and finite everywhere
         design = _design(tuning)
         ss = _quietly(build_adrc, design).ss
-        assert _matrices_hex((ss.A, ss.B, ss.C, ss.D)) == _matrices_hex(build_adrc_numpy(design))
+        pidf = build_equivalent_controller(equivalent_params(design)).ss
+        assert _matrices_hex((ss.A, ss.B[:, 1], ss.C, ss.D)) == _matrices_hex((pidf.A, pidf.B[:, 1], pidf.C, pidf.D))
+        exact = reference_column_exact(design)
+        for x, (value, in_range), k in zip(ss.B[:, 0].tolist(), exact, COLUMN_ROUNDINGS[design.order]):
+            assert within_roundings(x, value, k) if in_range else math.isfinite(x), (x, float(value))
 
     @settings(max_examples=400)
     @given(

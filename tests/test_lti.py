@@ -2,10 +2,11 @@ import builtins
 import math
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
-from conftest import log_uniform, tf, tf_to_ss
+from conftest import log_uniform, observer_form_rows, tf, tf_to_ss
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
@@ -493,8 +494,10 @@ def _augmented(m, input=0):
 
 
 def _adrc_loop(order, ts, g, b0, K=1.0, T=1.0, D=1.0):
-    tune = adrc.tune_first_order if order == 1 else adrc.tune_second_order
-    ctrl = adrc.build_adrc(tune(ts, g, b0))
+    """The loop of a plant and the ADRC controller in observer form, whose entries span the
+    powers of g*omega_cl: badly scaled loops for the exponential and the step response."""
+    design = adrc.AdrcDesign(order, ts, g, b0)
+    ctrl = adrc.TwoInputController(observer_form_rows(design), partial(adrc.adrc_channels, design))
     plant = analysis.PlantModel(order, K, T, D if order == 2 else None)
     return analysis.closed_loop(plant, ctrl)
 

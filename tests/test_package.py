@@ -210,15 +210,11 @@ def test_every_public_name_has_a_user():
 
 
 def test_analysis_names_no_numpy():
-    """The closed loop hands its rows to lti, and the sweeps' time scaling is plain floats;
-    so are verify's checks, but for the gang-of-four identity, whose residual keeps the
-    bits of numpy's complex abs (Python's abs rounds some |z| differently)."""
-    for module, kept in (("analysis", ()), ("verify", ("_gang_of_four_identity",))):
-        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-        nodes = [node for node in tree.body if not (isinstance(node, ast.FunctionDef) and node.name in kept)]
-        assert len(tree.body) - len(nodes) == len(kept)
+    """The closed loop hands its rows to lti, and the sweeps' time scaling and verify's
+    checks are plain floats."""
+    for module in ("analysis", "verify"):
         imported, named = set(), set()
-        for node in (child for top in nodes for child in ast.walk(top)):
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
             if isinstance(node, ast.Import):
                 imported.update(alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom):
