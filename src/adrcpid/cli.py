@@ -17,6 +17,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -227,13 +228,13 @@ def _pid_refusal(cfg: ExperimentConfig, reason: ValueError) -> ValueError:
     return ValueError(f"{values} are out of range: {reason}")
 
 
-def _per_controller(cfg: ExperimentConfig, order: int, columns: Callable[[TwoInputController], dict]) -> dict:
-    """columns(controller) for each controller of a figure, by name and in order; the one
-    place where a refusal of the --compare-pid controller's columns names its values."""
+def _per_controller(cfg: ExperimentConfig, order: int, columns: Callable[[str, TwoInputController], object]) -> dict:
+    """columns(name, controller) for each controller of a figure, by name and in order; the
+    one place where a refusal of the --compare-pid controller's columns names its values."""
     out = {}
     for name, ctrl in _controllers(cfg, order).items():
         try:
-            out[name] = columns(ctrl)
+            out[name] = columns(name, ctrl)
         except ValueError as exc:
             if name != "pid":
                 raise
@@ -306,7 +307,7 @@ def _figure_step(cfg: ExperimentConfig, order: int, parameter: str):
     if values is None:
         values = DEFAULT_SWEEPS[(order, parameter)]
     plant, t_end = _plant(cfg, order), STEP_HORIZON_FACTOR * cfg.ts
-    sweeps = _per_controller(cfg, order, lambda ctrl: step_sweep(plant, parameter, values, ctrl, t_end))
+    sweeps = _per_controller(cfg, order, lambda _, ctrl: step_sweep(plant, parameter, values, ctrl, t_end))
     names, columns, series, notes = _step_columns(sweeps)
     markup = line_chart(
         series,
@@ -344,76 +345,50 @@ def _phase_degrees(values: list[complex]) -> list[float]:
     return [x * (180.0 / math.pi) for x in unwrapped]
 
 
-def _figure_bode(cfg: ExperimentConfig, order: int):
+def _bode_columns(points: list[complex], name: str, ctrl: TwoInputController) -> list[tuple]:
+    """The magnitude and phase columns of a controller's C_r and C_y; the magnitudes are drawn."""
     from .adrc import extract_cr_cy
-    from .lti import log_grid
-    from .svg import Series, line_chart
 
-    omega = log_grid(cfg.omega_min, cfg.omega_max, cfg.omega_points)
-    points = [1j * w for w in omega]
-
-    def channels(ctrl: TwoInputController) -> dict:
-        responses = {}
-        for channel, tf in zip(("Cr", "Cy"), extract_cr_cy(ctrl)):
-            values = tf(points)
-            responses[channel] = [_magnitude(v) for v in values], _phase_degrees(values)
-        return responses
-
-    names = ["omega"]
-    columns = [omega]
-    series = []
-    for ctrl_name, responses in _per_controller(cfg, order, channels).items():
-        for channel, (mag, phase) in responses.items():
-            label = f"{ctrl_name}_{channel}"
-            names.extend([f"mag_{label}", f"phase_deg_{label}"])
-            columns.extend([mag, phase])
-            series.append(Series(label, omega, mag))
-    markup = line_chart(
-        series,
-        title=f"Controller frequency responses (order {order})",
-        xlabel="omega [rad/s]",
-        ylabel="magnitude",
-        xlog=True,
-        ylog=True,
-    )
-    return names, columns, markup, []
+    entries = []
+    for channel, tf in zip(("Cr", "Cy"), extract_cr_cy(ctrl)):
+        values = tf(points)
+        label = f"{name}_{channel}"
+        entries.append((f"mag_{label}", [_magnitude(v) for v in values], label))
+        entries.append((f"phase_deg_{label}", _phase_degrees(values), None))
+    return entries
 
 
-def _figure_gang(cfg: ExperimentConfig, order: int):
+def _gang_columns(plant: PlantModel, points: list[complex], name: str, ctrl: TwoInputController) -> list[tuple]:
+    """The drawn magnitude column of each member of a controller's gang of seven at plant."""
     from .analysis import gang_of_seven
+
+    entries = []
+    for fn_name, tf in gang_of_seven(plant, ctrl).named().items():
+        mag = [_magnitude(v) for v in tf(points)]
+        if not all(map(math.isfinite, mag)):
+            raise ValueError("the gang of seven at this plant is not representable: its magnitudes overflow")
+        label = f"{fn_name}_{name}"
+        entries.append((label, mag, label))
+    return entries
+
+
+def _figure_frequency(cfg: ExperimentConfig, order: int, columns: Callable[..., list[tuple]], title: str):
+    """A frequency figure: columns(points, name, controller) gives each controller's
+    (CSV name, values, SVG label or None) entries on the figure's grid."""
     from .lti import log_grid
     from .svg import Series, line_chart
 
     omega = log_grid(cfg.omega_min, cfg.omega_max, cfg.omega_points)
     points = [1j * w for w in omega]
-    plant = _plant(cfg, order)
-
-    def magnitudes(ctrl: TwoInputController) -> dict:
-        gang = {}
-        for fn_name, tf in gang_of_seven(plant, ctrl).named().items():
-            gang[fn_name] = [_magnitude(v) for v in tf(points)]
-            if not all(map(math.isfinite, gang[fn_name])):
-                raise ValueError("the gang of seven at this plant is not representable: its magnitudes overflow")
-        return gang
-
-    names = ["omega"]
-    columns = [omega]
-    series = []
-    for ctrl_name, gang in _per_controller(cfg, order, magnitudes).items():
-        for fn_name, mag in gang.items():
-            label = f"{fn_name}_{ctrl_name}"
-            names.append(label)
-            columns.append(mag)
-            series.append(Series(label, omega, mag))
-    markup = line_chart(
-        series,
-        title=f"Gang of seven magnitudes (order {order})",
-        xlabel="omega [rad/s]",
-        ylabel="magnitude",
-        xlog=True,
-        ylog=True,
-    )
-    return names, columns, markup, []
+    names, values, series = ["omega"], [omega], []
+    for entries in _per_controller(cfg, order, partial(columns, points)).values():
+        for name, column, label in entries:
+            names.append(name)
+            values.append(column)
+            if label is not None:
+                series.append(Series(label, omega, column))
+    markup = line_chart(series, title=f"{title} (order {order})", xlabel="omega [rad/s]", ylabel="magnitude", log=True)
+    return names, values, markup, []
 
 
 def compute_figure(fig_id: int, cfg: ExperimentConfig):
@@ -422,8 +397,8 @@ def compute_figure(fig_id: int, cfg: ExperimentConfig):
     if kind == "step":
         return _figure_step(cfg, order, parameter)
     if kind == "bode":
-        return _figure_bode(cfg, order)
-    return _figure_gang(cfg, order)
+        return _figure_frequency(cfg, order, _bode_columns, "Controller frequency responses")
+    return _figure_frequency(cfg, order, partial(_gang_columns, _plant(cfg, order)), "Gang of seven magnitudes")
 
 
 def _write_outputs(

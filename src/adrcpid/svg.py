@@ -75,12 +75,12 @@ def _fmt_tick(v: float) -> str:
     return f"{v:g}"
 
 
-def _drawable(x: list[float], y: list[float], xlog: bool, ylog: bool) -> list[bool]:
-    """Per point (x, y), whether it can be drawn: finite, and positive on a log axis."""
+def _drawable(x: list[float], y: list[float], log: bool) -> list[bool]:
+    """Per point (x, y), whether it can be drawn: finite, and positive on log axes."""
     isfinite = math.isfinite
-    if all(map(isfinite, x + y)) and (min(x, default=1.0) > 0 or not xlog) and (min(y, default=1.0) > 0 or not ylog):
+    if all(map(isfinite, x + y)) and (min(x + y, default=1.0) > 0 or not log):
         return [True] * len(x)  # every point, found at the speed of the builtins
-    return [isfinite(u) and isfinite(v) and (u > 0 or not xlog) and (v > 0 or not ylog) for u, v in zip(x, y)]
+    return [isfinite(u) and isfinite(v) and (not log or u > 0 and v > 0) for u, v in zip(x, y)]
 
 
 def line_chart(
@@ -89,18 +89,17 @@ def line_chart(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    xlog: bool = False,
-    ylog: bool = False,
+    log: bool = False,
 ) -> str:
-    """Render named (x, y) series as one SVG line chart."""
-    # the drawable points of all series in order, finite and positive on a log
-    # axis, and each series with the lengths of its runs of them
+    """Render named (x, y) series as one SVG line chart, with both axes linear or both log."""
+    # the drawable points of all series in order, finite and positive on log
+    # axes, and each series with the lengths of its runs of them
     xs: list[float] = []
     ys: list[float] = []
     masked: list[tuple[str, list[int]]] = []
     for s in series:
         x, y = list(map(float, s.x)), list(map(float, s.y))
-        ok = _drawable(x, y, xlog, ylog)
+        ok = _drawable(x, y, log)
         xs += compress(x, ok)
         ys += compress(y, ok)
         masked.append((s.name, [sum(run) for drawable, run in groupby(ok) if drawable]))
@@ -108,8 +107,8 @@ def line_chart(
         raise ValueError("no finite data to plot")
 
     # the axis values, after the log transform
-    txs = list(map(math.log10, xs)) if xlog else xs
-    tys = list(map(math.log10, ys)) if ylog else ys
+    txs = list(map(math.log10, xs)) if log else xs
+    tys = list(map(math.log10, ys)) if log else ys
     tx_lo, tx_hi = min(txs), max(txs)
     ty_lo, ty_hi = min(tys), max(tys)
     if tx_hi <= tx_lo:
@@ -144,10 +143,10 @@ def line_chart(
             f'font-size="15">{escape(title)}</text>'
         )
 
-    x_ticks = _log_ticks(min(xs), max(xs)) if xlog else _linear_ticks(tx_lo, tx_hi)
-    y_ticks = _log_ticks(min(ys), max(ys)) if ylog else _linear_ticks(ty_lo, ty_hi)
+    x_ticks = _log_ticks(min(xs), max(xs)) if log else _linear_ticks(tx_lo, tx_hi)
+    y_ticks = _log_ticks(min(ys), max(ys)) if log else _linear_ticks(ty_lo, ty_hi)
     for tick in x_ticks:
-        tv = math.log10(tick) if xlog else tick
+        tv = math.log10(tick) if log else tick
         if not tx_lo - 1e-9 <= tv <= tx_hi + 1e-9:
             continue
         (x,) = px([tv])
@@ -160,7 +159,7 @@ def line_chart(
             f'text-anchor="middle">{escape(_fmt_tick(tick))}</text>'
         )
     for tick in y_ticks:
-        tv = math.log10(tick) if ylog else tick
+        tv = math.log10(tick) if log else tick
         if not ty_lo - 1e-9 <= tv <= ty_hi + 1e-9:
             continue
         (y,) = py([tv])

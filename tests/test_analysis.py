@@ -1,9 +1,11 @@
 import ast
 import collections
 import dataclasses
+import functools
 import importlib
 import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -787,24 +789,77 @@ def _fraction_product(a: list, b: list) -> list:
     return out
 
 
+def _trace_errors(design: AdrcDesign, plant: PlantModel) -> list[float]:
+    """The largest error of the ADRC and the PI(D)F step trace, 300 samples over 3 T_s,
+    against the exact loop."""
+    tuning = (design.order, design.T_s, design.g, design.b0)
+    loops = (
+        (build_adrc(design), exact_observer_form(*tuning)),
+        (build_equivalent_controller(equivalent_params(design)), exact_pidf_rows(*tuning)),
+    )
+    t_end = 3.0 * design.T_s
+    errors = []
+    for ctrl, rows in loops:
+        y = step_response(closed_loop(plant, ctrl), 0, t_end=t_end, n_steps=300).columns["y"].tolist()
+        errors.append(max(abs(a - b) for a, b in zip(y, exact_step(rows, plant, t_end, 300), strict=True)))
+    return errors
+
+
+def _seeded_trace_points(n: int = 8, seed: int = 30) -> list[tuple[float, ...]]:
+    """n draws of (T_s, g, b0, T / T_s, K / (b0 T^n), D): T_s, g and |b0| log-uniform over the
+    aim-3 range, either sign of b0, and a plant scaled to the tuning by uniform factors."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(n):
+        ts, g = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(0.0, 3.0)
+        b0 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        points.append((ts, g, b0, rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.7, 1.4)))
+    return points
+
+
+SEEDED_TRACE_POINTS = _seeded_trace_points()
+SEEDED_TRACE_CASES = [(order, draw) for order in (1, 2) for draw in range(len(SEEDED_TRACE_POINTS))]
+# draws where the 2x rule breaks with both traces at the rounding floor, far below their 1e-10 gate
+SEEDED_RATIO_BREAKS = {
+    (2, 7): "ADRC's error 9.6e-15 is 3.1x the PID+F loop's 3.1e-15 (T_s=1.32, g=1.6, b0=-0.70)",
+}
+
+
+@functools.cache
+def _seeded_trace_errors(order: int, draw: int) -> tuple[float, float]:
+    ts, g, b0, t_scale, k_scale, D = SEEDED_TRACE_POINTS[draw]
+    T = ts * t_scale
+    plant = PlantModel(order, b0 * T**order * k_scale, T, D if order == 2 else None)
+    return tuple(_trace_errors(AdrcDesign(order, ts, g, b0), plant))
+
+
 class TestStepTraceAccuracy:
-    """Nominal step traces over 3 T_s at T_s = 1 against the exact loop, from the inputs taken
-    as Fractions: ADRC's from its observer form, a realization that shares no float row with
-    build_adrc's, and PI(D)F's from its own rows."""
+    """Step traces against the exact loop, from the inputs taken as Fractions: ADRC's from its
+    observer form, a realization that shares no float row with build_adrc's, and PI(D)F's from
+    its own rows."""
 
     @pytest.mark.parametrize("order, g", [(2, 1e3), (2, 1e5), (2, 1e6), (2, 1e8), (1, 1e3), (1, 1e6), (1, 1e9)])
     def test_adrc_trace_within_twice_the_pidf_traces_error(self, order, g):
         # the two share their measurement path, so ADRC's reference column may cost no more than that
         design = AdrcDesign(order, 1.0, g, 1.0)
-        plant = PlantModel(order, 1.0, 1.0, 1.0 if order == 2 else None)
-        loops = (
-            (build_adrc(design), exact_observer_form(order, 1.0, g, 1.0)),
-            (build_equivalent_controller(equivalent_params(design)), exact_pidf_rows(order, 1.0, g, 1.0)),
-        )
-        errors = []
-        for ctrl, rows in loops:
-            y = step_response(closed_loop(plant, ctrl), 0, t_end=3.0, n_steps=300).columns["y"].tolist()
-            errors.append(max(abs(a - b) for a, b in zip(y, exact_step(rows, plant, 3.0, 300), strict=True)))
+        errors = _trace_errors(design, PlantModel(order, 1.0, 1.0, 1.0 if order == 2 else None))
+        assert errors[0] <= 2.0 * errors[1], errors
+
+    @pytest.mark.parametrize("order, draw", SEEDED_TRACE_CASES)
+    def test_traces_are_exact_at_seeded_points_of_the_aim3_range(self, order, draw):
+        assert max(_seeded_trace_errors(order, draw)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "order, draw",
+        [
+            pytest.param(*case, marks=pytest.mark.xfail(strict=True, reason=SEEDED_RATIO_BREAKS[case]))
+            if case in SEEDED_RATIO_BREAKS
+            else case
+            for case in SEEDED_TRACE_CASES
+        ],
+    )
+    def test_adrc_trace_within_twice_the_pidf_traces_error_at_seeded_points(self, order, draw):
+        errors = _seeded_trace_errors(order, draw)
         assert errors[0] <= 2.0 * errors[1], errors
 
     @pytest.mark.parametrize("order", [1, 2])

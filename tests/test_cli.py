@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import re
@@ -174,6 +175,31 @@ class TestTuneCommand:
         assert realization == "".join(_array2string_matrix(name, getattr(ss, name)) for name in "ABCD")
 
 
+# The sha256 of the bode and gang figures' files.  These figures are computed on
+# plain Python floats and complex numbers, with no numpy or BLAS underneath, so
+# their bytes depend only on the interpreter and the C math library behind its
+# math module; a refactor of their path must keep every byte.
+FREQUENCY_FIGURE_FLAGS = {"defaults": [], "compare-pid": ["--compare-pid", "1,1,1,0.1,1", "--b0", "-2"]}
+FREQUENCY_FIGURE_SHA256 = {
+    ("3", "defaults", "csv"): "ab6a073a015bf0515736b36209c187970b542640a04d35298f70b4f08fedad24",
+    ("3", "defaults", "svg"): "9773eae01aca5c90b10feff854d180bd6999dee5b3fa28d6350b673bd7bfdaf6",
+    ("4", "defaults", "csv"): "9e09274b937317e6576e3ad6f62792651cadbcb371b56917faf9dc9b8ca2b5e8",
+    ("4", "defaults", "svg"): "bee9c37b13552cee377035c05378499820a7fd74fdfdd8d98182cab17cac6897",
+    ("7", "defaults", "csv"): "1048c65afa84d0f80bddfbd17af7a6faea0cb6e24a5eda661bfcf3769b8e06d9",
+    ("7", "defaults", "svg"): "d1235e6754b910a49ac9610ac14b15acb665addcc069656c9297f2d9239ea104",
+    ("8", "defaults", "csv"): "836552380cd92925019379dc0f700cb5b911241a72a0958d3e508249bc6eaf7d",
+    ("8", "defaults", "svg"): "e905c4fb0dd52e47697adb570740fba052794de053be366145d09e74dee9c2fd",
+    ("3", "compare-pid", "csv"): "b358600292b7eae6f6ecfbe68d667f17828a52d56dd4997445e857ff02899b54",
+    ("3", "compare-pid", "svg"): "c640d3b37c5100bf4b4ac2fc9fa2d73f103fd76cea1ce4ce3bfe6622f7eb95b7",
+    ("4", "compare-pid", "csv"): "546751b7d34eb45d6dbf00d06eb1bf54789895353b438dbe8cefdbbb08d82807",
+    ("4", "compare-pid", "svg"): "fa193bfba2245ee2fdda27f486098e356c62b74b8fd425aaf8493715ddefba4e",
+    ("7", "compare-pid", "csv"): "169ffdfefd8ce3e2ff78d6f3a73e242f2e9fc759e381b06129c9b9b4bbb378c2",
+    ("7", "compare-pid", "svg"): "25dfc6f528aae531fc2463551060206f965829056b240be977b71dd5a48ae237",
+    ("8", "compare-pid", "csv"): "33d3753cbcdacd972ceeb1d601fe3b2521a7b567c9ae37cc19cb8403bfbe038e",
+    ("8", "compare-pid", "svg"): "99cf47d4140852a512d2d0297855b8f34c2b165d43746d5493337c28a2739d22",
+}
+
+
 class TestFigureCommand:
     def test_writes_csv_svg_and_config_echo(self, tmp_path, capsys):
         assert main(["figure", "3", "--out", str(tmp_path)]) == EXIT_OK
@@ -190,6 +216,15 @@ class TestFigureCommand:
             assert main(["figure", "4", "--out", str(out)]) == EXIT_OK
         assert (a / "fig4.csv").read_bytes() == (b / "fig4.csv").read_bytes()
         assert (a / "fig4.svg").read_bytes() == (b / "fig4.svg").read_bytes()
+
+    @pytest.mark.parametrize(
+        "fig, flags", [(fig, flags) for flags in FREQUENCY_FIGURE_FLAGS for fig in ("3", "4", "7", "8")]
+    )
+    def test_frequency_figure_bytes_are_pinned(self, tmp_path, capsys, fig, flags):
+        assert main(["figure", fig, *FREQUENCY_FIGURE_FLAGS[flags], "--out", str(tmp_path)]) == EXIT_OK
+        for ext in ("csv", "svg"):
+            digest = hashlib.sha256((tmp_path / f"fig{fig}.{ext}").read_bytes()).hexdigest()
+            assert digest == FREQUENCY_FIGURE_SHA256[(fig, flags, ext)], ext
 
     def test_csv_parses_back_to_exact_floats(self, tmp_path):
         assert main(["figure", "7", "--out", str(tmp_path)]) == EXIT_OK

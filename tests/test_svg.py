@@ -30,17 +30,18 @@ def _transform(v: np.ndarray, log: bool) -> np.ndarray:
 
 
 # The loop line_chart had before it worked on whole arrays, kept verbatim
-# but for the log transform above as the reference for the current one.
+# but for the log transform above and its one log flag for both axes, as the
+# reference for the current one.
 def reference_line_chart(
     series: list[Series],
     *,
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    xlog: bool = False,
-    ylog: bool = False,
+    log: bool = False,
 ) -> str:
     """line_chart as it was: px/py, np.isfinite and an f-string per point."""
+    xlog = ylog = log
     finite_x: list[np.ndarray] = []
     finite_y: list[np.ndarray] = []
     cleaned: list[tuple[str, np.ndarray, np.ndarray]] = []
@@ -204,12 +205,12 @@ def charts(draw):
     return series
 
 
-@given(series=charts(), xlog=st.booleans(), ylog=st.booleans())
-def test_matches_per_point_reference(series, xlog, ylog):
-    assert_same_chart(series, title="t", xlabel="x", ylabel="y", xlog=xlog, ylog=ylog)
+@given(series=charts(), log=st.booleans())
+def test_matches_per_point_reference(series, log):
+    assert_same_chart(series, title="t", xlabel="x", ylabel="y", log=log)
 
 
-@pytest.mark.parametrize("xlog, ylog", [(False, False), (True, False), (False, True), (True, True)])
+@pytest.mark.parametrize("log", [False, True])
 @pytest.mark.parametrize(
     "y",
     [
@@ -219,11 +220,11 @@ def test_matches_per_point_reference(series, xlog, ylog):
         [np.nan] * 9 + [1.0],  # a single finite point draws no line
     ],
 )
-def test_gaps_and_degenerate_series(y, xlog, ylog):
+def test_gaps_and_degenerate_series(y, log):
     x = np.linspace(0.1, 10.0, 10)
     chart = [Series("a", x, np.asarray(y)), Series("b", x, 2.0 * np.arange(1, 11))]
-    assert_same_chart(chart, xlog=xlog, ylog=ylog)
-    assert_same_chart(chart[:1], xlog=xlog, ylog=ylog)
+    assert_same_chart(chart, log=log)
+    assert_same_chart(chart[:1], log=log)
 
 
 def test_no_finite_point_is_refused_on_both_sides():

@@ -88,6 +88,15 @@ def test_identity_checks_pass_at_high_g(g):
     assert [check.name for check in checks if not check.passed] == []
 
 
+@given(TUNINGS.map(lambda tuning: tuning[1:]))
+def test_every_check_but_the_settling_time_passes_across_the_aim3_range(point):
+    # settling_time_nominal_order1 is left out: its bound assumes a fast observer and the nominal
+    # plant K = +-1 whatever b0 is, and waits on the normalized-time decision (see ROADMAP)
+    ts, g, b0 = point
+    failed = [check.name for check in verify.run_verification(ts=ts, g=g, b0=b0) if not check.passed]
+    assert [name for name in failed if name != "settling_time_nominal_order1"] == []
+
+
 class TestAdrcRealization:
     def test_passes_on_the_equivalence_grid(self):
         for order in (1, 2):
