@@ -18,7 +18,7 @@ from typing import Callable
 
 # the design names are also importable from here
 from .design import AdrcDesign, Realization, adrc_channels, adrc_realization, tune_first_order, tune_second_order
-from .lti import RationalTransferFunction, StateSpaceModel
+from .lti import CHANNELS_OVERFLOW, RationalTransferFunction
 
 
 Channels = Callable[[float], tuple[RationalTransferFunction, RationalTransferFunction]]
@@ -27,8 +27,7 @@ Channels = Callable[[float], tuple[RationalTransferFunction, RationalTransferFun
 @dataclass(frozen=True, eq=False)
 class TwoInputController:
     """Controller with inputs ordered [r, y] and single output u: the rows (A, B, C, D) of
-    its realization, and channels(alpha), its (C_r, C_y) in closed form in the time unit
-    s~ = alpha*s.  The realization as a state-space model, ss, is made on first read."""
+    its realization, and channels(alpha), its (C_r, C_y) in closed form in the time unit s~ = alpha*s."""
 
     realization: Realization
     channels: Channels
@@ -39,16 +38,10 @@ class TwoInputController:
             raise ValueError("controller must have exactly inputs [r, y] and output u")
 
     @cached_property
-    def ss(self) -> StateSpaceModel:
-        return StateSpaceModel(*self.realization, ("r", "y"), ("u",))
-
-    @cached_property
     def _cr_cy(self) -> tuple[RationalTransferFunction, RationalTransferFunction]:
         c_r, c_y = self.channels(1.0)
         if not all(map(math.isfinite, c_r.num.coeffs + c_y.num.coeffs + c_y.den.coeffs)):
-            raise ValueError(
-                "the controller transfer function at this tuning is not representable: its coefficients overflow"
-            )
+            raise ValueError(CHANNELS_OVERFLOW)
         return c_r, c_y
 
 

@@ -29,9 +29,9 @@ from .design import AdrcDesign, PidParams, equivalent_params, equivalent_realiza
 # svg, verify, configparser) are imported by the functions that use them,
 # so that a fresh process loads only what its command needs: `tune` none of
 # them, `figure` all but verify, `verify` all but svg.  Of those layers only
-# lti's state-space half and verify import numpy, so of the commands only
-# the step figures (1, 2, 5, 6), `sweep` and `verify` load it: the bode and
-# gang figures (3, 4, 7, 8) run on plain floats.
+# lti's state-space half imports numpy, so of the commands only the step
+# figures (1, 2, 5, 6), `sweep` and `verify` (for its settling trace) load
+# it: the bode and gang figures (3, 4, 7, 8) run on plain floats.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -202,10 +202,7 @@ def _controllers(cfg: ExperimentConfig, order: int) -> dict[str, TwoInputControl
     from .pid_equiv import build_equivalent_controller
 
     design = AdrcDesign(order, cfg.ts, cfg.g, cfg.b0)
-    ctrls = {
-        "adrc": build_adrc(design),
-        "equiv": build_equivalent_controller(equivalent_params(design)),
-    }
+    ctrls = {"adrc": build_adrc(design), "equiv": build_equivalent_controller(equivalent_params(design))}
     if cfg.compare_pid is not None:
         ctrls["pid"] = build_equivalent_controller(PidParams(*cfg.compare_pid))
     return ctrls
@@ -214,12 +211,7 @@ def _controllers(cfg: ExperimentConfig, order: int) -> dict[str, TwoInputControl
 def _plant(cfg: ExperimentConfig, order: int) -> PlantModel:
     from .analysis import PlantModel
 
-    return PlantModel(
-        order=order,
-        K=cfg.plant_k,
-        T=cfg.plant_t,
-        D=cfg.plant_d if order == 2 else None,
-    )
+    return PlantModel(order=order, K=cfg.plant_k, T=cfg.plant_t, D=cfg.plant_d if order == 2 else None)
 
 
 def _pid_refusal(cfg: ExperimentConfig, reason: ValueError) -> ValueError:
@@ -270,7 +262,8 @@ def _write_csv(path: Path, names: list[str], columns: list[Sequence[float]]) -> 
 
 def _step_columns(sweeps: dict[str, SweepResult]) -> tuple[list[str], list[list[float]], list[Series], list[str]]:
     """The CSV names and columns of the sweeps of a figure's controllers, by name, value-major;
-    their SVG series, and one note per unstable case, then one per clamped column."""
+    their SVG series, and one note per unstable case, then one per clamped column, each followed
+    by one more where its case is stable, which contradicts the clamp."""
     from .analysis import _case_label
     from .svg import Series
 
@@ -286,8 +279,9 @@ def _step_columns(sweeps: dict[str, SweepResult]) -> tuple[list[str], list[list[
     for cases in zip(*(sweep.cases for sweep in sweeps.values())):
         for controller, case in zip(sweeps, cases):
             case_label = _case_label(first.parameter, case.value)
+            who = f"case {case_label} controller={controller}"
             if not case.stable:
-                unstable.append(f"note: unstable case {case_label} controller={controller}")
+                unstable.append(f"note: unstable {who}")
             y, clamped = _capped(case.table.columns["y"])
             y = y.tolist()
             label = f"y_{controller}_{case_label}"
@@ -296,6 +290,8 @@ def _step_columns(sweeps: dict[str, SweepResult]) -> tuple[list[str], list[list[
             series.append(Series(label, t[::stride], y[::stride]))
             if clamped:
                 clamps.append(f"note: column {label} clamped to +-{CSV_CAP:g} at {clamped} of {len(y)} samples")
+                if case.stable:  # a stable loop's trace stays bounded, so this one is wrong
+                    clamps.append(f"note: stable {who} has a clamped trace that cannot be trusted")
     return names, columns, series, unstable + clamps
 
 
@@ -457,9 +453,10 @@ def _sig(v: float) -> str:
     return format(float(v), ".10g")
 
 
-def cmd_figure(fig_id: int, cfg: ExperimentConfig) -> int:
+def _report(write: Callable[[], tuple[list[Path], list[str]]]) -> int:
+    """Print the notes, then the paths, of (paths, notes) = write(); EXIT_IO where it cannot write."""
     try:
-        paths, notes = write_figure(fig_id, cfg)
+        paths, notes = write()
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -468,27 +465,23 @@ def cmd_figure(fig_id: int, cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def cmd_figure(fig_id: int, cfg: ExperimentConfig) -> int:
+    return _report(partial(write_figure, fig_id, cfg))
+
+
 def cmd_sweep(cfg: ExperimentConfig, parameter: str) -> int:
     names, columns, markup, notes = _figure_step(cfg, cfg.order, parameter)
-    try:
-        csv_path, _, _ = _write_outputs(cfg, f"sweep_{parameter}", names, columns, markup)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
-    for line in notes + [f"wrote {csv_path}"]:
-        print(line)
-    return EXIT_OK
+    write = partial(_write_outputs, cfg, f"sweep_{parameter}", names, columns, markup)
+    return _report(lambda: (write()[:1], notes))  # a sweep reports its CSV alone
 
 
 def cmd_verify(cfg: ExperimentConfig, perturb_b0: float) -> int:
     from .verify import run_verification
 
     checks = run_verification(ts=cfg.ts, g=cfg.g, b0=cfg.b0, perturb_b0=perturb_b0)
-    failed = 0
+    failed = sum(not check.passed for check in checks)
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
-        if not check.passed:
-            failed += 1
         print(f"{check.name}: residual={check.residual:.6e} tol={check.tol:.1e} {status}")
     print(f"{len(checks) - failed}/{len(checks)} checks passed")
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
@@ -503,20 +496,13 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--plant-t", type=float, default=None)
     parser.add_argument("--plant-d", type=float, default=None)
     parser.add_argument("--out", dest="out_dir", type=str, default=None, help="output directory")
-    parser.add_argument(
-        "--compare-pid",
-        type=str,
-        default=None,
-        metavar="kp,ki,kd,Tf,b",
-        help="extra user-supplied comparison controller",
-    )
+    parser.add_argument("--compare-pid", metavar="kp,ki,kd,Tf,b", help="extra user-supplied comparison controller")
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "config", None):
-        path = Path(args.config)
         try:
-            text = path.read_text()
+            text = Path(args.config).read_text()
         except OSError as exc:
             raise ValueError(f"--config file not readable: {exc}") from exc
         cfg = ExperimentConfig.from_text(text)
@@ -540,8 +526,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="adrcpid",
-        description="Linear ADRC as a tuning rule for filtered 2DOF PI(D) control",
+        prog="adrcpid", description="Linear ADRC as a tuning rule for filtered 2DOF PI(D) control"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -564,10 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the numerical verification suite")
     _add_common_flags(p_verify)
     p_verify.add_argument(
-        "--perturb-b0",
-        type=float,
-        default=1.0,
-        help="scale b0 on the equivalence-check inputs only (self-test knob)",
+        "--perturb-b0", type=float, default=1.0, help="scale b0 on the equivalence-check inputs only (self-test knob)"
     )
 
     return parser

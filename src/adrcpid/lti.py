@@ -5,10 +5,13 @@ negation, monic normalization, cancellation), state-space models and their
 transfer functions, exact step responses via zero-order hold, and the Routh test.
 
 Two halves.  Polynomials, transfer functions, their evaluation at s, their
-residuals, the Routh test and the frequency grid are plain Python floats and
-complex numbers, so the frequency-domain commands run without numpy.  The
-state-space half (models, ``ss_to_tf``, ``step_response``, ``tf_minreal``)
-imports numpy in each function that needs it, on first use.
+residuals, the Routh test, the frequency grid and the split of a
+realization's rows into its transfer functions (``_split``, which
+``ss_to_tf`` applies to a model's rows) are plain Python floats and complex
+numbers, so the frequency-domain commands and every check of ``verify`` but
+its settling trace run without numpy.  The rest of the state-space half
+(models, ``step_response``, ``tf_minreal``) imports numpy in each function
+that needs it, on first use.
 
 Coefficient convention used everywhere in this package: polynomials store
 ascending powers of s, i.e. ``coeffs[k]`` multiplies ``s**k``.
@@ -21,6 +24,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -30,6 +34,9 @@ if TYPE_CHECKING:
 # normalization of the denominator.
 COEFF_REL_TOL = 1e-9
 COEFF_ABS_TOL = 1e-12
+
+# The refusal of a controller's channels, split or closed-form, past the float range.
+CHANNELS_OVERFLOW = "the controller transfer function at this tuning is not representable: its coefficients overflow"
 
 # Samples advanced per block in step_response; a power of two, because a
 # block is filled by doubling with phi, phi^2, ..., and phi^STEP_BLOCK
@@ -358,62 +365,79 @@ class StateSpaceModel:
         return self.C.shape[0]
 
 
-def _resolvent(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Faddeev-LeVerrier recursion.
+def _det(A: Sequence[Sequence[float]]) -> float:
+    """det(A) of float rows by Gaussian elimination with partial pivoting, as LAPACK's getrf
+    pivots, and exactly 0.0 at a zero pivot, as an exact zero column (an integrator) gives."""
+    M, det = [list(row) for row in A], 1.0
+    for k in range(len(M)):
+        p = max(range(k, len(M)), key=lambda i: abs(M[i][k]))
+        M[k], M[p], det = M[p], M[k], det if p == k else -det
+        if M[k][k] == 0.0:  # the column is zero from row k down
+            return 0.0
+        det *= M[k][k]
+        for i in range(k + 1, len(M)):
+            f = M[i][k] / M[k][k]
+            M[i] = [a - f * b for a, b in zip(M[i], M[k])]
+    return det
+
+
+def _dot(a: Iterable[float], b: Iterable[float]) -> float:
+    """The sum of the products of a and b, left to right from 0.0."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
+def _resolvent(A: Sequence[Sequence[float]]) -> tuple[list[float], list[list[list[float]]]]:
+    """Faddeev-LeVerrier recursion on float rows, each sum taken left to right from 0.0.
 
     Returns the characteristic polynomial of A (ascending, monic) and the
     matrix coefficients N[k] of adj(sI - A) = sum_k s**k N[k] for k < n.
-
-    The constant term is (-1)**n det(A) by LU, not the recursion's rounded
-    trace.  The LU determinant is exact only where the structure gives an
-    exact zero row, column or pivot, as the integrator of every ADRC and
-    PI(D)F realization does: both controller channels keep their s = 0 pole.
+    The constant term is (-1)**n det(A) by _det, not the recursion's rounded
+    trace: an exact 0.0 for the integrator of every ADRC and PI(D)F realization,
+    so that both controller channels keep their s = 0 pole.
     """
-    import numpy as np
-
-    n = A.shape[0]
-    char = np.zeros(n + 1)
-    char[n] = 1.0
-    mats = np.zeros((n, n, n))
-    M = eye = np.eye(n)
-    for k in range(1, n + 1):
-        mats[n - k] = M
-        if k < n:  # the last trace would give char[0], which det(A) replaces
-            AM = A @ M
-            char[n - k] = -np.trace(AM) / k
-            M = AM + char[n - k] * eye
-    char[0] = (-1) ** n * np.linalg.det(A)
+    n = len(A)
+    char, M = [0.0] * n + [1.0], [[float(i == j) for j in range(n)] for i in range(n)]
+    mats = [M] if n else []
+    for k in range(1, n):  # the last trace would give char[0], which det(A) replaces
+        AM = [[_dot(row, col) for col in zip(*M)] for row in A]
+        c = char[n - k] = -functools.reduce(float.__add__, (row[i] for i, row in enumerate(AM)), 0.0) / k
+        M = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(AM)]
+        mats.insert(0, M)
+    char[0] = (-1) ** n * _det(A)
     return char, mats
 
 
-def ss_to_tf(m: StateSpaceModel, input: int = 0, output: int = 0) -> RationalTransferFunction:
-    """Transfer function C (sI - A)^-1 B + D of one scalar channel, over the monic
-    characteristic polynomial char of A.
+def _split(realization: Sequence[Sequence[Sequence[float]]]) -> tuple[RationalTransferFunction, ...]:
+    """C (sI - A)^-1 b + d of the rows (A, B, C, D) of a one-output realization, one transfer
+    function per input, over the one monic characteristic polynomial char of A.
 
-    Its numerator is d * char + [c N[k] b], N[k] the matrices of _resolvent,
-    each term one vector-matrix product and one dot product.  A channel whose
-    coefficients overflow is refused with a ValueError, without a warning.
+    Each numerator is d * char + [c N[k] b], N[k] the matrices of _resolvent, the
+    row c N[k] formed once for every input.  A channel whose coefficients overflow
+    is refused with a ValueError.
     """
-    import numpy as np
-
-    if not 0 <= input < m.n_inputs:
-        raise IndexError("input index out of range")
-    if not 0 <= output < m.n_outputs:
-        raise IndexError("output index out of range")
-    b, c = m.B[:, input], m.C[output]
-    with np.errstate(over="ignore", invalid="ignore"):
-        char, mats = _resolvent(m.A)
-        num = float(m.D[output, input]) * char
-        for k in range(m.n_states):
-            num[k] += float(c @ mats[k] @ b)
-    num = num.tolist()
+    A, B, (c,), (d,) = realization
+    char, mats = _resolvent(A)
+    rows = [[_dot(c, col) for col in zip(*N)] for N in mats]
+    nums = []
+    for j, d_j in enumerate(d):
+        b = [row[j] for row in B]
+        nums.append([d_j * x + _dot(row, b) for x, row in zip(char, rows)] + [d_j])
     # this also refuses a non-finite char: char[k], k < n, enters num[k] = d*char[k] + c N[k] b,
     # and d*inf is never finite
-    if not all(map(math.isfinite, num)):
-        raise ValueError(
-            "the controller transfer function at this tuning is not representable: its coefficients overflow"
-        )
-    return _tf(_poly(num), _poly(char.tolist()))
+    if not all(map(math.isfinite, chain.from_iterable(nums))):
+        raise ValueError(CHANNELS_OVERFLOW)
+    den = _poly(char)
+    return tuple(_tf(_poly(num), den) for num in nums)
+
+
+def ss_to_tf(m: StateSpaceModel, input: int = 0, output: int = 0) -> RationalTransferFunction:
+    """Transfer function C (sI - A)^-1 B + D of one scalar channel: its _split of m's rows."""
+    if not (0 <= input < m.n_inputs and 0 <= output < m.n_outputs):
+        raise IndexError("channel index out of range")
+    return _split((m.A.tolist(), m.B.tolist(), (m.C[output].tolist(),), (m.D[output].tolist(),)))[input]
 
 
 @dataclass(frozen=True, eq=False)

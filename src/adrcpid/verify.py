@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .adrc import TwoInputController, build_adrc, extract_cr_cy
 from .analysis import GangOfSeven, PlantModel, closed_loop, gang_of_seven, s_plus_t_residual
 from .design import AdrcDesign, PidParams, equivalent_params, tune_second_order
-from .lti import log_grid, ss_to_tf, step_response, tf_neg, tf_residual
+from .lti import _split, log_grid, step_response, tf_neg, tf_residual
 from .pid_equiv import build_equivalent_controller, verify_asymptotes
 
 EQUIVALENCE_GRID_TS = (0.5, 1.0, 2.0)
@@ -83,11 +83,11 @@ def _gang_of_four_identity(g7_adrc: GangOfSeven, g7_equiv: GangOfSeven) -> float
 
 
 def _realization_residual(ctrl: TwoInputController) -> float:
-    """Worst coefficient residual of the numeric split of ctrl's realization
-    against the closed forms ctrl carries, both over the monic denominator,
-    so no root is found and nothing is cancelled."""
-    split = ss_to_tf(ctrl.ss, input=0), tf_neg(ss_to_tf(ctrl.ss, input=1))
-    return max(map(tf_residual, split, extract_cr_cy(ctrl)))
+    """Worst coefficient residual of the numeric split of ctrl's realization, one
+    split of its rows for both channels, against the closed forms ctrl carries,
+    both over the monic denominator, so no root is found and nothing is cancelled."""
+    c_r, minus_c_y = _split(ctrl.realization)
+    return max(map(tf_residual, (c_r, tf_neg(minus_c_y)), extract_cr_cy(ctrl)))
 
 
 def _filter_damping_range() -> float:

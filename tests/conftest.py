@@ -165,10 +165,18 @@ def within_roundings(x: float, exact: Fraction, k: int) -> bool:
     return abs(Fraction(x) - exact) <= k * u / (1 - k * u) * abs(exact)
 
 
-def exact_split(A, B, C, D) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+def exact_split(A, B, C, D, magnitudes=False) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
     """(C_r num, C_y num, den) of a controller whose rows (A, B, C, D), inputs [r, y], C and D
     one row each, are exact, u = C_r r - C_y y: ascending, den monic, by Faddeev-LeVerrier
-    and C adj(sI - A) B + D char."""
+    and C adj(sI - A) B + D char.
+
+    With magnitudes, the same sums and products of |A|, |B|, |C| and |D|, each difference
+    made a sum: the scale that bounds the rounding error of each coefficient of a float
+    split that forms those sums and products."""
+    sign = 1 if magnitudes else -1
+    if magnitudes:
+        A, B = ([[abs(x) for x in row] for row in rows] for rows in (A, B))
+        C, D = ([abs(x) for x in row] for row in (C, D))
     m = len(A)
     char = [Fraction(0)] * m + [Fraction(1)]
     adj = [None] * m  # adj(sI - A) = sum_k s**k adj[k]
@@ -176,7 +184,7 @@ def exact_split(A, B, C, D) -> tuple[list[Fraction], list[Fraction], list[Fracti
     for k in range(1, m + 1):
         adj[m - k] = M
         AM = [[sum(A[i][t] * M[t][j] for t in range(m)) for j in range(m)] for i in range(m)]
-        char[m - k] = -sum(AM[i][i] for i in range(m)) / k
+        char[m - k] = sign * sum(AM[i][i] for i in range(m)) / k
         M = [[AM[i][j] + (char[m - k] if i == j else 0) for j in range(m)] for i in range(m)]
 
     def c_adj_b(k, column):
@@ -184,7 +192,7 @@ def exact_split(A, B, C, D) -> tuple[list[Fraction], list[Fraction], list[Fracti
 
     num_r = [D[0] * char[k] + c_adj_b(k, 0) for k in range(m + 1)]
     # C_y is strictly proper where D's y entry is 0
-    num_y = [-(D[1] * char[k] + c_adj_b(k, 1)) for k in range(m + 1 if D[1] else m)]
+    num_y = [sign * (D[1] * char[k] + c_adj_b(k, 1)) for k in range(m + 1 if D[1] else m)]
     return num_r, num_y, char
 
 

@@ -26,6 +26,7 @@ from adrcpid.analysis import (
 )
 from adrcpid.cli import main
 from adrcpid.lti import (
+    StateSpaceModel,
     log_grid,
     ss_to_tf,
     step_response,
@@ -225,14 +226,14 @@ def test_criterion_8_structural_properties():
 @criterion("9 realization_fidelity")
 def test_criterion_9_realization_fidelity():
     p1 = equivalent_params(tune_first_order(1, 10, 1))
-    pif = build_equivalent_controller(p1)
-    assert tf_residual(ss_to_tf(pif.ss, 1, 0), tf_neg(p1.feedback_tf())) < 1e-9
-    assert tf_residual(ss_to_tf(pif.ss, 0, 0), p1.reference_tf()) < 1e-9
+    pif = StateSpaceModel(*build_equivalent_controller(p1).realization)
+    assert tf_residual(ss_to_tf(pif, 1, 0), tf_neg(p1.feedback_tf())) < 1e-9
+    assert tf_residual(ss_to_tf(pif, 0, 0), p1.reference_tf()) < 1e-9
 
     p2 = equivalent_params(tune_second_order(1, 10, 1))
-    pidf = build_equivalent_controller(p2)
-    assert tf_residual(ss_to_tf(pidf.ss, 1, 0), tf_neg(p2.feedback_tf())) < 1e-9
-    assert tf_residual(ss_to_tf(pidf.ss, 0, 0), p2.reference_tf()) < 1e-9
+    pidf = StateSpaceModel(*build_equivalent_controller(p2).realization)
+    assert tf_residual(ss_to_tf(pidf, 1, 0), tf_neg(p2.feedback_tf())) < 1e-9
+    assert tf_residual(ss_to_tf(pidf, 0, 0), p2.reference_tf()) < 1e-9
 
 
 @criterion("10 figure_determinism")

@@ -20,6 +20,7 @@ from conftest import (
     exact_observer_form,
     exact_pidf_rows,
     exact_reference_column,
+    exact_split,
     exact_stable,
     exact_step,
     log_uniform,
@@ -36,6 +37,7 @@ from adrcpid import analysis as analysis_module
 from adrcpid import design as design_module
 from adrcpid import lti
 from adrcpid import pid_equiv as pid_equiv_module
+from adrcpid import verify as verify_module
 from adrcpid.adrc import (
     AdrcDesign,
     TwoInputController,
@@ -65,7 +67,6 @@ from adrcpid.pid_equiv import (
     PidParams,
     build_equivalent_controller,
     equivalent_params,
-    equivalent_realization,
 )
 
 NOMINAL_STEP_GAP = {1: 0.04028012544899118, 2: 0.05240762629027035}
@@ -170,7 +171,7 @@ class TestPlantModel:
         p = PlantModel(order=2, K=1, T=1e-7, D=1)
         assert p.canonical_tf.den.coeffs == (1.0 / 1e-7**2, 2e-7 / 1e-7**2, 1.0)
         c = build_adrc(tune_second_order(1.0, 10.0, 1.0))
-        assert closed_loop(p, c).n_states == 2 + c.ss.n_states
+        assert closed_loop(p, c).n_states == 2 + len(c.realization[0])
 
 
 class TestClosedLoop:
@@ -237,7 +238,7 @@ def _assert_loop_equal_to_np_block(plant, c):
 
 def _np_block_loop(plant, c):
     """The closed loop [r, d_u, n] -> [y, u] assembled with np.block."""
-    p, cs = tf_to_ss(plant_tf(plant)), c.ss
+    p, cs = tf_to_ss(plant_tf(plant)), StateSpaceModel(*c.realization)
     Ap, Bp, Cp = p.A, p.B, p.C
     Ac, Bc, Cc, Dc = cs.A, cs.B, cs.C, cs.D
     n_c = cs.n_states
@@ -302,14 +303,14 @@ def _cofactor_det(rows):
 
 
 def _mp_char_poly(A):
-    """Characteristic polynomial of A, ascending, in 50-digit arithmetic.
+    """Characteristic polynomial of the rows A, ascending, in 50-digit arithmetic.
 
     Faddeev-LeVerrier for s**1 .. s**n, and (-1)**n det(A) by cofactors for
     s**0, so that a zero row or column of A gives an exact 0.
     """
     with mpmath.workdps(50):
-        n = A.shape[0]
-        M = mpmath.matrix(A.tolist())
+        n = len(A)
+        M = mpmath.matrix([list(row) for row in A])
         char = [mpmath.mpf(0)] * n + [mpmath.mpf(1)]
         N = mpmath.eye(n)
         for k in range(1, n):
@@ -317,7 +318,7 @@ def _mp_char_poly(A):
                 N = M * N + char[n - k + 1] * mpmath.eye(n)
             AN = M * N
             char[n - k] = -sum(AN[i, i] for i in range(n)) / k
-        char[0] = (-1) ** n * _cofactor_det([[mpmath.mpf(a) for a in row] for row in A.tolist()])
+        char[0] = (-1) ** n * _cofactor_det([[mpmath.mpf(a) for a in row] for row in A])
         return char
 
 
@@ -339,9 +340,33 @@ class TestExactStructure:
     @given(TUNINGS)
     def test_characteristic_polynomial_matches_50_digits(self, tuning):
         for c in _controllers(AdrcDesign(*tuning)):
-            char, _ = lti._resolvent(c.ss.A)
-            for got, want in zip(char.tolist(), _mp_char_poly(c.ss.A), strict=True):
+            char, _ = lti._resolvent(c.realization[0])
+            for got, want in zip(char, _mp_char_poly(c.realization[0]), strict=True):
                 assert abs(got - want) <= 1e-9 * abs(want), (got, want)
+
+    @settings(max_examples=100)
+    @given(TUNINGS)
+    def test_row_split_is_within_its_roundings_of_the_exact_split(self, tuning):
+        for c in _controllers(AdrcDesign(*tuning)):
+            A, B, (C,), (D,) = c.realization
+            m = len(A)
+            exact_rows = [[list(map(Fraction, row)) for row in rows] for rows in (A, B)] + [
+                list(map(Fraction, row)) for row in (C, D)
+            ]
+            exact, scale = exact_split(*exact_rows), exact_split(*exact_rows, magnitudes=True)
+            c_r, minus_c_y = lti._split(c.realization)
+            # the integrator's exact zero column makes det(A), and so char[0], exactly 0.0
+            assert c_r.den is minus_c_y.den and c_r.den.coeffs[0] == 0.0
+            # the j-th matrix of the recursion takes 2 m j roundings (each step: a sum of m
+            # products, m; its trace, m - 1 more; the added diagonal, 1), a coefficient of
+            # d char + c N[k] b 2m + 1 more, so at most 2 m^2 + 1; the divisions by k = 1, 2 are exact
+            k = 2 * m * m + 1
+            bound = Fraction(k, 2**53) / (1 - Fraction(k, 2**53))
+            got = (c_r.num.coeffs, [-x for x in minus_c_y.num.coeffs], c_r.den.coeffs)
+            for coeffs, want, most in zip(got, exact, scale, strict=True):
+                assert len(coeffs) <= len(want)  # trailing zeros are trimmed
+                for x, value, magnitude in zip([*coeffs, *[0.0] * len(want)], want, most):
+                    assert abs(Fraction(x) - value) <= bound * magnitude, (x, float(value))
 
     @settings(max_examples=100)
     @given(TUNINGS)
@@ -445,7 +470,7 @@ def _channels(m, w):
 def _state_space_gang(plant, c, w):
     """|member(jw)| of each gang member, from C_r and C_y evaluated on their
     realization and P on the coefficients of the plant as written, in 40-digit arithmetic."""
-    Cr, minus_Cy = _channels(c.ss, w)
+    Cr, minus_Cy = _channels(StateSpaceModel(*c.realization), w)
     written = plant_tf(plant)
     with mpmath.workdps(40):
         s = mpmath.mpc(0, w)
@@ -617,8 +642,7 @@ class TestNumpyCallBudget:
 
     # order -> calls; 34 for both orders before the frequency layers were made plain floats:
     # 10 np.convolve in the gangs, np.arange in adrc_channels, and 8 np.array for the arrays
-    # of both controllers, made on being built and now on first read of .ss, which the
-    # operation no longer makes
+    # of both controllers, which no controller makes any more
     BUDGET = {1: 15, 2: 15}
 
     @staticmethod
@@ -681,13 +705,21 @@ class TestNumpyCallBudget:
         calls = self._numpy_calls(lambda: self._design_scan_op(order))
         assert sum(calls.values()) == self.BUDGET[order], sorted(calls.items())
 
+    def test_verification_calls_numpy_for_its_settling_trace_alone(self, monkeypatch):
+        ctrl, plant = build_adrc(tune_first_order(1.0, 10.0, 1.0)), PlantModel(1, 1.0, 1.0)
+        settling = self._numpy_calls(lambda: verify_module._settling_time(ctrl, plant, 1.0))
+        assert sum(settling.values()) > 0  # the counter sees the numpy of the settling trace
+        traced = []
+        monkeypatch.setattr(verify_module, "_settling_time", lambda *args: traced.append(args) or 0.0)
+        assert self._numpy_calls(verify_module.run_verification) == {}
+        assert len(traced) == 1
+
     def test_counts_the_calls_made_through_map_but_not_numpy_internal_ones(self):
         design = tune_second_order(1.0, 10.0, 1.0)
         ctrl, plant = build_adrc(design), PlantModel(2, 1.0, 1.0, 1.0)
         # closed_loop hands its rows to StateSpaceModel._trusted, which makes the four
         # arrays by map(np.array, ...); np.atleast_2d's own np.asanyarray is numpy's
         assert self._numpy_calls(lambda: closed_loop(plant, ctrl)) == {"array": 4}
-        assert self._numpy_calls(lambda: ctrl.ss) == {"atleast_2d": 4, "asarray": 4}
 
 
 SIGNED_ZEROS_AND_SUBNORMALS = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1030)
@@ -712,10 +744,8 @@ class TestUncheckedConstructors:
         plant = PlantModel(design.order, K, T, D if design.order == 2 else None)
         params = equivalent_params(design)
         ctrl, equiv = build_adrc(design), build_equivalent_controller(params)
-        models = [(equiv.ss, equivalent_realization(params))]
-        for m in (ctrl.ss, closed_loop(plant, ctrl), closed_loop(plant, equiv)):
-            models.append((m, [getattr(m, name).tolist() for name in "ABCD"]))
-        for m, (A, B, C, D) in models:
+        for m in (closed_loop(plant, ctrl), closed_loop(plant, equiv)):
+            A, B, C, D = (getattr(m, name).tolist() for name in "ABCD")
             self._assert_same_model(m, StateSpaceModel(A, B, C, D, m.input_labels, m.output_labels))
 
     @settings(max_examples=200)

@@ -167,12 +167,12 @@ class TestTuneCommand:
             assert (code, out.getvalue()) == (EXIT_BAD_ARGS, "")
             return
         assert code == EXIT_OK
-        ss = build_equivalent_controller(params).ss
+        matrices = [np.array(rows) for rows in build_equivalent_controller(params).realization]
         # the printed entries are the controller's, bit for bit
-        for rows, m in zip(equivalent_realization(params), (ss.A, ss.B, ss.C, ss.D)):
+        for rows, m in zip(equivalent_realization(params), matrices):
             assert np.array(rows).tobytes() == m.tobytes()
         realization = out.getvalue().split("state-space realization (inputs [r, y], output u)\n")[1]
-        assert realization == "".join(_array2string_matrix(name, getattr(ss, name)) for name in "ABCD")
+        assert realization == "".join(map(_array2string_matrix, "ABCD", matrices))
 
 
 # The sha256 of the bode and gang figures' files.  These figures are computed on
@@ -313,6 +313,30 @@ class TestFigureCommand:
         ]
         assert [line.split()[2] for line in notes] == ["y_adrc_T=0.1", "y_equiv_T=0.1", "y_adrc_T=0.2", "y_equiv_T=0.2"]
 
+    def test_names_a_stable_case_whose_trace_is_clamped(self, tmp_path, capsys):
+        # at g = 1e17 the exponential loses the slow modes: the loops are stable, their traces are not
+        assert main(["figure", "5", "--g", "1e17", "--out", str(tmp_path)]) == EXIT_OK
+        notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note: ")]
+        assert notes == [
+            line
+            for v, n in (("1", 3991), ("2", 3995))
+            for c in ("adrc", "equiv")
+            for line in (
+                f"note: column y_{c}_K={v} clamped to +-1e+06 at {n} of 4001 samples",
+                f"note: stable case K={v} controller={c} has a clamped trace that cannot be trusted",
+            )
+        ]
+
+    @pytest.mark.parametrize(
+        "args",
+        [["figure", "1"], ["figure", "2"], ["figure", "5"], ["figure", "6"]]
+        + [["sweep", "--param", p, "--order", o] for p in ("K", "T") for o in ("1", "2")],
+    )
+    def test_default_step_runs_name_no_stable_case_as_clamped(self, tmp_path, capsys, args):
+        # their clamped columns are all of unstable cases, so their output stays as it was
+        assert main([*args, "--out", str(tmp_path)]) == EXIT_OK
+        assert "cannot be trusted" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("g", ["1e3", "1e6", "1e8", "1e12"])
     def test_adrc_traces_end_on_the_pidf_traces_at_high_g(self, tmp_path, capsys, g):
         # both controllers carry the same C_y, so once the reference transient has passed their
@@ -390,9 +414,9 @@ class TestFigureCommand:
         P = 1.0 / (s + 1.0) ** 2  # the default plant K = T = D = 1
         design = AdrcDesign(2, 0.01, 100.0, 1.0)
         for name, ctrl in (("adrc", build_adrc(design)), ("equiv", build_equivalent_controller(equivalent_params(design)))):
-            ss = ctrl.ss
+            A, B, C, D = map(np.array, ctrl.realization)
             # [C_r, -C_y] = C (sI - A)^-1 B + D at every frequency
-            u = ss.C @ np.linalg.solve(s[:, None, None] * np.eye(ss.n_states) - ss.A, ss.B) + ss.D
+            u = C @ np.linalg.solve(s[:, None, None] * np.eye(len(A)) - A, B) + D
             c_r, c_y = u[:, 0, 0], -u[:, 0, 1]
             S = 1.0 / (1.0 + P * c_y)
             direct = {"S": S, "PS": P * S, "CS": c_y * S, "T": P * c_y * S,

@@ -114,10 +114,9 @@ def reference_column_exact(design):
 def closed_loop_numpy(plant, c):
     P = plant.canonical_tf
     (k,), a = P.num.coeffs, P.den.coeffs
-    cs = c.ss
-    Ac, Bc, Cc, Dc = cs.A, cs.B, cs.C, cs.D
+    Ac, Bc, Cc, Dc = (np.array(rows, dtype=float) for rows in c.realization)
     n_p = plant.order
-    n = n_p + cs.n_states
+    n = n_p + len(Ac)
     last = n_p - 1
     Dc_r, Dc_y = float(Dc[0, 0]), float(Dc[0, 1])
     zero = 0.0 * Dc_y
@@ -323,11 +322,11 @@ class TestLoopBlocks:
         # the PI(D)F's arrays but for B's r column, which is ADRC's closed form within its roundings
         # where every step of it is normal, and finite everywhere
         design = _design(tuning)
-        ss = _quietly(build_adrc, design).ss
-        pidf = build_equivalent_controller(equivalent_params(design)).ss
-        assert _matrices_hex((ss.A, ss.B[:, 1], ss.C, ss.D)) == _matrices_hex((pidf.A, pidf.B[:, 1], pidf.C, pidf.D))
+        A, B, C, D = map(np.array, _quietly(build_adrc, design).realization)
+        pA, pB, pC, pD = map(np.array, build_equivalent_controller(equivalent_params(design)).realization)
+        assert _matrices_hex((A, B[:, 1], C, D)) == _matrices_hex((pA, pB[:, 1], pC, pD))
         exact = reference_column_exact(design)
-        for x, (value, in_range), k in zip(ss.B[:, 0].tolist(), exact, COLUMN_ROUNDINGS[design.order]):
+        for x, (value, in_range), k in zip(B[:, 0].tolist(), exact, COLUMN_ROUNDINGS[design.order]):
             assert within_roundings(x, value, k) if in_range else math.isfinite(x), (x, float(value))
 
     @settings(max_examples=400)

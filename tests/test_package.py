@@ -191,6 +191,7 @@ def test_every_private_helper_has_a_caller():
 # public names that neither the package's modules nor the benchmark name, and why each stays
 UNNAMED_PUBLIC_NAMES = (
     ("reference_channel_gap", "waits on a run record that reports the reference-channel gap"),
+    ("ss_to_tf", "the benchmark's tracer names it only as a string, and must drop it first"),
     ("tf_minreal", "the benchmark's tracer names it only as a string, and must drop it first"),
 )
 

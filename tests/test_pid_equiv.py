@@ -20,6 +20,11 @@ from adrcpid.pid_equiv import (
     verify_asymptotes,
 )
 
+def _model(ctrl):
+    """The state-space model of a controller's rows, inputs [r, y], output u."""
+    return StateSpaceModel(*ctrl.realization, ("r", "y"), ("u",))
+
+
 TS_GRID = (0.5, 1.0, 2.0)
 G_GRID = (2.0, 5.0, 10.0, 20.0)
 B0_GRID = (0.5, 1.0, 3.0)
@@ -117,22 +122,22 @@ class TestPifRealization:
         d = tune_first_order(1, 10, 1)
         adrc_y = extract_cr_cy(build_adrc(d))[1]
         ctrl = build_equivalent_controller(equivalent_params(d))
-        built_y = tf_neg(ss_to_tf(ctrl.ss, 1, 0))
+        built_y = tf_neg(ss_to_tf(_model(ctrl), 1, 0))
         assert tf_residual(built_y, adrc_y) < 1e-9
 
     def test_channels_match_closed_forms(self):
         p = equivalent_params(tune_first_order(1, 10, 1))
         ctrl = build_equivalent_controller(p)
-        assert ctrl.ss.n_states == 2  # kd = 0 selects the PI+F realization
-        y_chan = ss_to_tf(ctrl.ss, 1, 0)
-        r_chan = ss_to_tf(ctrl.ss, 0, 0)
+        assert len(ctrl.realization[0]) == 2  # kd = 0 selects the PI+F realization
+        y_chan = ss_to_tf(_model(ctrl), 1, 0)
+        r_chan = ss_to_tf(_model(ctrl), 0, 0)
         assert tf_residual(y_chan, tf_neg(p.feedback_tf())) < 1e-9
         assert tf_residual(r_chan, p.reference_tf()) < 1e-9
 
     def test_high_frequency_reference_gain_is_kp_weighted(self):
         p = equivalent_params(tune_first_order(1, 10, 1))
         ctrl = build_equivalent_controller(p)
-        assert abs(ss_to_tf(ctrl.ss, 0, 0)(1e9j)) == pytest.approx(p.b * p.kp, rel=1e-8)
+        assert abs(ss_to_tf(_model(ctrl), 0, 0)(1e9j)) == pytest.approx(p.b * p.kp, rel=1e-8)
         assert p.b * p.kp == pytest.approx(4.0, rel=1e-12)
 
     def test_low_frequency_reference_integral_gain(self):
@@ -151,15 +156,15 @@ class TestPidfRealization:
         d = tune_second_order(1, 10, 1)
         adrc_y = extract_cr_cy(build_adrc(d))[1]
         ctrl = build_equivalent_controller(equivalent_params(d))
-        built_y = tf_neg(ss_to_tf(ctrl.ss, 1, 0))
+        built_y = tf_neg(ss_to_tf(_model(ctrl), 1, 0))
         assert tf_residual(built_y, adrc_y) < 1e-9
 
     def test_channels_match_closed_forms(self):
         p = equivalent_params(tune_second_order(1, 10, 1))
         ctrl = build_equivalent_controller(p)
-        assert ctrl.ss.n_states == 3
-        y_chan = ss_to_tf(ctrl.ss, 1, 0)
-        r_chan = ss_to_tf(ctrl.ss, 0, 0)
+        assert len(ctrl.realization[0]) == 3
+        y_chan = ss_to_tf(_model(ctrl), 1, 0)
+        r_chan = ss_to_tf(_model(ctrl), 0, 0)
         assert tf_residual(y_chan, tf_neg(p.feedback_tf())) < 1e-9
         assert tf_residual(r_chan, p.reference_tf()) < 1e-9
 
@@ -167,7 +172,7 @@ class TestPidfRealization:
         p = equivalent_params(tune_second_order(1, 10, 1))
         assert p.b * p.kp == pytest.approx(36.0, rel=1e-12)
         ctrl = build_equivalent_controller(p)
-        assert abs(ss_to_tf(ctrl.ss, 0, 0)(1e9j)) == pytest.approx(36.0, rel=1e-8)
+        assert abs(ss_to_tf(_model(ctrl), 0, 0)(1e9j)) == pytest.approx(36.0, rel=1e-8)
 
     def test_filter_unity_dc_gives_integral_gain(self):
         # the measurement filter is unity at DC, so the measurement channel
