@@ -105,7 +105,14 @@ def _monic_plant(order: int, K: float, T: float, D: float | None) -> RationalTra
 
 
 def closed_loop(plant: PlantModel, c: TwoInputController) -> StateSpaceModel:
-    """Feedback interconnection with inputs [r, d_u, n] and outputs [y, u].
+    """Feedback interconnection with inputs [r, d_u, n] and outputs [y, u]: the model of
+    the rows of _loop_rows."""
+    return StateSpaceModel._trusted(*_loop_rows(plant, c), ("r", "d_u", "n"), ("y", "u"))
+
+
+def _loop_rows(plant: PlantModel, c: TwoInputController) -> tuple[list[list[float]], ...]:
+    """The float rows (A, B, C, D) of the feedback interconnection, inputs [r, d_u, n]
+    and outputs [y, u].
 
     The plant input is u + d_u and the controller measurement is y + n.
     Well-posed because the plant is strictly proper: its numerator is a
@@ -122,7 +129,8 @@ def closed_loop(plant: PlantModel, c: TwoInputController) -> StateSpaceModel:
     n_p = plant.order
     zero = 0.0 * Dc_y  # Dc_y times a zero entry of B_p C_p or C_p
 
-    # states [x_p, x_c], inputs [r, d_u, n], outputs [y, u]; step_response refuses an entry past the float range
+    # states [x_p, x_c], inputs [r, d_u, n], outputs [y, u]; an entry past the float range is
+    # refused by step_response and makes lti._step_trace not computable
     # the last plant row: A_p + Dc_y B_p C_p, where B_p C_p is k at (last, 0)
     # and 0.0 elsewhere, then B_p C_c and B_p (Dc_r, 1, Dc_y)
     A = [[-a[0] + Dc_y * k, *(-x + zero for x in a[1:n_p]), *(0.0 + x for x in Cc)]]
@@ -138,7 +146,7 @@ def closed_loop(plant: PlantModel, c: TwoInputController) -> StateSpaceModel:
     # C_p, then Dc_y C_p and C_c in u's row
     C = [[k, *[0.0] * (len(A) - 1)], [k * Dc_y, *[zero] * (n_p - 1), *Cc]]
     D = [[0.0, 0.0, 0.0], [Dc_r, 0.0, Dc_y]]
-    return StateSpaceModel._trusted(A, B, C, D, ("r", "d_u", "n"), ("y", "u"))
+    return A, B, C, D
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import io
 import math
+import re
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -30,8 +31,10 @@ from .design import AdrcDesign, PidParams, equivalent_params, equivalent_realiza
 # so that a fresh process loads only what its command needs: `tune` none of
 # them, `figure` all but verify, `verify` all but svg.  Of those layers only
 # lti's state-space half imports numpy, so of the commands only the step
-# figures (1, 2, 5, 6), `sweep` and `verify` (for its settling trace) load
-# it: the bode and gang figures (3, 4, 7, 8) run on plain floats.
+# figures (1, 2, 5, 6) and `sweep`, which make step tables, load it: the
+# bode and gang figures (3, 4, 7, 8) and `verify` run on plain floats.
+# `verify` steps its one settling trace in plain floats, because that costs
+# it less than importing numpy would.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -524,8 +527,19 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes a token starting with - and a digit (or -. and a
+    digit) for a value, so that `--b0 -1e-5` and `--values -1e-5,2` parse as their `=`
+    forms; argparse takes only a negative integer or decimal for one, and ends
+    `--b0 -1e-5` with `expected one argument`.  No option starts with - and a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adrcpid", description="Linear ADRC as a tuning rule for filtered 2DOF PI(D) control"
     )
     sub = parser.add_subparsers(dest="command", required=True)

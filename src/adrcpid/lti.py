@@ -5,13 +5,21 @@ negation, monic normalization, cancellation), state-space models and their
 transfer functions, exact step responses via zero-order hold, and the Routh test.
 
 Two halves.  Polynomials, transfer functions, their evaluation at s, their
-residuals, the Routh test, the frequency grid and the split of a
+residuals, the Routh test, the frequency grid, the split of a
 realization's rows into its transfer functions (``_split``, which
-``ss_to_tf`` applies to a model's rows) are plain Python floats and complex
-numbers, so the frequency-domain commands and every check of ``verify`` but
-its settling trace run without numpy.  The rest of the state-space half
-(models, ``step_response``, ``tf_minreal``) imports numpy in each function
-that needs it, on first use.
+``ss_to_tf`` applies to a model's rows) and one step trace of a
+realization's rows (``_step_trace``) are plain Python floats and complex
+numbers, so the frequency-domain commands and ``verify`` run without numpy.
+The rest of the state-space half (models, ``step_response``, ``tf_minreal``)
+imports numpy in each function that needs it, on first use.
+
+So there are two matrix exponentials, ``_expm`` on arrays and ``_expm_rows``
+on float rows, the same method in the same order of operations, sharing
+only the balancing exponents.  Neither can replace the other: in plain
+floats the exponential of one closed loop takes about 3 (order 1) to 5
+(order 2) times as long, which would slow the many short traces of a design
+scan, while numpy's import costs a ``verify`` process several times its one
+settling trace.
 
 Coefficient convention used everywhere in this package: polynomials store
 ascending powers of s, i.e. ``coeffs[k]`` multiplies ``s**k``.
@@ -402,7 +410,7 @@ def _resolvent(A: Sequence[Sequence[float]]) -> tuple[list[float], list[list[lis
     char, M = [0.0] * n + [1.0], [[float(i == j) for j in range(n)] for i in range(n)]
     mats = [M] if n else []
     for k in range(1, n):  # the last trace would give char[0], which det(A) replaces
-        AM = [[_dot(row, col) for col in zip(*M)] for row in A]
+        AM = _matmul(A, M)
         c = char[n - k] = -functools.reduce(float.__add__, (row[i] for i, row in enumerate(AM)), 0.0) / k
         M = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(AM)]
         mats.insert(0, M)
@@ -481,8 +489,9 @@ class StepResponseTable:
         return table
 
 
-def _balance(M: np.ndarray) -> np.ndarray:
-    """Power-of-two scales d such that diag(d)^-1 M diag(d) is balanced.
+def _balance_exponents(A: list[list[float]]) -> list[int]:
+    """Power-of-two exponents e such that diag(2**e)^-1 M diag(2**e) is balanced, from the
+    rows A of |M| with its diagonal set to 0.0, which the iteration rescales in place.
 
     Osborne's iteration as in LAPACK gebal, without the permutation step:
     each sweep rescales state i so that the off-diagonal 1-norms of its row
@@ -494,12 +503,7 @@ def _balance(M: np.ndarray) -> np.ndarray:
     the iteration would otherwise scale its state past the float range.  Plain
     lists, because for n <= 7 the per-call overhead of numpy reductions would dominate.
     """
-    import numpy as np
-
-    n = M.shape[0]
-    A = np.abs(M)
-    np.fill_diagonal(A, 0.0)
-    A = A.tolist()
+    n = len(A)
     exponents = [0] * n
     changed = True
     while changed:
@@ -528,7 +532,17 @@ def _balance(M: np.ndarray) -> np.ndarray:
                     A[i] = [v / f for v in row]
                     exponents[i] += k
                     changed = True
-    return np.ldexp(1.0, exponents)
+    return exponents
+
+
+def _balance(M: np.ndarray) -> np.ndarray:
+    """Power-of-two scales d such that diag(d)^-1 M diag(d) is balanced: 2**e for the
+    exponents e of _balance_exponents."""
+    import numpy as np
+
+    A = np.abs(M)
+    np.fill_diagonal(A, 0.0)
+    return np.ldexp(1.0, _balance_exponents(A.tolist()))
 
 
 @functools.cache
@@ -651,6 +665,88 @@ def step_response(m: StateSpaceModel, input: int = 0, t_end: float = 10.0, n_ste
         # the grid may not be uniform: the table checks it
         return StepResponseTable(t, cols)
     return StepResponseTable._trusted(t, cols)
+
+
+def _matmul(X: Sequence[Sequence[float]], Y: Sequence[Sequence[float]]) -> list[list[float]]:
+    """The product of two matrices of float rows, each entry a _dot."""
+    cols = list(zip(*Y))
+    return [[_dot(row, col) for col in cols] for row in X]
+
+
+def _solve(A: Sequence[Sequence[float]], B: Sequence[Sequence[float]]) -> list[list[float]]:
+    """X with A X = B for float rows, by Gaussian elimination with partial pivoting, as
+    LAPACK's gesv pivots, and back substitution; A must be nonsingular."""
+    n = len(A)
+    M = [[*a, *b] for a, b in zip(A, B)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(M[i][k]))
+        M[k], M[p] = M[p], M[k]
+        for i in range(k + 1, n):
+            f = M[i][k] / M[k][k]
+            M[i] = [a - f * b for a, b in zip(M[i], M[k])]
+    for k in reversed(range(n)):
+        M[k] = [v / M[k][k] for v in M[k]]
+        for i in range(k):
+            f = M[i][k]
+            M[i] = [a - f * b for a, b in zip(M[i], M[k])]
+    return [row[n:] for row in M]
+
+
+def _expm_rows(M: Sequence[Sequence[float]]) -> list[list[float]]:
+    """Matrix exponential of a small matrix of finite float rows, by _expm's method and
+    order of operations in plain floats: balancing, scaling by 2**-j, the [6/6] Pade
+    approximant (V - U)^-1 (V + U) and j squarings.  An exponential past the float
+    range has entries that are not finite."""
+    n = len(M)
+    off_diagonal = [[0.0 if i == k else abs(x) for k, x in enumerate(row)] for i, row in enumerate(M)]
+    d = [math.ldexp(1.0, e) for e in _balance_exponents(off_diagonal)]
+    B = [[x * d_j / d_i for x, d_j in zip(row, d)] for row, d_i in zip(M, d)]
+    norm = max(functools.reduce(float.__add__, map(abs, col), 0.0) for col in zip(*B))
+    j = max(0, math.frexp(norm)[1] + 1)
+    scale = math.ldexp(1.0, -j)
+    B = [[x * scale for x in row] for row in B]  # now ||B||_1 < 1/2
+    B2 = _matmul(B, B)
+    B4 = _matmul(B2, B2)
+    B6 = _matmul(B4, B2)
+    c0, c1, c2, c3, c4, c5, c6 = _PADE6
+    eye = [[float(i == k) for k in range(n)] for i in range(n)]
+    inner = [[c1 * e + c3 * x2 + c5 * x4 for e, x2, x4 in zip(*rows)] for rows in zip(eye, B2, B4)]
+    U = _matmul(B, inner)
+    V = [[c0 * e + c2 * x2 + c4 * x4 + c6 * x6 for e, x2, x4, x6 in zip(*rows)] for rows in zip(eye, B2, B4, B6)]
+    pairs = [list(zip(v, u)) for v, u in zip(V, U)]
+    E = _solve([[v - u for v, u in row] for row in pairs], [[v + u for v, u in row] for row in pairs])
+    for _ in range(j):
+        E = _matmul(E, E)
+    return [[x * d_i / d_j for x, d_j in zip(row, d)] for row, d_i in zip(E, d)]
+
+
+def _step_trace(rows: Sequence[Sequence[Sequence[float]]], t_end: float, n_steps: int) -> list[float]:
+    """The first output of the float rows (A, B, C, D) at the n_steps + 1 samples of
+    step_response's grid, for a unit step on the first input from zero initial state, in
+    plain floats.
+
+    phi = exp([[A, b], [0, 0]] h), h = t_end / n_steps, by _expm_rows (the zero-order
+    hold of step_response), then the per-sample recurrence x <- Phi x + gamma, where
+    [Phi, gamma] are phi's first n rows, and y = c x + d.  A trace that cannot be
+    computed, because an entry of the rows times h or an entry of phi is not finite, is
+    NaN at every sample; a diverging one is not finite from the first state that overflows.
+    """
+    A, B, (c, *_), (d, *_) = rows
+    n = len(A)
+    h = t_end / n_steps
+    aug = [[*row, b[0]] for row, b in zip(A, B)] + [[0.0] * (n + 1)]
+    # as step_response bounds it: every row and column sum of aug * h finite, NaN failing too
+    if not math.isfinite(_worst(abs(x) for row in aug for x in row) * h * (n + 1)):
+        return [math.nan] * (n_steps + 1)
+    phi = _expm_rows([[x * h for x in row] for row in aug])
+    if not all(map(math.isfinite, chain.from_iterable(phi))):
+        return [math.nan] * (n_steps + 1)
+    step = [(row[:n], row[n]) for row in phi[:n]]
+    x, y = [0.0] * n, []
+    for _ in range(n_steps + 1):
+        y.append(_dot(c, x) + d[0])
+        x = [_dot(p, x) + gamma for p, gamma in step]
+    return y
 
 
 def is_stable(chi: Polynomial) -> bool:

@@ -705,14 +705,9 @@ class TestNumpyCallBudget:
         calls = self._numpy_calls(lambda: self._design_scan_op(order))
         assert sum(calls.values()) == self.BUDGET[order], sorted(calls.items())
 
-    def test_verification_calls_numpy_for_its_settling_trace_alone(self, monkeypatch):
-        ctrl, plant = build_adrc(tune_first_order(1.0, 10.0, 1.0)), PlantModel(1, 1.0, 1.0)
-        settling = self._numpy_calls(lambda: verify_module._settling_time(ctrl, plant, 1.0))
-        assert sum(settling.values()) > 0  # the counter sees the numpy of the settling trace
-        traced = []
-        monkeypatch.setattr(verify_module, "_settling_time", lambda *args: traced.append(args) or 0.0)
+    def test_verification_calls_no_numpy(self):
+        # its settling trace too is stepped in plain floats
         assert self._numpy_calls(verify_module.run_verification) == {}
-        assert len(traced) == 1
 
     def test_counts_the_calls_made_through_map_but_not_numpy_internal_ones(self):
         design = tune_second_order(1.0, 10.0, 1.0)
@@ -819,19 +814,25 @@ def _fraction_product(a: list, b: list) -> list:
     return out
 
 
-def _trace_errors(design: AdrcDesign, plant: PlantModel) -> list[float]:
+def _trace_errors(design: AdrcDesign, plant: PlantModel) -> dict[str, list[float]]:
     """The largest error of the ADRC and the PI(D)F step trace, 300 samples over 3 T_s,
-    against the exact loop."""
+    against the exact loop: of the step table ("table") and of the plain-float trace that
+    verify's settling check steps ("plain")."""
     tuning = (design.order, design.T_s, design.g, design.b0)
     loops = (
         (build_adrc(design), exact_observer_form(*tuning)),
         (build_equivalent_controller(equivalent_params(design)), exact_pidf_rows(*tuning)),
     )
     t_end = 3.0 * design.T_s
-    errors = []
+    errors = {"table": [], "plain": []}
     for ctrl, rows in loops:
-        y = step_response(closed_loop(plant, ctrl), 0, t_end=t_end, n_steps=300).columns["y"].tolist()
-        errors.append(max(abs(a - b) for a, b in zip(y, exact_step(rows, plant, t_end, 300), strict=True)))
+        exact = exact_step(rows, plant, t_end, 300)
+        traces = {
+            "table": step_response(closed_loop(plant, ctrl), 0, t_end=t_end, n_steps=300).columns["y"].tolist(),
+            "plain": lti._step_trace(analysis_module._loop_rows(plant, ctrl), t_end, 300),
+        }
+        for key, y in traces.items():
+            errors[key].append(max(abs(a - b) for a, b in zip(y, exact, strict=True)))
     return errors
 
 
@@ -856,11 +857,11 @@ SEEDED_RATIO_BREAKS = {
 
 
 @functools.cache
-def _seeded_trace_errors(order: int, draw: int) -> tuple[float, float]:
+def _seeded_trace_errors(order: int, draw: int) -> dict[str, list[float]]:
     ts, g, b0, t_scale, k_scale, D = SEEDED_TRACE_POINTS[draw]
     T = ts * t_scale
     plant = PlantModel(order, b0 * T**order * k_scale, T, D if order == 2 else None)
-    return tuple(_trace_errors(AdrcDesign(order, ts, g, b0), plant))
+    return _trace_errors(AdrcDesign(order, ts, g, b0), plant)
 
 
 class TestStepTraceAccuracy:
@@ -872,12 +873,17 @@ class TestStepTraceAccuracy:
     def test_adrc_trace_within_twice_the_pidf_traces_error(self, order, g):
         # the two share their measurement path, so ADRC's reference column may cost no more than that
         design = AdrcDesign(order, 1.0, g, 1.0)
-        errors = _trace_errors(design, PlantModel(order, 1.0, 1.0, 1.0 if order == 2 else None))
+        errors = _trace_errors(design, PlantModel(order, 1.0, 1.0, 1.0 if order == 2 else None))["table"]
         assert errors[0] <= 2.0 * errors[1], errors
 
     @pytest.mark.parametrize("order, draw", SEEDED_TRACE_CASES)
     def test_traces_are_exact_at_seeded_points_of_the_aim3_range(self, order, draw):
-        assert max(_seeded_trace_errors(order, draw)) <= 1e-10
+        assert max(_seeded_trace_errors(order, draw)["table"]) <= 1e-10
+
+    @pytest.mark.parametrize("order, draw", SEEDED_TRACE_CASES)
+    def test_plain_traces_are_exact_at_seeded_points_of_the_aim3_range(self, order, draw):
+        # the plain-float exponential and recurrence of verify's settling check, on the same loops
+        assert max(_seeded_trace_errors(order, draw)["plain"]) <= 1e-10
 
     @pytest.mark.parametrize(
         "order, draw",
@@ -889,7 +895,7 @@ class TestStepTraceAccuracy:
         ],
     )
     def test_adrc_trace_within_twice_the_pidf_traces_error_at_seeded_points(self, order, draw):
-        errors = _seeded_trace_errors(order, draw)
+        errors = _seeded_trace_errors(order, draw)["table"]
         assert errors[0] <= 2.0 * errors[1], errors
 
     @pytest.mark.parametrize("order", [1, 2])

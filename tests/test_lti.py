@@ -28,6 +28,8 @@ from adrcpid.lti import (
     tf_residual,
     _balance,
     _expm,
+    _expm_rows,
+    _step_trace,
 )
 
 
@@ -508,20 +510,22 @@ ILL_SCALED_LOOPS = [(2, 1.52e-3, 619.0, 7.75), (1, 1e-3, 1e3, 1e-3), (2, 1e3, 1.
 
 
 class TestExpm:
+    expm = staticmethod(_expm)
+
     def test_diagonal(self):
         d = np.array([-3.0, 0.5, 2.0, -1e-3, 0.0])
-        assert np.allclose(_expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-14, atol=0.0)
+        assert np.allclose(self.expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-14, atol=0.0)
 
     def test_nilpotent_jordan_block_is_a_finite_series(self):
         # N^5 = 0, so exp(a N) = sum_{k<5} (a N)^k / k! exactly
         a = 3.0
         N = np.diag(np.ones(4), k=1)
         expected = sum(np.linalg.matrix_power(a * N, k) / math.factorial(k) for k in range(5))
-        assert np.allclose(_expm(a * N), expected, rtol=1e-14, atol=0.0)
+        assert np.allclose(self.expm(a * N), expected, rtol=1e-14, atol=0.0)
 
     def test_rotation(self):
         theta = 2.5
-        got = _expm(np.array([[0.0, -theta], [theta, 0.0]]))
+        got = self.expm(np.array([[0.0, -theta], [theta, 0.0]]))
         c, s = math.cos(theta), math.sin(theta)
         assert np.allclose(got, [[c, -s], [s, c]], rtol=0.0, atol=1e-14)
 
@@ -532,13 +536,19 @@ class TestExpm:
         M = _augmented(_adrc_loop(order, ts, g, b0)) * (3.0 * ts / 300)
         with mpmath.workdps(60):
             ref = np.array(mpmath.expm(mpmath.matrix(M.tolist())).tolist(), dtype=float)
-        assert np.max(np.abs(_expm(M) - ref)) <= 1e-7 * np.max(np.abs(ref))
+        assert np.max(np.abs(self.expm(M) - ref)) <= 1e-7 * np.max(np.abs(ref))
 
     def test_off_diagonal_ratio_past_the_float_range(self):
         # r / c = 1e400 overflows; exp([[0, a], [b, 0]]) with a*b = 1 is closed form
-        got = _expm(np.array([[0.0, 1e200], [1e-200, 0.0]]))
+        got = self.expm(np.array([[0.0, 1e200], [1e-200, 0.0]]))
         expected = [[math.cosh(1.0), 1e200 * math.sinh(1.0)], [1e-200 * math.sinh(1.0), math.cosh(1.0)]]
         assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
+
+
+class TestPlainExpm(TestExpm):
+    """The same cases for the exponential of float rows that verify's settling trace uses."""
+
+    expm = staticmethod(lambda M: np.array(_expm_rows(M.tolist())))
 
 
 def _compensated_sum(values, start=0):
@@ -595,6 +605,20 @@ class TestUnrepresentableStep:
         m = StateSpaceModel([[-1e300]], [[1.0]], [[1.0]], [[0.0]])
         with pytest.raises(ValueError, match="not representable"):
             step_response(m, 0, t_end=1e300, n_steps=10)
+
+    # the cases above, and an exponential over one sample time that overflows (e^1000)
+    @pytest.mark.parametrize(
+        "A, t_end",
+        [*(([[-1.0, entry], [0.0, -entry]], 10.0) for entry in (math.inf, -math.inf, math.nan, 1e308)),
+         ([[-1e300]], 1e300), ([[1e3]], 10.0)],
+    )
+    def test_plain_trace_is_nan_at_every_sample_where_step_response_refuses(self, A, t_end):
+        n = len(A)
+        rows = (A, [[1.0]] * n, [[1.0] + [0.0] * (n - 1)], [[0.0]])
+        with pytest.raises(ValueError, match="step response at this tuning is not representable"):
+            step_response(StateSpaceModel(*rows), 0, t_end=t_end, n_steps=10)
+        y = _step_trace(rows, t_end, 10)
+        assert len(y) == 11 and all(map(math.isnan, y))
 
 
 def _per_sample_step(m, input, t_end, n_steps):

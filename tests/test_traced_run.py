@@ -37,4 +37,5 @@ def test_design_scan_and_verify_run_clean_under_the_tracer(monkeypatch, tmp_path
     declared = {m["name"] for m in benchmark["per_layer"] if m["name"].startswith(TRACED_PREFIXES)}
     assert declared - set(metrics) == set()
     calls = {name: metrics[f"{name}.calls"][0] for name in ("lti.step_response", "verify.run_verification")}
-    assert calls == {"lti.step_response": len(ops) + 1, "verify.run_verification": 1}
+    # verify steps its settling trace in plain floats, not by step_response
+    assert calls == {"lti.step_response": len(ops), "verify.run_verification": 1}

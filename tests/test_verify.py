@@ -1,3 +1,5 @@
+import math
+import random
 import sys
 from functools import partial
 
@@ -8,8 +10,9 @@ from conftest import TUNINGS
 from hypothesis import example, given, settings
 
 from adrcpid import adrc, verify
+from adrcpid.analysis import PlantModel, closed_loop
 from adrcpid.design import AdrcDesign, adrc_channels, equivalent_params
-from adrcpid.lti import log_grid
+from adrcpid.lti import log_grid, step_response
 from adrcpid.pid_equiv import build_equivalent_controller, reference_channel_gap, verify_asymptotes
 
 
@@ -95,6 +98,29 @@ def test_every_check_but_the_settling_time_passes_across_the_aim3_range(point):
     ts, g, b0 = point
     failed = [check.name for check in verify.run_verification(ts=ts, g=g, b0=b0) if not check.passed]
     assert [name for name in failed if name != "settling_time_nominal_order1"] == []
+
+
+def _table_settling_time(ctrl, plant, ts, band=0.02):
+    """The settling check's residual from the numpy step table of the loop's model, by
+    verify's rule: inf for a trace that is not finite or that ends outside the band."""
+    table = step_response(closed_loop(plant, ctrl), input=0, t_end=3.0 * ts, n_steps=6000)
+    y = table.columns["y"].tolist()
+    if not all(map(math.isfinite, y)):
+        return math.inf
+    outside = [k for k, v in enumerate(y) if abs(v - 1.0) > band]
+    if not outside:
+        return 0.0
+    return math.inf if outside[-1] == len(y) - 1 else float(table.t[outside[-1] + 1])
+
+
+def test_plain_settling_time_equals_the_step_tables_across_the_aim3_range():
+    # the two exponentials and recurrences agree to far below the grid and the band
+    rng = random.Random(3232)
+    for _ in range(80):
+        ts, g = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(0.0, 3.0)
+        b0 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        ctrl, plant = adrc.build_adrc(AdrcDesign(1, ts, g, b0)), PlantModel(1, math.copysign(1.0, b0), 1.0)
+        assert verify._settling_time(ctrl, plant, ts) == _table_settling_time(ctrl, plant, ts), (ts, g, b0)
 
 
 class TestAdrcRealization:
