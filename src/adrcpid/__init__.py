@@ -18,17 +18,19 @@ __version__ = "0.1.0"
 # defining module -> the public names it exports; the one listing of the API,
 # behind __all__, __getattr__ and __dir__
 _EXPORTS = {
-    "lti": (
+    "tf": (
         "Polynomial",
         "RationalTransferFunction",
-        "StateSpaceModel",
-        "StepResponseTable",
         "is_stable",
         "log_grid",
+        "tf_residual",
+    ),
+    "lti": (
+        "StateSpaceModel",
+        "StepResponseTable",
         "ss_to_tf",
         "step_response",
         "tf_minreal",
-        "tf_residual",
     ),
     "design": (
         "AdrcDesign",

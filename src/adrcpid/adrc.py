@@ -18,7 +18,7 @@ from typing import Callable
 
 # the design names are also importable from here
 from .design import AdrcDesign, Realization, adrc_channels, adrc_realization, tune_first_order, tune_second_order
-from .lti import CHANNELS_OVERFLOW, RationalTransferFunction
+from .tf import CHANNELS_OVERFLOW, RationalTransferFunction
 
 
 Channels = Callable[[float], tuple[RationalTransferFunction, RationalTransferFunction]]

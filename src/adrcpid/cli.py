@@ -26,13 +26,13 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .design import AdrcDesign, PidParams, equivalent_params, equivalent_realization
 
 # Every command imports the above: the scalar design layer, which needs no
-# numpy.  The layers only some commands run (lti, adrc, pid_equiv, analysis,
-# svg, verify, configparser) are imported by the functions that use them,
-# so that a fresh process loads only what its command needs: `tune` none of
-# them, `figure` all but verify, `verify` all but svg.  Of those layers only
-# lti's state-space half imports numpy, so of the commands only the step
-# figures (1, 2, 5, 6) and `sweep`, which make step tables, load it: the
-# bode and gang figures (3, 4, 7, 8) and `verify` run on plain floats.
+# numpy.  The layers only some commands run (tf, lti, adrc, pid_equiv,
+# analysis, svg, verify, configparser) are imported by the functions that use
+# them, so that a fresh process loads only what its command needs: `tune` none
+# of them, `figure` all but verify, `verify` all but svg and lti.  Of those
+# layers only lti, the state-space half, imports numpy, and only the step
+# figures (1, 2, 5, 6) and `sweep`, which make step tables, load it: the bode
+# and gang figures (3, 4, 7, 8) and `verify` run on tf's plain floats.
 # `verify` steps its one settling trace in plain floats, because that costs
 # it less than importing numpy would.
 if TYPE_CHECKING:
@@ -92,7 +92,7 @@ class ExperimentConfig:
         """Build every object the config describes, so that bad input fails
         here, before any work, with the message of the type that owns the rule."""
         from .analysis import _check_positive, sweep_plants
-        from .lti import log_grid
+        from .tf import log_grid
 
         AdrcDesign(self.order, self.ts, self.g, self.b0)
         # the plant of the order the command runs; its damping D is refused at order 1 too
@@ -347,10 +347,10 @@ def _phase_degrees(values: list[complex]) -> list[float]:
 def _bode_columns(points: list[complex], name: str, ctrl: TwoInputController) -> list[tuple]:
     """The magnitude and phase columns of a controller's C_r and C_y; the magnitudes are drawn."""
     from .adrc import extract_cr_cy
+    from .tf import _evaluate
 
     entries = []
-    for channel, tf in zip(("Cr", "Cy"), extract_cr_cy(ctrl)):
-        values = tf(points)
+    for channel, values in zip(("Cr", "Cy"), _evaluate(extract_cr_cy(ctrl), points)):
         label = f"{name}_{channel}"
         entries.append((f"mag_{label}", [_magnitude(v) for v in values], label))
         entries.append((f"phase_deg_{label}", _phase_degrees(values), None))
@@ -360,10 +360,12 @@ def _bode_columns(points: list[complex], name: str, ctrl: TwoInputController) ->
 def _gang_columns(plant: PlantModel, points: list[complex], name: str, ctrl: TwoInputController) -> list[tuple]:
     """The drawn magnitude column of each member of a controller's gang of seven at plant."""
     from .analysis import gang_of_seven
+    from .tf import _evaluate
 
+    members = gang_of_seven(plant, ctrl).named()
     entries = []
-    for fn_name, tf in gang_of_seven(plant, ctrl).named().items():
-        mag = [_magnitude(v) for v in tf(points)]
+    for fn_name, values in zip(members, _evaluate(members.values(), points)):
+        mag = [_magnitude(v) for v in values]
         if not all(map(math.isfinite, mag)):
             raise ValueError("the gang of seven at this plant is not representable: its magnitudes overflow")
         label = f"{fn_name}_{name}"
@@ -374,8 +376,8 @@ def _gang_columns(plant: PlantModel, points: list[complex], name: str, ctrl: Two
 def _figure_frequency(cfg: ExperimentConfig, order: int, columns: Callable[..., list[tuple]], title: str):
     """A frequency figure: columns(points, name, controller) gives each controller's
     (CSV name, values, SVG label or None) entries on the figure's grid."""
-    from .lti import log_grid
     from .svg import Series, line_chart
+    from .tf import log_grid
 
     omega = log_grid(cfg.omega_min, cfg.omega_max, cfg.omega_points)
     points = [1j * w for w in omega]

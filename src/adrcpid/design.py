@@ -21,7 +21,7 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .lti import RationalTransferFunction
+    from .tf import RationalTransferFunction
 
 # omega_cl * T_s per plant order: the settling constants of the bandwidth rule
 SETTLING_CONSTANTS = {1: 4.0, 2: 6.0}
@@ -213,7 +213,7 @@ class PidParams:
         return self._channels(1.0)
 
     def _channels(self, alpha: float) -> tuple[RationalTransferFunction, RationalTransferFunction]:
-        from .lti import _over, _poly, _tf
+        from .tf import _over, _poly, _tf
 
         ki, kp, kd, Tf = self.ki * alpha, self.kp, self.kd / alpha, self.Tf / alpha
         filter_ = [1.0, Tf] if kd == 0.0 else [1.0, 2.0 * self.d * Tf, self.Tf**2 / alpha / alpha]
@@ -251,7 +251,7 @@ def adrc_channels(design: AdrcDesign, alpha: float = 1.0) -> tuple[RationalTrans
     powers by Python's float **.  In the time unit s~ = alpha*s, alpha a power of two, T_s/alpha
     replaces T_s and b0*alpha^n b0; past the float range a coefficient is inf or NaN, without a
     warning or an exception."""
-    from .lti import _poly, _tf
+    from .tf import _poly, _tf
 
     n, g = design.order, design.g
     if n == 1:

@@ -18,7 +18,7 @@ from typing import Sequence
 from .adrc import TwoInputController
 # the parameter type and its getter are also importable from here
 from .design import PidParams, equivalent_params, equivalent_realization
-from .lti import RationalTransferFunction, _worst
+from .tf import RationalTransferFunction, _worst
 
 
 def build_equivalent_controller(p: PidParams) -> TwoInputController:

@@ -12,7 +12,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from adrcpid.design import SETTLING_CONSTANTS
-from adrcpid.lti import Polynomial, RationalTransferFunction, StateSpaceModel, _balance
+from adrcpid.lti import StateSpaceModel, _balance
+from adrcpid.tf import Polynomial, RationalTransferFunction
 
 # Property tests replay the same examples on every run and keep no example
 # database, so a failure reproduces and a pass does not depend on past runs.

@@ -25,19 +25,13 @@ from adrcpid.analysis import (
     step_sweep,
 )
 from adrcpid.cli import main
-from adrcpid.lti import (
-    StateSpaceModel,
-    log_grid,
-    ss_to_tf,
-    step_response,
-    tf_neg,
-    tf_residual,
-)
+from adrcpid.lti import StateSpaceModel, ss_to_tf, step_response
 from adrcpid.pid_equiv import (
     build_equivalent_controller,
     equivalent_params,
     verify_asymptotes,
 )
+from adrcpid.tf import log_grid, tf_neg, tf_residual
 
 TS_GRID = (0.5, 1.0, 2.0)
 G_GRID = (2.0, 5.0, 10.0, 20.0)

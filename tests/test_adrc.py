@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyfromroots, polyroots
 
-from adrcpid import lti
+from adrcpid import tf as tf_module
 from adrcpid.adrc import (
     AdrcDesign,
     build_adrc,
@@ -39,7 +39,7 @@ from adrcpid.design import (
     equivalent_params,
     equivalent_realization,
 )
-from adrcpid.lti import (
+from adrcpid.tf import (
     Polynomial,
     poly_residual,
     tf_residual,
@@ -283,7 +283,7 @@ class TestTwoInputController:
         def refuse(A):
             raise AssertionError("the channels split the realization")
 
-        monkeypatch.setattr(lti, "_resolvent", refuse)
+        monkeypatch.setattr(tf_module, "_resolvent", refuse)
         c = build_adrc(design)
         c_r, c_y = extract_cr_cy(c)
         again = extract_cr_cy(c)

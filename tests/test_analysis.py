@@ -35,8 +35,8 @@ from hypothesis.extra import numpy as hnp
 
 from adrcpid import analysis as analysis_module
 from adrcpid import design as design_module
-from adrcpid import lti
 from adrcpid import pid_equiv as pid_equiv_module
+from adrcpid import tf as tf_module
 from adrcpid import verify as verify_module
 from adrcpid.adrc import (
     AdrcDesign,
@@ -54,19 +54,18 @@ from adrcpid.analysis import (
     s_plus_t_residual,
     step_sweep,
 )
-from adrcpid.lti import (
-    Polynomial,
-    RationalTransferFunction,
-    StateSpaceModel,
-    is_stable,
-    log_grid,
-    step_response,
-    tf_residual,
-)
+from adrcpid.lti import StateSpaceModel, step_response
 from adrcpid.pid_equiv import (
     PidParams,
     build_equivalent_controller,
     equivalent_params,
+)
+from adrcpid.tf import (
+    Polynomial,
+    RationalTransferFunction,
+    is_stable,
+    log_grid,
+    tf_residual,
 )
 
 NOMINAL_STEP_GAP = {1: 0.04028012544899118, 2: 0.05240762629027035}
@@ -340,7 +339,7 @@ class TestExactStructure:
     @given(TUNINGS)
     def test_characteristic_polynomial_matches_50_digits(self, tuning):
         for c in _controllers(AdrcDesign(*tuning)):
-            char, _ = lti._resolvent(c.realization[0])
+            char, _ = tf_module._resolvent(c.realization[0])
             for got, want in zip(char, _mp_char_poly(c.realization[0]), strict=True):
                 assert abs(got - want) <= 1e-9 * abs(want), (got, want)
 
@@ -354,7 +353,7 @@ class TestExactStructure:
                 list(map(Fraction, row)) for row in (C, D)
             ]
             exact, scale = exact_split(*exact_rows), exact_split(*exact_rows, magnitudes=True)
-            c_r, minus_c_y = lti._split(c.realization)
+            c_r, minus_c_y = tf_module._split(c.realization)
             # the integrator's exact zero column makes det(A), and so char[0], exactly 0.0
             assert c_r.den is minus_c_y.den and c_r.den.coeffs[0] == 0.0
             # the j-th matrix of the recursion takes 2 m j roundings (each step: a sum of m
@@ -522,7 +521,7 @@ class TestSharedWorkCounts:
         def refuse(A):
             raise AssertionError("the channels split the realization")
 
-        monkeypatch.setattr(lti, "_resolvent", refuse)
+        monkeypatch.setattr(tf_module, "_resolvent", refuse)
         for c in (build_adrc(design), build_equivalent_controller(equivalent_params(design))):
             channels = c.channels
             object.__setattr__(c, "channels", lambda alpha: made.append(alpha) or channels(alpha))
@@ -613,6 +612,22 @@ class TestSharedWorkCounts:
         plant = PlantModel(order, 1.0, 1.0, 1.0 if order == 2 else None)
         assert plant.canonical_tf is plant.canonical_tf
 
+    def test_each_shared_denominator_evaluated_once(self, monkeypatch, default_order2):
+        design, plant = default_order2
+        evaluated = []
+        original = tf_module._horner
+        monkeypatch.setattr(tf_module, "_horner", lambda coeffs, points: evaluated.append(coeffs) or original(coeffs, points))
+        points = [1j * w for w in log_grid()]
+        for c in _controllers(design):
+            gang, channels = gang_of_seven(plant, c).named().values(), extract_cr_cy(c)
+            evaluated.clear()
+            tf_module._evaluate(gang, points)
+            # seven numerators over two denominators: chi's monic form and that of nc*chi
+            assert len(evaluated) == 7 + 2
+            evaluated.clear()
+            tf_module._evaluate(channels, points)
+            assert len(evaluated) == 2 + 1  # C_r and C_y over dc
+
 
 class _Counted:
     """A numpy function that counts its calls from outside numpy; its other attributes
@@ -660,7 +675,7 @@ class TestNumpyCallBudget:
     def _entry_points():
         """(module, name) of every numpy function that the package names."""
         found = set()
-        for path in sorted(Path(lti.__file__).parent.glob("*.py")):
+        for path in sorted(Path(tf_module.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
                     found.update((node.module, alias.name) for alias in node.names)
@@ -751,7 +766,7 @@ class TestUncheckedConstructors:
     @example([5e-324, -0.0])
     @example([1.0, -5e-324])
     def test_polynomial_fast_path_trims_as_the_constructor(self, coeffs):
-        got, want = lti._poly(list(coeffs)), Polynomial(tuple(coeffs))
+        got, want = tf_module._poly(list(coeffs)), Polynomial(tuple(coeffs))
         assert type(got) is Polynomial
         assert [c.hex() for c in got.coeffs] == [c.hex() for c in want.coeffs]
 
@@ -829,7 +844,7 @@ def _trace_errors(design: AdrcDesign, plant: PlantModel) -> dict[str, list[float
         exact = exact_step(rows, plant, t_end, 300)
         traces = {
             "table": step_response(closed_loop(plant, ctrl), 0, t_end=t_end, n_steps=300).columns["y"].tolist(),
-            "plain": lti._step_trace(analysis_module._loop_rows(plant, ctrl), t_end, 300),
+            "plain": tf_module._step_trace(analysis_module._loop_rows(plant, ctrl), t_end, 300),
         }
         for key, y in traces.items():
             errors[key].append(max(abs(a - b) for a, b in zip(y, exact, strict=True)))
@@ -862,6 +877,51 @@ def _seeded_trace_errors(order: int, draw: int) -> dict[str, list[float]]:
     T = ts * t_scale
     plant = PlantModel(order, b0 * T**order * k_scale, T, D if order == 2 else None)
     return _trace_errors(AdrcDesign(order, ts, g, b0), plant)
+
+
+def _hexes(values: list) -> list[tuple[str, str]]:
+    """float.hex of the real and imaginary part of each complex value, so that NaN positions and
+    signed zeros count."""
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+class TestSharedEvaluation:
+    """tf._evaluate, which evaluates each denominator object once, against each transfer
+    function evaluated alone, bit for bit."""
+
+    @staticmethod
+    def _assert_as_alone(tfs, points):
+        assert [_hexes(values) for values in tf_module._evaluate(tfs, points)] == [_hexes(tf(points)) for tf in tfs]
+
+    @pytest.mark.parametrize("order, draw", SEEDED_TRACE_CASES)
+    def test_gangs_and_channels_at_seeded_points_of_the_aim3_range(self, order, draw):
+        ts, g, b0, t_scale, k_scale, D = SEEDED_TRACE_POINTS[draw]
+        T = ts * t_scale
+        plant = PlantModel(order, b0 * T**order * k_scale, T, D if order == 2 else None)
+        points = [1j * w for w in log_grid(1e-3 / ts, 1e5 / ts, 200)]
+        for c in _controllers(AdrcDesign(order, ts, g, b0)):
+            self._assert_as_alone(list(gang_of_seven(plant, c).named().values()), points)
+            self._assert_as_alone(extract_cr_cy(c), points)
+
+    def test_transfer_functions_made_while_the_list_is_read(self):
+        # each is made, evaluated and dropped in turn, so that a later denominator can take the
+        # id of a dropped one, as some of these 60 do
+        rng = random.Random(33)
+        dens = [tuple(rng.uniform(0.5, 2.0) for _ in range(rng.choice((2, 3)))) for _ in range(60)]
+        num, points = Polynomial((1.0, -1.0)), [1j * w for w in log_grid(1e-2, 1e2, 9)]
+        made = (RationalTransferFunction(num, Polynomial(den)) for den in dens)
+        alone = [RationalTransferFunction(num, Polynomial(den))(points) for den in dens]
+        assert [_hexes(values) for values in tf_module._evaluate(made, points)] == [_hexes(v) for v in alone]
+
+    @pytest.mark.parametrize("K, D", [(1.0, 1e296), (1e288, 1.0)], ids=["plant-d-1e296", "plant-k-1e288"])
+    def test_gangs_that_take_the_reciprocal_path(self, monkeypatch, K, D):
+        redone = []
+        original = tf_module._redo_in_reciprocal
+        monkeypatch.setattr(tf_module, "_redo_in_reciprocal", lambda tf, *args: redone.append(tf) or original(tf, *args))
+        plant = PlantModel(2, K, 1.0, D)
+        for c in _controllers(AdrcDesign(2, 1.0, 10.0, 1.0)):
+            self._assert_as_alone(list(gang_of_seven(plant, c).named().values()), [1j * w for w in log_grid()])
+        assert redone
 
 
 class TestStepTraceAccuracy:

@@ -24,8 +24,10 @@ from adrcpid.cli import (
     write_figure,
 )
 from adrcpid.adrc import build_adrc
+from adrcpid.analysis import gang_of_seven
 from adrcpid.design import AdrcDesign, equivalent_params, equivalent_realization
 from adrcpid.pid_equiv import build_equivalent_controller
+from adrcpid.tf import log_grid
 
 
 def parse_report(stdout: str) -> dict[str, float]:
@@ -425,6 +427,17 @@ class TestFigureCommand:
                 got = np.array([float(row[f"{fn}_{name}"]) for row in rows])
                 assert np.max(np.abs(got - np.abs(value)) / np.abs(value)) < 1e-9, (fn, name)
 
+    def test_gang_columns_equal_each_member_evaluated_alone(self):
+        # figure 8 --plant-d 1e296, whose members are evaluated in 1/s at high w: the columns,
+        # made over shared denominators, carry the bits of each member evaluated on its own
+        cfg = ExperimentConfig(order=2, plant_d=1e296)
+        plant, design = cli._plant(cfg, 2), AdrcDesign(2, cfg.ts, cfg.g, cfg.b0)
+        points = [1j * w for w in log_grid(cfg.omega_min, cfg.omega_max, cfg.omega_points)]
+        for ctrl in (build_adrc(design), build_equivalent_controller(equivalent_params(design))):
+            got = {label: [x.hex() for x in mag] for label, mag, _ in cli._gang_columns(plant, points, "c", ctrl)}
+            members = gang_of_seven(plant, ctrl).named().items()
+            assert got == {f"{fn}_c": [cli._magnitude(v).hex() for v in tf(points)] for fn, tf in members}
+
     def test_plant_far_faster_than_the_design_simulates(self, tmp_path):
         # the plant 1/(1e-13 s + 1) keeps its pole: its denominator is not trimmed to a constant
         assert main(["figure", "1", "--plant-t", "1e-13", "--out", str(tmp_path)]) == EXIT_OK
@@ -604,12 +617,12 @@ def test_commands_find_no_roots_and_no_eigenvalues(tmp_path, monkeypatch):
 def test_commands_other_than_verify_split_no_realization(tmp_path, monkeypatch):
     """The channels come from the closed forms each controller carries; only
     verify splits a state-space model, to check those forms."""
-    from adrcpid import lti
+    from adrcpid import tf
 
     def refuse(A):
         raise AssertionError("a command split a state-space model")
 
-    monkeypatch.setattr(lti, "_resolvent", refuse)
+    monkeypatch.setattr(tf, "_resolvent", refuse)
     runs = _command_runs(tmp_path)
     with redirect_stdout(io.StringIO()):
         assert [main(argv) for argv in runs] == [EXIT_OK] * len(runs)
@@ -787,17 +800,17 @@ def test_an_option_after_a_flag_is_still_taken_for_an_option(capsys):
 
 HEAVY_MODULES = ("scipy", "urllib.request", "numpy.polynomial")
 # the modules that `figure`, `sweep` and `verify` run and `tune` does not
-CONTROLLER_MODULES = ("adrcpid.lti", "adrcpid.adrc", "adrcpid.pid_equiv", "adrcpid.analysis")
+CONTROLLER_MODULES = ("adrcpid.tf", "adrcpid.adrc", "adrcpid.pid_equiv", "adrcpid.analysis")
 # the modules that only some commands run
-LAYER_MODULES = ("numpy", *CONTROLLER_MODULES, "adrcpid.svg", "adrcpid.verify", "configparser")
-# what each command loads of them: the frequency figures and verify run on plain floats,
-# and only the step figures and sweep, which make step tables, load numpy
+LAYER_MODULES = ("numpy", "adrcpid.lti", *CONTROLLER_MODULES, "adrcpid.svg", "adrcpid.verify", "configparser")
+# what each command loads of them: the frequency figures and verify run on tf's plain floats,
+# and only the step figures and sweep, which make step tables, load lti and numpy
 FIGURE_MODULES = (*CONTROLLER_MODULES, "adrcpid.svg", "configparser")
 LOADED_MODULES = {
     ("tune", "--order", "2", "--ts", "1", "--g", "10"): (),
     **{("figure", str(fig)): FIGURE_MODULES for fig in (3, 4, 7, 8)},
-    **{("figure", str(fig)): ("numpy", *FIGURE_MODULES) for fig in (1, 2, 5, 6)},
-    ("sweep", "--param", "K"): ("numpy", *FIGURE_MODULES),
+    **{("figure", str(fig)): ("numpy", "adrcpid.lti", *FIGURE_MODULES) for fig in (1, 2, 5, 6)},
+    ("sweep", "--param", "K"): ("numpy", "adrcpid.lti", *FIGURE_MODULES),
     ("verify",): (*CONTROLLER_MODULES, "adrcpid.verify"),
 }
 

@@ -34,7 +34,7 @@ from adrcpid.design import (
     adrc_channels,
     equivalent_params,
 )
-from adrcpid.lti import _over, _poly, _tf
+from adrcpid.tf import _over, _poly, _tf
 from adrcpid.pid_equiv import build_equivalent_controller
 
 

@@ -16,18 +16,20 @@ from adrcpid import adrc, analysis
 from adrcpid.design import PidParams
 from adrcpid.lti import (
     STEP_BLOCK,
-    Polynomial,
-    RationalTransferFunction,
     StateSpaceModel,
     StepResponseTable,
-    is_stable,
-    log_grid,
     ss_to_tf,
     step_response,
     tf_minreal,
-    tf_residual,
     _balance,
     _expm,
+)
+from adrcpid.tf import (
+    Polynomial,
+    RationalTransferFunction,
+    is_stable,
+    log_grid,
+    tf_residual,
     _expm_rows,
     _step_trace,
 )

@@ -91,6 +91,17 @@ def test_import_loads_no_submodule():
     assert (done.returncode, done.stderr, done.stdout.split()) == (0, "", [])
 
 
+def test_analysis_and_verify_leave_lti_unloaded_until_step_response_is_asked_for():
+    code = (
+        "import sys\nfrom adrcpid import analysis, verify\nprint('adrcpid.lti' in sys.modules)\n"
+        "from adrcpid import lti\n"
+        "print(analysis.step_response is lti.step_response, verify.step_response is lti.step_response)\n"
+        "print(hasattr(analysis, 'no_such_name'), hasattr(verify, 'no_such_name'))"
+    )
+    done = fresh_python("-c", code)
+    assert (done.returncode, done.stderr, done.stdout.split()) == (0, "", ["False", "True", "True", "False", "False"])
+
+
 def test_design_layer_loads_no_numpy_and_no_other_module():
     code = "import sys, adrcpid.design; print(*sorted(m for m in sys.modules if m == 'numpy' or m.startswith('adrcpid.')))"
     done = fresh_python("-c", code)
@@ -112,12 +123,10 @@ def test_design_names_are_still_importable_from_their_old_modules(module, names)
         assert getattr(old, name) is getattr(design, name)
 
 
-# the re-exports that test_design_names_are_still_importable_from_their_old_modules pins,
-# and verify's step_response, which it no longer calls and the benchmark's self-tests reach
+# the re-exports that test_design_names_are_still_importable_from_their_old_modules pins
 REEXPORTS = {
     "adrc": {"tune_first_order", "tune_second_order"},
     "pid_equiv": {"equivalent_params"},
-    "verify": {"step_response"},
 }
 
 

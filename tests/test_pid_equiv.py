@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from adrcpid.adrc import build_adrc, extract_cr_cy, tune_first_order, tune_second_order
 from adrcpid.design import AdrcDesign
-from adrcpid.lti import StateSpaceModel, log_grid, ss_to_tf, tf_neg, tf_residual
+from adrcpid.lti import StateSpaceModel, ss_to_tf
 from adrcpid.pid_equiv import (
     PidParams,
     build_equivalent_controller,
@@ -19,6 +19,7 @@ from adrcpid.pid_equiv import (
     reference_channel_gap,
     verify_asymptotes,
 )
+from adrcpid.tf import log_grid, tf_neg, tf_residual
 
 def _model(ctrl):
     """The state-space model of a controller's rows, inputs [r, y], output u."""

@@ -12,8 +12,9 @@ from hypothesis import example, given, settings
 from adrcpid import adrc, verify
 from adrcpid.analysis import PlantModel, closed_loop
 from adrcpid.design import AdrcDesign, adrc_channels, equivalent_params
-from adrcpid.lti import log_grid, step_response
+from adrcpid.lti import step_response
 from adrcpid.pid_equiv import build_equivalent_controller, reference_channel_gap, verify_asymptotes
+from adrcpid.tf import log_grid
 
 
 def _fidelity(tuning) -> float:
