@@ -12,30 +12,30 @@ their realization and their two channels in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
 
 # the design names are also importable from here
 from .design import AdrcDesign, Realization, adrc_channels, adrc_realization, tune_first_order, tune_second_order
 from .tf import CHANNELS_OVERFLOW, RationalTransferFunction
+from .value import Value
 
 
 Channels = Callable[[float], tuple[RationalTransferFunction, RationalTransferFunction]]
 
 
-@dataclass(frozen=True, eq=False)
-class TwoInputController:
+class TwoInputController(Value, eq=False):
     """Controller with inputs ordered [r, y] and single output u: the rows (A, B, C, D) of
     its realization, and channels(alpha), its (C_r, C_y) in closed form in the time unit s~ = alpha*s."""
 
     realization: Realization
     channels: Channels
 
-    def __post_init__(self):
-        D = self.realization[3]
+    def __init__(self, realization: Realization, channels: Channels):
+        D = realization[3]
         if len(D) != 1 or len(D[0]) != 2:
             raise ValueError("controller must have exactly inputs [r, y] and output u")
+        self.__dict__.update(realization=realization, channels=channels)
 
     @cached_property
     def _cr_cy(self) -> tuple[RationalTransferFunction, RationalTransferFunction]:

@@ -11,13 +11,12 @@ those two functions alone, so that the gangs run on ``tf`` without it.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .adrc import TwoInputController, extract_cr_cy
 from .tf import Polynomial, RationalTransferFunction, _over, _poly, _worst, is_stable, poly_residual
+from .value import Value
 
 if TYPE_CHECKING:
     from .lti import StateSpaceModel, StepResponseTable
@@ -28,8 +27,7 @@ STEP_HORIZON_FACTOR = 10.0
 STEP_N_STEPS = 4000
 
 
-@dataclass(frozen=True)
-class PlantModel:
+class PlantModel(Value):
     """First- or second-order lag: K/(T s + 1) or K/(T^2 s^2 + 2 D T s + 1).
 
     K must be finite, T finite and positive; a second-order plant needs a
@@ -41,9 +39,10 @@ class PlantModel:
     order: int
     K: float
     T: float
-    D: float | None = None
+    D: float | None
 
-    def __post_init__(self):
+    def __init__(self, order: int, K: float, T: float, D: float | None = None):
+        self.__dict__.update(order=order, K=K, T=T, D=D)
         if self.order not in (1, 2):
             raise ValueError(f"plant order must be 1 or 2, got {self.order!r}")
         if not math.isfinite(self.K):
@@ -145,8 +144,7 @@ def _loop_rows(plant: PlantModel, c: TwoInputController) -> tuple[list[list[floa
     return A, B, C, D
 
 
-@dataclass(frozen=True, eq=False)
-class GangOfSeven:
+class GangOfSeven(Value, eq=False):
     """Feedback-only sensitivity set plus the reference-weighted variants."""
 
     S: RationalTransferFunction
@@ -156,6 +154,9 @@ class GangOfSeven:
     SF_r: RationalTransferFunction
     PSF_r: RationalTransferFunction
     TF_r: RationalTransferFunction
+
+    def __init__(self, S, PS, CS, T_cl, SF_r, PSF_r, TF_r):
+        self.__dict__.update(S=S, PS=PS, CS=CS, T_cl=T_cl, SF_r=SF_r, PSF_r=PSF_r, TF_r=TF_r)
 
     def named(self) -> dict[str, RationalTransferFunction]:
         return {
@@ -233,19 +234,23 @@ def s_plus_t_residual(g: GangOfSeven) -> float:
     return _worst((poly_residual(S.den, T.den), poly_residual(S.num + T.num, S.den)))
 
 
-@dataclass(frozen=True, eq=False)
-class SweepCase:
+class SweepCase(Value, eq=False):
     value: float
     table: StepResponseTable
     stable: bool
 
+    def __init__(self, value: float, table: StepResponseTable, stable: bool):
+        self.__dict__.update(value=value, table=table, stable=stable)
 
-@dataclass(frozen=True, eq=False)
-class SweepResult:
+
+class SweepResult(Value, eq=False):
     """Step responses of one controller across one swept plant parameter, one case per value."""
 
     parameter: str
     cases: tuple[SweepCase, ...]
+
+    def __init__(self, parameter: str, cases: tuple[SweepCase, ...]):
+        self.__dict__.update(parameter=parameter, cases=cases)
 
 
 def sweep_plants(plant: PlantModel, parameter: str, values) -> tuple[PlantModel, ...]:
@@ -253,7 +258,8 @@ def sweep_plants(plant: PlantModel, parameter: str, values) -> tuple[PlantModel,
     two values may have the same ``_case_label``."""
     if parameter not in ("K", "T"):
         raise ValueError("parameter must be 'K' or 'T'")
-    plants = tuple(dataclasses.replace(plant, **{parameter: float(v)}) for v in values)
+    fields = {"order": plant.order, "K": plant.K, "T": plant.T, "D": plant.D}
+    plants = tuple(PlantModel(**{**fields, parameter: float(v)}) for v in values)
     if not plants:
         raise ValueError(f"{parameter} sweep needs at least one value")
     values = [getattr(swept, parameter) for swept in plants]

@@ -12,12 +12,9 @@ Exit codes: 0 ok, 1 verification failure, 2 bad arguments, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import io
 import math
 import re
 import sys
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -26,20 +23,24 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .design import AdrcDesign, PidParams, equivalent_params, equivalent_realization
 
 # Every command imports the above: the scalar design layer, which needs no
-# numpy.  The layers only some commands run (tf, lti, adrc, pid_equiv,
-# analysis, svg, verify, configparser) are imported by the functions that use
-# them, so that a fresh process loads only what its command needs: `tune` none
-# of them, `figure` all but verify, `verify` all but svg and lti.  Of those
-# layers only lti, the state-space half, imports numpy, and only the step
-# figures (1, 2, 5, 6) and `sweep`, which make step tables, load it: the bode
-# and gang figures (3, 4, 7, 8) and `verify` run on tf's plain floats.
-# `verify` steps its one settling trace in plain floats, because that costs
-# it less than importing numpy would.
+# numpy, and its value base.  The layers only some commands run (config, tf,
+# lti, adrc, pid_equiv, analysis, svg, verify) are imported by the functions
+# that use them, so that a fresh process loads only what its command needs:
+# `tune` none of them, `figure` all but verify, `verify` all but svg and lti.
+# The config module holds the package's one dataclass, so `tune` loads no
+# `dataclasses` (nor `inspect`, which it imports); `cli.ExperimentConfig` is
+# served from there on first access.  configparser is loaded only to read a
+# `--config` file.  Of the layers only lti, the state-space half, imports
+# numpy, and only the step figures (1, 2, 5, 6) and `sweep`, which make step
+# tables, load it: the bode and gang figures (3, 4, 7, 8) and `verify` run on
+# tf's plain floats.  `verify` steps its one settling trace in plain floats,
+# because that costs it less than importing numpy would.
 if TYPE_CHECKING:
     import numpy as np
 
     from .adrc import TwoInputController
     from .analysis import PlantModel, SweepResult
+    from .config import ExperimentConfig
     from .svg import Series
 
 EXIT_OK = 0
@@ -69,137 +70,6 @@ FIGURES = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved experiment parameters; round-trips losslessly through text."""
-
-    order: int = 1
-    ts: float = 1.0
-    g: float = 10.0
-    b0: float = 1.0
-    plant_k: float = 1.0
-    plant_t: float = 1.0
-    plant_d: float = 1.0
-    k_sweep: tuple[float, ...] | None = None
-    t_sweep: tuple[float, ...] | None = None
-    omega_min: float = 1e-2
-    omega_max: float = 1e4
-    omega_points: int = 600
-    out_dir: str = "out"
-    compare_pid: tuple[float, float, float, float, float] | None = None
-
-    def validate(self) -> None:
-        """Build every object the config describes, so that bad input fails
-        here, before any work, with the message of the type that owns the rule."""
-        from .analysis import _check_positive, sweep_plants
-        from .tf import log_grid
-
-        AdrcDesign(self.order, self.ts, self.g, self.b0)
-        # the plant of the order the command runs; its damping D is refused at order 1 too
-        plant = _plant(self, self.order)
-        _check_positive("D", self.plant_d)
-        for parameter, field in SWEEP_FIELDS.items():
-            if getattr(self, field) is not None:
-                sweep_plants(plant, parameter, getattr(self, field))
-        log_grid(self.omega_min, self.omega_max, self.omega_points)
-        if self.compare_pid is not None:
-            PidParams(*self.compare_pid)
-
-    def to_text(self) -> str:
-        import configparser
-
-        cp = configparser.ConfigParser()
-        for section, keys in _CONFIG_FIELDS.items():
-            values = {
-                key: fmt(getattr(self, field))
-                for key, (field, _, fmt) in keys.items()
-                if getattr(self, field) is not None
-            }
-            if values:
-                cp[section] = values
-        buf = io.StringIO()
-        cp.write(buf)
-        return buf.getvalue()
-
-    @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
-        """Parse the text ``to_text`` writes; unknown sections and keys are errors."""
-        import configparser
-
-        cp = configparser.ConfigParser()
-        try:
-            cp.read_string(text)
-        except configparser.Error as exc:
-            raise ValueError(f"malformed config: {exc}") from exc
-        if cp.defaults():
-            raise ValueError(f"unknown config section [{cp.default_section}]")
-        kwargs = {}
-        for section in cp.sections():
-            fields = _CONFIG_FIELDS.get(section)
-            if fields is None:
-                raise ValueError(f"unknown config section [{section}]")
-            for key, value in cp[section].items():
-                if key not in fields:
-                    raise ValueError(f"unknown config key {key!r} in section [{section}]")
-                field, parse, _ = fields[key]
-                kwargs[field] = parse(value)
-        return cls(**kwargs)
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    """The values of a comma list; an empty text has none, and an empty item is refused."""
-    if not text.strip():
-        return ()
-    items = [part.strip() for part in text.split(",")]
-    if "" in items:
-        raise ValueError(f"the comma list {text!r} has an empty item")
-    return tuple(map(float, items))
-
-
-def _parse_pid(text: str) -> tuple[float, ...]:
-    values = _parse_floats(text)
-    if len(values) != 5:
-        raise ValueError(f"compare pid needs exactly 5 values kp,ki,kd,Tf,b, got {len(values)}")
-    return values
-
-
-def _fmt_floats(values: tuple[float, ...]) -> str:
-    return ",".join(_fmt(v) for v in values)
-
-
-# The one statement of the config layout: section -> key -> (ExperimentConfig
-# field, parser, formatter).  ``to_text`` writes it in this order and leaves
-# out a field that is None, ``from_text`` reads it, and a command-line flag
-# sets the field of the same name through the same parser.
-_CONFIG_FIELDS = {
-    "tuning": {
-        "order": ("order", int, str),
-        "ts": ("ts", float, _fmt),
-        "g": ("g", float, _fmt),
-        "b0": ("b0", float, _fmt),
-    },
-    "plant": {"k": ("plant_k", float, _fmt), "t": ("plant_t", float, _fmt), "d": ("plant_d", float, _fmt)},
-    "sweep": {
-        "k_values": ("k_sweep", _parse_floats, _fmt_floats),
-        "t_values": ("t_sweep", _parse_floats, _fmt_floats),
-    },
-    "frequency": {
-        "omega_min": ("omega_min", float, _fmt),
-        "omega_max": ("omega_max", float, _fmt),
-        "points": ("omega_points", int, str),
-    },
-    "output": {"dir": ("out_dir", str, str)},
-    "compare": {"pid": ("compare_pid", _parse_pid, _fmt_floats)},
-}
-
-# swept plant parameter -> the ExperimentConfig field holding its values
-SWEEP_FIELDS = {"K": "k_sweep", "T": "t_sweep"}
-
-
 def _controllers(cfg: ExperimentConfig, order: int) -> dict[str, TwoInputController]:
     from .adrc import build_adrc
     from .pid_equiv import build_equivalent_controller
@@ -209,12 +79,6 @@ def _controllers(cfg: ExperimentConfig, order: int) -> dict[str, TwoInputControl
     if cfg.compare_pid is not None:
         ctrls["pid"] = build_equivalent_controller(PidParams(*cfg.compare_pid))
     return ctrls
-
-
-def _plant(cfg: ExperimentConfig, order: int) -> PlantModel:
-    from .analysis import PlantModel
-
-    return PlantModel(order=order, K=cfg.plant_k, T=cfg.plant_t, D=cfg.plant_d if order == 2 else None)
 
 
 def _pid_refusal(cfg: ExperimentConfig, reason: ValueError) -> ValueError:
@@ -256,7 +120,7 @@ def _capped(values: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _write_csv(path: Path, names: list[str], columns: list[Sequence[float]]) -> None:
-    # one %-format for the whole body; "%.17g" prints the bytes of _fmt
+    # one %-format for the whole body; "%.17g" prints the bytes of config._fmt
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
@@ -300,12 +164,13 @@ def _step_columns(sweeps: dict[str, SweepResult]) -> tuple[list[str], list[list[
 
 def _figure_step(cfg: ExperimentConfig, order: int, parameter: str):
     from .analysis import STEP_HORIZON_FACTOR, step_sweep
+    from .config import SWEEP_FIELDS
     from .svg import line_chart
 
     values = getattr(cfg, SWEEP_FIELDS[parameter])
     if values is None:
         values = DEFAULT_SWEEPS[(order, parameter)]
-    plant, t_end = _plant(cfg, order), STEP_HORIZON_FACTOR * cfg.ts
+    plant, t_end = cfg.plant(order), STEP_HORIZON_FACTOR * cfg.ts
     sweeps = _per_controller(cfg, order, lambda _, ctrl: step_sweep(plant, parameter, values, ctrl, t_end))
     names, columns, series, notes = _step_columns(sweeps)
     markup = line_chart(
@@ -323,6 +188,15 @@ def _magnitude(value: complex) -> float:
         return abs(value)
     except OverflowError:
         return math.inf
+
+
+def _magnitudes(values: list[complex]) -> list[float]:
+    """|v| for each of values, inf where it overflows: abs over the whole column, and
+    value by value only for a column where abs overflows."""
+    try:
+        return list(map(abs, values))
+    except OverflowError:
+        return list(map(_magnitude, values))
 
 
 def _phase_degrees(values: list[complex]) -> list[float]:
@@ -352,7 +226,7 @@ def _bode_columns(points: list[complex], name: str, ctrl: TwoInputController) ->
     entries = []
     for channel, values in zip(("Cr", "Cy"), _evaluate(extract_cr_cy(ctrl), points)):
         label = f"{name}_{channel}"
-        entries.append((f"mag_{label}", [_magnitude(v) for v in values], label))
+        entries.append((f"mag_{label}", _magnitudes(values), label))
         entries.append((f"phase_deg_{label}", _phase_degrees(values), None))
     return entries
 
@@ -365,7 +239,7 @@ def _gang_columns(plant: PlantModel, points: list[complex], name: str, ctrl: Two
     members = gang_of_seven(plant, ctrl).named()
     entries = []
     for fn_name, values in zip(members, _evaluate(members.values(), points)):
-        mag = [_magnitude(v) for v in values]
+        mag = _magnitudes(values)
         if not all(map(math.isfinite, mag)):
             raise ValueError("the gang of seven at this plant is not representable: its magnitudes overflow")
         label = f"{fn_name}_{name}"
@@ -399,7 +273,7 @@ def compute_figure(fig_id: int, cfg: ExperimentConfig):
         return _figure_step(cfg, order, parameter)
     if kind == "bode":
         return _figure_frequency(cfg, order, _bode_columns, "Controller frequency responses")
-    return _figure_frequency(cfg, order, partial(_gang_columns, _plant(cfg, order)), "Gang of seven magnitudes")
+    return _figure_frequency(cfg, order, partial(_gang_columns, cfg.plant(order)), "Gang of seven magnitudes")
 
 
 def _write_outputs(
@@ -505,6 +379,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+    from .config import SWEEP_FIELDS, ExperimentConfig
+
     if getattr(args, "config", None):
         try:
             text = Path(args.config).read_text()
@@ -518,13 +394,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         flags[SWEEP_FIELDS[args.param]] = flags["values"]
     if args.command == "figure":  # a figure runs at the plant order of its experiment
         flags["order"] = FIGURES[args.id][2]
-    overrides = {
-        field: parse(flags[field])
-        for keys in _CONFIG_FIELDS.values()
-        for field, parse, _ in keys.values()
-        if flags.get(field) is not None
-    }
-    cfg = dataclasses.replace(cfg, **overrides)
+    cfg = cfg.with_flags(flags)
     cfg.validate()
     return cfg
 
@@ -596,6 +466,16 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+def __getattr__(name: str):
+    # the config type, which the benchmark reaches here; imported only when asked for,
+    # so that `tune` loads neither the config module nor dataclasses
+    if name == "ExperimentConfig":
+        from .config import ExperimentConfig
+
+        return ExperimentConfig
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

@@ -8,17 +8,20 @@ Its gains (``K_P``, ``K_D``, ``l1``, ``l2``, ``l3``) and its equivalent PI+F
 come from the paper's closed forms in plain floats, so this module needs
 neither numpy nor the LTI layer: ``adrcpid tune`` runs on it alone.  The
 closed forms of both controller channels, ADRC's and PI(D)F's, are transfer
-functions, still in plain floats, and import the LTI layer on first use;
-``adrc`` and ``pid_equiv`` build the controllers that carry them.
+functions, still in plain floats, and import ``tf``, the plain-float half of
+the LTI layer, on first use; ``adrc`` and ``pid_equiv`` build the
+controllers that carry them.  Besides ``tf`` on first use, this module
+imports only ``value``, the base of its two value types.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING
+
+from .value import Value
 
 if TYPE_CHECKING:
     from .tf import RationalTransferFunction
@@ -32,8 +35,7 @@ Rows = tuple[tuple[float, ...], ...]
 Realization = tuple[Rows, Rows, Rows, Rows]
 
 
-@dataclass(frozen=True)
-class AdrcDesign:
+class AdrcDesign(Value):
     """Bandwidth-rule design for a plant of order n = 1 or 2.
 
     The state feedback places the n closed-loop poles at -omega_cl, with
@@ -50,9 +52,10 @@ class AdrcDesign:
     order: int
     T_s: float
     g: float
-    b0: float = 1.0
+    b0: float
 
-    def __post_init__(self):
+    def __init__(self, order: int, T_s: float, g: float, b0: float = 1.0):
+        self.__dict__.update(order=order, T_s=T_s, g=g, b0=b0)
         if self.order not in SETTLING_CONSTANTS:
             raise ValueError(f"order must be 1 or 2, got {self.order!r}")
         for name, value in (("T_s", self.T_s), ("g", self.g)):
@@ -149,8 +152,7 @@ def tune_second_order(T_s: float, g: float, b0: float = 1.0) -> AdrcDesign:
     return AdrcDesign(2, float(T_s), float(g), float(b0))
 
 
-@dataclass(frozen=True)
-class PidParams:
+class PidParams(Value):
     """Filtered PI(D) with set-point weight b; kd = 0 selects the PI+F form.
 
     PI+F filters the measurement with 1/(Tf s + 1).  PID+F filters it with
@@ -169,9 +171,10 @@ class PidParams:
     kd: float
     Tf: float
     b: float
-    d: float = 1.0
+    d: float
 
-    def __post_init__(self):
+    def __init__(self, kp: float, ki: float, kd: float, Tf: float, b: float, d: float = 1.0):
+        self.__dict__.update(kp=kp, ki=ki, kd=kd, Tf=Tf, b=b, d=d)
         # one test for the values that pass, then one per field to name the first that does not
         if not (math.isfinite(self.kp + self.ki + self.kd + self.b + self.Tf + self.d) and self.Tf > 0 and self.d > 0):
             for name, value in (("kp", self.kp), ("ki", self.ki), ("kd", self.kd), ("b", self.b)):

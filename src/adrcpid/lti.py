@@ -19,10 +19,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .tf import _PADE6, Polynomial, RationalTransferFunction, _balance_exponents, _split
+from .value import Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -94,24 +94,20 @@ def tf_minreal(a: RationalTransferFunction, tol: float) -> RationalTransferFunct
     return RationalTransferFunction(num, den).canonicalized()
 
 
-@dataclass(frozen=True, eq=False)
-class StateSpaceModel:
+class StateSpaceModel(Value, eq=False):
     """Real matrix quadruple (A, B, C, D) with named inputs and outputs."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    input_labels: tuple[str, ...] = ()
-    output_labels: tuple[str, ...] = ()
+    input_labels: tuple[str, ...]
+    output_labels: tuple[str, ...]
 
-    def __post_init__(self):
+    def __init__(self, A, B, C, D, input_labels: tuple[str, ...] = (), output_labels: tuple[str, ...] = ()):
         import numpy as np
 
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        D = np.atleast_2d(np.asarray(self.D, dtype=float))
+        A, B, C, D = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A, B, C, D))
         n = A.shape[0]
         m = B.shape[1]
         p = C.shape[0]
@@ -121,16 +117,16 @@ class StateSpaceModel:
             raise ValueError("inconsistent state-space dimensions")
         if m < 1 or p < 1:
             raise ValueError("need at least one input and one output")
-        in_labels = self.input_labels or tuple(f"u{j + 1}" for j in range(m))
-        out_labels = self.output_labels or tuple(f"y{i + 1}" for i in range(p))
+        in_labels = input_labels or tuple(f"u{j + 1}" for j in range(m))
+        out_labels = output_labels or tuple(f"y{i + 1}" for i in range(p))
         if len(in_labels) != m or len(out_labels) != p:
             raise ValueError("label counts must match input/output counts")
         self._fill(A, B, C, D, tuple(in_labels), tuple(out_labels))
 
     @classmethod
     def _trusted(cls, A, B, C, D, input_labels: tuple[str, ...], output_labels: tuple[str, ...]) -> "StateSpaceModel":
-        """A model of rows of floats and labels already known to pass __post_init__,
-        made without running it; each matrix is one read-only array of its rows."""
+        """A model of rows of floats and labels already known to pass __init__'s checks,
+        made without running them; each matrix is one read-only array of its rows."""
         import numpy as np
 
         m = object.__new__(cls)
@@ -138,23 +134,22 @@ class StateSpaceModel:
         return m
 
     def _fill(self, A, B, C, D, input_labels, output_labels) -> None:
-        for name, mat in (("A", A), ("B", B), ("C", C), ("D", D)):
+        for mat in (A, B, C, D):
             mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
-        object.__setattr__(self, "input_labels", input_labels)
-        object.__setattr__(self, "output_labels", output_labels)
+        self.__dict__.update(A=A, B=B, C=C, D=D, input_labels=input_labels, output_labels=output_labels)
 
     @property
     def n_states(self) -> int:
         return self.A.shape[0]
 
+    # one label per column of B and per row of C, which the constructor checks
     @property
     def n_inputs(self) -> int:
-        return self.B.shape[1]
+        return len(self.input_labels)
 
     @property
     def n_outputs(self) -> int:
-        return self.C.shape[0]
+        return len(self.output_labels)
 
 
 def ss_to_tf(m: StateSpaceModel, input: int = 0, output: int = 0) -> RationalTransferFunction:
@@ -164,17 +159,16 @@ def ss_to_tf(m: StateSpaceModel, input: int = 0, output: int = 0) -> RationalTra
     return _split((m.A.tolist(), m.B.tolist(), (m.C[output].tolist(),), (m.D[output].tolist(),)))[input]
 
 
-@dataclass(frozen=True, eq=False)
-class StepResponseTable:
+class StepResponseTable(Value, eq=False):
     """Named signal traces on a shared uniform time grid starting at 0."""
 
     t: np.ndarray
     columns: dict[str, np.ndarray]
 
-    def __post_init__(self):
+    def __init__(self, t: np.ndarray, columns: dict[str, np.ndarray]):
         import numpy as np
 
-        t = np.asarray(self.t, dtype=float)
+        t = np.asarray(t, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("t must hold at least two samples")
         if t[0] != 0.0:
@@ -182,27 +176,26 @@ class StepResponseTable:
         h = t[1] - t[0]
         if h <= 0 or not np.abs(np.diff(t) - h).max() <= 1e-9 * h:
             raise ValueError("t must be uniformly spaced with positive step")
-        t.setflags(write=False)
         cols = {}
-        for name, values in self.columns.items():
+        for name, values in columns.items():
             v = np.asarray(values, dtype=float)
             if v.shape != t.shape:
                 raise ValueError(f"column {name!r} length does not match t")
-            v.setflags(write=False)
             cols[name] = v
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "columns", cols)
+        self._fill(t, cols)
 
     @classmethod
     def _trusted(cls, t: np.ndarray, columns: dict[str, np.ndarray]) -> "StepResponseTable":
-        """A table of float arrays already known to pass __post_init__, made
-        without running it again; the arrays are made read-only."""
+        """A table of float arrays already known to pass __init__'s checks, made
+        without running them again; the arrays are made read-only."""
         table = object.__new__(cls)
+        table._fill(t, columns)
+        return table
+
+    def _fill(self, t: np.ndarray, columns: dict[str, np.ndarray]) -> None:
         for v in (t, *columns.values()):
             v.setflags(write=False)
-        object.__setattr__(table, "t", t)
-        object.__setattr__(table, "columns", columns)
-        return table
+        self.__dict__.update(t=t, columns=columns)
 
 
 def _balance(M: np.ndarray) -> np.ndarray:

@@ -8,9 +8,10 @@ floats.  Output is a pure function of the input series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress, groupby
 from typing import Sequence
+
+from .value import Value
 
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -34,11 +35,13 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Value):
     name: str
     x: Sequence[float]
     y: Sequence[float]
+
+    def __init__(self, name: str, x: Sequence[float], y: Sequence[float]):
+        self.__dict__.update(name=name, x=x, y=y)
 
 
 def _linear_ticks(lo: float, hi: float, target: int = 6) -> list[float]:

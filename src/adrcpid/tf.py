@@ -27,9 +27,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Sequence
+
+from .value import Value
 
 # Transfer-function comparison uses the REL/ABS pair below after monic
 # normalization of the denominator.
@@ -87,19 +88,18 @@ def _at_points(f: Callable[[list], list], s):
     return f([s])[0] if isinstance(s, (int, float, complex)) else f(list(s))
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Value):
     """Real polynomial in s; ``coeffs[k]`` multiplies ``s**k``."""
 
     coeffs: tuple[float, ...]
 
-    def __post_init__(self):
+    def __init__(self, coeffs: Iterable[float]):
         # a list first: a tuple built straight from the map iterator is sized by
         # a guess and shrunk, which fills the interpreter's tuple free lists
-        c = list(map(float, self.coeffs))
+        c = list(map(float, coeffs))
         if not c:
             raise ValueError("polynomial needs at least one coefficient")
-        object.__setattr__(self, "coeffs", _trimmed(c))
+        self.__dict__.update(coeffs=_trimmed(c))
 
     @property
     def degree(self) -> int:
@@ -138,16 +138,16 @@ class Polynomial:
         return _poly([factor * c for c in self.coeffs])
 
 
-@dataclass(frozen=True)
-class RationalTransferFunction:
+class RationalTransferFunction(Value):
     """Ratio of two real polynomials in s."""
 
     num: Polynomial
     den: Polynomial
 
-    def __post_init__(self):
-        if self.den.is_zero:
+    def __init__(self, num: Polynomial, den: Polynomial):
+        if den.is_zero:
             raise ValueError("denominator must not be the zero polynomial")
+        self.__dict__.update(num=num, den=den)
 
     def __call__(self, s):
         """num(s)/den(s), both by Horner in s; at each point of s if s is not a number.

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .adrc import TwoInputController, build_adrc, extract_cr_cy
 from .analysis import GangOfSeven, PlantModel, _loop_rows, gang_of_seven, s_plus_t_residual
 from .design import AdrcDesign, PidParams, equivalent_params, tune_second_order
 from .pid_equiv import build_equivalent_controller, verify_asymptotes
 from .tf import _evaluate, _split, _step_trace, log_grid, tf_neg, tf_residual
+from .value import Value
 
 EQUIVALENCE_GRID_TS = (0.5, 1.0, 2.0)
 EQUIVALENCE_GRID_G = (2.0, 5.0, 10.0, 20.0)
@@ -28,11 +28,13 @@ GANG_OMEGA_POINTS = 300
 D_MIN_EXACT = 5.0 / (2.0 * math.sqrt(10.0))
 
 
-@dataclass(frozen=True)
-class VerificationCheck:
+class VerificationCheck(Value):
     name: str
     residual: float
     tol: float
+
+    def __init__(self, name: str, residual: float, tol: float):
+        self.__dict__.update(name=name, residual=residual, tol=tol)
 
     @property
     def passed(self) -> bool:

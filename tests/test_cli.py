@@ -1,3 +1,4 @@
+import configparser
 import csv
 import hashlib
 import io
@@ -12,7 +13,7 @@ from conftest import TUNINGS, fresh_python, log_uniform, mp_stable
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adrcpid import cli
+from adrcpid import cli, config
 from adrcpid.cli import (
     EXIT_BAD_ARGS,
     EXIT_IO,
@@ -43,7 +44,45 @@ def parse_report(stdout: str) -> dict[str, float]:
     return values
 
 
+def _configparser_text(cfg):
+    """The config echo as ConfigParser.write gives it: each section with a field that is not None."""
+    cp = configparser.ConfigParser()
+    for section, keys in config._CONFIG_FIELDS.items():
+        values = {
+            key: fmt(getattr(cfg, field)) for key, (field, _, fmt) in keys.items() if getattr(cfg, field) is not None
+        }
+        if values:
+            cp[section] = values
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
+
+
 class TestConfig:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "1"],
+            ["sweep", "--param", "T", "--order", "2", "--values", "0.5,1,2", "--out", "sweeps"],
+            ["figure", "8", "--g", "5", "--compare-pid", "1,2,0.5,0.01,0.4"],
+        ],
+        ids=["default", "sweep", "compare-pid"],
+    )
+    def test_text_is_what_configparser_writes(self, argv):
+        cfg = cli._resolve_config(cli.build_parser().parse_args(argv))
+        assert cfg.to_text() == _configparser_text(cfg)
+
+    @pytest.mark.parametrize("out_dir", ["a%b", "50%", "a%%b", "x%(y)s", "%(", "two\nlines", " padded ", ""])
+    def test_out_dir_is_written_or_refused_as_configparser_does(self, out_dir):
+        cfg = ExperimentConfig(out_dir=out_dir)
+        try:
+            want = _configparser_text(cfg)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                cfg.to_text()
+        else:
+            assert cfg.to_text() == want
+
     def test_default_roundtrip(self):
         cfg = ExperimentConfig()
         assert ExperimentConfig.from_text(cfg.to_text()) == cfg
@@ -431,7 +470,7 @@ class TestFigureCommand:
         # figure 8 --plant-d 1e296, whose members are evaluated in 1/s at high w: the columns,
         # made over shared denominators, carry the bits of each member evaluated on its own
         cfg = ExperimentConfig(order=2, plant_d=1e296)
-        plant, design = cli._plant(cfg, 2), AdrcDesign(2, cfg.ts, cfg.g, cfg.b0)
+        plant, design = cfg.plant(2), AdrcDesign(2, cfg.ts, cfg.g, cfg.b0)
         points = [1j * w for w in log_grid(cfg.omega_min, cfg.omega_max, cfg.omega_points)]
         for ctrl in (build_adrc(design), build_equivalent_controller(equivalent_params(design))):
             got = {label: [x.hex() for x in mag] for label, mag, _ in cli._gang_columns(plant, points, "c", ctrl)}
@@ -587,7 +626,7 @@ def test_unstable_notes_match_a_300_digit_eigenvalue_solve(tmp_path, capsys, arg
     cfg = cli._resolve_config(cli.build_parser().parse_args(argv))
     want = [
         f"note: unstable case {parameter}={getattr(plant, parameter):g} controller={name}"
-        for plant in sweep_plants(cli._plant(cfg, order), parameter, cli.DEFAULT_SWEEPS[(order, parameter)])
+        for plant in sweep_plants(cfg.plant(order), parameter, cli.DEFAULT_SWEEPS[(order, parameter)])
         for name, ctrl in cli._controllers(cfg, order).items()
         if not mp_stable(closed_loop(plant, ctrl).A, dps=300)
     ]
@@ -801,17 +840,22 @@ def test_an_option_after_a_flag_is_still_taken_for_an_option(capsys):
 HEAVY_MODULES = ("scipy", "urllib.request", "numpy.polynomial")
 # the modules that `figure`, `sweep` and `verify` run and `tune` does not
 CONTROLLER_MODULES = ("adrcpid.tf", "adrcpid.adrc", "adrcpid.pid_equiv", "adrcpid.analysis")
-# the modules that only some commands run
-LAYER_MODULES = ("numpy", "adrcpid.lti", *CONTROLLER_MODULES, "adrcpid.svg", "adrcpid.verify", "configparser")
+# the modules that only some commands run; the config module, which holds the package's one
+# dataclass, and dataclasses and inspect with it, are loaded by every command but `tune`
+CONFIG_MODULES = ("dataclasses", "inspect", "adrcpid.config")
+LAYER_MODULES = (
+    "numpy", "adrcpid.lti", *CONFIG_MODULES, *CONTROLLER_MODULES, "adrcpid.svg", "adrcpid.verify", "configparser"
+)
 # what each command loads of them: the frequency figures and verify run on tf's plain floats,
-# and only the step figures and sweep, which make step tables, load lti and numpy
-FIGURE_MODULES = (*CONTROLLER_MODULES, "adrcpid.svg", "configparser")
+# only the step figures and sweep, which make step tables, load lti and numpy, and only
+# reading a --config file loads configparser
+FIGURE_MODULES = (*CONFIG_MODULES, *CONTROLLER_MODULES, "adrcpid.svg")
 LOADED_MODULES = {
     ("tune", "--order", "2", "--ts", "1", "--g", "10"): (),
     **{("figure", str(fig)): FIGURE_MODULES for fig in (3, 4, 7, 8)},
     **{("figure", str(fig)): ("numpy", "adrcpid.lti", *FIGURE_MODULES) for fig in (1, 2, 5, 6)},
     ("sweep", "--param", "K"): ("numpy", "adrcpid.lti", *FIGURE_MODULES),
-    ("verify",): (*CONTROLLER_MODULES, "adrcpid.verify"),
+    ("verify",): (*CONFIG_MODULES, *CONTROLLER_MODULES, "adrcpid.verify"),
 }
 
 
@@ -1109,7 +1153,7 @@ def _per_value_csv(path, names, columns):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
         for row in zip(*columns):
-            fh.write(cli._fmt_floats(row) + "\n")
+            fh.write(config._fmt_floats(row) + "\n")
 
 
 def _assert_csv_matches_per_value_writer(tmp_path, columns):
@@ -1147,7 +1191,7 @@ class TestBulkCsv:
     def test_figure_formats_no_value_one_at_a_time(self, tmp_path, monkeypatch):
         """Only the config echo may format through _fmt; a per-value CSV writer fails here."""
         calls = []
-        fmt = cli._fmt
-        monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or fmt(v))
+        fmt = config._fmt
+        monkeypatch.setattr(config, "_fmt", lambda v: calls.append(v) or fmt(v))
         write_figure(4, ExperimentConfig(out_dir=str(tmp_path)))
-        assert len(calls) <= sum(len(keys) for keys in cli._CONFIG_FIELDS.values())
+        assert len(calls) <= sum(len(keys) for keys in config._CONFIG_FIELDS.values())

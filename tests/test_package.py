@@ -103,9 +103,67 @@ def test_analysis_and_verify_leave_lti_unloaded_until_step_response_is_asked_for
 
 
 def test_design_layer_loads_no_numpy_and_no_other_module():
-    code = "import sys, adrcpid.design; print(*sorted(m for m in sys.modules if m == 'numpy' or m.startswith('adrcpid.')))"
+    code = (
+        "import sys, adrcpid.design\n"
+        "print(*sorted(m for m in sys.modules if m in ('numpy', 'dataclasses', 'inspect') or m.startswith('adrcpid.')))"
+    )
     done = fresh_python("-c", code)
-    assert (done.returncode, done.stderr, done.stdout.split()) == (0, "", ["adrcpid.design"])
+    assert (done.returncode, done.stderr, done.stdout.split()) == (0, "", ["adrcpid.design", "adrcpid.value"])
+
+
+VALUE_TYPES = {
+    "design": ("AdrcDesign", "PidParams"),
+    "tf": ("Polynomial", "RationalTransferFunction"),
+    "adrc": ("TwoInputController",),
+    "analysis": ("PlantModel", "GangOfSeven", "SweepCase", "SweepResult"),
+    "svg": ("Series",),
+    "verify": ("VerificationCheck",),
+    "lti": ("StateSpaceModel", "StepResponseTable"),
+}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in VALUE_TYPES.items() for n in names])
+def test_each_value_type_is_a_value_whose_fields_are_its_annotations(module, name):
+    from adrcpid.value import Value
+
+    cls = getattr(importlib.import_module(f"adrcpid.{module}"), name)
+    assert issubclass(cls, Value) and not hasattr(cls, "__dataclass_fields__")
+    assert cls._fields == tuple(cls.__annotations__) != ()
+
+
+def test_a_value_refuses_writes_and_compares_hashes_and_prints_by_its_fields():
+    from adrcpid.design import PidParams
+    from adrcpid.pid_equiv import build_equivalent_controller
+
+    p, q = PidParams(1.0, 2.0, 0.0, 0.1, 0.5), PidParams(1.0, 2.0, 0.0, 0.1, 0.5)
+    assert p == q and hash(p) == hash(q) and p is not q
+    assert p != PidParams(1.0, 2.0, 0.0, 0.1, 0.6) and p != (1.0, 2.0, 0.0, 0.1, 0.5, 1.0)
+    assert repr(p) == "PidParams(kp=1.0, ki=2.0, kd=0.0, Tf=0.1, b=0.5, d=1.0)"
+    with pytest.raises(AttributeError, match="^cannot assign to field 'kp'$"):
+        p.kp = 3.0
+    with pytest.raises(AttributeError, match="^cannot delete field 'kp'$"):
+        del p.kp
+    assert p.kp == 1.0 and p.feedback_tf() is p.feedback_tf()  # a cached_property still caches
+    # a type declared with eq=False compares and hashes by identity
+    a, b = build_equivalent_controller(p), build_equivalent_controller(p)
+    assert a == a and a != b and len({a, b}) == 2
+
+
+def test_only_the_config_module_imports_dataclasses():
+    """The value types are plain classes on value.Value: importing dataclasses loads inspect,
+    and building a dataclass execs its methods, which each fresh process would pay."""
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "dataclasses" for name in names):
+                importers.add(path.stem)
+    assert importers == {"config"}
 
 
 @pytest.mark.parametrize(
