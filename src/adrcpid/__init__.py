@@ -28,8 +28,10 @@ _EXPORTS = {
     "lti": (
         "StateSpaceModel",
         "StepResponseTable",
+        "SweepResult",
         "ss_to_tf",
         "step_response",
+        "step_sweep",
         "tf_minreal",
     ),
     "design": (
@@ -52,10 +54,8 @@ _EXPORTS = {
     "analysis": (
         "GangOfSeven",
         "PlantModel",
-        "SweepResult",
         "closed_loop",
         "gang_of_seven",
-        "step_sweep",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,12 +1,13 @@
-"""Closed-loop assembly and the experiment suite.
+"""Closed-loop assembly: plants, the feedback loop and its sensitivity set.
 
 Builds the standard feedback interconnection (reference, plant-input
-disturbance, measurement noise), the gang-of-four/seven sensitivity set,
-and plant-parameter step-response sweeps in which the controllers are
-deliberately not retuned.  The module itself is plain floats and imports
-no numpy: a closed loop's rows go to ``lti``, which makes its state-space
-model, and a sweep's step responses are ``lti``'s.  ``lti`` is imported by
-those two functions alone, so that the gangs run on ``tf`` without it.
+disturbance, measurement noise), the gang-of-four/seven sensitivity set, and
+the swept copies of a plant that a step sweep runs.  The module itself is plain
+floats and imports no numpy: a closed loop's rows go to ``lti``, which makes
+its state-space model, and which is imported by ``closed_loop`` alone, so that
+the gangs run on ``tf`` without it.  The step sweeps themselves, in which the
+controllers are deliberately not retuned, are ``lti``'s, beside the step
+tables they hold; ``lti`` imports this module, and not the other way round.
 """
 
 from __future__ import annotations
@@ -15,16 +16,11 @@ import math
 from typing import TYPE_CHECKING
 
 from .adrc import TwoInputController, extract_cr_cy
-from .tf import Polynomial, RationalTransferFunction, _over, _poly, _worst, is_stable, poly_residual
+from .tf import Polynomial, RationalTransferFunction, _over, _poly, _worst, poly_residual
 from .value import Value
 
 if TYPE_CHECKING:
-    from .lti import StateSpaceModel, StepResponseTable
-
-# Step experiments: long enough for integral action to flatten the tail,
-# fine enough (h = 0.0025 T_s) to resolve the measurement-filter dynamics.
-STEP_HORIZON_FACTOR = 10.0
-STEP_N_STEPS = 4000
+    from .lti import StateSpaceModel
 
 
 class PlantModel(Value):
@@ -125,7 +121,7 @@ def _loop_rows(plant: PlantModel, c: TwoInputController) -> tuple[list[list[floa
     zero = 0.0 * Dc_y  # Dc_y times a zero entry of B_p C_p or C_p
 
     # states [x_p, x_c], inputs [r, d_u, n], outputs [y, u]; an entry past the float range is
-    # refused by step_response and makes lti._step_trace not computable
+    # refused by step_response and makes rows._step_trace not computable
     # the last plant row: A_p + Dc_y B_p C_p, where B_p C_p is k at (last, 0)
     # and 0.0 elsewhere, then B_p C_c and B_p (Dc_r, 1, Dc_y)
     A = [[-a[0] + Dc_y * k, *(-x + zero for x in a[1:n_p]), *(0.0 + x for x in Cc)]]
@@ -234,25 +230,6 @@ def s_plus_t_residual(g: GangOfSeven) -> float:
     return _worst((poly_residual(S.den, T.den), poly_residual(S.num + T.num, S.den)))
 
 
-class SweepCase(Value, eq=False):
-    value: float
-    table: StepResponseTable
-    stable: bool
-
-    def __init__(self, value: float, table: StepResponseTable, stable: bool):
-        self.__dict__.update(value=value, table=table, stable=stable)
-
-
-class SweepResult(Value, eq=False):
-    """Step responses of one controller across one swept plant parameter, one case per value."""
-
-    parameter: str
-    cases: tuple[SweepCase, ...]
-
-    def __init__(self, parameter: str, cases: tuple[SweepCase, ...]):
-        self.__dict__.update(parameter=parameter, cases=cases)
-
-
 def sweep_plants(plant: PlantModel, parameter: str, values) -> tuple[PlantModel, ...]:
     """One copy of ``plant`` per value of the swept parameter, "K" or "T"; no
     two values may have the same ``_case_label``."""
@@ -273,52 +250,6 @@ def sweep_plants(plant: PlantModel, parameter: str, values) -> tuple[PlantModel,
 
 # (parameter, value) -> the name of a sweep case in column labels and notes: the value to 6 significant digits
 _case_label = "{}={:g}".format
-
-
-def step_sweep(
-    plant: PlantModel,
-    parameter: str,
-    values,
-    controller: TwoInputController,
-    t_end: float,
-    n_steps: int = STEP_N_STEPS,
-) -> SweepResult:
-    """Unit reference steps of one controller over a plant-parameter sweep.
-
-    The controller is not retuned per case; unstable combinations are
-    simulated anyway and flagged instead of raising.  A case is stable if
-    is_stable passes its chi, formed in the sweep's own time unit
-    s~ = alpha*s, with alpha the power of two at or below t_end (the
-    frequency scaling of Gao, ACC 2003): the roots of chi in s~ are alpha
-    times those in s, with the same signs of real part, and its coefficients
-    stay in the float range where those of chi in s overflow.  C_y in s~ is
-    ``channels(alpha)`` of the controller.  A case whose chi in s~ leaves
-    the float range cannot be judged, and is refused, as is a case whose
-    step response is refused.
-    """
-    from .lti import step_response
-
-    plants = sweep_plants(plant, parameter, values)
-    alpha = math.ldexp(0.5, math.frexp(t_end)[1])
-    measurement = controller.channels(alpha)[1]
-    cases = []
-    for swept in plants:
-        table = step_response(closed_loop(swept, controller), input=0, t_end=t_end, n_steps=n_steps)
-        chi = _loop_polynomial(*_time_scaled_plant(swept, alpha), measurement)[2]
-        if not all(map(math.isfinite, chi.coeffs)):  # then no note can say whether the case is stable
-            reason = "its closed-loop polynomial overflows in the sweep's time unit, so its stability cannot be judged"
-            raise ValueError(f"the step response at this tuning is not representable: {reason}")
-        cases.append(SweepCase(value=getattr(swept, parameter), table=table, stable=is_stable(chi)))
-    return SweepResult(parameter=parameter, cases=tuple(cases))
-
-
-def _time_scaled_plant(plant: PlantModel, alpha: float) -> tuple[float, Polynomial]:
-    """(k, dp) of the monic plant in s~ = alpha*s: coefficient j of dp times
-    alpha**(n - j), and k times alpha**n; inf past the float range.  alpha is a
-    power of two, so each power is exact, inf or 0."""
-    P = plant.canonical_tf
-    powers = (alpha * alpha, alpha, 1.0)[2 - plant.order :]
-    return P.num.coeffs[0] * powers[0], _poly([c * x for c, x in zip(P.den.coeffs, powers)])
 
 
 def __getattr__(name: str):

@@ -24,23 +24,24 @@ from .design import AdrcDesign, PidParams, equivalent_params, equivalent_realiza
 
 # Every command imports the above: the scalar design layer, which needs no
 # numpy, and its value base.  The layers only some commands run (config, tf,
-# lti, adrc, pid_equiv, analysis, svg, verify) are imported by the functions
-# that use them, so that a fresh process loads only what its command needs:
-# `tune` none of them, `figure` all but verify, `verify` all but svg and lti.
-# The config module holds the package's one dataclass, so `tune` loads no
-# `dataclasses` (nor `inspect`, which it imports); `cli.ExperimentConfig` is
-# served from there on first access.  configparser is loaded only to read a
-# `--config` file.  Of the layers only lti, the state-space half, imports
-# numpy, and only the step figures (1, 2, 5, 6) and `sweep`, which make step
-# tables, load it: the bode and gang figures (3, 4, 7, 8) and `verify` run on
-# tf's plain floats.  `verify` steps its one settling trace in plain floats,
-# because that costs it less than importing numpy would.
+# rows, lti, adrc, pid_equiv, analysis, svg, verify) are imported by the
+# functions that use them, so that a fresh process loads only what its command
+# needs: `tune` none of them, a step figure (1, 2, 5, 6) or `sweep` all but
+# verify, a bode or gang figure (3, 4, 7, 8) all but verify, rows and lti, and
+# `verify` all but config, svg and lti, unless it reads a `--config` file.  So
+# only the figures and `sweep` load the config module, the package's one
+# dataclass, and `dataclasses` (and `inspect`, which it imports) with it;
+# `cli.ExperimentConfig` is served from there on first access.  configparser
+# is loaded only to read a `--config` file.  Of the layers only lti imports
+# numpy: `verify` splits each realization and steps its one settling trace in
+# rows' plain floats, because that costs it less than importing numpy would.
 if TYPE_CHECKING:
     import numpy as np
 
     from .adrc import TwoInputController
-    from .analysis import PlantModel, SweepResult
+    from .analysis import PlantModel
     from .config import ExperimentConfig
+    from .lti import SweepResult
     from .svg import Series
 
 EXIT_OK = 0
@@ -163,8 +164,8 @@ def _step_columns(sweeps: dict[str, SweepResult]) -> tuple[list[str], list[list[
 
 
 def _figure_step(cfg: ExperimentConfig, order: int, parameter: str):
-    from .analysis import STEP_HORIZON_FACTOR, step_sweep
     from .config import SWEEP_FIELDS
+    from .lti import STEP_HORIZON_FACTOR, step_sweep
     from .svg import line_chart
 
     values = getattr(cfg, SWEEP_FIELDS[parameter])
@@ -354,10 +355,14 @@ def cmd_sweep(cfg: ExperimentConfig, parameter: str) -> int:
     return _report(lambda: (write()[:1], notes))  # a sweep reports its CSV alone
 
 
-def cmd_verify(cfg: ExperimentConfig, perturb_b0: float) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_verification
 
-    checks = run_verification(ts=cfg.ts, g=cfg.g, b0=cfg.b0, perturb_b0=perturb_b0)
+    # a --config file is checked whole, at its [tuning] order, as a figure's; else a bad
+    # tuning flag is refused by the suite's first design, as that check refuses it
+    source = _resolve_config(args) if args.config else args
+    tuning = {key: getattr(source, key) for key in ("ts", "g", "b0") if getattr(source, key) is not None}
+    checks = run_verification(**tuning, perturb_b0=args.perturb_b0)
     failed = sum(not check.passed for check in checks)
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
@@ -366,11 +371,15 @@ def cmd_verify(cfg: ExperimentConfig, perturb_b0: float) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_tuning_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=str, default=None, help="config file (flat key-value with sections)")
     parser.add_argument("--ts", type=float, default=None, help="desired settling time T_s")
     parser.add_argument("--g", type=float, default=None, help="observer pole multiplier")
     parser.add_argument("--b0", type=float, default=None, help="characteristic plant gain")
+
+
+def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    _add_tuning_flags(parser)
     parser.add_argument("--plant-k", type=float, default=None)
     parser.add_argument("--plant-t", type=float, default=None)
     parser.add_argument("--plant-d", type=float, default=None)
@@ -381,7 +390,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     from .config import SWEEP_FIELDS, ExperimentConfig
 
-    if getattr(args, "config", None):
+    if args.config:
         try:
             text = Path(args.config).read_text()
         except OSError as exc:
@@ -433,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_sweep)
 
     p_verify = sub.add_parser("verify", help="run the numerical verification suite")
-    _add_common_flags(p_verify)
+    _add_tuning_flags(p_verify)
     p_verify.add_argument(
         "--perturb-b0", type=float, default=1.0, help="scale b0 on the equivalence-check inputs only (self-test knob)"
     )
@@ -451,13 +460,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "tune":
             return cmd_tune(args.order, args.ts, args.g, args.b0)
+        if args.command == "verify":
+            return cmd_verify(args)
         cfg = _resolve_config(args)
         if args.command == "figure":
             return cmd_figure(args.id, cfg)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.param)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.perturb_b0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS

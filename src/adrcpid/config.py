@@ -1,8 +1,9 @@
-"""The experiment config of the `figure`, `sweep` and `verify` commands, and its text layout.
+"""The experiment config of the `figure` and `sweep` commands, and its text layout.
 
 ``ExperimentConfig`` is the package's one dataclass: the benchmark copies it
-with ``dataclasses.replace``.  Only those three commands import this module,
-so that `tune` loads neither it nor ``dataclasses``.  The text is read through
+with ``dataclasses.replace``.  Only those two commands, and `verify` when it
+reads a ``--config`` file, import this module, so that `tune` and a plain
+`verify` load neither it nor ``dataclasses``.  The text is read through
 ``configparser`` and written straight from the layout, in the bytes that
 ``ConfigParser.write`` gives, so that a command that reads no ``--config``
 file does not load ``configparser``.
@@ -56,6 +57,9 @@ class ExperimentConfig:
         log_grid(self.omega_min, self.omega_max, self.omega_points)
         if self.compare_pid is not None:
             PidParams(*self.compare_pid)
+        # the config echo could not say it: ConfigParser refuses a bare % and reads %% back as %
+        if "%" in self.out_dir:
+            raise ValueError(f"output dir (--out, [output] dir) must not hold a %, got {self.out_dir!r}")
 
     def plant(self, order: int) -> PlantModel:
         """The plant of the given order; D is the config's at order 2 alone."""

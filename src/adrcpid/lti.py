@@ -1,17 +1,19 @@
-"""The numpy half of the LTI layer: state-space models and their step tables.
+"""The numpy half of the LTI layer: state-space models, their step tables and the step sweeps.
 
 State-space models (``StateSpaceModel``) and their transfer functions
-(``ss_to_tf``, the ``tf._split`` of a model's rows), exact step responses via
-zero-order hold (``step_response``, with the array exponential ``_expm``) and
-numeric cancellation (``tf_minreal``).  numpy is imported in each function
-that needs it, on first use.
+(``ss_to_tf``, the ``rows._split`` of a model's rows), exact step responses via
+zero-order hold (``step_response``, with the array exponential ``_expm``),
+numeric cancellation (``tf_minreal``) and the plant-parameter step sweeps
+(``step_sweep``), in which the controllers are deliberately not retuned.
+numpy is imported in each function that needs it, on first use.
 
-The plain-float half (polynomials, transfer functions and their evaluation,
-the Routh test, the frequency grid, the split of a realization's rows and the
-plain step trace) is ``tf``.  Only the step figures, ``sweep`` and the design
-scan need this module; it is kept apart because each fresh process compiles
-what it imports when no ``.pyc`` is written, so the bode and gang figures and
-``verify`` neither load nor compile it.
+The plain-float half is ``tf`` (polynomials, transfer functions and their
+evaluation, the Routh test, the frequency grid) and ``rows`` (the split of a
+realization's rows and the plain step trace).  Only the step figures,
+``sweep`` and the design scan need this module; it is kept apart because each
+fresh process compiles what it imports when no ``.pyc`` is written, so the
+bode and gang figures and ``verify`` neither load nor compile it.  It imports
+``analysis`` for the closed loops and swept plants of a sweep.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .tf import _PADE6, Polynomial, RationalTransferFunction, _balance_exponents, _split
+from .adrc import TwoInputController
+from .analysis import PlantModel, _loop_polynomial, closed_loop, sweep_plants
+from .rows import _PADE6, _balance_exponents, _split
+from .tf import Polynomial, RationalTransferFunction, _poly, is_stable
 from .value import Value
 
 if TYPE_CHECKING:
@@ -31,6 +36,11 @@ if TYPE_CHECKING:
 # block is filled by doubling with phi, phi^2, ..., and phi^STEP_BLOCK
 # advances the block starts.
 STEP_BLOCK = 64
+
+# Step experiments: long enough for integral action to flatten the tail,
+# fine enough (h = 0.0025 T_s) to resolve the measurement-filter dynamics.
+STEP_HORIZON_FACTOR = 10.0
+STEP_N_STEPS = 4000
 
 
 def _divide_out(p: Polynomial, roots: list[complex]) -> Polynomial:
@@ -330,3 +340,64 @@ def step_response(m: StateSpaceModel, input: int = 0, t_end: float = 10.0, n_ste
     return StepResponseTable._trusted(t, cols)
 
 
+class SweepCase(Value, eq=False):
+    value: float
+    table: StepResponseTable
+    stable: bool
+
+    def __init__(self, value: float, table: StepResponseTable, stable: bool):
+        self.__dict__.update(value=value, table=table, stable=stable)
+
+
+class SweepResult(Value, eq=False):
+    """Step responses of one controller across one swept plant parameter, one case per value."""
+
+    parameter: str
+    cases: tuple[SweepCase, ...]
+
+    def __init__(self, parameter: str, cases: tuple[SweepCase, ...]):
+        self.__dict__.update(parameter=parameter, cases=cases)
+
+
+def step_sweep(
+    plant: PlantModel,
+    parameter: str,
+    values,
+    controller: TwoInputController,
+    t_end: float,
+    n_steps: int = STEP_N_STEPS,
+) -> SweepResult:
+    """Unit reference steps of one controller over a plant-parameter sweep.
+
+    The controller is not retuned per case; unstable combinations are
+    simulated anyway and flagged instead of raising.  A case is stable if
+    is_stable passes its chi, formed in the sweep's own time unit
+    s~ = alpha*s, with alpha the power of two at or below t_end (the
+    frequency scaling of Gao, ACC 2003): the roots of chi in s~ are alpha
+    times those in s, with the same signs of real part, and its coefficients
+    stay in the float range where those of chi in s overflow.  C_y in s~ is
+    ``channels(alpha)`` of the controller.  A case whose chi in s~ leaves
+    the float range cannot be judged, and is refused, as is a case whose
+    step response is refused.
+    """
+    plants = sweep_plants(plant, parameter, values)
+    alpha = math.ldexp(0.5, math.frexp(t_end)[1])
+    measurement = controller.channels(alpha)[1]
+    cases = []
+    for swept in plants:
+        table = step_response(closed_loop(swept, controller), input=0, t_end=t_end, n_steps=n_steps)
+        chi = _loop_polynomial(*_time_scaled_plant(swept, alpha), measurement)[2]
+        if not all(map(math.isfinite, chi.coeffs)):  # then no note can say whether the case is stable
+            reason = "its closed-loop polynomial overflows in the sweep's time unit, so its stability cannot be judged"
+            raise ValueError(f"the step response at this tuning is not representable: {reason}")
+        cases.append(SweepCase(value=getattr(swept, parameter), table=table, stable=is_stable(chi)))
+    return SweepResult(parameter=parameter, cases=tuple(cases))
+
+
+def _time_scaled_plant(plant: PlantModel, alpha: float) -> tuple[float, Polynomial]:
+    """(k, dp) of the monic plant in s~ = alpha*s: coefficient j of dp times
+    alpha**(n - j), and k times alpha**n; inf past the float range.  alpha is a
+    power of two, so each power is exact, inf or 0."""
+    P = plant.canonical_tf
+    powers = (alpha * alpha, alpha, 1.0)[2 - plant.order :]
+    return P.num.coeffs[0] * powers[0], _poly([c * x for c, x in zip(P.den.coeffs, powers)])

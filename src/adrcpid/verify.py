@@ -2,6 +2,8 @@
 
 Every check reduces to a scalar residual compared against a fixed
 tolerance, so the command can print one machine-readable line per check.
+The suite runs on plain floats: it splits each realization and steps its
+one settling trace with ``rows``, and never loads ``lti`` or numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from .adrc import TwoInputController, build_adrc, extract_cr_cy
 from .analysis import GangOfSeven, PlantModel, _loop_rows, gang_of_seven, s_plus_t_residual
 from .design import AdrcDesign, PidParams, equivalent_params, tune_second_order
 from .pid_equiv import build_equivalent_controller, verify_asymptotes
-from .tf import _evaluate, _split, _step_trace, log_grid, tf_neg, tf_residual
+from .rows import _split, _step_trace
+from .tf import _evaluate, log_grid, tf_neg, tf_residual
 from .value import Value
 
 EQUIVALENCE_GRID_TS = (0.5, 1.0, 2.0)

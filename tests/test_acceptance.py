@@ -22,10 +22,9 @@ from adrcpid.analysis import (
     closed_loop,
     gang_of_seven,
     s_plus_t_residual,
-    step_sweep,
 )
 from adrcpid.cli import main
-from adrcpid.lti import StateSpaceModel, ss_to_tf, step_response
+from adrcpid.lti import StateSpaceModel, ss_to_tf, step_response, step_sweep
 from adrcpid.pid_equiv import (
     build_equivalent_controller,
     equivalent_params,

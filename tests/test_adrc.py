@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyfromroots, polyroots
 
-from adrcpid import tf as tf_module
+from adrcpid import rows as rows_module
 from adrcpid.adrc import (
     AdrcDesign,
     build_adrc,
@@ -282,7 +282,7 @@ class TestTwoInputController:
         def refuse(A):
             raise AssertionError("the channels split the realization")
 
-        monkeypatch.setattr(tf_module, "_resolvent", refuse)
+        monkeypatch.setattr(rows_module, "_resolvent", refuse)
         c = build_adrc(design)
         c_r, c_y = extract_cr_cy(c)
         again = extract_cr_cy(c)

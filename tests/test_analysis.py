@@ -35,6 +35,7 @@ from hypothesis.extra import numpy as hnp
 from adrcpid import analysis as analysis_module
 from adrcpid import design as design_module
 from adrcpid import pid_equiv as pid_equiv_module
+from adrcpid import rows as rows_module
 from adrcpid import tf as tf_module
 from adrcpid import verify as verify_module
 from adrcpid.adrc import (
@@ -46,14 +47,12 @@ from adrcpid.adrc import (
     tune_second_order,
 )
 from adrcpid.analysis import (
-    STEP_HORIZON_FACTOR,
     PlantModel,
     closed_loop,
     gang_of_seven,
     s_plus_t_residual,
-    step_sweep,
 )
-from adrcpid.lti import StateSpaceModel, step_response
+from adrcpid.lti import STEP_HORIZON_FACTOR, StateSpaceModel, step_response, step_sweep
 from adrcpid.pid_equiv import (
     PidParams,
     build_equivalent_controller,
@@ -338,7 +337,7 @@ class TestExactStructure:
     @given(TUNINGS)
     def test_characteristic_polynomial_matches_50_digits(self, tuning):
         for c in _controllers(AdrcDesign(*tuning)):
-            char, _ = tf_module._resolvent(c.realization[0])
+            char, _ = rows_module._resolvent(c.realization[0])
             for got, want in zip(char, _mp_char_poly(c.realization[0]), strict=True):
                 assert abs(got - want) <= 1e-9 * abs(want), (got, want)
 
@@ -352,7 +351,7 @@ class TestExactStructure:
                 list(map(Fraction, row)) for row in (C, D)
             ]
             exact, scale = exact_split(*exact_rows), exact_split(*exact_rows, magnitudes=True)
-            c_r, minus_c_y = tf_module._split(c.realization)
+            c_r, minus_c_y = rows_module._split(c.realization)
             # the integrator's exact zero column makes det(A), and so char[0], exactly 0.0
             assert c_r.den is minus_c_y.den and c_r.den.coeffs[0] == 0.0
             # the j-th matrix of the recursion takes 2 m j roundings (each step: a sum of m
@@ -521,7 +520,7 @@ class TestSharedWorkCounts:
         def refuse(A):
             raise AssertionError("the channels split the realization")
 
-        monkeypatch.setattr(tf_module, "_resolvent", refuse)
+        monkeypatch.setattr(rows_module, "_resolvent", refuse)
         for c in (build_adrc(design), build_equivalent_controller(equivalent_params(design))):
             channels = c.channels
             object.__setattr__(c, "channels", lambda alpha: made.append(alpha) or channels(alpha))
@@ -844,7 +843,7 @@ def _trace_errors(design: AdrcDesign, plant: PlantModel) -> dict[str, list[float
         exact = exact_step(rows, plant, t_end, 300)
         traces = {
             "table": step_response(closed_loop(plant, ctrl), 0, t_end=t_end, n_steps=300).columns["y"].tolist(),
-            "plain": tf_module._step_trace(analysis_module._loop_rows(plant, ctrl), t_end, 300),
+            "plain": rows_module._step_trace(analysis_module._loop_rows(plant, ctrl), t_end, 300),
         }
         for key, y in traces.items():
             errors[key].append(max(abs(a - b) for a, b in zip(y, exact, strict=True)))

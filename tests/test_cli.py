@@ -1,6 +1,7 @@
 import configparser
 import csv
 import hashlib
+import inspect
 import io
 import math
 import re
@@ -82,6 +83,14 @@ class TestConfig:
                 cfg.to_text()
         else:
             assert cfg.to_text() == want
+
+    @pytest.mark.parametrize("argv, out_dir", [(["figure", "7"], "a%b"), (["sweep", "--param", "K"], "p%%q")])
+    def test_out_dir_with_a_percent_refused_before_any_output(self, tmp_path, capsys, argv, out_dir):
+        # the echo could not repeat the run: ConfigParser refuses a bare % and reads %% back as %
+        out = tmp_path / out_dir
+        assert main([*argv, "--out", str(out)]) == EXIT_BAD_ARGS
+        assert capsys.readouterr() == ("", f"error: output dir (--out, [output] dir) must not hold a %, got {str(out)!r}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_default_roundtrip(self):
         cfg = ExperimentConfig()
@@ -656,12 +665,12 @@ def test_commands_find_no_roots_and_no_eigenvalues(tmp_path, monkeypatch):
 def test_commands_other_than_verify_split_no_realization(tmp_path, monkeypatch):
     """The channels come from the closed forms each controller carries; only
     verify splits a state-space model, to check those forms."""
-    from adrcpid import tf
+    from adrcpid import rows
 
     def refuse(A):
         raise AssertionError("a command split a state-space model")
 
-    monkeypatch.setattr(tf, "_resolvent", refuse)
+    monkeypatch.setattr(rows, "_resolvent", refuse)
     runs = _command_runs(tmp_path)
     with redirect_stdout(io.StringIO()):
         assert [main(argv) for argv in runs] == [EXIT_OK] * len(runs)
@@ -706,6 +715,41 @@ class TestVerifyCommand:
         assert main(["verify", *argv]) == EXIT_VERIFY_FAILED
         lines = capsys.readouterr().out.splitlines()
         assert lines[-2].startswith("settling_time_nominal_order1: residual=inf tol=") and lines[-2].endswith(" FAIL")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--plant-k", "5"), ("--plant-t", "3"), ("--plant-d", "0.5"), ("--out", "zz"), ("--compare-pid", "1,2,0.5,0.01,0.4")],
+    )
+    def test_refuses_the_figure_flags(self, tmp_path, monkeypatch, capsys, flag, value):
+        # verify runs no plant of its own and writes nothing, so it takes no plant, --compare-pid or --out
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", flag, value]) == EXIT_BAD_ARGS
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: unrecognized arguments: {flag} {value}\n" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_runs_at_the_config_defaults(self):
+        from adrcpid.verify import run_verification
+
+        defaults = {name: p.default for name, p in inspect.signature(run_verification).parameters.items()}
+        cfg = ExperimentConfig()
+        assert {key: defaults[key] for key in ("ts", "g", "b0")} == {"ts": cfg.ts, "g": cfg.g, "b0": cfg.b0}
+
+    def test_config_file_is_checked_whole_and_its_tuning_run(self, tmp_path, capsys):
+        cfg_file = tmp_path / "verify.cfg"
+        assert main(["verify", "--ts", "2", "--g", "5"]) == EXIT_OK
+        flags = capsys.readouterr().out
+        # the config's tuning, under the tuning flags
+        cfg_file.write_text("[tuning]\nts = 2\ng = 4\n")
+        assert main(["verify", "--config", str(cfg_file), "--g", "5"]) == EXIT_OK
+        assert capsys.readouterr().out == flags
+        # the whole file is checked, as a figure checks it: its plant too, and its out dir
+        refusals = {"[plant]\nd = -1\n": "error: plant D must be finite and > 0, got -1.0\n", "[output]\ndir = 50%%\n": "--out"}
+        for text, refusal in refusals.items():
+            cfg_file.write_text(text)
+            assert main(["verify", "--config", str(cfg_file)]) == EXIT_BAD_ARGS
+            captured = capsys.readouterr()
+            assert captured.out == "" and refusal in captured.err
 
     def test_negative_b0_mirrors_positive(self, capsys):
         # negating b0 and the plant gain K together only flips the controller states
@@ -758,11 +802,13 @@ SECOND_ORDER_REJECTS = [
     ("--plant-t", "1e160", "plant T=1e+160 is out of range"),
     ("--plant-d", "1e308", "plant D=1e+308 is out of range"),
 ]
+# the commands that run a plant and write files, and so take the plant, --compare-pid and --out flags
+PLANT_COMMANDS = ("figure", "sweep")
 REJECTED = [
     (command, *case)
     for command in COMMANDS
     for case in TUNING_REJECTS
-    + (OTHER_REJECTS if COMMANDS[command][0] != "tune" else [])
+    + (OTHER_REJECTS if COMMANDS[command][0] in PLANT_COMMANDS else [])
     + (SECOND_ORDER_REJECTS if command in SECOND_ORDER_COMMANDS else [])
 ]
 
@@ -771,7 +817,7 @@ class TestCommandsAgree:
     @pytest.mark.parametrize("command, flag, value, name", REJECTED)
     def test_bad_input_rejected_by_every_command(self, tmp_path, capsys, command, flag, value, name):
         out = tmp_path / "out"
-        args = [*COMMANDS[command], f"{flag}={value}"] + (["--out", str(out)] if COMMANDS[command][0] != "tune" else [])
+        args = [*COMMANDS[command], f"{flag}={value}"] + (["--out", str(out)] if COMMANDS[command][0] in PLANT_COMMANDS else [])
         assert main(args) == EXIT_BAD_ARGS
         err = capsys.readouterr().err
         assert "error:" in err and name in err and "Traceback" not in err
@@ -780,13 +826,14 @@ class TestCommandsAgree:
     @pytest.mark.parametrize("argv", [["figure", "4", "--order", "2"], ["verify", "--order", "1"]])
     def test_order_is_a_flag_of_tune_and_sweep_only(self, tmp_path, capsys, argv):
         # a figure has its own order, and verify runs both
-        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_BAD_ARGS
+        out = ["--out", str(tmp_path / "out")] if argv[0] == "figure" else []
+        assert main([*argv, *out]) == EXIT_BAD_ARGS
         assert "unrecognized arguments: --order" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_negative_b0_accepted_by_every_command(self, tmp_path, command):
-        out = ["--out", str(tmp_path)] if COMMANDS[command][0] != "tune" else []
+        out = ["--out", str(tmp_path)] if COMMANDS[command][0] in PLANT_COMMANDS else []
         assert main([*COMMANDS[command], "--b0=-4", *out]) == EXIT_OK
 
     @given(
@@ -809,12 +856,13 @@ class TestCommandsAgree:
 # notation, on a command line that has every other required argument
 NEGATIVE_VALUES = [
     *((["tune", "--order", "1", "--ts", "1", "--g", "1"], flag, "-1e-5") for flag in ("--ts", "--g", "--b0")),
+    *((["verify"], flag, "-1e-5") for flag in ("--ts", "--g", "--b0")),
     *(
         (argv, flag, "-1e-5")
-        for argv in (["figure", "3"], ["sweep", "--param", "K"], ["verify"])
+        for argv in (["figure", "3"], ["sweep", "--param", "K"])
         for flag in ("--ts", "--g", "--b0", "--plant-k", "--plant-t", "--plant-d")
     ),
-    *((argv, "--compare-pid", "-1e-5,1,0,0.1,1") for argv in (["figure", "3"], ["sweep", "--param", "K"], ["verify"])),
+    *((argv, "--compare-pid", "-1e-5,1,0,0.1,1") for argv in (["figure", "3"], ["sweep", "--param", "K"])),
     (["sweep", "--param", "K"], "--values", "-1e-5,2"),
     (["verify"], "--perturb-b0", "-1e-3"),
 ]
@@ -841,21 +889,35 @@ HEAVY_MODULES = ("scipy", "urllib.request", "numpy.polynomial")
 # the modules that `figure`, `sweep` and `verify` run and `tune` does not
 CONTROLLER_MODULES = ("adrcpid.tf", "adrcpid.adrc", "adrcpid.pid_equiv", "adrcpid.analysis")
 # the modules that only some commands run; the config module, which holds the package's one
-# dataclass, and dataclasses and inspect with it, are loaded by every command but `tune`
+# dataclass, and dataclasses and inspect with it, are loaded by the figures and sweep, and by
+# verify only to read a --config file
 CONFIG_MODULES = ("dataclasses", "inspect", "adrcpid.config")
 LAYER_MODULES = (
-    "numpy", "adrcpid.lti", *CONFIG_MODULES, *CONTROLLER_MODULES, "adrcpid.svg", "adrcpid.verify", "configparser"
+    "numpy",
+    "adrcpid.lti",
+    "adrcpid.rows",
+    *CONFIG_MODULES,
+    *CONTROLLER_MODULES,
+    "adrcpid.svg",
+    "adrcpid.verify",
+    "configparser",
 )
-# what each command loads of them: the frequency figures and verify run on tf's plain floats,
-# only the step figures and sweep, which make step tables, load lti and numpy, and only
-# reading a --config file loads configparser
+# what each command loads of them: the frequency figures run on tf's plain floats alone and
+# verify on tf's and rows', only the step figures and sweep, which make step tables, load lti
+# and numpy, and only reading a --config file loads configparser
 FIGURE_MODULES = (*CONFIG_MODULES, *CONTROLLER_MODULES, "adrcpid.svg")
+STEP_MODULES = ("numpy", "adrcpid.lti", "adrcpid.rows", *FIGURE_MODULES)
+# a config file that the loading test writes before it runs the command
+CONFIG_FILE = "run.cfg"
 LOADED_MODULES = {
     ("tune", "--order", "2", "--ts", "1", "--g", "10"): (),
     **{("figure", str(fig)): FIGURE_MODULES for fig in (3, 4, 7, 8)},
-    **{("figure", str(fig)): ("numpy", "adrcpid.lti", *FIGURE_MODULES) for fig in (1, 2, 5, 6)},
-    ("sweep", "--param", "K"): ("numpy", "adrcpid.lti", *FIGURE_MODULES),
-    ("verify",): (*CONFIG_MODULES, *CONTROLLER_MODULES, "adrcpid.verify"),
+    **{("figure", str(fig)): STEP_MODULES for fig in (1, 2, 5, 6)},
+    ("sweep", "--param", "K"): STEP_MODULES,
+    ("verify",): ("adrcpid.rows", *CONTROLLER_MODULES, "adrcpid.verify"),
+    ("verify", "--config", CONFIG_FILE): (
+        "adrcpid.rows", *CONFIG_MODULES, *CONTROLLER_MODULES, "adrcpid.verify", "configparser"
+    ),
 }
 
 
@@ -867,10 +929,14 @@ def test_cli_import_leaves_out_scipy_and_urllib():
     assert done.stdout.split() == []
 
 
-@pytest.mark.parametrize("argv", LOADED_MODULES, ids=lambda argv: "".join(argv[:2]) if argv[0] == "figure" else argv[0])
+@pytest.mark.parametrize(
+    "argv", LOADED_MODULES, ids=lambda argv: "".join(argv[:2]) if argv[0] == "figure" or CONFIG_FILE in argv else argv[0]
+)
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv):
     loaded = LOADED_MODULES[argv]
-    argv = [*argv, "--out", str(tmp_path)] if argv[0] in ("figure", "sweep") else list(argv)
+    (tmp_path / CONFIG_FILE).write_text("[tuning]\nts = 2\n")
+    argv = [str(tmp_path / arg) if arg == CONFIG_FILE else arg for arg in argv]
+    argv += ["--out", str(tmp_path)] if argv[0] in PLANT_COMMANDS else []
     modules = HEAVY_MODULES + LAYER_MODULES
     code = (
         "import sys\nfrom adrcpid.cli import main\n"
@@ -1030,7 +1096,7 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv):
          "figure-compare-pid-realization-overflow"],
 )
 def test_command_runs_clean_with_warnings_as_errors(tmp_path, argv, code, err):
-    if argv[0] != "tune":
+    if argv[0] in PLANT_COMMANDS:
         argv = [*argv, "--out", str(tmp_path / "out")]
     done = fresh_python("-m", "adrcpid.cli", *argv)
     assert (done.returncode, done.stderr) == (code, err)

@@ -30,9 +30,8 @@ from adrcpid.tf import (
     is_stable,
     log_grid,
     tf_residual,
-    _expm_rows,
-    _step_trace,
 )
+from adrcpid.rows import _expm_rows, _step_trace
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

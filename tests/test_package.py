@@ -111,14 +111,42 @@ def test_design_layer_loads_no_numpy_and_no_other_module():
     assert (done.returncode, done.stderr, done.stdout.split()) == (0, "", ["adrcpid.design", "adrcpid.value"])
 
 
+# module -> the names moved into it, each out of the module that a fresh bode or gang figure loads
+MOVED_NAMES = {
+    "rows": (
+        "_det", "_dot", "_resolvent", "_split", "_balance_exponents", "_matmul", "_solve", "_PADE6", "_expm_rows",
+        "_step_trace",
+    ),
+    "lti": ("SweepCase", "SweepResult", "step_sweep", "_time_scaled_plant", "STEP_HORIZON_FACTOR", "STEP_N_STEPS"),
+}
+
+
+def _defined(path):
+    """The names that the module at path defines at its top level."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in MOVED_NAMES.items() for n in names])
+def test_a_moved_name_is_defined_only_in_its_new_module(module, name):
+    defined_in = {path.stem for path in sorted(PACKAGE.glob("*.py")) if name in _defined(path)}
+    assert defined_in == {module}
+    assert not hasattr(importlib.import_module("adrcpid.tf" if module == "rows" else "adrcpid.analysis"), name)
+
+
 VALUE_TYPES = {
     "design": ("AdrcDesign", "PidParams"),
     "tf": ("Polynomial", "RationalTransferFunction"),
     "adrc": ("TwoInputController",),
-    "analysis": ("PlantModel", "GangOfSeven", "SweepCase", "SweepResult"),
+    "analysis": ("PlantModel", "GangOfSeven"),
     "svg": ("Series",),
     "verify": ("VerificationCheck",),
-    "lti": ("StateSpaceModel", "StepResponseTable"),
+    "lti": ("StateSpaceModel", "StepResponseTable", "SweepCase", "SweepResult"),
 }
 
 
@@ -280,9 +308,9 @@ def test_every_public_name_has_a_user():
 
 
 def test_analysis_names_no_numpy():
-    """The closed loop hands its rows to lti, and the sweeps' time scaling and verify's
-    checks are plain floats."""
-    for module in ("analysis", "verify"):
+    """The closed loop hands its rows to lti, and the row algebra and verify's checks are
+    plain floats."""
+    for module in ("analysis", "rows", "verify"):
         imported, named = set(), set()
         for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
             if isinstance(node, ast.Import):
