@@ -2,32 +2,31 @@
 
 Every check reduces to a scalar residual compared against a fixed
 tolerance, so the command can print one machine-readable line per check.
-The suite runs on plain floats: it splits each realization and steps its
-one settling trace with ``rows``, and never loads ``lti`` or numpy.
+Every check runs at the one tuning (T_s, g, b0) it is given: each order's
+ADRC and PI(D)F controllers there are built once and read by every line.
+That the paper's identities hold at every tuning is proven once,
+symbolically, in the tests.  The suite runs on plain floats: it splits each
+realization and steps its one settling trace with ``rows``, and never
+loads ``lti`` or numpy.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .adrc import TwoInputController, build_adrc, extract_cr_cy
 from .analysis import GangOfSeven, PlantModel, _loop_rows, gang_of_seven, s_plus_t_residual
-from .design import AdrcDesign, PidParams, equivalent_params, tune_second_order
+from .design import AdrcDesign, PidParams, equivalent_params
 from .pid_equiv import build_equivalent_controller, verify_asymptotes
 from .rows import _split, _step_trace
-from .tf import _evaluate, log_grid, tf_neg, tf_residual
+from .tf import RationalTransferFunction, _evaluate, log_grid, tf_neg, tf_residual
 from .value import Value
-
-EQUIVALENCE_GRID_TS = (0.5, 1.0, 2.0)
-EQUIVALENCE_GRID_G = (2.0, 5.0, 10.0, 20.0)
-EQUIVALENCE_GRID_B0 = (0.5, 1.0, 3.0)
-EQUIVALENCE_GRID = tuple(itertools.product(EQUIVALENCE_GRID_TS, EQUIVALENCE_GRID_G, EQUIVALENCE_GRID_B0))
 
 GANG_OMEGA_LO = 1e-2
 GANG_OMEGA_HI = 1e3
 GANG_OMEGA_POINTS = 300
 
+# the least damping of the PID+F filter over all g, at g = 1
 D_MIN_EXACT = 5.0 / (2.0 * math.sqrt(10.0))
 
 
@@ -44,37 +43,20 @@ class VerificationCheck(Value):
         return self.residual < self.tol
 
 
-def _perturbed_params(order: int, perturb_b0: float) -> list[PidParams]:
-    """equivalent_params over EQUIVALENCE_GRID with b0 scaled by perturb_b0.
+def _perturbed_params(design: AdrcDesign, perturb_b0: float) -> PidParams:
+    """equivalent_params of design with b0 scaled by perturb_b0.
 
-    A perturb_b0 that takes any b0 of the grid out of range is refused whole, for
-    the reason that AdrcDesign gives the first grid design that it refuses.
+    A perturb_b0 that takes b0 out of range is refused, naming perturb_b0, for
+    the reason that AdrcDesign gives the perturbed design.
     """
     if not 0 < abs(perturb_b0) < math.inf:
         raise ValueError(f"perturb_b0 must be finite and nonzero, got {perturb_b0!r}")
     try:
-        return [equivalent_params(AdrcDesign(order, ts, g, b0 * perturb_b0)) for ts, g, b0 in EQUIVALENCE_GRID]
+        return equivalent_params(AdrcDesign(design.order, design.T_s, design.g, design.b0 * perturb_b0))
     except ValueError as exc:
-        reason = str(exc).partition(" is out of range: ")[2]
-        raise ValueError(f"perturb_b0={perturb_b0!r} is out of range: on the equivalence grid, {reason}") from None
-
-
-def _grid_residuals(order: int, perturbed: list[PidParams]) -> tuple[float, float, float]:
-    """(cy_equivalence, setpoint_weight_consistency, adrc_realization) of one order, in one
-    pass over EQUIVALENCE_GRID: each design's C_y against the feedback channel of its perturbed
-    parameters, the set-point weight of its own parameters against its closed form, and its
-    realization against its closed forms, on g <= 20, where the split is good to 1e-13."""
-    cy = weight = realization = 0.0
-    for (ts, g, b0), perturbed_params in zip(EQUIVALENCE_GRID, perturbed):
-        design = AdrcDesign(order, ts, g, b0)
-        ctrl = build_adrc(design)
-        _, c_y = extract_cr_cy(ctrl)
-        cy = max(cy, tf_residual(c_y, perturbed_params.feedback_tf()))
-        params = equivalent_params(design)
-        expected = 4.0 / ts if order == 1 else 36.0 / ts**2
-        weight = max(weight, abs(params.b * params.kp * b0 - expected) / expected)
-        realization = max(realization, _realization_residual(ctrl))
-    return cy, weight, realization
+        # a b0 * perturb_b0 of 0 or inf is refused without a reason of range
+        reason = str(exc).partition(" is out of range: ")[2] or str(exc)
+        raise ValueError(f"perturb_b0={perturb_b0!r} is out of range: {reason}") from None
 
 
 def _gang_of_four_identity(g7_adrc: GangOfSeven, g7_equiv: GangOfSeven) -> float:
@@ -94,14 +76,6 @@ def _realization_residual(ctrl: TwoInputController) -> float:
     both over the monic denominator, so no root is found and nothing is cancelled."""
     c_r, minus_c_y = _split(ctrl.realization)
     return max(map(tf_residual, (c_r, tf_neg(minus_c_y)), extract_cr_cy(ctrl)))
-
-
-def _filter_damping_range() -> float:
-    ds = [equivalent_params(tune_second_order(1.0, g, 1.0)).d for g in log_grid(0.1, 100.0, 201)]
-    lower = D_MIN_EXACT - 1e-12
-    violation = max(0.0, lower - min(ds), max(ds) - (1.0 - 1e-12))
-    min_offset = abs(min(ds) - D_MIN_EXACT)
-    return max(violation, min_offset)
 
 
 def _settling_time(ctrl: TwoInputController, plant: PlantModel, ts: float, band: float = 0.02) -> float:
@@ -128,19 +102,18 @@ def run_verification(
     b0: float = 1.0,
     perturb_b0: float = 1.0,
 ) -> list[VerificationCheck]:
-    """All equivalence, asymptote, and structural checks as residual/tol pairs.
+    """All equivalence, asymptote, and structural checks at the tuning, as residual/tol pairs.
 
-    Each order's ADRC and PI(D)F controllers at the tuning are built once,
+    Each order's ADRC and PI(D)F controllers at (ts, g, b0) are built once,
     and every check that needs them reads the closed forms they carry.
     ``perturb_b0`` scales b0 on the PI(D)F side of the equivalence checks
     only; any value other than 1 must make those checks fail, which is the
     self-test that the suite actually detects mismatches.
     """
-    # both designs and the perturbed grid first, so that a tuning or a
+    # both designs and both perturbed parameter sets first, so that a tuning or a
     # perturb_b0 out of range is refused before any work
     designs = {order: AdrcDesign(order, ts, g, b0) for order in (1, 2)}
-    perturbed = {order: _perturbed_params(order, perturb_b0) for order in (1, 2)}
-    grids = {order: _grid_residuals(order, perturbed[order]) for order in (1, 2)}
+    perturbed = {order: _perturbed_params(design, perturb_b0) for order, design in designs.items()}
     params = {order: equivalent_params(design) for order, design in designs.items()}
     adrc = {order: build_adrc(design) for order, design in designs.items()}
     equiv = {order: build_equivalent_controller(p) for order, p in params.items()}
@@ -149,11 +122,18 @@ def run_verification(
     checks: list[VerificationCheck] = []
     add = checks.append
 
+    # both C_y in the design's own time unit s~ = alpha*s, alpha the power of two at or below
+    # T_s (Gao, ACC 2003), with both numerators times |b0|*alpha^n: in that unit and scale
+    # the coefficients are polynomials in g, which tf_residual's coefficient floor sees whole
+    alpha = math.ldexp(0.5, math.frexp(ts)[1])
     for order in (1, 2):
-        add(VerificationCheck(f"cy_equivalence_order{order}", grids[order][0], 1e-9))
+        scale = abs(b0) * (alpha if order == 1 else alpha * alpha)
+        c_y = (adrc[order].channels(alpha)[1], perturbed[order].channels(alpha)[1])
+        pair = [RationalTransferFunction(c.num.scaled(scale), c.den) for c in c_y]
+        add(VerificationCheck(f"cy_equivalence_order{order}", tf_residual(*pair), 1e-9))
 
     for order in (1, 2):
-        add(VerificationCheck(f"adrc_realization_order{order}", grids[order][2], 1e-9))
+        add(VerificationCheck(f"adrc_realization_order{order}", _realization_residual(adrc[order]), 1e-9))
 
     for order in (1, 2):
         low, high = verify_asymptotes(extract_cr_cy(adrc[order])[0], params[order])
@@ -174,10 +154,14 @@ def run_verification(
     for order, form in ((1, "pif"), (2, "pidf")):
         add(VerificationCheck(f"realization_fidelity_{form}", _realization_residual(equiv[order]), 1e-9))
 
+    # b*kp*b0 = K_P: the weighted reference gain is ADRC's high-frequency reference gain
     for order in (1, 2):
-        add(VerificationCheck(f"setpoint_weight_consistency_order{order}", grids[order][1], 1e-12))
+        p, K_P = params[order], designs[order].K_P
+        add(VerificationCheck(f"setpoint_weight_consistency_order{order}", abs(p.b * p.kp * b0 - K_P) / K_P, 1e-12))
 
-    add(VerificationCheck("filter_damping_range", _filter_damping_range(), 1e-3))
+    # the PID+F filter's damping within [D_MIN_EXACT, 1), the range of d(g) over all g > 0
+    d = params[2].d
+    add(VerificationCheck("filter_damping_range", max(0.0, D_MIN_EXACT - 1e-12 - d, d - (1.0 - 1e-12)), 1e-3))
     add(VerificationCheck("settling_time_nominal_order1", _settling_time(adrc[1], plants[1], ts), 1.3 * ts))
 
     return checks

@@ -1047,15 +1047,21 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv):
         (
             ["verify", "--perturb-b0", "1e-320"],
             EXIT_BAD_ARGS,
-            "error: perturb_b0=1e-320 is out of range: on the equivalence grid, the gains or equivalent "
-            "PI(D) parameters of T_s=0.5, g=2.0, b0=5e-321 are not finite and nonzero\n",
+            "error: perturb_b0=1e-320 is out of range: the gains or equivalent "
+            "PI(D) parameters of T_s=1.0, g=10.0, b0=1e-320 are not finite and nonzero\n",
         ),
-        # the gains are in range, but -ki/Tf of the first grid design's PI+F realization is not
+        # the perturbed design's gains are in range, but -ki/Tf of its PI+F realization is not
         (
             ["verify", "--perturb-b0", "1e-305"],
             EXIT_BAD_ARGS,
-            "error: perturb_b0=1e-305 is out of range: on the equivalence grid, an entry of the PI+F "
-            "realization of T_s=0.5, g=2.0, b0=5e-306 is not finite\n",
+            "error: perturb_b0=1e-305 is out of range: an entry of the PI+F "
+            "realization of T_s=1.0, g=10.0, b0=1e-305 is not finite\n",
+        ),
+        # b0 * perturb_b0 underflows to 0
+        (
+            ["verify", "--b0", "0.5", "--perturb-b0", "5e-324"],
+            EXIT_BAD_ARGS,
+            "error: perturb_b0=5e-324 is out of range: b0 must be finite and nonzero, got 0.0\n",
         ),
         # gains and parameters in range, but a realization entry past it: -ki/Tf of the PI+F
         # realization, the last entry of ADRC's reference column, kp/Tf of a --compare-pid PI+F;
@@ -1091,7 +1097,7 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv):
          "gang-cancellation-overflow",
          "gang-magnitude-overflow", "gang-polynomial-overflow", "closed-loop-overflow",
          "sweep-polynomial-overflow-at-g", "sweep-polynomial-overflow-at-plant-t", "verify-perturb-b0-zero",
-         "verify-perturb-b0-out-of-range", "verify-perturb-b0-realization-out-of-range",
+         "verify-perturb-b0-out-of-range", "verify-perturb-b0-realization-out-of-range", "verify-perturb-b0-underflow",
          "figure-pif-realization-overflow", "tune-pif-realization-overflow", "figure-adrc-realization-overflow",
          "figure-compare-pid-realization-overflow"],
 )
